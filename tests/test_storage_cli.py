@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 import tcm2d as t
 from tcm2d import storage
 from tcm2d.cli import main
-from tcm2d.config import parse_config_text, render_config
+from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.errors import BadSeries, ChecksumMismatch, ConfigParseError
 
 from conftest import band_state
@@ -32,6 +33,45 @@ diag_stride = 1
 snap_stride = 5
 """
 
+SAMPLE_CFG = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "sample_run.cfg")
+
+SAMPLE_RENDERED = """[grid]
+n = 64
+length = 6.283185307179586
+
+[time]
+dt = 0.002
+horizon = 1.0
+
+[model]
+eps = 0.1
+dealias = true
+cfl_max = 0.5
+
+[init]
+preset = random_band
+amplitude = 1.0
+mode_x = 1
+mode_y = 0
+band_lo = 1
+band_hi = 4
+u_amp = 1.0
+v_amp = 0.5
+theta_amp = 0.5
+seed = 42
+
+[output]
+diag_stride = 2
+snap_stride = 50
+"""
+
+DIAGNOSTICS_HEADER = (
+    "t,energy,dissipation,u_l2,v_l2,theta_l2,grad_u_l2,grad_v_l2,grad_theta_l2,grad_w_l2,"
+    "lap_u_l2,lap_w_l2,lap_theta_l2,grad_lap_u_l2,grad_lap_w_l2,theta_l4,theta_linf,u_linf,"
+    "v_linf,uv_linf,grad_u_linf,grad_u_l4,grad_w_l4,phi_linf,a_func,b_func,theta_tail_frac,"
+    "mean_theta,mean_u_x,mean_u_y,div_u_rel"
+)
+
 
 class TestConfigParsing:
     def test_minimal(self):
@@ -43,6 +83,12 @@ class TestConfigParsing:
         cfg = parse_config_text(MINIMAL_CFG)
         again = parse_config_text(render_config(cfg))
         assert again == cfg
+
+    def test_render_bytes_pinned(self):
+        cfg, _ = parse_config_file(SAMPLE_CFG)
+        assert render_config(cfg) == SAMPLE_RENDERED
+        with_dir = dataclasses.replace(cfg, outdir="runs/sample")
+        assert render_config(with_dir) == SAMPLE_RENDERED + "dir = runs/sample\n"
 
     def test_unknown_key(self):
         with pytest.raises(ConfigParseError, match="unknown key"):
@@ -104,6 +150,7 @@ class TestDiagnosticsCsv:
         storage.write_diagnostics_csv(path, t.simulate(cfg).diagnostics)
         first = open(path).readline().strip()
         assert first == ",".join(t.COLUMNS)
+        assert first == DIAGNOSTICS_HEADER
 
 
 class TestGronwallCsv:
