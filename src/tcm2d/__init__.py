@@ -15,6 +15,7 @@ from .errors import (
     EmptyTrajectory,
     EpsOutOfRange,
     Infeasible,
+    NonFiniteState,
     NonZeroMean,
     TcmError,
 )
@@ -23,41 +24,30 @@ from .spectral import (
     SpectralField,
     VectorField,
     advect,
-    curl,
     dealias,
     derivative,
     div,
     grad,
     grad_inv_neg_laplacian,
-    grad_l4,
-    grad_linf,
     inner,
     inv_neg_laplacian,
     laplacian,
     leray_project,
-    multiply,
     norm,
-    perp_grad,
     riesz_double,
     seminorm,
     smoothing_inverse,
 )
 from .model import (
     SimConfig,
-    SimResult,
     State,
-    Tendency,
     imex_step,
     make_initial,
-    rhs,
     simulate,
 )
 from .derived import (
-    DerivedBundle,
-    ResidualNorms,
     commutator_f,
     commutator_f_gradform,
-    derived_bundle,
     pseudo_baroclinic,
     residual_flux_equation,
     residual_phi_equation,
@@ -67,19 +57,13 @@ from .derived import (
 )
 from .records import COLUMNS, DiagnosticsRecord, DiagnosticsSeries, make_record
 from .gronwall import (
-    ConclusionReport,
-    FitResult,
     GronwallSeries,
-    HypothesisReport,
     conclusion_check,
     fit_min_k,
     q_of_t,
     verify_hypothesis,
 )
 from .diagnostics import (
-    EnvelopeReport,
-    SweepReport,
-    TwinReport,
     bgw_ratio,
     certified_envelope,
     commutator_estimate_ratio,

@@ -6,9 +6,9 @@
     tcm2d twin      --config FILE [--delta X] [--shape NAME] [--out DIR]
     tcm2d gronwall  --csv FILE (--fit-k | --k X) [--tol X]
 
-Exit codes: 0 success, 2 config error, 3 numerical guard (CFL), 4 I/O,
-5 check failure. Failures print a single machine-readable line
-``TCM-ERROR {...}`` to stderr.
+Exit codes: 0 success, 2 config error, 3 numerical guard (CFL or
+non-finite state), 4 I/O, 5 check failure. Failures print a single
+machine-readable line ``TCM-ERROR {...}`` to stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     ConfigParseError,
     EmptyTrajectory,
     Infeasible,
+    NonFiniteState,
     NonZeroMean,
     TcmError,
 )
@@ -42,7 +43,7 @@ from .records import DiagnosticsSeries
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_CFL = 3
+EXIT_GUARD = 3
 EXIT_IO = 4
 EXIT_CHECK = 5
 
@@ -85,7 +86,15 @@ def _resolve_outdir(args, cfg: SimConfig, default: str) -> str:
     return out
 
 
-def _write_run_artifacts(run_dir: str, cfg: SimConfig, text: str, result) -> list[str]:
+def _run_to_dir(args, default: str):
+    """Simulate the configured run, then write its artifacts and manifest.
+
+    Returns (config, result, run directory).
+    """
+    cfg, text = _load_config(args)
+    run_dir = _resolve_outdir(args, cfg, default)
+    started = time.time()
+    result = simulate(cfg)
     files = []
     cfg_path = os.path.join(run_dir, "config.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
@@ -100,16 +109,12 @@ def _write_run_artifacts(run_dir: str, cfg: SimConfig, text: str, result) -> lis
     for idx, state in enumerate(result.snapshots):
         step = idx * cfg.snap_stride
         files.extend(storage.write_state_snapshot(snap_dir, state, step))
-    return files
+    storage.write_manifest(run_dir, text, __version__, started, files)
+    return cfg, result, run_dir
 
 
 def cmd_run(args) -> int:
-    cfg, text = _load_config(args)
-    run_dir = _resolve_outdir(args, cfg, "run_out")
-    started = time.time()
-    result = simulate(cfg)
-    files = _write_run_artifacts(run_dir, cfg, text, result)
-    storage.write_manifest(run_dir, text, __version__, started, files)
+    _, result, run_dir = _run_to_dir(args, "run_out")
     print(
         f"run complete: {len(result.diagnostics)} diagnostic records, "
         f"{len(result.snapshots)} snapshots -> {run_dir}"
@@ -132,12 +137,7 @@ def cmd_run(args) -> int:
 def _gather(args):
     """Either re-simulate from a config or load a completed run directory."""
     if args.config:
-        cfg, text = _load_config(args)
-        run_dir = _resolve_outdir(args, cfg, "check_out")
-        started = time.time()
-        result = simulate(cfg)
-        files = _write_run_artifacts(run_dir, cfg, text, result)
-        storage.write_manifest(run_dir, text, __version__, started, files)
+        cfg, result, run_dir = _run_to_dir(args, "check_out")
         return cfg, result.diagnostics, result.snapshots, run_dir
     run_dir = args.run_dir
     storage.verify_manifest(run_dir)
@@ -236,15 +236,22 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, snaps, tol=gronwall.DE
     return gated, info
 
 
-def _write_check_report(run_dir, gated, info, series):
+def _render_report(gated, info) -> tuple[str, bool]:
+    """The PASS/FAIL/INFO report text and whether every gated check passed."""
+    overall = all(ok for _, ok, _, _ in gated)
+    lines = [
+        f"{'PASS' if ok else 'FAIL'} {name} value={_fmt(value)} ({detail})"
+        for name, ok, value, detail in gated
+    ]
+    lines += [f"INFO {name} value={_fmt(value)} ({detail})" for name, _, value, detail in info]
+    lines.append(f"{'PASS' if overall else 'FAIL'} overall")
+    return "".join(line + "\n" for line in lines), overall
+
+
+def _write_check_report(run_dir, report: str, series):
     summary = os.path.join(run_dir, "check_summary.txt")
     with open(summary, "w", encoding="utf-8") as fh:
-        for name, ok, value, detail in gated:
-            fh.write(f"{'PASS' if ok else 'FAIL'} {name} value={_fmt(value)} ({detail})\n")
-        for name, _, value, detail in info:
-            fh.write(f"INFO {name} value={_fmt(value)} ({detail})\n")
-        overall = all(ok for _, ok, _, _ in gated)
-        fh.write(f"{'PASS' if overall else 'FAIL'} overall\n")
+        fh.write(report)
 
     series_path = os.path.join(run_dir, "check_series.csv")
     margins = diagnostics.max_principle_check(series)
@@ -260,14 +267,9 @@ def _write_check_report(run_dir, gated, info, series):
 def cmd_check(args) -> int:
     cfg, series, snaps, run_dir = _gather(args)
     gated, info = run_checks(cfg, series, snaps, tol=args.tol)
-    _write_check_report(run_dir, gated, info, series)
-    overall = True
-    for name, ok, value, detail in gated:
-        print(f"{'PASS' if ok else 'FAIL'} {name} value={_fmt(value)} ({detail})")
-        overall = overall and ok
-    for name, _, value, detail in info:
-        print(f"INFO {name} value={_fmt(value)} ({detail})")
-    print(("PASS" if overall else "FAIL") + " overall")
+    report, overall = _render_report(gated, info)
+    _write_check_report(run_dir, report, series)
+    print(report, end="")
     if not overall:
         _machine_error("CheckFailure", "one or more gated checks failed")
         return EXIT_CHECK
@@ -432,7 +434,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except CflViolation as exc:
         _machine_error("CflViolation", str(exc), ratio=exc.ratio, limit=exc.limit)
-        return EXIT_CFL
+        return EXIT_GUARD
+    except NonFiniteState as exc:
+        _machine_error("NonFiniteState", str(exc), t=exc.t)
+        return EXIT_GUARD
     except ChecksumMismatch as exc:
         _machine_error("ChecksumMismatch", str(exc))
         return EXIT_IO

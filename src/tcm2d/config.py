@@ -18,59 +18,46 @@ location.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 
 from .errors import BadParams, ConfigParseError
 from .model import SimConfig
 
-_SCHEMA = {
-    "grid": {"n": int, "length": float},
-    "time": {"dt": float, "horizon": float},
-    "model": {"eps": float, "dealias": "bool", "cfl_max": float},
-    "init": {
-        "preset": str,
-        "amplitude": float,
-        "mode_x": int,
-        "mode_y": int,
-        "band_lo": int,
-        "band_hi": int,
-        "u_amp": float,
-        "v_amp": float,
-        "theta_amp": float,
-        "seed": int,
-    },
-    "output": {"diag_stride": int, "snap_stride": int, "dir": str},
+# (section, key, SimConfig field, kind), in the order render_config writes them
+_TABLE = (
+    ("grid", "n", "n", int),
+    ("grid", "length", "length", float),
+    ("time", "dt", "dt", float),
+    ("time", "horizon", "horizon", float),
+    ("model", "eps", "eps", float),
+    ("model", "dealias", "dealias", bool),
+    ("model", "cfl_max", "cfl_max", float),
+    ("init", "preset", "preset", str),
+    ("init", "amplitude", "amplitude", float),
+    ("init", "mode_x", "mode_x", int),
+    ("init", "mode_y", "mode_y", int),
+    ("init", "band_lo", "band_lo", int),
+    ("init", "band_hi", "band_hi", int),
+    ("init", "u_amp", "u_amp", float),
+    ("init", "v_amp", "v_amp", float),
+    ("init", "theta_amp", "theta_amp", float),
+    ("init", "seed", "seed", int),
+    ("output", "diag_stride", "diag_stride", int),
+    ("output", "snap_stride", "snap_stride", int),
+    ("output", "dir", "outdir", str),
+)
+_ROWS = {(section, key): (name, kind) for section, key, name, kind in _TABLE}
+_SECTIONS = {section for section, _, _, _ in _TABLE}
+_REQUIRED = {
+    f.name
+    for f in dataclasses.fields(SimConfig)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 }
 
-_KEY_TO_FIELD = {
-    ("grid", "n"): "n",
-    ("grid", "length"): "length",
-    ("time", "dt"): "dt",
-    ("time", "horizon"): "horizon",
-    ("model", "eps"): "eps",
-    ("model", "dealias"): "dealias",
-    ("model", "cfl_max"): "cfl_max",
-    ("init", "preset"): "preset",
-    ("init", "amplitude"): "amplitude",
-    ("init", "mode_x"): "mode_x",
-    ("init", "mode_y"): "mode_y",
-    ("init", "band_lo"): "band_lo",
-    ("init", "band_hi"): "band_hi",
-    ("init", "u_amp"): "u_amp",
-    ("init", "v_amp"): "v_amp",
-    ("init", "theta_amp"): "theta_amp",
-    ("init", "seed"): "seed",
-    ("output", "diag_stride"): "diag_stride",
-    ("output", "snap_stride"): "snap_stride",
-    ("output", "dir"): "outdir",
-}
 
-_REQUIRED = (("grid", "n"), ("time", "dt"), ("time", "horizon"))
-
-
-def _coerce(section: str, key: str, raw: str):
-    kind = _SCHEMA[section][key]
+def _coerce(section: str, key: str, kind, raw: str):
     try:
-        if kind == "bool":
+        if kind is bool:
             low = raw.strip().lower()
             if low in ("true", "1", "yes", "on"):
                 return True
@@ -92,15 +79,16 @@ def parse_config_text(text: str) -> SimConfig:
 
     values = {}
     for section in cp.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigParseError(f"unknown section [{section}]")
         for key, raw in cp.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _ROWS:
                 raise ConfigParseError(f"unknown key [{section}] {key}")
-            values[_KEY_TO_FIELD[(section, key)]] = _coerce(section, key, raw)
+            name, kind = _ROWS[(section, key)]
+            values[name] = _coerce(section, key, kind, raw)
 
-    for section, key in _REQUIRED:
-        if _KEY_TO_FIELD[(section, key)] not in values:
+    for section, key, name, _ in _TABLE:
+        if name in _REQUIRED and name not in values:
             raise ConfigParseError(f"missing required key [{section}] {key}")
 
     try:
@@ -116,38 +104,26 @@ def parse_config_file(path) -> tuple[SimConfig, str]:
     return parse_config_text(text), text
 
 
+def _render_value(kind, value) -> str:
+    if kind is bool:
+        return str(value).lower()
+    return repr(value) if kind is float else str(value)
+
+
 def render_config(cfg: SimConfig) -> str:
-    """Canonical text form of a config (used when none was supplied)."""
-    lines = [
-        "[grid]",
-        f"n = {cfg.n}",
-        f"length = {cfg.length!r}",
-        "",
-        "[time]",
-        f"dt = {cfg.dt!r}",
-        f"horizon = {cfg.horizon!r}",
-        "",
-        "[model]",
-        f"eps = {cfg.eps!r}",
-        f"dealias = {str(cfg.dealias).lower()}",
-        f"cfl_max = {cfg.cfl_max!r}",
-        "",
-        "[init]",
-        f"preset = {cfg.preset}",
-        f"amplitude = {cfg.amplitude!r}",
-        f"mode_x = {cfg.mode_x}",
-        f"mode_y = {cfg.mode_y}",
-        f"band_lo = {cfg.band_lo}",
-        f"band_hi = {cfg.band_hi}",
-        f"u_amp = {cfg.u_amp!r}",
-        f"v_amp = {cfg.v_amp!r}",
-        f"theta_amp = {cfg.theta_amp!r}",
-        f"seed = {cfg.seed}",
-        "",
-        "[output]",
-        f"diag_stride = {cfg.diag_stride}",
-        f"snap_stride = {cfg.snap_stride}",
-    ]
-    if cfg.outdir:
-        lines.append(f"dir = {cfg.outdir}")
+    """Canonical text form of a config (used when none was supplied).
+
+    Every key is written except [output] dir, which appears only when set.
+    """
+    lines, current = [], None
+    for section, key, name, kind in _TABLE:
+        value = getattr(cfg, name)
+        if name == "outdir" and not value:
+            continue
+        if section != current:
+            if lines:
+                lines.append("")
+            lines.append(f"[{section}]")
+            current = section
+        lines.append(f"{key} = {_render_value(kind, value)}")
     return "\n".join(lines) + "\n"

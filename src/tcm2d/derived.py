@@ -38,18 +38,6 @@ from .spectral import (
 
 
 @dataclass(frozen=True)
-class DerivedBundle:
-    """All auxiliary fields of one state, at its time and eps."""
-
-    phi_potential: VectorField
-    w: VectorField
-    commutator_f: VectorField
-    flux: SpectralField
-    t: float
-    eps: float
-
-
-@dataclass(frozen=True)
 class ResidualNorms:
     """Normalized residual of a derived equation, in two metrics.
 
@@ -123,17 +111,6 @@ def viscous_flux(s) -> SpectralField:
     return div(s.v) - s.theta * (1.0 / (1.0 - s.eps))
 
 
-def derived_bundle(s, use_dealias: bool = False) -> DerivedBundle:
-    return DerivedBundle(
-        phi_potential=temperature_potential(s.theta),
-        w=pseudo_baroclinic(s),
-        commutator_f=commutator_f(s.u, s.theta, use_dealias),
-        flux=viscous_flux(s),
-        t=s.t,
-        eps=s.eps,
-    )
-
-
 def _window(snaps, eps):
     if len(snaps) != 3:
         raise BadWindow(f"need exactly 3 snapshots, got {len(snaps)}")
@@ -183,12 +160,8 @@ def residual_w_equation(
     a, b, c, h, eps = _window(snaps, eps)
     _check_eps(eps)
     scale = 1.0 / (1.0 - eps)
-
-    w_lo = a.v + temperature_potential(a.theta) * scale
-    w_hi = c.v + temperature_potential(c.theta) * scale
-    w_mid = b.v + temperature_potential(b.theta) * scale
-
-    ddt = (w_hi - w_lo) * (0.5 / h)
+    w_mid = pseudo_baroclinic(b)
+    ddt = (pseudo_baroclinic(c) - pseudo_baroclinic(a)) * (0.5 / h)
     f_comm = commutator_f_gradform(b.u, b.theta, use_dealias)
     terms = [
         advect(b.u, w_mid, use_dealias),
@@ -230,12 +203,8 @@ def residual_flux_equation(
     a, b, c, h, eps = _window(snaps, eps)
     _check_eps(eps)
     scale = 1.0 / (1.0 - eps)
-
-    def flux_of(s) -> SpectralField:
-        return div(s.v) - s.theta * scale
-
-    ddt = (flux_of(c) - flux_of(a)) * (0.5 / h)
-    f_mid = flux_of(b)
+    ddt = (viscous_flux(c) - viscous_flux(a)) * (0.5 / h)
+    f_mid = viscous_flux(b)
 
     cross = None
     for i in "xy":

@@ -3,7 +3,8 @@ H1 functionals feeding the logarithmic Gronwall machinery, Lipschitz
 budget, inequality-ratio monitors, twin-run separation in smoothed norms,
 and the convergence sweep in the temperature diffusivity.
 
-Everything here is read-only over immutable trajectories or series.
+Everything here is read-only over immutable trajectories or series; a
+series with no records raises EmptyTrajectory on its first column read.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import gronwall
 from .derived import commutator_f
-from .errors import BadParams, ConfigMismatch, EmptyTrajectory
+from .errors import BadParams, ConfigMismatch
+from .gronwall import _cumtrapz
 from .model import SimConfig, State, imex_step, make_initial, simulate
-from .records import DiagnosticsSeries
+from .records import DiagnosticsSeries, _h1_functionals
 from .spectral import (
     SpectralField,
     VectorField,
@@ -30,22 +31,12 @@ from .spectral import (
 )
 
 
-def _cumtrapz(y, t):
-    return cumulative_trapezoid(y, t, initial=0.0)
-
-
-def _require_records(series: DiagnosticsSeries):
-    if len(series) == 0:
-        raise EmptyTrajectory("no diagnostics records")
-
-
 def energy_identity_residual(series: DiagnosticsSeries) -> np.ndarray:
     """Residual of E(t) + 2 int_0^t D ds = E(0), normalized by E(0).
 
     E is the total energy record and D the dissipation record (which
     already carries the eps weight on the temperature gradient).
     """
-    _require_records(series)
     t = series.times
     energy = series.col("energy")
     dissipated = _cumtrapz(series.col("dissipation"), t)
@@ -59,7 +50,6 @@ def max_principle_check(series: DiagnosticsSeries) -> np.ndarray:
 
     Nonnegative margins mean the bound holds at that record.
     """
-    _require_records(series)
     t = series.times
     budget = series.col("theta_linf")[0] + _cumtrapz(series.col("phi_linf"), t)
     return budget - series.col("theta_linf")
@@ -74,17 +64,9 @@ def h1_temperature_functionals(series: DiagnosticsSeries, eps: float) -> gronwal
     remaining integrable forcing. K defaults to 1 and is meant to be
     replaced by a fitted value.
     """
-    _require_records(series)
     t = series.times
-    a_func = series.col("grad_theta_l2") ** 2 + t * (
-        series.col("lap_u_l2") ** 2 + series.col("lap_w_l2") ** 2
-    ) + 1.0
-    b_func = (
-        a_func
-        + t * (series.col("grad_lap_u_l2") ** 2 + series.col("grad_lap_w_l2") ** 2)
-        + eps * series.col("lap_theta_l2") ** 2
-        + np.e
-    )
+    norms = ("grad_theta_l2", "lap_u_l2", "lap_w_l2", "lap_theta_l2", "grad_lap_u_l2", "grad_lap_w_l2")
+    a_func, b_func = _h1_functionals(t, eps, *(series.col(c) for c in norms))
     alpha = (t + 1.0) * (series.col("uv_linf") ** 2 + series.col("grad_u_linf") + 1.0)
     beta = (t + 1.0) * (
         series.col("grad_u_l4") ** 4
@@ -118,12 +100,10 @@ def certified_envelope(
 
 def lipschitz_budget(series: DiagnosticsSeries) -> float:
     """Trapezoidal integral of ||grad u||_inf over the recorded horizon."""
-    _require_records(series)
     return float(np.trapezoid(series.col("grad_u_linf"), series.times))
 
 
 def lipschitz_budget_curve(series: DiagnosticsSeries) -> np.ndarray:
-    _require_records(series)
     return _cumtrapz(series.col("grad_u_linf"), series.times)
 
 

@@ -32,6 +32,14 @@ class CflViolation(TcmError):
         )
 
 
+class NonFiniteState(TcmError):
+    """The state holds a NaN or infinity; the step was rejected."""
+
+    def __init__(self, t):
+        self.t = float(t)
+        super().__init__(f"non-finite state at t = {self.t!r}")
+
+
 class BadWindow(TcmError):
     """Snapshot window is unusable (wrong length or unequal spacing)."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import records
-from .errors import BadParams, CflViolation
+from .errors import BadParams, CflViolation, NonFiniteState
 from .spectral import (
     Grid,
     SpectralField,
@@ -26,7 +26,6 @@ from .spectral import (
     derivative,
     div,
     grad,
-    laplacian,
     leray_project,
     multiply,
     norm,
@@ -53,15 +52,6 @@ class State:
     @property
     def grid(self) -> Grid:
         return self.theta.grid
-
-
-@dataclass(frozen=True)
-class Tendency:
-    """Time derivatives (du, dv, dtheta) at a state; du is divergence-free."""
-
-    du: VectorField
-    dv: VectorField
-    dtheta: SpectralField
 
 
 @dataclass(frozen=True)
@@ -203,21 +193,13 @@ def _div_outer(v: VectorField, use_dealias: bool) -> VectorField:
 
 
 def _explicit(s: State, use_dealias: bool):
-    """Everything except the implicit Laplacians."""
+    """Everything except the implicit Laplacians; quadratic products formed
+    in physical space, dealiased via the two-thirds rule when
+    ``use_dealias`` is on."""
     nu = leray_project(-1.0 * (advect(s.u, s.u, use_dealias) + _div_outer(s.v, use_dealias)))
     nv = -1.0 * (advect(s.u, s.v, use_dealias) + grad(s.theta) + advect(s.v, s.u, use_dealias))
     nth = -1.0 * (advect(s.u, s.theta, use_dealias) + div(s.v))
     return nu, nv, nth
-
-
-def rhs(s: State, use_dealias: bool = True) -> Tendency:
-    """Full tendency; quadratic products formed in physical space, dealiased
-    via the two-thirds rule when ``use_dealias`` is on."""
-    nu, nv, nth = _explicit(s, use_dealias)
-    du = leray_project(nu + laplacian(s.u))
-    dv = nv + laplacian(s.v)
-    dth = nth if s.eps == 0.0 else nth + s.eps * laplacian(s.theta)
-    return Tendency(du=du, dv=dv, dtheta=dth)
 
 
 def _cn_solve(x: SpectralField, n0: SpectralField, n1, lam: np.ndarray, dt: float) -> SpectralField:
@@ -251,6 +233,9 @@ def imex_step(
 ) -> State:
     """Advance one step of size dt; deterministic, CFL-guarded.
 
+    A state whose CFL ratio is not finite (a NaN or infinity in u or v)
+    raises :class:`NonFiniteState` instead of stepping on.
+
     Diffusion (full Laplacian for u and v, eps-scaled for theta) is implicit
     by the trapezoidal rule; advection and coupling are explicit through a
     two-stage predictor/corrector. u is re-projected after each stage.
@@ -258,7 +243,9 @@ def imex_step(
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
     ratio = cfl_ratio(s, dt)
-    if ratio > cfl_max:
+    if not ratio <= cfl_max:
+        if not np.isfinite(ratio):
+            raise NonFiniteState(s.t)
         raise CflViolation(ratio, cfl_max)
 
     grid = s.grid

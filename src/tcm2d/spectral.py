@@ -227,10 +227,6 @@ def div(a: VectorField) -> SpectralField:
     return derivative(a.x, "x") + derivative(a.y, "y")
 
 
-def curl(a: VectorField) -> SpectralField:
-    return derivative(a.y, "x") - derivative(a.x, "y")
-
-
 def perp_grad(f: SpectralField) -> VectorField:
     """Rotated gradient (-d/dy f, d/dx f); always divergence-free."""
     return VectorField(-derivative(f, "y"), derivative(f, "x"))

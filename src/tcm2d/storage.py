@@ -81,16 +81,10 @@ def snapshot_paths(directory, step: int) -> dict[str, str]:
 
 def write_state_snapshot(directory, state: State, step: int) -> list[str]:
     os.makedirs(directory, exist_ok=True)
-    fields = {
-        "u_x": state.u.x,
-        "u_y": state.u.y,
-        "v_x": state.v.x,
-        "v_y": state.v.y,
-        "theta": state.theta,
-    }
+    fields = (state.u.x, state.u.y, state.v.x, state.v.y, state.theta)  # FIELD_NAMES order
     written = []
-    for name, path in snapshot_paths(directory, step).items():
-        write_field_snapshot(path, name, fields[name], state.t, state.eps)
+    for (name, path), field in zip(snapshot_paths(directory, step).items(), fields):
+        write_field_snapshot(path, name, field, state.t, state.eps)
         written.append(path)
     return written
 

@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 import tcm2d as t
@@ -19,6 +22,14 @@ def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_am
         seed=seed,
     )
     return t.make_initial(cfg)
+
+
+def with_nan(s, field):
+    """Copy of state s with one NaN sample in u.x or in theta."""
+    bad = (s.u.x if field == "u_x" else s.theta).phys.copy()
+    bad[3, 5] = np.nan
+    f = t.SpectralField.from_phys(s.grid, bad)
+    return replace(s, u=t.VectorField(f, s.u.y)) if field == "u_x" else replace(s, theta=f)
 
 
 def rel_l2(a, b):

@@ -50,22 +50,20 @@ class TestPseudoBaroclinic:
         with pytest.raises(EpsOutOfRange):
             t.viscous_flux(bad)
 
+    def test_potential_invariants(self):
+        s = band_state(n=64, seed=5, eps=0.2)
+        phi = t.temperature_potential(s.theta)
+        # div(Phi) reproduces the negated temperature
+        assert rel_l2(t.div(phi), -1.0 * s.theta) < 1e-12
+        # w - v - Phi/(1-eps) vanishes by construction
+        recon = s.v + phi * (1.0 / (1.0 - s.eps))
+        assert rel_l2(t.pseudo_baroclinic(s), recon) < 1e-14
+
     def test_nonzero_mean_rejected(self):
         g = t.Grid(16)
         theta = t.SpectralField.from_phys(g, np.ones((16, 16)))
         with pytest.raises(NonZeroMean):
             t.pseudo_baroclinic(state_from(theta=theta, grid=g))
-
-
-class TestDerivedBundle:
-    def test_invariants(self):
-        s = band_state(n=64, seed=5, eps=0.2)
-        b = t.derived_bundle(s)
-        # div(Phi) reproduces the negated temperature
-        assert rel_l2(t.div(b.phi_potential), -1.0 * s.theta) < 1e-12
-        # w - v - Phi/(1-eps) vanishes by construction
-        recon = s.v + b.phi_potential * (1.0 / (1.0 - s.eps))
-        assert rel_l2(b.w, recon) < 1e-14
 
 
 class TestCommutator:

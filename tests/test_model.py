@@ -3,10 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
-from tcm2d.errors import BadParams, CflViolation
-from tcm2d.model import _div_outer
+from tcm2d.errors import BadParams, CflViolation, NonFiniteState
+from tcm2d.model import _div_outer, _explicit
 
-from conftest import band_state
+from conftest import band_state, with_nan
 
 
 def tg_config(**kw):
@@ -90,14 +90,17 @@ class TestConfigValidation:
 
 
 class TestRhs:
+    """The explicit part of the right-hand side (everything but the implicit
+    Laplacians), as the integrator evaluates it at each stage."""
+
     def test_zero_state(self):
         g = t.Grid(16)
         zero = t.SpectralField.zeros(g)
         s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=0.0, eps=0.1)
-        td = t.rhs(s)
-        assert t.norm(td.du, "L2") == 0.0
-        assert t.norm(td.dv, "L2") == 0.0
-        assert t.norm(td.dtheta, "L2") == 0.0
+        nu, nv, nth = _explicit(s, True)
+        assert t.norm(nu, "L2") == 0.0
+        assert t.norm(nv, "L2") == 0.0
+        assert t.norm(nth, "L2") == 0.0
 
     def test_linear_terms_only(self):
         g = t.Grid(32)
@@ -105,16 +108,17 @@ class TestRhs:
         zero = t.SpectralField.zeros(g)
         theta = t.SpectralField.from_phys(g, np.sin(X))
         s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=theta, t=0.0, eps=0.3)
-        td = t.rhs(s)
-        assert_allclose(td.dv.x.phys, -np.cos(X), atol=1e-12)
-        assert t.norm(td.dv.y, "L2") < 1e-13
-        assert_allclose(td.dtheta.phys, -0.3 * np.sin(X), atol=1e-12)
-        assert t.norm(td.du, "L2") < 1e-13
+        nu, nv, nth = _explicit(s, True)
+        assert_allclose(nv.x.phys, -np.cos(X), atol=1e-12)
+        assert t.norm(nv.y, "L2") < 1e-13
+        # eps * lap(theta) is implicit, so no explicit temperature tendency
+        assert t.norm(nth, "L2") < 1e-13
+        assert t.norm(nu, "L2") < 1e-13
 
     def test_tendency_divergence_free(self):
         s = band_state(n=32, seed=8)
-        td = t.rhs(s)
-        assert t.norm(t.div(td.du), "L2") < 1e-12 * max(t.norm(td.du, "L2"), 1.0)
+        nu, _, _ = _explicit(s, True)
+        assert t.norm(t.div(nu), "L2") < 1e-12 * max(t.norm(nu, "L2"), 1.0)
 
     def test_direct_summation_oracle(self):
         # low-mode closed-form state; every quadratic term recomputed by
@@ -208,6 +212,20 @@ class TestImexStep:
         with pytest.raises(CflViolation) as info:
             t.imex_step(s, 1.0)
         assert info.value.ratio > info.value.limit
+
+    def test_nan_velocity_raises_at_first_step(self):
+        s = with_nan(band_state(n=32, seed=10), "u_x")
+        with pytest.raises(NonFiniteState) as info:
+            t.imex_step(s, 1e-3)
+        assert info.value.t == 0.0
+
+    def test_nan_theta_raises_within_two_steps(self):
+        # the NaN reaches v through grad(theta) during the first step
+        s = with_nan(band_state(n=32, seed=10), "theta")
+        with pytest.raises(NonFiniteState) as info:
+            for _ in range(2):
+                s = t.imex_step(s, 1e-3)
+        assert info.value.t <= 1e-3
 
     def test_taylor_green_decay_second_order(self):
         T = 0.24

@@ -11,7 +11,7 @@ from tcm2d.cli import main
 from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.errors import BadSeries, ChecksumMismatch, ConfigParseError
 
-from conftest import band_state
+from conftest import band_state, with_nan
 
 
 MINIMAL_CFG = """
@@ -238,6 +238,18 @@ class TestCliRun:
         text = MINIMAL_CFG.replace("dt = 0.005", "dt = 2.5").replace("horizon = 0.05", "horizon = 5.0")
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+    def test_non_finite_state_exit_code(self, tmp_path, capsys, monkeypatch):
+        from tcm2d import model
+
+        make_initial = model.make_initial
+        monkeypatch.setattr(model, "make_initial", lambda cfg: with_nan(make_initial(cfg), "u_x"))
+        cfg = write_cfg(tmp_path)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("TCM-ERROR ")
+        payload = json.loads(err.split(" ", 1)[1])
+        assert payload["error"] == "NonFiniteState" and payload["t"] == 0.0
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
