@@ -9,6 +9,12 @@ its regularized variant. The pressure gradient is eliminated by the Leray
 projection. Time stepping treats the Laplacians with the trapezoidal rule
 and everything else explicitly at second order (predictor/corrector), so
 smooth runs converge at order two in dt.
+
+A step works on the stacked half-plane spectra (u^x, u^y, v^x, v^y, theta),
+shape (5, n, n//2 + 1); the returned State holds views of that array. Each
+explicit stage is four batched inverse transforms, products summed into
+eight terms, and one batched forward transform: 48 real field-transforms
+per step with the CFL check.
 """
 
 from __future__ import annotations
@@ -22,12 +28,9 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
-    advect,
-    derivative,
-    div,
-    grad,
+    _grad_stack,
+    _project,
     leray_project,
-    multiply,
     norm,
     perp_grad,
 )
@@ -80,6 +83,9 @@ class SimConfig:
     outdir: str | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not np.isfinite(value):
+                raise BadParams(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise BadParams(f"dt must be positive, got {self.dt}")
         if self.horizon < 0:
@@ -125,11 +131,14 @@ def _band_modes(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def _random_band_field(grid: Grid, modes, rng) -> SpectralField:
-    spec = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    spec = np.zeros(grid.spec_shape, dtype=np.complex128)
     for k1, k2 in modes:
-        z = complex(rng.standard_normal(), rng.standard_normal())
-        spec[k1 % grid.n, k2 % grid.n] = z * grid.n**2
-        spec[-k1 % grid.n, -k2 % grid.n] = np.conj(z) * grid.n**2
+        z = complex(rng.standard_normal(), rng.standard_normal()) * grid.n**2
+        # half-plane slots of mode (k1, k2) and of its conjugate (-k1, -k2)
+        if k2 >= 0:
+            spec[k1 % grid.n, k2] = z
+        if k2 <= 0:
+            spec[-k1 % grid.n, -k2] = np.conj(z)
     return SpectralField(grid, spec=spec)
 
 
@@ -181,46 +190,62 @@ def make_initial(cfg: SimConfig) -> State:
     return State(u=leray_project(u), v=v, theta=theta, t=0.0, eps=cfg.eps)
 
 
-def _div_outer(v: VectorField, use_dealias: bool) -> VectorField:
-    # component i of div(v (x) v) = d_j (v^j v^i)
-    vxx = multiply(v.x, v.x, use_dealias)
-    vxy = multiply(v.x, v.y, use_dealias)
-    vyy = multiply(v.y, v.y, use_dealias)
-    return VectorField(
-        derivative(vxx, "x") + derivative(vxy, "y"),
-        derivative(vxy, "x") + derivative(vyy, "y"),
-    )
+def _stack(s: State) -> np.ndarray:
+    return np.stack((s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec))
 
 
-def _explicit(s: State, use_dealias: bool):
-    """Everything except the implicit Laplacians; quadratic products formed
-    in physical space, dealiased via the two-thirds rule when
-    ``use_dealias`` is on."""
-    nu = leray_project(-1.0 * (advect(s.u, s.u, use_dealias) + _div_outer(s.v, use_dealias)))
-    nv = -1.0 * (advect(s.u, s.v, use_dealias) + grad(s.theta) + advect(s.v, s.u, use_dealias))
-    nth = -1.0 * (advect(s.u, s.theta, use_dealias) + div(s.v))
-    return nu, nv, nth
+def _products(g: Grid, ym: np.ndarray) -> np.ndarray:
+    # (u.grad)u, v^x v^x, v^x v^y, v^y v^y, (u.grad)v + (v.grad)u, u.grad(theta)
+    # on the grid, from the masked spectra ym. Apart from _explicit so that ym
+    # and the grid fields are freed before the forward transform (peak RSS).
+    shape = (g.n, g.n)
+    ux, uy, vx, vy = np.fft.irfft2(ym[:4], s=shape)
+    p = np.empty((8, *shape))
+    p[2:5] = vx * vx, vx * vy, vy * vy
+    d = np.fft.irfft2(_grad_stack(g, ym[0:2]), s=shape)
+    p[0] = ux * d[0] + uy * d[1]
+    p[1] = ux * d[2] + uy * d[3]
+    p[5] = vx * d[0] + vy * d[1]
+    p[6] = vx * d[2] + vy * d[3]
+    d = np.fft.irfft2(_grad_stack(g, ym[2:4]), s=shape)
+    p[5] += ux * d[0] + uy * d[1]
+    p[6] += ux * d[2] + uy * d[3]
+    d = np.fft.irfft2(_grad_stack(g, ym[4:]), s=shape)
+    p[7] = ux * d[0] + uy * d[1]
+    return p
 
 
-def _cn_solve(x: SpectralField, n0: SpectralField, n1, lam: np.ndarray, dt: float) -> SpectralField:
-    """One trapezoidal/explicit update in spectral space.
+def _explicit(g: Grid, y: np.ndarray, use_dealias: bool) -> np.ndarray:
+    """Everything except the implicit Laplacians, for the stacked spectra
+    y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection:
 
-    Predictor (n1 is None):  (1 - dt*lam/2) x' = (1 + dt*lam/2) x + dt n0
-    Corrector:               (1 - dt*lam/2) x' = (1 + dt*lam/2) x + dt (n0+n1)/2
+        -P[(u.grad)u + div(v (x) v)],   -[(u.grad)v + grad(theta) + (v.grad)u],
+        -[u.grad(theta) + div v].
+
+    Factors and products are masked once each (two-thirds rule when
+    ``use_dealias``, no mask otherwise).
     """
-    num = (1.0 + 0.5 * dt * lam) * x.spec
-    if n1 is None:
-        num = num + dt * n0.spec
-    else:
-        num = num + 0.5 * dt * (n0.spec + n1.spec)
-    return SpectralField(x.grid, spec=num / (1.0 - 0.5 * dt * lam))
+    mask = g.dealias_mask if use_dealias else True
+    p = np.fft.rfft2(_products(g, y * mask))
+    p *= mask
+    ik = g.ik
+    out = np.empty_like(y)
+    out[0] = p[0] + ik[0] * p[2] + ik[1] * p[3]
+    out[1] = p[1] + ik[0] * p[3] + ik[1] * p[4]
+    out[2:4] = p[5:7] + ik * y[4]
+    out[4] = p[7] + ik[0] * y[2] + ik[1] * y[3]
+    out *= -1.0
+    _project(g, out[:2])
+    return out
 
 
-def _cn_solve_vec(a: VectorField, n0: VectorField, n1, lam, dt) -> VectorField:
-    return VectorField(
-        _cn_solve(a.x, n0.x, None if n1 is None else n1.x, lam, dt),
-        _cn_solve(a.y, n0.y, None if n1 is None else n1.y, lam, dt),
-    )
+def _trapezoid(g: Grid, eps: float, dt: float, y0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # solve (1 - dt*lam/2) y = (1 + dt*lam/2) y0 + dt*rhs, with lam = -|k|^2
+    # for u and v and -eps*|k|^2 for theta, then project u
+    h = 0.5 * dt * np.stack((-g.k2,) * 4 + (-eps * g.k2,))
+    y = ((1.0 + h) * y0 + dt * rhs) * (1.0 / (1.0 - h))  # a real reciprocal: no complex division
+    _project(g, y[:2])
+    return y
 
 
 def cfl_ratio(s: State, dt: float) -> float:
@@ -248,21 +273,14 @@ def imex_step(
             raise NonFiniteState(s.t)
         raise CflViolation(ratio, cfl_max)
 
-    grid = s.grid
-    lam_uv = -grid.k2
-    lam_th = -s.eps * grid.k2
-
-    nu0, nv0, nth0 = _explicit(s, use_dealias)
-    u1 = leray_project(_cn_solve_vec(s.u, nu0, None, lam_uv, dt))
-    v1 = _cn_solve_vec(s.v, nv0, None, lam_uv, dt)
-    th1 = _cn_solve(s.theta, nth0, None, lam_th, dt)
-    mid = State(u=u1, v=v1, theta=th1, t=s.t + dt, eps=s.eps)
-
-    nu1, nv1, nth1 = _explicit(mid, use_dealias)
-    u2 = leray_project(_cn_solve_vec(s.u, nu0, nu1, lam_uv, dt))
-    v2 = _cn_solve_vec(s.v, nv0, nv1, lam_uv, dt)
-    th2 = _cn_solve(s.theta, nth0, nth1, lam_th, dt)
-    return State(u=u2, v=v2, theta=th2, t=s.t + dt, eps=s.eps)
+    g = s.grid
+    y0 = _stack(s)
+    n0 = _explicit(g, y0, use_dealias)
+    y1 = _trapezoid(g, s.eps, dt, y0, n0)  # predictor
+    n1 = _explicit(g, y1, use_dealias)
+    y2 = _trapezoid(g, s.eps, dt, y0, 0.5 * (n0 + n1))  # corrector
+    f = [SpectralField(g, spec=c) for c in y2]
+    return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
 def simulate(cfg: SimConfig) -> SimResult:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import derived
 from .errors import EmptyTrajectory
-from .spectral import div, grad_l4, grad_linf, norm, seminorm
+from .spectral import _grad_norms, div, grad_l4, norm, seminorm
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
@@ -92,7 +92,7 @@ def _tail_fraction(theta, use_dealias: bool) -> float:
     active = grid.n / 3.0 if use_dealias else grid.n / 2.0
     cut = 2.0 / 3.0 * active
     band = np.maximum(np.abs(grid.kx_int), np.abs(grid.ky_int))
-    power = np.abs(theta.spec) ** 2
+    power = grid.herm_weight * np.abs(theta.spec) ** 2
     total = power.sum()
     if total <= 0.0:
         return 0.0
@@ -118,6 +118,7 @@ def make_record(state, use_dealias: bool) -> DiagnosticsRecord:
     lu, lw, lth = seminorm(u, 2), seminorm(w, 2), seminorm(th, 2)
     glu, glw = seminorm(u, 3), seminorm(w, 3)
 
+    gu_linf, gu_l4 = _grad_norms(u)
     uv_sq = u.x.phys**2 + u.y.phys**2 + v.x.phys**2 + v.y.phys**2
     a_func, b_func = _h1_functionals(t, eps, gth, lu, lw, lth, glu, glw)
 
@@ -145,8 +146,8 @@ def make_record(state, use_dealias: bool) -> DiagnosticsRecord:
         u_linf=norm(u, "Linf"),
         v_linf=norm(v, "Linf"),
         uv_linf=float(np.sqrt(np.max(uv_sq))),
-        grad_u_linf=grad_linf(u),
-        grad_u_l4=grad_l4(u),
+        grad_u_linf=gu_linf,
+        grad_u_l4=gu_l4,
         grad_w_l4=grad_l4(w),
         phi_linf=norm(flux, "Linf"),
         a_func=a_func,

@@ -2,6 +2,11 @@
 
 Scalar fields live on an n-by-n collocation grid and are carried in
 physical and/or Fourier representation (lazily interconverted and cached).
+The Fourier form is the ``rfft2`` half plane of shape (n, n//2 + 1): mode
+(k1, -k2 < 0) is the conjugate of the stored (-k1, k2), so Parseval sums
+weight each column by ``Grid.herm_weight`` (1 on columns 0 and n/2, which
+hold their own conjugates, 2 elsewhere). On the Nyquist line (|k1| = n/2
+or k2 = n/2) the sign of a wavenumber is ambiguous: odd derivatives zero it.
 Differential and singular-integral operators are exact Fourier multipliers:
 
     derivative               i * 2*pi*k/L          (Nyquist line zeroed)
@@ -42,9 +47,9 @@ class Grid:
         self.n = n
         self.length = float(length)
 
-        k_int = np.fft.fftfreq(n, 1.0 / n)  # integer mode indices
-        self.kx_int = k_int[:, None]
-        self.ky_int = k_int[None, :]
+        # integer mode indices of the rfft2 half plane
+        self.kx_int = np.fft.fftfreq(n, 1.0 / n)[:, None]
+        self.ky_int = np.fft.rfftfreq(n, 1.0 / n)[None, :]
         scale = 2.0 * np.pi / self.length
         self.kx = scale * self.kx_int
         self.ky = scale * self.ky_int
@@ -57,8 +62,13 @@ class Grid:
         half = n // 2
         self.deriv_kx = np.where(np.abs(self.kx_int) == half, 0.0, self.kx)
         self.deriv_ky = np.where(np.abs(self.ky_int) == half, 0.0, self.ky)
+        # (i d_x, i d_y) multipliers stacked on a leading axis
+        self.ik = 1j * np.stack(np.broadcast_arrays(self.deriv_kx, self.deriv_ky))
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.kx_int) <= cutoff) & (np.abs(self.ky_int) <= cutoff)
+        # Parseval weight of each stored column (see the module docstring)
+        self.herm_weight = np.where((self.ky_int == 0) | (self.ky_int == half), 1.0, 2.0)
+        self.spec_shape = (n, half + 1)
 
     @property
     def spacing(self) -> float:
@@ -108,8 +118,8 @@ class SpectralField:
     @classmethod
     def from_spec(cls, grid: Grid, coeffs, copy: bool = True) -> "SpectralField":
         arr = np.array(coeffs, dtype=np.complex128, copy=copy)
-        if arr.shape != (grid.n, grid.n):
-            raise BadParams(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
+        if arr.shape != grid.spec_shape:
+            raise BadParams(f"expected shape {grid.spec_shape}, got {arr.shape}")
         return cls(grid, spec=arr)
 
     @classmethod
@@ -119,13 +129,13 @@ class SpectralField:
     @property
     def phys(self) -> np.ndarray:
         if self._phys is None:
-            self._phys = np.fft.ifft2(self._spec).real
+            self._phys = np.fft.irfft2(self._spec, s=(self.grid.n, self.grid.n))
         return self._phys
 
     @property
     def spec(self) -> np.ndarray:
         if self._spec is None:
-            self._spec = np.fft.fft2(self._phys)
+            self._spec = np.fft.rfft2(self._phys)
         return self._spec
 
     @property
@@ -279,18 +289,21 @@ def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:
     return SpectralField(g, spec=-ki * kj * g.inv_k2 * f.spec)
 
 
+def _project(g: Grid, a: np.ndarray) -> None:
+    # Leray projection, in place, of the stacked spectra a = (a_x, a_y)
+    q = (g.kx * a[0] + g.ky * a[1]) * g.inv_k2
+    a[0] -= g.kx * q
+    a[1] -= g.ky * q
+
+
 def leray_project(a: VectorField) -> VectorField:
     """L2-orthogonal projection onto divergence-free fields.
 
     Idempotent, self-adjoint, and mean-preserving on each component.
     """
-    g = a.grid
-    ax, ay = a.x.spec, a.y.spec
-    q = (g.kx * ax + g.ky * ay) * g.inv_k2
-    return VectorField(
-        SpectralField(g, spec=ax - g.kx * q),
-        SpectralField(g, spec=ay - g.ky * q),
-    )
+    out = np.stack((a.x.spec, a.y.spec))
+    _project(a.grid, out)
+    return VectorField(SpectralField(a.grid, spec=out[0]), SpectralField(a.grid, spec=out[1]))
 
 
 def dealias(f):
@@ -340,7 +353,7 @@ def seminorm(f, order: int) -> float:
     if isinstance(f, VectorField):
         return float(np.sqrt(seminorm(f.x, order) ** 2 + seminorm(f.y, order) ** 2))
     g = f.grid
-    w = g.k2**order
+    w = g.herm_weight * g.k2**order
     total = np.sum(w * np.abs(f.spec) ** 2)
     return float(g.length / g.n**2 * np.sqrt(total))
 
@@ -350,7 +363,7 @@ def inner(f, g) -> float:
     if isinstance(f, VectorField):
         return inner(f.x, g.x) + inner(f.y, g.y)
     gr = f.grid
-    s = np.sum(np.conj(f.spec) * g.spec).real
+    s = np.sum(gr.herm_weight * (np.conj(f.spec) * g.spec).real)
     return float(gr.length**2 / gr.n**4 * s)
 
 
@@ -372,7 +385,7 @@ def norm(f, kind: str = "L2") -> float:
         if isinstance(f, VectorField):
             return float(np.hypot(norm(f.x, "L2"), norm(f.y, "L2")))
         g = f.grid
-        return float(g.length / g.n**2 * np.sqrt(np.sum(np.abs(f.spec) ** 2)))
+        return float(g.length / g.n**2 * np.sqrt(np.sum(g.herm_weight * np.abs(f.spec) ** 2)))
     if kind == "Linf":
         return float(np.sqrt(np.max(_stacked_phys_sq(f))))
     if kind == "L4":
@@ -386,18 +399,25 @@ def norm(f, kind: str = "L2") -> float:
     raise BadParams(f"unknown norm kind {kind!r}")
 
 
+def _grad_stack(g: Grid, f: np.ndarray) -> np.ndarray:
+    # spectra of (d_x f_0, d_y f_0, d_x f_1, d_y f_1, ...) for stacked spectra f
+    return (g.ik * f[:, None]).reshape(-1, *g.spec_shape)
+
+
+def _grad_norms(a: VectorField) -> tuple[float, float]:
+    # (grad_linf(a), grad_l4(a)) from one batched transform of the gradient
+    g = a.grid
+    sq = np.fft.irfft2(_grad_stack(g, np.stack((a.x.spec, a.y.spec))), s=(g.n, g.n)) ** 2
+    linf = np.max(np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2] + sq[3]))
+    l4 = (np.sum((sq[0] + sq[1] + sq[2] + sq[3]) ** 2) * (g.length / g.n) ** 2) ** 0.25
+    return float(linf), float(l4)
+
+
 def grad_linf(a: VectorField) -> float:
     """Sup over grid points of |grad a^x| + |grad a^y| (Euclidean per component)."""
-    gx = grad(a.x)
-    gy = grad(a.y)
-    mag = np.sqrt(gx.x.phys**2 + gx.y.phys**2) + np.sqrt(gy.x.phys**2 + gy.y.phys**2)
-    return float(np.max(mag))
+    return _grad_norms(a)[0]
 
 
 def grad_l4(a: VectorField) -> float:
     """L4 norm of the gradient tensor (Frobenius pointwise)."""
-    gx = grad(a.x)
-    gy = grad(a.y)
-    sq = gx.x.phys**2 + gx.y.phys**2 + gy.x.phys**2 + gy.y.phys**2
-    g = a.grid
-    return float((np.sum(sq**2) * (g.length / g.n) ** 2) ** 0.25)
+    return _grad_norms(a)[1]

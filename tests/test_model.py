@@ -1,12 +1,52 @@
+import collections
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
-from tcm2d.model import _div_outer, _explicit
+from tcm2d.model import _explicit, _stack
+from tcm2d.spectral import multiply
 
-from conftest import band_state, with_nan
+from conftest import band_state, rel_l2, with_nan
+
+
+def explicit(s, use_dealias):
+    """The fused explicit tendency of state s, as fields (nu, nv, ntheta)."""
+    f = [t.SpectralField(s.grid, spec=c) for c in _explicit(s.grid, _stack(s), use_dealias)]
+    return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
+
+
+def public_tendency(s, use_dealias):
+    """The same tendency, term by term from the public operators."""
+    v, dl = s.v, use_dealias
+    vxx, vxy, vyy = multiply(v.x, v.x, dl), multiply(v.x, v.y, dl), multiply(v.y, v.y, dl)
+    div_vv = t.VectorField(t.div(t.VectorField(vxx, vxy)), t.div(t.VectorField(vxy, vyy)))
+    return (
+        t.leray_project(-1.0 * (t.advect(s.u, s.u, dl) + div_vv)),
+        -1.0 * (t.advect(s.u, v, dl) + t.grad(s.theta) + t.advect(v, s.u, dl)),
+        -1.0 * (t.advect(s.u, s.theta, dl) + t.div(v)),
+    )
+
+
+def reference_step(s, dt, use_dealias):
+    """The IMEX predictor/corrector rebuilt field by field from the public
+    operators and the public tendency."""
+    g = s.grid
+
+    def trapezoid(x, n, lam):
+        return t.SpectralField(g, spec=((1.0 + 0.5 * dt * lam) * x.spec + dt * n.spec) / (1.0 - 0.5 * dt * lam))
+
+    def update(n):
+        u = t.VectorField(*(trapezoid(a, b, -g.k2) for a, b in zip(s.u, n[0])))
+        v = t.VectorField(*(trapezoid(a, b, -g.k2) for a, b in zip(s.v, n[1])))
+        theta = trapezoid(s.theta, n[2], -s.eps * g.k2)
+        return t.State(u=t.leray_project(u), v=v, theta=theta, t=s.t + dt, eps=s.eps)
+
+    n0 = public_tendency(s, use_dealias)
+    n1 = public_tendency(update(n0), use_dealias)
+    return update([0.5 * (a + b) for a, b in zip(n0, n1)])
 
 
 def tg_config(**kw):
@@ -65,9 +105,15 @@ class TestMakeInitial:
         # same seed yields the same continuum function at any resolution
         a = band_state(n=32, seed=7)
         b = band_state(n=64, seed=7)
+
+        def coeff(s, k1, k2):
+            # the half plane holds mode (k1, k2 < 0) as the conjugate of (-k1, -k2)
+            n = s.grid.n
+            c = s.theta.spec[k1 % n, k2] if k2 >= 0 else np.conj(s.theta.spec[-k1 % n, -k2])
+            return c / n**2
+
         for k1, k2 in ((1, 2), (3, 0), (2, -3)):
-            ca = a.theta.spec[k1 % 32, k2 % 32] / 32**2
-            cb = b.theta.spec[k1 % 64, k2 % 64] / 64**2
+            ca, cb = coeff(a, k1, k2), coeff(b, k1, k2)
             assert abs(ca - cb) < 1e-12 * max(abs(ca), 1e-30)
 
 
@@ -88,6 +134,12 @@ class TestConfigValidation:
         with pytest.raises(BadParams):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0501).num_steps()
 
+    @pytest.mark.parametrize("field", ["horizon", "u_amp", "dt"])
+    def test_non_finite_values(self, field):
+        value = np.inf if field == "dt" else np.nan
+        with pytest.raises(BadParams, match=field):
+            t.SimConfig(**{"n": 16, "dt": 1e-3, "horizon": 0.1, field: value})
+
 
 class TestRhs:
     """The explicit part of the right-hand side (everything but the implicit
@@ -97,7 +149,7 @@ class TestRhs:
         g = t.Grid(16)
         zero = t.SpectralField.zeros(g)
         s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=0.0, eps=0.1)
-        nu, nv, nth = _explicit(s, True)
+        nu, nv, nth = explicit(s, True)
         assert t.norm(nu, "L2") == 0.0
         assert t.norm(nv, "L2") == 0.0
         assert t.norm(nth, "L2") == 0.0
@@ -108,7 +160,7 @@ class TestRhs:
         zero = t.SpectralField.zeros(g)
         theta = t.SpectralField.from_phys(g, np.sin(X))
         s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=theta, t=0.0, eps=0.3)
-        nu, nv, nth = _explicit(s, True)
+        nu, nv, nth = explicit(s, True)
         assert_allclose(nv.x.phys, -np.cos(X), atol=1e-12)
         assert t.norm(nv.y, "L2") < 1e-13
         # eps * lap(theta) is implicit, so no explicit temperature tendency
@@ -117,7 +169,7 @@ class TestRhs:
 
     def test_tendency_divergence_free(self):
         s = band_state(n=32, seed=8)
-        nu, _, _ = _explicit(s, True)
+        nu, _, _ = explicit(s, True)
         assert t.norm(t.div(nu), "L2") < 1e-12 * max(t.norm(nu, "L2"), 1.0)
 
     def test_direct_summation_oracle(self):
@@ -177,9 +229,6 @@ class TestRhs:
             got = t.advect(u, u, use_dealias)
             assert np.max(np.abs(got.x.phys - adv_uu[:, :, 0])) < 1e-8
             assert np.max(np.abs(got.y.phys - adv_uu[:, :, 1])) < 1e-8
-            got = _div_outer(v, use_dealias)
-            assert np.max(np.abs(got.x.phys - div_vv[:, :, 0])) < 1e-8
-            assert np.max(np.abs(got.y.phys - div_vv[:, :, 1])) < 1e-8
             got = t.advect(u, v, use_dealias)
             assert np.max(np.abs(got.x.phys - adv_uv[:, :, 0])) < 1e-8
             assert np.max(np.abs(got.y.phys - adv_uv[:, :, 1])) < 1e-8
@@ -189,6 +238,27 @@ class TestRhs:
             th = t.SpectralField.from_phys(g, thf(X, Y))
             got = t.advect(u, th, use_dealias)
             assert np.max(np.abs(got.phys - adv_uth)) < 1e-8
+
+            # the fused stage: div(v (x) v) through the projected u tendency
+            s = t.State(u=u, v=v, theta=th, t=0.0, eps=0.1)
+            nu, nv, nth = explicit(s, use_dealias)
+            rhs_u = t.VectorField(*(t.SpectralField.from_phys(g, -adv_uu[:, :, i] - div_vv[:, :, i]) for i in (0, 1)))
+            want = t.leray_project(rhs_u)
+            assert np.max(np.abs(nu.x.phys - want.x.phys)) < 1e-8
+            assert np.max(np.abs(nu.y.phys - want.y.phys)) < 1e-8
+            grad_th = (d["thx"](X, Y), d["thy"](X, Y))
+            for i in (0, 1):
+                want = -(adv_uv[:, :, i] + grad_th[i] + adv_vu[:, :, i])
+                assert np.max(np.abs((nv.x, nv.y)[i].phys - want)) < 1e-8
+            div_v = d["v1x"](X, Y) + d["v2y"](X, Y)
+            assert np.max(np.abs(nth.phys + adv_uth + div_v)) < 1e-8
+
+    @pytest.mark.parametrize("use_dealias", [False, True])
+    def test_fused_stage_matches_public_operators(self, use_dealias):
+        # the band runs past the n/3 mask edge, so both masks act
+        s = band_state(n=32, seed=22, hi=15)
+        for got, want in zip(explicit(s, use_dealias), public_tendency(s, use_dealias)):
+            assert rel_l2(got, want) < 1e-12
 
 
 class TestImexStep:
@@ -226,6 +296,15 @@ class TestImexStep:
             for _ in range(2):
                 s = t.imex_step(s, 1e-3)
         assert info.value.t <= 1e-3
+
+    @pytest.mark.parametrize("use_dealias", [False, True])
+    def test_multi_step_matches_public_operators(self, use_dealias):
+        s = ref = band_state(n=32, seed=23, hi=15)
+        for _ in range(5):
+            s = t.imex_step(s, 1e-3, use_dealias=use_dealias)
+            ref = reference_step(ref, 1e-3, use_dealias)
+        for got, want in ((s.u, ref.u), (s.v, ref.v), (s.theta, ref.theta)):
+            assert rel_l2(got, want) < 1e-12
 
     def test_taylor_green_decay_second_order(self):
         T = 0.24
@@ -317,3 +396,33 @@ class TestSimulate:
             r = t.simulate(cfg)
             resids.append(abs(t.energy_identity_residual(r.diagnostics)[-1]))
         assert 3.0 < resids[0] / resids[1] < 5.0
+
+
+class TestTransformBudget:
+    """Transforms per step and per record, counted at the numpy.fft entry
+    points; a batch of m fields counts m."""
+
+    NAMES = ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn")
+
+    def count(self, monkeypatch, fn):
+        counts = collections.Counter()
+        for name in self.NAMES:
+            def wrapped(a, *args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                counts[_name] += int(np.prod(np.shape(a)[:-2]))
+                return _fn(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, wrapped)
+        fn()
+        monkeypatch.undo()
+        return counts
+
+    def test_step(self, monkeypatch):
+        s = band_state(n=32, seed=24)
+        counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3))
+        assert set(counts) == {"rfft2", "irfft2"}
+        assert counts["rfft2"] + counts["irfft2"] <= 48
+
+    def test_record(self, monkeypatch):
+        s = t.imex_step(band_state(n=32, seed=24), 1e-3)
+        counts = self.count(monkeypatch, lambda: t.make_record(s, True))
+        assert counts == {"irfft2": 14}

@@ -41,9 +41,10 @@ class TestFieldRepresentations:
         assert rel_l2(t.SpectralField.from_phys(f.grid, back), f) < 1e-12
 
     def test_conjugate_symmetry(self):
+        # columns 0 and n/2 of the half plane hold their own conjugates
         f = band_state(n=32, seed=2).theta
-        c = f.spec
-        assert np.max(np.abs(c - np.conj(np.flip(np.roll(c, -1, (0, 1)), (0, 1))))) < 1e-9 * np.max(
+        c = f.spec[:, [0, -1]]
+        assert np.max(np.abs(c - np.conj(np.flip(np.roll(c, -1, 0), 0)))) < 1e-9 * np.max(
             np.abs(c)
         )
 
@@ -252,7 +253,7 @@ class TestNorms:
         g = f.grid
         factor = 4
         m = factor * g.n
-        shifted = np.fft.fftshift(f.spec)
+        shifted = np.fft.fftshift(np.fft.fft2(f.phys))
         big = np.zeros((m, m), dtype=complex)
         lo = (m - g.n) // 2
         big[lo : lo + g.n, lo : lo + g.n] = shifted

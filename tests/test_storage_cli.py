@@ -234,6 +234,17 @@ class TestCliRun:
         payload = json.loads(err.split(" ", 1)[1])
         assert payload["error"] == "ConfigParseError"
 
+    @pytest.mark.parametrize(
+        "field, old, new",
+        [("horizon", "horizon = 0.05", "horizon = nan"), ("u_amp", "[init]", "[init]\nu_amp = nan"),
+         ("dt", "dt = 0.005", "dt = inf")],
+    )
+    def test_non_finite_config_exit_code(self, tmp_path, capsys, field, old, new):
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace(old, new))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "ConfigParseError" and payload["detail"].startswith(f"{field} must be finite")
+
     def test_cfl_exit_code(self, tmp_path):
         text = MINIMAL_CFG.replace("dt = 0.005", "dt = 2.5").replace("horizon = 0.05", "horizon = 5.0")
         cfg = write_cfg(tmp_path, text)
