@@ -436,7 +436,7 @@ def main(argv=None) -> int:
         _machine_error("CflViolation", str(exc), ratio=exc.ratio, limit=exc.limit)
         return EXIT_GUARD
     except NonFiniteState as exc:
-        _machine_error("NonFiniteState", str(exc), t=exc.t)
+        _machine_error("NonFiniteState", str(exc), t=exc.t, field=exc.field)
         return EXIT_GUARD
     except ChecksumMismatch as exc:
         _machine_error("ChecksumMismatch", str(exc))

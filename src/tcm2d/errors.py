@@ -33,11 +33,15 @@ class CflViolation(TcmError):
 
 
 class NonFiniteState(TcmError):
-    """The state holds a NaN or infinity; the step was rejected."""
+    """The state holds a NaN or infinity; the step was rejected.
 
-    def __init__(self, t):
+    ``field`` names the offending field ("u" or "v").
+    """
+
+    def __init__(self, t, field):
         self.t = float(t)
-        super().__init__(f"non-finite state at t = {self.t!r}")
+        self.field = field
+        super().__init__(f"non-finite {field} at t = {self.t!r}")
 
 
 class BadWindow(TcmError):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import BadSeries, Infeasible
 
@@ -74,7 +73,8 @@ class GronwallSeries:
 
 
 def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return cumulative_trapezoid(y, t, initial=0.0)
+    # scipy.integrate.cumulative_trapezoid(y, t, initial=0.0), in its order of operations
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def q_of_t(g: GronwallSeries) -> np.ndarray:

@@ -25,11 +25,15 @@ def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_am
 
 
 def with_nan(s, field):
-    """Copy of state s with one NaN sample in u.x or in theta."""
-    bad = (s.u.x if field == "u_x" else s.theta).phys.copy()
+    """Copy of state s with one NaN sample in u.x, v.x or theta."""
+    bad = {"u_x": s.u.x, "v_x": s.v.x, "theta": s.theta}[field].phys.copy()
     bad[3, 5] = np.nan
     f = t.SpectralField.from_phys(s.grid, bad)
-    return replace(s, u=t.VectorField(f, s.u.y)) if field == "u_x" else replace(s, theta=f)
+    if field == "u_x":
+        return replace(s, u=t.VectorField(f, s.u.y))
+    if field == "v_x":
+        return replace(s, v=t.VectorField(f, s.v.y))
+    return replace(s, theta=f)
 
 
 def rel_l2(a, b):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 from scipy.optimize import brentq
 
 import tcm2d as t
 from tcm2d.errors import BadSeries, Infeasible
+from tcm2d.gronwall import _cumtrapz
 
 
 def const_series(T=1.0, m=101, A=1.0, B=1.0, alpha=0.0, beta=0.0, K=1.0):
@@ -41,6 +43,14 @@ class TestSeriesValidation:
     def test_requires_two_samples(self):
         with pytest.raises(BadSeries):
             t.GronwallSeries(times=[0.0], A=[1.0], B=[1.0], alpha=[0.0], beta=[0.0], K=1.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 101])
+def test_cumtrapz_bit_equal_to_scipy(m):
+    rng = np.random.default_rng(m)
+    ts = np.cumsum(rng.random(m))  # non-uniform, strictly increasing
+    y = rng.standard_normal(m)
+    assert np.array_equal(_cumtrapz(y, ts), cumulative_trapezoid(y, ts, initial=0.0))
 
 
 class TestQOfT:

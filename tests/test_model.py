@@ -284,10 +284,11 @@ class TestImexStep:
         assert info.value.ratio > info.value.limit
 
     def test_nan_velocity_raises_at_first_step(self):
-        s = with_nan(band_state(n=32, seed=10), "u_x")
-        with pytest.raises(NonFiniteState) as info:
-            t.imex_step(s, 1e-3)
-        assert info.value.t == 0.0
+        for where, field in (("u_x", "u"), ("v_x", "v")):
+            s = with_nan(band_state(n=32, seed=10), where)
+            with pytest.raises(NonFiniteState) as info:
+                t.imex_step(s, 1e-3)
+            assert info.value.t == 0.0 and info.value.field == field
 
     def test_nan_theta_raises_within_two_steps(self):
         # the NaN reaches v through grad(theta) during the first step
@@ -417,10 +418,12 @@ class TestTransformBudget:
         return counts
 
     def test_step(self, monkeypatch):
-        s = band_state(n=32, seed=24)
-        counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3))
-        assert set(counts) == {"rfft2", "irfft2"}
-        assert counts["rfft2"] + counts["irfft2"] <= 48
+        # the first stage reuses the CFL check's grid velocities unless the
+        # mask drops some of their coefficients (hi = 15 > n/3)
+        for hi, use_dealias, inverse in ((4, True, 28), (4, False, 28), (15, True, 32)):
+            s = band_state(n=32, seed=24, hi=hi)
+            counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
+            assert counts == {"rfft2": 16, "irfft2": inverse}, (hi, use_dealias)
 
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -195,6 +197,15 @@ def write_cfg(tmp_path, text=MINIMAL_CFG, name="run.cfg"):
     return str(path)
 
 
+def test_cli_import_loads_no_scipy():
+    # the library needs numpy only; scipy costs every command its import time
+    src = os.path.dirname(os.path.dirname(t.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, tcm2d.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestCliRun:
     def test_minimal_run(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -260,7 +271,7 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("TCM-ERROR ")
         payload = json.loads(err.split(" ", 1)[1])
-        assert payload["error"] == "NonFiniteState" and payload["t"] == 0.0
+        assert payload["error"] == "NonFiniteState" and payload["t"] == 0.0 and payload["field"] == "u"
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
