@@ -200,7 +200,7 @@ def _products(g: Grid, ym: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     # (u.grad)u, v^x v^x, v^x v^y, v^y v^y, (u.grad)v + (v.grad)u, u.grad(theta)
     # on the grid, from the masked spectra ym and, when given, the grid
     # velocities w = irfft2(ym[:4]). Apart from _explicit so that ym and the
-    # grid fields are freed before the forward transform (peak RSS).
+    # grid fields made here are freed before the forward transform (peak RSS).
     shape = (g.n, g.n)
     ux, uy, vx, vy = np.fft.irfft2(ym[:4], s=shape) if w is None else w
     p = np.empty((8, *shape))
