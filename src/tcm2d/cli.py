@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     tcm2d run       --config FILE [--out DIR] [--seed-override N]
-    tcm2d check     (--config FILE | --run-dir DIR) [--out DIR] [--tol X]
+    tcm2d check     (--config FILE [--seed-override N] | --run-dir DIR) [--out DIR] [--tol X]
     tcm2d sweep-eps --config FILE --levels 0.2,0.1,0.05,0 [--out DIR]
     tcm2d twin      --config FILE [--delta X] [--shape NAME] [--out DIR]
     tcm2d gronwall  --csv FILE (--fit-k | --k X) [--tol X]
@@ -135,20 +135,33 @@ def cmd_run(args) -> int:
 
 
 def _gather(args):
-    """Either re-simulate from a config or load a completed run directory."""
+    """Either re-simulate from a config or load a completed run directory.
+
+    Returns (config, diagnostics, window, final state, report directory): the
+    window is the three snapshots around the middle of the run that the
+    equation residuals use (None with fewer than three snapshots). From a
+    run directory only the snapshots of the window and the last one are read;
+    the report goes to ``--out`` if given, else into the run directory.
+    """
     if args.config:
         cfg, result, run_dir = _run_to_dir(args, "check_out")
-        return cfg, result.diagnostics, result.snapshots, run_dir
+        snaps = result.snapshots
+        return cfg, result.diagnostics, _mid_window(snaps), snaps[-1], run_dir
+    if args.seed_override is not None:
+        raise ConfigParseError("--seed-override needs --config: a run directory has its seed")
     run_dir = args.run_dir
     storage.verify_manifest(run_dir)
     cfg, _ = config_mod.parse_config_file(os.path.join(run_dir, "config.cfg"))
     series = storage.read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
     snap_dir = os.path.join(run_dir, "snapshots")
-    snaps = [
-        storage.read_state_snapshot(snap_dir, step)
-        for step in storage.list_snapshot_steps(snap_dir)
-    ]
-    return cfg, series, snaps, run_dir
+    steps = storage.list_snapshot_steps(snap_dir)
+    window = _mid_window(steps)
+    wanted = set(window or ()) | set(steps[-1:])
+    states = {step: storage.read_state_snapshot(snap_dir, step) for step in sorted(wanted)}
+    out = args.out or run_dir
+    os.makedirs(out, exist_ok=True)
+    return (cfg, series, None if window is None else [states[step] for step in window],
+            states[steps[-1]] if steps else None, out)
 
 
 def _mid_window(snaps):
@@ -159,8 +172,12 @@ def _mid_window(snaps):
     return snaps[m - 1 : m + 2]
 
 
-def run_checks(cfg: SimConfig, series: DiagnosticsSeries, snaps, tol=gronwall.DEFAULT_TOL) -> tuple[list, list]:
-    """Returns (gated, observational) rows: (name, passed/None, value, detail)."""
+def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gronwall.DEFAULT_TOL) -> tuple[list, list]:
+    """Returns (gated, observational) rows: (name, passed/None, value, detail).
+
+    ``window`` holds three consecutive snapshots for the equation residuals
+    (or is None), ``final`` the last snapshot (or None).
+    """
     gated, info = [], []
     t = series.times
 
@@ -213,7 +230,6 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, snaps, tol=gronwall.DE
     resid = diagnostics.energy_identity_residual(series)
     info.append(("energy_identity_residual", None, float(np.abs(resid[-1])), "value at horizon"))
 
-    window = _mid_window(snaps)
     if window is not None:
         for name, fn in (
             ("w_equation_residual", residual_w_equation),
@@ -225,8 +241,8 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, snaps, tol=gronwall.DE
     else:
         info.append(("equation_residuals", None, float("nan"), "need >= 3 snapshots"))
 
-    if len(snaps) >= 1:
-        info.append(("bgw_ratio_final", None, diagnostics.bgw_ratio(snaps[-1].u), "observational"))
+    if final is not None:
+        info.append(("bgw_ratio_final", None, diagnostics.bgw_ratio(final.u), "observational"))
     tail = float(np.max(series.col("theta_tail_frac")))
     info.append(("theta_tail_fraction_max", None, tail, "flag if > 0.01"))
     cum = diagnostics.lipschitz_budget_curve(series)
@@ -248,12 +264,12 @@ def _render_report(gated, info) -> tuple[str, bool]:
     return "".join(line + "\n" for line in lines), overall
 
 
-def _write_check_report(run_dir, report: str, series):
-    summary = os.path.join(run_dir, "check_summary.txt")
+def _write_check_report(out_dir, report: str, series):
+    summary = os.path.join(out_dir, "check_summary.txt")
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write(report)
 
-    series_path = os.path.join(run_dir, "check_series.csv")
+    series_path = os.path.join(out_dir, "check_series.csv")
     margins = diagnostics.max_principle_check(series)
     resid = diagnostics.energy_identity_residual(series)
     cum = diagnostics.lipschitz_budget_curve(series)
@@ -265,10 +281,10 @@ def _write_check_report(run_dir, report: str, series):
 
 
 def cmd_check(args) -> int:
-    cfg, series, snaps, run_dir = _gather(args)
-    gated, info = run_checks(cfg, series, snaps, tol=args.tol)
+    cfg, series, window, final, out = _gather(args)
+    gated, info = run_checks(cfg, series, window, final, tol=args.tol)
     report, overall = _render_report(gated, info)
-    _write_check_report(run_dir, report, series)
+    _write_check_report(out, report, series)
     print(report, end="")
     if not overall:
         _machine_error("CheckFailure", "one or more gated checks failed")

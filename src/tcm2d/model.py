@@ -10,13 +10,26 @@ projection. Time stepping treats the Laplacians with the trapezoidal rule
 and everything else explicitly at second order (predictor/corrector), so
 smooth runs converge at order two in dt.
 
+The explicit stage evaluates the quadratic terms in divergence and
+rotational form, with curl(a) = d_x a^y - d_y a^x:
+
+    (u.grad)u + div(v (x) v)    as  div(u (x) u + v (x) v),
+    (u.grad)v + (v.grad)u       as  grad(u.v) - (u^y curl(v) + v^y curl(u),
+                                                 -(u^x curl(v) + v^x curl(u))),
+    u.grad(theta)               as  div(u theta),
+
+which the advective forms equal when div u = 0. Under the two-thirds mask
+the products carry no aliasing error, so both forms give one discrete
+operator to roundoff; without it they differ by their aliasing errors.
+
 A step works on the stacked half-plane spectra (u^x, u^y, v^x, v^y, theta),
 shape (5, n, n//2 + 1); the returned State holds views of that array. Each
-explicit stage is four batched inverse transforms, products summed into
-eight terms, and one batched forward transform. The CFL check transforms u
-and v once; the first stage reuses those grid velocities when the dealiasing
-mask drops none of their coefficients. That makes 44 real field-transforms
-per step when the mask is a no-op on u and v, and 48 otherwise.
+explicit stage is one batched inverse transform of seven fields (u, v,
+theta, curl(u), curl(v)), eight grid products, and one batched forward transform.
+The CFL check transforms u and v once; the first stage reuses those grid
+velocities when the dealiasing mask drops none of their coefficients. That
+makes 30 real field-transforms per step (16 forward, 14 inverse) when the
+mask is a no-op on u and v, and 34 otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +43,6 @@ from .spectral import (
     Grid,
     SpectralField,
     VectorField,
-    _grad_stack,
     _project,
     leray_project,
     norm,
@@ -196,49 +208,61 @@ def _stack(s: State) -> np.ndarray:
     return np.stack((s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec))
 
 
-def _products(g: Grid, ym: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    # (u.grad)u, v^x v^x, v^x v^y, v^y v^y, (u.grad)v + (v.grad)u, u.grad(theta)
-    # on the grid, from the masked spectra ym and, when given, the grid
-    # velocities w = irfft2(ym[:4]). Apart from _explicit so that ym and the
-    # grid fields made here are freed before the forward transform (peak RSS).
-    shape = (g.n, g.n)
-    ux, uy, vx, vy = np.fft.irfft2(ym[:4], s=shape) if w is None else w
-    p = np.empty((8, *shape))
-    p[2:5] = vx * vx, vx * vy, vy * vy
-    d = np.fft.irfft2(_grad_stack(g, ym[0:2]), s=shape)
-    p[0] = ux * d[0] + uy * d[1]
-    p[1] = ux * d[2] + uy * d[3]
-    p[5] = vx * d[0] + vy * d[1]
-    p[6] = vx * d[2] + vy * d[3]
-    d = np.fft.irfft2(_grad_stack(g, ym[2:4]), s=shape)
-    p[5] += ux * d[0] + uy * d[1]
-    p[6] += ux * d[2] + uy * d[3]
-    d = np.fft.irfft2(_grad_stack(g, ym[4:]), s=shape)
-    p[7] = ux * d[0] + uy * d[1]
+def _products(g: Grid, y: np.ndarray, mask, w: np.ndarray | None) -> np.ndarray:
+    # u^x u^x + v^x v^x, u^x u^y + v^x v^y, u^y u^y + v^y v^y, u.v,
+    # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
+    # u^y theta on the grid, from the spectra y masked by mask and, when
+    # given, the grid velocities w of the masked u and v. Apart from
+    # _explicit so that the masked spectra and the grid fields made here are
+    # freed before the forward transform (peak RSS).
+    ik = g.ik
+    z = np.empty((7, *g.spec_shape), dtype=np.complex128)
+    np.multiply(y, mask, out=z[:5])
+    z[5] = ik[0] * z[1] - ik[1] * z[0]
+    z[6] = ik[0] * z[3] - ik[1] * z[2]
+    f = np.fft.irfft2(z if w is None else z[4:], s=(g.n, g.n))
+    ux, uy, vx, vy = f[:4] if w is None else w
+    th, cu, cv = f[-3:]
+    p = np.empty((8, g.n, g.n))
+    p[0] = ux * ux + vx * vx
+    p[1] = ux * uy + vx * vy
+    p[2] = uy * uy + vy * vy
+    p[3] = ux * vx + uy * vy
+    p[4] = uy * cv + vy * cu
+    p[5] = ux * cv + vx * cu
+    p[6] = ux * th
+    p[7] = uy * th
     return p
 
 
 def _explicit(g: Grid, y: np.ndarray, use_dealias: bool, w: np.ndarray | None = None) -> np.ndarray:
     """Everything except the implicit Laplacians, for the stacked spectra
-    y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection:
+    y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection and
+    curl(a) = d_x a^y - d_y a^x:
 
-        -P[(u.grad)u + div(v (x) v)],   -[(u.grad)v + grad(theta) + (v.grad)u],
-        -[u.grad(theta) + div v].
+        -P div(u (x) u + v (x) v),
+        -[grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u)))],
+        -[div(u theta) + div v].
 
-    Factors and products are masked once each (two-thirds rule when
-    ``use_dealias``, no mask otherwise). ``w``, if given, holds the grid
-    velocities (u^x, u^y, v^x, v^y) of the masked spectra, which then are
-    not transformed again.
+    These are the divergence and rotational forms of the advective terms
+    (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta): equal
+    for div u = 0, and to roundoff under the two-thirds mask, whose products
+    carry no aliasing error. Factors and products are masked once each
+    (two-thirds rule when ``use_dealias``, no mask otherwise). ``w``, if
+    given, holds the grid velocities (u^x, u^y, v^x, v^y) of the masked
+    spectra, which then are not transformed again.
     """
     mask = g.dealias_mask if use_dealias else True
-    p = np.fft.rfft2(_products(g, y * mask, w))
+    p = np.fft.rfft2(_products(g, y, mask, w))
     p *= mask
     ik = g.ik
     out = np.empty_like(y)
-    out[0] = p[0] + ik[0] * p[2] + ik[1] * p[3]
-    out[1] = p[1] + ik[0] * p[3] + ik[1] * p[4]
-    out[2:4] = p[5:7] + ik * y[4]
-    out[4] = p[7] + ik[0] * y[2] + ik[1] * y[3]
+    out[0] = ik[0] * p[0] + ik[1] * p[1]
+    out[1] = ik[0] * p[1] + ik[1] * p[2]
+    p[3] += y[4]  # u.v + theta
+    out[2] = ik[0] * p[3] - p[4]
+    out[3] = ik[1] * p[3] + p[5]
+    out[4] = ik[0] * (p[6] + y[2]) + ik[1] * (p[7] + y[3])
     out *= -1.0
     _project(g, out[:2])
     return out
@@ -264,9 +288,11 @@ def imex_step(
 
     Diffusion (full Laplacian for u and v, eps-scaled for theta) is implicit
     by the trapezoidal rule; advection and coupling are explicit through a
-    two-stage predictor/corrector. u is re-projected after each stage.
-    A step takes 44 real field-transforms when the dealiasing mask is a
-    no-op on u and v (always so without dealiasing), and 48 otherwise.
+    two-stage predictor/corrector, with the quadratic terms in divergence
+    and rotational form (see the module docstring). u is re-projected after
+    each stage. A step takes 30 real field-transforms (16 forward,
+    14 inverse) when the dealiasing mask is a no-op on u and v (always so
+    without dealiasing), and 34 otherwise.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")

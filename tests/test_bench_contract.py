@@ -1,15 +1,24 @@
-"""The benchmark's tracer binds to library functions by name: every span a
+"""What the benchmark relies on, checked in the test suite.
+
+The benchmark's tracer binds to library functions by name: every span a
 workload expects must name a public function defined in its module, or the
 traced benchmark run fails. This catches a rename or deletion here instead.
-
-The check runs in a subprocess because installing the tracer patches
+That check runs in a subprocess because installing the tracer patches
 ``numpy.fft`` and ``scipy.fft`` for the rest of the process.
+
+The benchmark's correctness gate compares every run's final diagnostics
+record and every eps sweep's distances and flags with ``bench/reference.json``;
+the same gate runs here, in-process, on seed 0 of each workload.
 """
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from tcm2d.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,3 +49,19 @@ def test_expected_spans_name_traced_functions():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["checked"] > 20
     assert result["bad"] == []
+
+
+@pytest.mark.parametrize("workload", ["run_n256", "session_n64"])
+def test_outputs_match_reference(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import run
+
+    wl = run.WORKLOADS[workload]
+    reference = run.load_reference(workload, 0)
+    assert reference is not None
+    cfgs = run.write_configs(wl, tmp_path)
+    for cfg_name, cmd in wl.commands:
+        if cmd[0] in ("run", "sweep-eps"):  # the commands whose numbers are stored
+            args = run.fill(cmd, cfgs[cfg_name], tmp_path, 0)
+            child = run.Child(code=main(args), wall_s=0.0, cpu_s=0.0, maxrss_mb=0.0, stdout="", stderr="")
+            assert run.gate(args, child, tmp_path, reference) is None, args

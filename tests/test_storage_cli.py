@@ -303,6 +303,40 @@ class TestCliCheck:
             fh.write("tampered\n")
         assert main(["check", "--run-dir", out]) == 4
 
+    def test_run_dir_reads_only_used_snapshots(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("snap_stride = 5", "snap_stride = 1"))
+        run = str(tmp_path / "r")
+        assert main(["run", "--config", cfg, "--out", run]) == 0
+        read = []
+        read_state_snapshot = storage.read_state_snapshot
+        monkeypatch.setattr(storage, "read_state_snapshot", lambda d, step: read.append(step) or read_state_snapshot(d, step))
+        assert main(["check", "--run-dir", run]) == 0
+        # 11 snapshots: the residual window around the middle, then the last
+        assert read == [4, 5, 6, 10]
+
+    def test_run_dir_report_goes_to_out(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        run, out = str(tmp_path / "r"), str(tmp_path / "o")
+        assert main(["run", "--config", cfg, "--out", run]) == 0
+        assert main(["check", "--run-dir", run, "--out", out]) == 0
+        names = ("check_summary.txt", "check_series.csv")
+        assert not any(os.path.exists(os.path.join(run, name)) for name in names)
+        assert main(["check", "--run-dir", run]) == 0
+        for name in names:
+            assert open(os.path.join(out, name), "rb").read() == open(os.path.join(run, name), "rb").read()
+
+    def test_run_dir_rejects_seed_override(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path)
+        run = str(tmp_path / "r")
+        assert main(["run", "--config", cfg, "--out", run]) == 0
+        capsys.readouterr()
+        assert main(["check", "--run-dir", run, "--seed-override", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("TCM-ERROR ")
+        payload = json.loads(err.split(" ", 1)[1])
+        assert payload["error"] == "ConfigParseError" and "--seed-override" in payload["detail"]
+        assert not os.path.exists(os.path.join(run, "check_summary.txt"))
+
     def test_manifest_lists_every_artifact(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "r")
