@@ -158,10 +158,11 @@ def _gather(args):
     window = _mid_window(steps)
     wanted = set(window or ()) | set(steps[-1:])
     states = {step: storage.read_state_snapshot(snap_dir, step) for step in sorted(wanted)}
+    window = None if window is None else [states[step] for step in window]
+    final = states[steps[-1]] if steps else None
     out = args.out or run_dir
     os.makedirs(out, exist_ok=True)
-    return (cfg, series, None if window is None else [states[step] for step in window],
-            states[steps[-1]] if steps else None, out)
+    return cfg, series, window, final, out
 
 
 def _mid_window(snaps):
