@@ -450,10 +450,10 @@ def main(argv=None) -> int:
         _machine_error(type(exc).__name__, str(exc))
         return EXIT_CONFIG
     except CflViolation as exc:
-        _machine_error("CflViolation", str(exc), ratio=exc.ratio, limit=exc.limit)
+        _machine_error("CflViolation", str(exc), ratio=exc.ratio, limit=exc.limit, t=exc.t, step=exc.step)
         return EXIT_GUARD
     except NonFiniteState as exc:
-        _machine_error("NonFiniteState", str(exc), t=exc.t, field=exc.field)
+        _machine_error("NonFiniteState", str(exc), t=exc.t, field=exc.field, step=exc.step)
         return EXIT_GUARD
     except ChecksumMismatch as exc:
         _machine_error("ChecksumMismatch", str(exc))

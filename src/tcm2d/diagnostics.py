@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gronwall
 from .derived import commutator_f
-from .errors import BadParams, ConfigMismatch
+from .errors import BadParams, CflViolation, ConfigMismatch, NonFiniteState
 from .gronwall import _cumtrapz
 from .model import SimConfig, State, imex_step, make_initial, simulate
 from .records import DiagnosticsSeries, _h1_functionals
@@ -271,8 +271,12 @@ def twin_divergence(
     seps = [_separation(base, pert)]
     coeffs = [_growth_coefficient(base, pert)]
     for k in range(1, nsteps + 1):
-        base = imex_step(base, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
-        pert = imex_step(pert, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+        try:
+            base = imex_step(base, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+            pert = imex_step(pert, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+        except (CflViolation, NonFiniteState) as exc:
+            exc.step = k
+            raise
         if k % cfg.diag_stride == 0:
             times.append(base.t)
             seps.append(_separation(base, pert))

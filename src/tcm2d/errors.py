@@ -22,11 +22,17 @@ class EpsOutOfRange(TcmError):
 
 
 class CflViolation(TcmError):
-    """Advective CFL guard tripped; the step was rejected."""
+    """Advective CFL guard tripped; the step from time ``t`` was rejected.
 
-    def __init__(self, ratio, limit):
+    ``step`` is the index of that step in the run that raised it (set by
+    ``simulate`` and ``twin_divergence``), or None outside a run.
+    """
+
+    def __init__(self, ratio, limit, t):
         self.ratio = float(ratio)
         self.limit = float(limit)
+        self.t = float(t)
+        self.step = None
         super().__init__(
             f"advective CFL ratio {self.ratio:.6g} exceeds limit {self.limit:.6g}"
         )
@@ -35,12 +41,14 @@ class CflViolation(TcmError):
 class NonFiniteState(TcmError):
     """The state holds a NaN or infinity; the step was rejected.
 
-    ``field`` names the offending field ("u" or "v").
+    ``field`` names the offending field ("u" or "v"); ``t`` and ``step``
+    are as for :class:`CflViolation`.
     """
 
     def __init__(self, t, field):
         self.t = float(t)
         self.field = field
+        self.step = None
         super().__init__(f"non-finite {field} at t = {self.t!r}")
 
 

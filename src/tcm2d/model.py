@@ -30,11 +30,20 @@ The CFL check transforms u and v once; the first stage reuses those grid
 velocities when the dealiasing mask drops none of their coefficients. That
 makes 30 real field-transforms per step (16 forward, 14 inverse) when the
 mask is a no-op on u and v, and 34 otherwise.
+
+The step's constants (the merged trapezoidal factors and the mask) and its
+stage buffers are built once per (grid, dt, eps, dealias) and kept in a
+private one-entry cache: a run builds them at its first step and every
+later step writes its stages in place. They stay held, about 15 MB at
+n = 256, until a step with another key replaces them. Because steps share
+those buffers, ``imex_step`` is not thread-safe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import records
@@ -208,72 +217,108 @@ def _stack(s: State) -> np.ndarray:
     return np.stack((s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec))
 
 
-def _products(g: Grid, y: np.ndarray, mask, w: np.ndarray | None) -> np.ndarray:
-    # u^x u^x + v^x v^x, u^x u^y + v^x v^y, u^y u^y + v^y v^y, u.v,
-    # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
-    # u^y theta on the grid, from the spectra y masked by mask and, when
-    # given, the grid velocities w of the masked u and v. Apart from
-    # _explicit so that the masked spectra and the grid fields made here are
-    # freed before the forward transform (peak RSS).
-    ik = g.ik
-    z = np.empty((7, *g.spec_shape), dtype=np.complex128)
-    np.multiply(y, mask, out=z[:5])
-    z[5] = ik[0] * z[1] - ik[1] * z[0]
-    z[6] = ik[0] * z[3] - ik[1] * z[2]
-    f = np.fft.irfft2(z if w is None else z[4:], s=(g.n, g.n))
-    ux, uy, vx, vy = f[:4] if w is None else w
-    th, cu, cv = f[-3:]
-    p = np.empty((8, g.n, g.n))
-    p[0] = ux * ux + vx * vx
-    p[1] = ux * uy + vx * vy
-    p[2] = uy * uy + vy * vy
-    p[3] = ux * vx + uy * vy
-    p[4] = uy * cv + vy * cu
-    p[5] = ux * cv + vx * cu
-    p[6] = ux * th
-    p[7] = uy * th
-    return p
-
-
-def _explicit(g: Grid, y: np.ndarray, use_dealias: bool, w: np.ndarray | None = None) -> np.ndarray:
-    """Everything except the implicit Laplacians, for the stacked spectra
-    y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection and
-    curl(a) = d_x a^y - d_y a^x:
-
-        -P div(u (x) u + v (x) v),
-        -[grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u)))],
-        -[div(u theta) + div v].
-
-    These are the divergence and rotational forms of the advective terms
-    (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta): equal
-    for div u = 0, and to roundoff under the two-thirds mask, whose products
-    carry no aliasing error. Factors and products are masked once each
-    (two-thirds rule when ``use_dealias``, no mask otherwise). ``w``, if
-    given, holds the grid velocities (u^x, u^y, v^x, v^y) of the masked
-    spectra, which then are not transformed again.
-    """
-    mask = g.dealias_mask if use_dealias else True
-    p = np.fft.rfft2(_products(g, y, mask, w))
-    p *= mask
-    ik = g.ik
-    out = np.empty_like(y)
-    out[0] = ik[0] * p[0] + ik[1] * p[1]
-    out[1] = ik[0] * p[1] + ik[1] * p[2]
-    p[3] += y[4]  # u.v + theta
-    out[2] = ik[0] * p[3] - p[4]
-    out[3] = ik[1] * p[3] + p[5]
-    out[4] = ik[0] * (p[6] + y[2]) + ik[1] * (p[7] + y[3])
-    out *= -1.0
-    _project(g, out[:2])
-    return out
-
-
-def _trapezoid(g: Grid, a: np.ndarray, inv: np.ndarray, dt: float, y0: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # y = ((1 + h) y0 + dt*rhs) * (1 / (1 - h)), given a = 1 + h and
-    # inv = 1 / (1 - h); then project u
-    y = (a * y0 + dt * rhs) * inv
-    _project(g, y[:2])
+def _scale(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # y *= c in place, for c with the rows (u and v, theta)
+    y[:4] *= c[0]
+    y[4] *= c[1]
     return y
+
+
+def _mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    # out = a*b + c, with no temporary for a*b
+    np.multiply(a, b, out=out)
+    out += c
+
+
+class _Stepper:
+    """What :func:`imex_step` reuses from step to step for one (grid, dt,
+    eps, dealias): the merged trapezoidal factors, the dealiasing mask and
+    the stage buffers, which every step overwrites."""
+
+    def __init__(self, g: Grid, dt: float, eps: float, use_dealias: bool):
+        self.g = g
+        # trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
+        # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
+        # y = a y0 + b rhs; rows (u and v, theta)
+        h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
+        self.a = (1.0 + h) / (1.0 - h)
+        self.b = dt / (1.0 - h)
+        self.mask = g.dealias_mask if use_dealias else True
+        self.minus_ik = -g.ik  # the tendency is minus the terms
+        self.n0 = np.empty((5, *g.spec_shape), dtype=np.complex128)
+        self.y1 = np.empty_like(self.n0)  # the predictor, then n1 over it
+        # the masked factors, then the products' spectra
+        self.z = np.empty((8, *g.spec_shape), dtype=np.complex128)
+        self.p = np.empty((8, g.n, g.n))  # the products on the grid
+
+    def _products(self, y: np.ndarray, w: np.ndarray | None) -> None:
+        # u^x u^x + v^x v^x, u^x u^y + v^x v^y, u^y u^y + v^y v^y, u.v,
+        # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
+        # u^y theta on the grid into p, from the spectra y masked into z and,
+        # when given, the grid velocities w of the masked u and v. Apart from
+        # explicit so that the grid fields made here are freed before the
+        # forward transform (peak RSS).
+        g, ik, z, p = self.g, self.g.ik, self.z, self.p
+        np.multiply(y, self.mask, out=z[:5])
+        np.subtract(ik[0] * z[1], ik[1] * z[0], out=z[5])
+        np.subtract(ik[0] * z[3], ik[1] * z[2], out=z[6])
+        # no out= here: numpy's irfft2 passes out=None on to irfftn, so it
+        # would be ignored
+        f = np.fft.irfft2(z[:7] if w is None else z[4:7], s=(g.n, g.n))
+        ux, uy, vx, vy = f[:4] if w is None else w
+        th, cu, cv = f[-3:]
+        _mul_add(ux, ux, vx * vx, p[0])
+        _mul_add(ux, uy, vx * vy, p[1])
+        _mul_add(uy, uy, vy * vy, p[2])
+        _mul_add(ux, vx, uy * vy, p[3])
+        _mul_add(uy, cv, vy * cu, p[4])
+        _mul_add(ux, cv, vx * cu, p[5])
+        np.multiply(ux, th, out=p[6])
+        np.multiply(uy, th, out=p[7])
+
+    def explicit(self, y: np.ndarray, w: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+        """Everything except the implicit Laplacians, for the stacked spectra
+        y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection and
+        curl(a) = d_x a^y - d_y a^x:
+
+            -P div(u (x) u + v (x) v),
+            -[grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u)))],
+            -[div(u theta) + div v].
+
+        These are the divergence and rotational forms of the advective terms
+        (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta):
+        equal for div u = 0, and to roundoff under the two-thirds mask, whose
+        products carry no aliasing error. Factors and products are masked
+        once each (two-thirds rule with dealiasing, no mask otherwise). ``w``,
+        if given, holds the grid velocities (u^x, u^y, v^x, v^y) of the
+        masked spectra, which then are not transformed again. The result is
+        written into ``out``, which may be ``y``.
+        """
+        self._products(y, w)
+        q = self.z
+        np.fft.rfft2(self.p, out=q)
+        q *= self.mask
+        q[3] += y[4]  # u.v + theta
+        q[6] += y[2]  # u^x theta + v^x
+        q[7] += y[3]  # u^y theta + v^y
+        # y is not read below this line, so out may be y
+        mik = self.minus_ik
+        _mul_add(mik[0], q[0], mik[1] * q[1], out[0])
+        _mul_add(mik[0], q[1], mik[1] * q[2], out[1])
+        _mul_add(mik[0], q[3], q[4], out[2])
+        np.multiply(mik[1], q[3], out=out[3])
+        out[3] -= q[5]
+        _mul_add(mik[0], q[6], mik[1] * q[7], out[4])
+        _project(self.g, out[:2])
+        return out
+
+
+@functools.lru_cache(maxsize=1)
+def _stepper(g: Grid, dt: float, eps: float, use_dealias: bool) -> _Stepper:
+    # one entry: simulate, twin_divergence and each epsilon_sweep member step
+    # with one key for a whole run, and a stepper held for an earlier key
+    # would only add to peak memory
+    return _Stepper(g, dt, eps, use_dealias)
 
 
 def imex_step(
@@ -293,12 +338,19 @@ def imex_step(
     each stage. A step takes 30 real field-transforms (16 forward,
     14 inverse) when the dealiasing mask is a no-op on u and v (always so
     without dealiasing), and 34 otherwise.
+
+    The trapezoidal factors and the stage buffers are built once per
+    (grid, dt, eps, use_dealias) and kept in a one-entry cache, so a run
+    builds them at its first step, and they stay held (about 15 MB at
+    n = 256) until a step with another key replaces them. Steps share those
+    buffers, so this function is not thread-safe: step at most one state at
+    a time per process. The returned State owns its arrays.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
-    y0 = _stack(s)
-    w = np.fft.irfft2(y0[:4], s=(g.n, g.n))
+    y = _stack(s)  # fresh: becomes the result, whose views the State holds
+    w = np.fft.irfft2(y[:4], s=(g.n, g.n))
     # ||u||_Linf and ||v||_Linf, as norm(., "Linf") computes them
     linf = np.sqrt(np.max(w[0::2] ** 2 + w[1::2] ** 2, axis=(1, 2)))
     bad = ~np.isfinite(linf)
@@ -306,22 +358,23 @@ def imex_step(
         raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
-        raise CflViolation(ratio, cfl_max)
-    if use_dealias and np.any(y0[:4][:, ~g.dealias_mask]):
+        raise CflViolation(ratio, cfl_max, s.t)
+    if use_dealias and np.any(y[:4][:, ~g.dealias_mask]):
         w = None  # the mask changes u or v: the first stage transforms the masked spectra
 
-    # trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
-    # lam = -|k|^2 for u and v and -eps*|k|^2 for theta
-    h = 0.5 * dt * np.stack((-g.k2,) * 4 + (-s.eps * g.k2,))
-    a = 1.0 + h
-    inv = 1.0 / (1.0 - h)  # a real reciprocal: no complex division
-    del h
-    n0 = _explicit(g, y0, use_dealias, w)
+    # y1 = a y0 + b n0 and y2 = a y0 + (b n0 + b n1) / 2, projecting u after each
+    st = _stepper(g, dt, s.eps, use_dealias)
+    n0 = _scale(st.b, st.explicit(y, w, st.n0))  # b n0 from here on
     del w  # free the grid velocities before the second stage
-    y1 = _trapezoid(g, a, inv, dt, y0, n0)  # predictor
-    n1 = _explicit(g, y1, use_dealias)
-    y2 = _trapezoid(g, a, inv, dt, y0, 0.5 * (n0 + n1))  # corrector
-    f = [SpectralField(g, spec=c) for c in y2]
+    _scale(st.a, y)  # a y0 from here on
+    y1 = np.add(y, n0, out=st.y1)
+    _project(g, y1[:2])  # predictor
+    n1 = _scale(st.b, st.explicit(y1, None, y1))  # b n1, over y1
+    n1 += n0
+    n1 *= 0.5
+    y += n1
+    _project(g, y[:2])  # corrector
+    f = [SpectralField(g, spec=c) for c in y]
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
@@ -338,7 +391,11 @@ def simulate(cfg: SimConfig) -> SimResult:
     result = SimResult(config=cfg, snapshots=[state], diagnostics=series)
 
     for k in range(1, nsteps + 1):
-        state = imex_step(state, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+        try:
+            state = imex_step(state, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+        except (CflViolation, NonFiniteState) as exc:
+            exc.step = k
+            raise
         if k % cfg.diag_stride == 0:
             series.append(records.make_record(state, cfg.dealias))
         if k % cfg.snap_stride == 0:

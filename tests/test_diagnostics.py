@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import tcm2d as t
-from tcm2d.errors import ConfigMismatch, EmptyTrajectory
+from tcm2d.errors import ConfigMismatch, EmptyTrajectory, NonFiniteState
 
-from conftest import band_state
+from conftest import band_state, with_nan
 
 
 def zero_run(eps=0.1, T=0.1):
@@ -153,6 +153,16 @@ class TestTwinDivergence:
         rep = t.twin_divergence(twin_cfg(), 1e-8)
         assert rep.all_passed
         assert np.all(np.isfinite(rep.envelope))
+
+    def test_guard_error_carries_step_index(self, monkeypatch):
+        # the NaN in theta reaches v during step 1 and is caught at step 2
+        from tcm2d import diagnostics
+
+        make_initial = diagnostics.make_initial
+        monkeypatch.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+        with pytest.raises(NonFiniteState) as info:
+            t.twin_divergence(twin_cfg(), 1e-8)
+        assert info.value.step == 2
 
     @pytest.mark.parametrize("shape", ["mode", "band", "theta"])
     def test_shapes_normalized(self, shape):

@@ -1,20 +1,27 @@
 import collections
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
+from tcm2d import model
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
-from tcm2d.model import _explicit, _stack
+from tcm2d.model import _stack, _stepper
 from tcm2d.spectral import derivative, multiply
 
 from conftest import band_state, rel_l2, with_nan
 
 
 def explicit(s, use_dealias):
-    """The fused explicit tendency of state s, as fields (nu, nv, ntheta)."""
-    f = [t.SpectralField(s.grid, spec=c) for c in _explicit(s.grid, _stack(s), use_dealias)]
+    """The fused explicit tendency of state s, as fields (nu, nv, ntheta).
+    It is written over the stacked input, as the second stage does; dt does
+    not enter the stage."""
+    y = _stack(s)
+    _stepper(s.grid, 1e-3, s.eps, use_dealias).explicit(y, None, y)
+    f = [t.SpectralField(s.grid, spec=c) for c in y]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
 
@@ -323,13 +330,14 @@ class TestImexStep:
         with pytest.raises(CflViolation) as info:
             t.imex_step(s, 1.0)
         assert info.value.ratio > info.value.limit
+        assert info.value.t == 0.0 and info.value.step is None  # step is set only inside a run
 
     def test_nan_velocity_raises_at_first_step(self):
         for where, field in (("u_x", "u"), ("v_x", "v")):
             s = with_nan(band_state(n=32, seed=10), where)
             with pytest.raises(NonFiniteState) as info:
                 t.imex_step(s, 1e-3)
-            assert info.value.t == 0.0 and info.value.field == field
+            assert info.value.t == 0.0 and info.value.field == field and info.value.step is None
 
     def test_nan_theta_raises_within_two_steps(self):
         # the NaN reaches v through grad(theta) during the first step
@@ -362,6 +370,73 @@ class TestImexStep:
             )
             errs.append(t.norm(s.u - exact, "L2"))
         assert 3.5 < errs[0] / errs[1] < 4.5
+
+
+def spectra(s):
+    return (s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec)
+
+
+def same_state(a, b):
+    return a.t == b.t and all(np.array_equal(x, y) for x, y in zip(spectra(a), spectra(b)))
+
+
+class TestStepCache:
+    """imex_step keeps its constants and stage buffers in a one-entry cache;
+    none of that may leak into its results."""
+
+    def test_consecutive_results_share_no_memory(self):
+        states = [band_state(n=32, seed=30)]
+        for _ in range(3):
+            states.append(t.imex_step(states[-1], 1e-3))
+        for a, b in zip(states, states[1:]):
+            assert not any(np.shares_memory(x, y) for x in spectra(a) for y in spectra(b))
+
+    def test_snapshots_survive_the_run(self):
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=6e-3, preset="random_band", eps=0.1, band_hi=4, seed=31)
+        snaps = t.simulate(cfg).snapshots
+        assert len(snaps) == 7
+        # copies, taken before the next step could write over a shared buffer
+        stepped = [[x.copy() for x in spectra(t.imex_step(a, cfg.dt))] for a in snaps[:-1]]
+        for want, b in zip(stepped, snaps[1:]):
+            assert all(np.array_equal(x, y) for x, y in zip(want, spectra(b)))
+
+    def test_interleaved_keys_match_separate_runs(self):
+        # every pair of runs differs in one key: eps, dt, dealias or grid
+        runs = [(band_state(n=32, seed=32, eps=eps, hi=12), dt, dealias)
+                for eps, dt, dealias in ((0.1, 1e-3, True), (0.0, 1e-3, True), (0.1, 2e-3, True), (0.1, 1e-3, False))]
+        runs.append((band_state(n=16, seed=32), 1e-3, True))
+        evict = band_state(n=8, seed=32, hi=2)
+        separate = []
+        for s, dt, dealias in runs:
+            t.imex_step(evict, 1e-3)  # each run starts with no cached stepper of its own
+            for _ in range(3):
+                s = t.imex_step(s, dt, use_dealias=dealias)
+            separate.append(s)
+        states = [s for s, _, _ in runs]
+        for _ in range(3):
+            states = [t.imex_step(s, dt, use_dealias=dealias) for s, (_, dt, dealias) in zip(states, runs)]
+        for a, b in zip(states, separate):
+            assert same_state(a, b)
+
+    def test_sweep_holds_one_stepper(self):
+        base = t.SimConfig(n=16, dt=1e-3, horizon=4e-3, preset="random_band", band_hi=3, seed=33)
+        t.epsilon_sweep(t.sweep_configs(base, (0.2, 0.1, 0.05, 0.0)))
+        assert _stepper.cache_info().currsize == 1
+
+    def test_warm_step_allocates_little(self):
+        # the stage buffers are reused: a warm step at n = 64 allocates its
+        # result, the transforms' outputs and small temporaries (0.64 MB
+        # measured; 1.5 MB when every stage array was fresh)
+        s = t.imex_step(band_state(n=64, seed=34), 1e-3)
+        s = t.imex_step(s, 1e-3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t.imex_step(s, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.0e6
 
 
 class TestSimulate:
@@ -398,6 +473,18 @@ class TestSimulate:
             mu = r.diagnostics.col(colname)
             assert np.max(np.abs(mu - mu[0])) <= 1e-10 * (1 + r.diagnostics.col("u_l2")[0])
         assert np.max(r.diagnostics.col("div_u_rel")) <= 1e-10
+
+    def test_guard_errors_carry_step_index(self, monkeypatch):
+        # the NaN in theta reaches v during step 1 and is caught at step 2
+        make_initial = model.make_initial
+        monkeypatch.setattr(model, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=5e-3, preset="random_band", eps=0.1, seed=35)
+        with pytest.raises(NonFiniteState) as info:
+            t.simulate(cfg)
+        assert info.value.step == 2 and info.value.t == cfg.dt
+        with pytest.raises(CflViolation) as info:
+            t.simulate(replace(cfg, dt=1.0, horizon=2.0))
+        assert info.value.step == 1 and info.value.t == 0.0
 
     def test_decoupled_subsystem_stays_zero(self):
         cfg = tg_config(horizon=0.2, dt=2e-3, snap_stride=100, diag_stride=100)

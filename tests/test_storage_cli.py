@@ -256,10 +256,13 @@ class TestCliRun:
         payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
         assert payload["error"] == "ConfigParseError" and payload["detail"].startswith(f"{field} must be finite")
 
-    def test_cfl_exit_code(self, tmp_path):
+    def test_cfl_exit_code(self, tmp_path, capsys):
         text = MINIMAL_CFG.replace("dt = 0.005", "dt = 2.5").replace("horizon = 0.05", "horizon = 5.0")
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "CflViolation" and payload["step"] == 1 and payload["t"] == 0.0
+        assert payload["ratio"] > payload["limit"] == 0.5
 
     def test_non_finite_state_exit_code(self, tmp_path, capsys, monkeypatch):
         from tcm2d import model
@@ -272,6 +275,7 @@ class TestCliRun:
         assert err.startswith("TCM-ERROR ")
         payload = json.loads(err.split(" ", 1)[1])
         assert payload["error"] == "NonFiniteState" and payload["t"] == 0.0 and payload["field"] == "u"
+        assert payload["step"] == 1
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
