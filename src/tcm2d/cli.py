@@ -14,6 +14,7 @@ machine-readable line ``TCM-ERROR {...}`` to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -86,16 +87,29 @@ def _resolve_outdir(args, cfg: SimConfig, default: str) -> str:
     return out
 
 
-def _run_to_dir(args, default: str):
-    """Simulate the configured run, then write its artifacts and manifest.
+def _run_to_dir(cfg: SimConfig, text: str, run_dir: str, keep=()):
+    """Simulate the run into ``run_dir``: each snapshot is written as it is
+    produced and then dropped, unless its index is in ``keep``; the config,
+    the diagnostics and the manifest follow. An earlier manifest is removed
+    first, so a run that fails part-way leaves none.
 
-    Returns (config, result, run directory).
+    Returns (result, number of snapshots written, {index: state} for the
+    kept indices).
     """
-    cfg, text = _load_config(args)
-    run_dir = _resolve_outdir(args, cfg, default)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(run_dir, storage.MANIFEST_NAME))
     started = time.time()
-    result = simulate(cfg)
-    files = []
+    snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
+    files, kept = [], {}
+
+    def write(step, state):
+        idx = step // cfg.snap_stride
+        files.extend(storage.write_state_snapshot(snap_dir, state, step))
+        if idx in keep:
+            kept[idx] = state
+
+    result = simulate(cfg, on_snapshot=write)
+    count = len(files) // len(storage.FIELD_NAMES)
     cfg_path = os.path.join(run_dir, "config.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -104,20 +118,17 @@ def _run_to_dir(args, default: str):
     diag_path = os.path.join(run_dir, "diagnostics.csv")
     storage.write_diagnostics_csv(diag_path, result.diagnostics)
     files.append(diag_path)
-
-    snap_dir = os.path.join(run_dir, "snapshots")
-    for idx, state in enumerate(result.snapshots):
-        step = idx * cfg.snap_stride
-        files.extend(storage.write_state_snapshot(snap_dir, state, step))
     storage.write_manifest(run_dir, text, __version__, started, files)
-    return cfg, result, run_dir
+    return result, count, kept
 
 
 def cmd_run(args) -> int:
-    _, result, run_dir = _run_to_dir(args, "run_out")
+    cfg, text = _load_config(args)
+    run_dir = _resolve_outdir(args, cfg, "run_out")
+    result, count, _ = _run_to_dir(cfg, text, run_dir)
     print(
         f"run complete: {len(result.diagnostics)} diagnostic records, "
-        f"{len(result.snapshots)} snapshots -> {run_dir}"
+        f"{count} snapshots -> {run_dir}"
     )
     tail = result.diagnostics.col("theta_tail_frac")
     flagged = int(np.sum(tail > 0.01))
@@ -139,22 +150,28 @@ def _gather(args):
 
     Returns (config, diagnostics, window, final state, report directory): the
     window is the three snapshots around the middle of the run that the
-    equation residuals use (None with fewer than three snapshots). From a
-    run directory only the snapshots of the window and the last one are read;
-    the report goes to ``--out`` if given, else into the run directory.
+    equation residuals use (None with fewer than three snapshots). Either way
+    only the window and the last snapshot are held: a fresh run writes every
+    snapshot but keeps only those, and from a run directory only those are
+    read, out of the snapshots its manifest lists. The report goes to
+    ``--out`` if given, else into the run directory.
     """
     if args.config:
-        cfg, result, run_dir = _run_to_dir(args, "check_out")
-        snaps = result.snapshots
-        return cfg, result.diagnostics, _mid_window(snaps), snaps[-1], run_dir
+        cfg, text = _load_config(args)
+        run_dir = _resolve_outdir(args, cfg, "check_out")
+        count = cfg.num_steps() // cfg.snap_stride + 1
+        window = _mid_window(range(count))
+        result, _, kept = _run_to_dir(cfg, text, run_dir, keep=set(window or ()) | {count - 1})
+        window = None if window is None else [kept[i] for i in window]
+        return cfg, result.diagnostics, window, kept[count - 1], run_dir
     if args.seed_override is not None:
         raise ConfigParseError("--seed-override needs --config: a run directory has its seed")
     run_dir = args.run_dir
-    storage.verify_manifest(run_dir)
+    manifest = storage.verify_manifest(run_dir)
     cfg, _ = config_mod.parse_config_file(os.path.join(run_dir, "config.cfg"))
     series = storage.read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
-    snap_dir = os.path.join(run_dir, "snapshots")
-    steps = storage.list_snapshot_steps(snap_dir)
+    snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
+    steps = storage.manifest_snapshot_steps(manifest)
     window = _mid_window(steps)
     wanted = set(window or ()) | set(steps[-1:])
     states = {step: storage.read_state_snapshot(snap_dir, step) for step in sorted(wanted)}
@@ -312,7 +329,7 @@ def cmd_sweep_eps(args) -> int:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("eps,dist_velocity_l2h1,dist_theta_l2l2\n")
         for e, dv, dth in zip(report.eps_levels, report.dist_velocity, report.dist_theta):
-            fh.write(f"{e!r},{dv!r},{dth!r}\n")
+            fh.write(",".join(format(float(x), ".17g") for x in (e, dv, dth)) + "\n")
     with open(os.path.join(out, "sweep_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"reference eps = {report.reference_eps!r}\n")
         fh.write(f"monotone decrease (velocity H1): {report.monotone_velocity}\n")

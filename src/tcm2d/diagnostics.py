@@ -324,13 +324,21 @@ def _config_signature(cfg: SimConfig) -> dict:
     return d
 
 
-def _traj_distances(a: list[State], b: list[State]):
-    ts = np.array([s.t for s in a])
-    vel_sq = np.empty(len(a))
-    th_sq = np.empty(len(a))
-    for i, (sa, sb) in enumerate(zip(a, b)):
-        vel_sq[i] = norm(sa.u - sb.u, "H1") ** 2 + norm(sa.v - sb.v, "H1") ** 2
-        th_sq[i] = norm(sa.theta - sb.theta, "L2") ** 2
+def _distances_to(cfg: SimConfig, reference: list[State]) -> tuple[float, float]:
+    """Simulate ``cfg`` and return its distances to the reference trajectory
+    in the two sweep metrics, comparing each snapshot as it is produced."""
+    ts = np.empty(len(reference))
+    vel_sq = np.empty(len(reference))
+    th_sq = np.empty(len(reference))
+
+    def compare(step: int, s: State) -> None:
+        j = step // cfg.snap_stride
+        r = reference[j]
+        ts[j] = s.t
+        vel_sq[j] = norm(s.u - r.u, "H1") ** 2 + norm(s.v - r.v, "H1") ** 2
+        th_sq[j] = norm(s.theta - r.theta, "L2") ** 2
+
+    simulate(cfg, on_snapshot=compare)
     return (
         float(np.sqrt(np.trapezoid(vel_sq, ts))),
         float(np.sqrt(np.trapezoid(th_sq, ts))),
@@ -348,6 +356,12 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
     """Run every config (identical but for eps) and report the distance of
     each member to the smallest-eps member, in the two sweep metrics.
 
+    Only the reference member's trajectory is held: it runs first, and each
+    other member is compared with it snapshot by snapshot as it runs. The
+    members run one after another rather than in lockstep, since members
+    with different eps would evict one another from the one-entry step cache
+    at every step.
+
     Raises :class:`ConfigMismatch` if the configs differ in anything but
     eps (or in nothing at all, which is allowed and gives zero distance).
     """
@@ -358,18 +372,17 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
         if _config_signature(c) != sig0:
             raise ConfigMismatch("sweep members differ in something other than eps")
 
-    runs = [simulate(c) for c in configs]
     eps_levels = np.array([c.eps for c in configs])
     ref = int(np.argmin(eps_levels))
+    reference = simulate(configs[ref]).snapshots
 
-    dv = np.zeros(len(runs))
-    dth = np.zeros(len(runs))
-    for i, r in enumerate(runs):
-        if i == ref:
-            continue
-        dv[i], dth[i] = _traj_distances(r.snapshots, runs[ref].snapshots)
+    dv = np.zeros(len(configs))
+    dth = np.zeros(len(configs))
+    for i, c in enumerate(configs):
+        if i != ref:
+            dv[i], dth[i] = _distances_to(c, reference)
 
-    others = [i for i in range(len(runs)) if i != ref]
+    others = [i for i in range(len(configs)) if i != ref]
     order = sorted(others, key=lambda i: eps_levels[i], reverse=True)
 
     def monotone(d):

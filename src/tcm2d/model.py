@@ -42,6 +42,7 @@ those buffers, ``imex_step`` is not thread-safe.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +135,10 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Trajectory handle: snapshot states plus the diagnostics series."""
+    """Trajectory handle: snapshot states plus the diagnostics series.
+
+    ``snapshots`` is empty when :func:`simulate` handed them to a sink.
+    """
 
     config: SimConfig
     snapshots: list[State] = field(default_factory=list)
@@ -378,18 +382,27 @@ def imex_step(
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
-def simulate(cfg: SimConfig) -> SimResult:
+def simulate(cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = None) -> SimResult:
     """Advance from the configured initial data to the horizon.
 
-    Diagnostics are recorded every ``diag_stride`` steps and snapshots kept
-    every ``snap_stride`` steps, both including step 0.
+    Diagnostics are recorded every ``diag_stride`` steps and snapshots taken
+    every ``snap_stride`` steps, both including step 0; a step's snapshot is
+    taken after its record. Without ``on_snapshot`` the snapshots are kept
+    in ``result.snapshots``, so memory grows with the horizon. With it,
+    ``on_snapshot(step, state)`` receives each one instead and
+    ``result.snapshots`` stays empty: the run holds O(1) states unless the
+    sink keeps them.
     """
     state = make_initial(cfg)
     nsteps = cfg.num_steps()
     series = records.DiagnosticsSeries()
-    series.append(records.make_record(state, cfg.dealias))
-    result = SimResult(config=cfg, snapshots=[state], diagnostics=series)
+    result = SimResult(config=cfg, diagnostics=series)
+    if on_snapshot is None:
+        def on_snapshot(step, s):
+            result.snapshots.append(s)
 
+    series.append(records.make_record(state, cfg.dealias))
+    on_snapshot(0, state)
     for k in range(1, nsteps + 1):
         try:
             state = imex_step(state, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
@@ -399,5 +412,5 @@ def simulate(cfg: SimConfig) -> SimResult:
         if k % cfg.diag_stride == 0:
             series.append(records.make_record(state, cfg.dealias))
         if k % cfg.snap_stride == 0:
-            result.snapshots.append(state)
+            on_snapshot(k, state)
     return result

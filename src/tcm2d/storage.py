@@ -29,6 +29,7 @@ from .spectral import Grid, SpectralField, VectorField
 SNAPSHOT_MAGIC = "TCM1"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
 MANIFEST_NAME = "manifest.json"
+SNAPSHOT_DIR = "snapshots"  # a run directory's snapshot subdirectory
 
 
 def _fmt(x: float) -> str:
@@ -105,12 +106,14 @@ def read_state_snapshot(directory, step: int) -> State:
     )
 
 
-def list_snapshot_steps(directory) -> list[int]:
+def manifest_snapshot_steps(manifest: dict) -> list[int]:
+    """Steps of the snapshots a run's manifest lists, in order. Snapshot files
+    it does not list, such as those a longer earlier run left behind, do not
+    count."""
     steps = set()
-    if not os.path.isdir(directory):
-        return []
-    for name in os.listdir(directory):
-        if name.startswith("step_") and name.endswith(".bin"):
+    for entry in manifest["files"]:
+        head, name = os.path.split(entry["path"])
+        if head == SNAPSHOT_DIR and name.startswith("step_") and name.endswith(".bin"):
             steps.add(int(name.split(".")[0][5:]))
     return sorted(steps)
 

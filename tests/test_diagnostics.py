@@ -190,6 +190,20 @@ class TestEpsilonSweep:
         assert rep.dist_velocity.shape == (1,)
         assert rep.monotone_velocity and rep.monotone_theta
 
+    def test_distances_match_list_mode_runs(self):
+        # the reference (eps = 0) is not the first member
+        configs = t.sweep_configs(twin_cfg(horizon=0.05, snap_stride=2, seed=38), [0.2, 0.0, 0.1, 0.05])
+        rep = t.epsilon_sweep(configs)
+        runs = [t.simulate(c).snapshots for c in configs]
+        for i, snaps in enumerate(runs):
+            ts = np.array([s.t for s in snaps])
+            vel_sq = [t.norm(a.u - b.u, "H1") ** 2 + t.norm(a.v - b.v, "H1") ** 2 for a, b in zip(snaps, runs[1])]
+            th_sq = [t.norm(a.theta - b.theta, "L2") ** 2 for a, b in zip(snaps, runs[1])]
+            assert rep.dist_velocity[i] == float(np.sqrt(np.trapezoid(vel_sq, ts)))
+            assert rep.dist_theta[i] == float(np.sqrt(np.trapezoid(th_sq, ts)))
+        assert rep.dist_velocity[1] == rep.dist_theta[1] == 0.0
+        assert np.all(rep.dist_velocity[[0, 2, 3]] > 0)
+
     def test_monotone_decrease(self):
         base = twin_cfg(horizon=0.2, eps=0.0, snap_stride=10, seed=34)
         rep = t.epsilon_sweep(t.sweep_configs(base, [0.2, 0.1, 0.05, 0.0]))

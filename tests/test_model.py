@@ -451,6 +451,38 @@ class TestSimulate:
         assert len(r.snapshots) == 10 // 3 + 1
         assert len(r.diagnostics) == 10 // 2 + 1
 
+    def test_sink_receives_every_snapshot(self):
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=1e-2, preset="random_band", eps=0.1, seed=37, snap_stride=3)
+        got = []
+        streamed = t.simulate(cfg, on_snapshot=lambda step, s: got.append((step, s)))
+        listed = t.simulate(cfg)
+        assert streamed.snapshots == []
+        assert [step for step, _ in got] == [0, 3, 6, 9]
+        assert len(listed.snapshots) == len(got)
+        assert all(same_state(s, want) for (_, s), want in zip(got, listed.snapshots))
+        for c in t.COLUMNS:
+            assert np.array_equal(streamed.diagnostics.col(c), listed.diagnostics.col(c))
+
+    def test_streamed_run_memory_does_not_grow_with_horizon(self):
+        # a snapshot every step and a record every 50, so that held
+        # snapshots (45 KB each at n = 32) dominate what a run allocates
+        def peak(horizon, sink):
+            cfg = t.SimConfig(n=32, dt=2e-3, horizon=horizon, preset="random_band", eps=0.1, seed=36, diag_stride=50)
+            t.imex_step(t.make_initial(cfg), cfg.dt)  # build the step cache outside the measurement
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                t.simulate(cfg, on_snapshot=sink)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # measured: streamed 0.283 and 0.289 MB, listed 2.56 and 9.42 MB
+        streamed = [peak(h, lambda step, s: None) for h in (0.1, 0.4)]
+        listed = [peak(h, None) for h in (0.1, 0.4)]
+        assert streamed[1] - streamed[0] <= 0.025e6
+        assert listed[1] - listed[0] >= 5e6
+
     def test_energy_nonincreasing_regularized(self):
         cfg = t.SimConfig(
             n=32, dt=2e-3, horizon=0.2, preset="random_band", eps=0.1,

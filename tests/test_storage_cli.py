@@ -341,6 +341,46 @@ class TestCliCheck:
         assert payload["error"] == "ConfigParseError" and "--seed-override" in payload["detail"]
         assert not os.path.exists(os.path.join(run, "check_summary.txt"))
 
+    def test_config_and_run_dir_reports_match(self, tmp_path):
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("snap_stride = 5", "snap_stride = 2"))
+        fresh, reread = str(tmp_path / "fresh"), str(tmp_path / "reread")
+        assert main(["check", "--config", cfg, "--out", fresh]) == 0
+        assert main(["check", "--run-dir", fresh, "--out", reread]) == 0
+        for name in ("check_summary.txt", "check_series.csv"):
+            assert open(os.path.join(fresh, name), "rb").read() == open(os.path.join(reread, name), "rb").read()
+
+    def test_run_dir_ignores_stale_snapshots(self, tmp_path, monkeypatch):
+        text = MINIMAL_CFG.replace("snap_stride = 5", "snap_stride = 1")
+        longer = write_cfg(tmp_path, text, "long.cfg")
+        shorter = write_cfg(tmp_path, text.replace("horizon = 0.05", "horizon = 0.025"), "short.cfg")
+        run, fresh = str(tmp_path / "r"), str(tmp_path / "fresh")
+        assert main(["run", "--config", longer, "--out", run]) == 0
+        assert main(["run", "--config", shorter, "--out", run]) == 0
+        assert main(["run", "--config", shorter, "--out", fresh]) == 0
+        assert os.path.exists(os.path.join(run, "snapshots", "step_00000010.theta.bin"))  # left by the longer run
+        read = []
+        read_state_snapshot = storage.read_state_snapshot
+        monkeypatch.setattr(storage, "read_state_snapshot", lambda d, step: read.append(step) or read_state_snapshot(d, step))
+        assert main(["check", "--run-dir", run]) == 0
+        assert main(["check", "--run-dir", fresh]) == 0
+        # 6 listed snapshots: the window around the middle, then the last
+        assert read == [2, 3, 4, 5] * 2
+        summaries = [open(os.path.join(d, "check_summary.txt"), "rb").read() for d in (run, fresh)]
+        assert summaries[0] == summaries[1]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_failed_run_leaves_no_manifest(self, tmp_path, capsys, command):
+        good = write_cfg(tmp_path, MINIMAL_CFG, "good.cfg")
+        bad = write_cfg(
+            tmp_path, MINIMAL_CFG.replace("dt = 0.005", "dt = 2.5").replace("horizon = 0.05", "horizon = 5.0"), "bad.cfg"
+        )
+        out = str(tmp_path / "o")
+        assert main(["run", "--config", good, "--out", out]) == 0
+        assert main([command, "--config", bad, "--out", out]) == 3
+        assert json.loads(capsys.readouterr().err.split(" ", 1)[1])["error"] == "CflViolation"
+        assert not os.path.exists(os.path.join(out, "manifest.json"))
+        assert main(["check", "--run-dir", out]) == 4
+
     def test_manifest_lists_every_artifact(self, tmp_path):
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "r")
@@ -362,6 +402,17 @@ class TestCliSweepTwinGronwall:
         out = str(tmp_path / "sw")
         assert main(["sweep-eps", "--config", cfg, "--levels", "0.1", "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "sweep.csv"))
+
+    def test_sweep_csv_cells_are_plain_floats(self, tmp_path):
+        cfg = write_cfg(tmp_path)
+        out = str(tmp_path / "sw")
+        levels = (0.2, 0.1, 0.0)
+        assert main(["sweep-eps", "--config", cfg, "--levels", ",".join(map(str, levels)), "--out", out]) == 0
+        rep = t.epsilon_sweep(t.sweep_configs(parse_config_file(cfg)[0], levels))
+        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        assert rows[0] == "eps,dist_velocity_l2h1,dist_theta_l2l2"
+        want = zip(rep.eps_levels, rep.dist_velocity, rep.dist_theta)
+        assert [[float(x) for x in row.split(",")] for row in rows[1:]] == [list(map(float, w)) for w in want]
 
     def test_sweep_bad_levels(self, tmp_path):
         cfg = write_cfg(tmp_path)
