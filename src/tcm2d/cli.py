@@ -91,7 +91,8 @@ def _run_to_dir(cfg: SimConfig, text: str, run_dir: str, keep=()):
     """Simulate the run into ``run_dir``: each snapshot is written as it is
     produced and then dropped, unless its index is in ``keep``; the config,
     the diagnostics and the manifest follow. An earlier manifest is removed
-    first, so a run that fails part-way leaves none.
+    first, so a run that fails part-way leaves none, and snapshot files this
+    run did not write are removed before the new one is written.
 
     Returns (result, number of snapshots written, {index: state} for the
     kept indices).
@@ -109,6 +110,7 @@ def _run_to_dir(cfg: SimConfig, text: str, run_dir: str, keep=()):
             kept[idx] = state
 
     result = simulate(cfg, on_snapshot=write)
+    storage.remove_stale_snapshots(snap_dir, files)
     count = len(files) // len(storage.FIELD_NAMES)
     cfg_path = os.path.join(run_dir, "config.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:

@@ -50,8 +50,11 @@ class ResidualNorms:
 
 
 def _check_eps(eps: float) -> None:
-    if not eps < 1.0:
-        raise EpsOutOfRange(f"formula requires eps < 1, got {eps}")
+    """The one admissible range of eps, [0, 1), for a State and for the
+    formulas here: a nonnegative diffusivity with 1/(1 - eps) defined.
+    Raises :class:`EpsOutOfRange` otherwise, also for NaN."""
+    if not 0.0 <= eps < 1.0:
+        raise EpsOutOfRange(f"eps must lie in [0, 1), got {eps}")
 
 
 def temperature_potential(theta: SpectralField) -> VectorField:

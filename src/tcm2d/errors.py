@@ -17,8 +17,8 @@ class NonZeroMean(TcmError):
     """
 
 
-class EpsOutOfRange(TcmError):
-    """Regularization parameter outside the admissible range of the formula."""
+class EpsOutOfRange(BadParams):
+    """Regularization parameter outside the admissible range [0, 1)."""
 
 
 class CflViolation(TcmError):

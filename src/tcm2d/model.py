@@ -18,18 +18,22 @@ rotational form, with curl(a) = d_x a^y - d_y a^x:
                                                  -(u^x curl(v) + v^x curl(u))),
     u.grad(theta)               as  div(u theta),
 
-which the advective forms equal when div u = 0. Under the two-thirds mask
-the products carry no aliasing error, so both forms give one discrete
-operator to roundoff; without it they differ by their aliasing errors.
+which the advective forms equal when div u = 0. Every factor and product
+is masked: by the two-thirds rule with dealiasing, and otherwise by the
+mask that only drops the Nyquist lines (``Grid.product_mask``). So neither
+setting carries Nyquist modes, and u stays in the range of the Leray
+projection. Under the two-thirds mask the products carry no aliasing error,
+so both forms give one discrete operator to roundoff; under the
+Nyquist-free mask they differ by their aliasing errors.
 
 A step works on the stacked half-plane spectra (u^x, u^y, v^x, v^y, theta),
 shape (5, n, n//2 + 1); the returned State holds views of that array. Each
 explicit stage is one batched inverse transform of seven fields (u, v,
 theta, curl(u), curl(v)), eight grid products, and one batched forward transform.
 The CFL check transforms u and v once; the first stage reuses those grid
-velocities when the dealiasing mask drops none of their coefficients. That
-makes 30 real field-transforms per step (16 forward, 14 inverse) when the
-mask is a no-op on u and v, and 34 otherwise.
+velocities when the mask drops none of their coefficients. That makes 30
+real field-transforms per step (16 forward, 14 inverse) when the mask is a
+no-op on u and v, and 34 otherwise.
 
 The step's constants (the merged trapezoidal factors and the mask) and its
 stage buffers are built once per (grid, dt, eps, dealias) and kept in a
@@ -48,6 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import records
+from .derived import _check_eps
 from .errors import BadParams, CflViolation, NonFiniteState
 from .spectral import (
     Grid,
@@ -73,8 +78,7 @@ class State:
     eps: float
 
     def __post_init__(self):
-        if not (0.0 <= self.eps < 1.0) or not np.isfinite(self.eps):
-            raise BadParams(f"eps must lie in [0, 1), got {self.eps}")
+        _check_eps(self.eps)
 
     @property
     def grid(self) -> Grid:
@@ -247,7 +251,7 @@ class _Stepper:
         h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
         self.a = (1.0 + h) / (1.0 - h)
         self.b = dt / (1.0 - h)
-        self.mask = g.dealias_mask if use_dealias else True
+        self.mask = g.product_mask(use_dealias)
         self.minus_ik = -g.ik  # the tendency is minus the terms
         self.n0 = np.empty((5, *g.spec_shape), dtype=np.complex128)
         self.y1 = np.empty_like(self.n0)  # the predictor, then n1 over it
@@ -293,10 +297,10 @@ class _Stepper:
         (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta):
         equal for div u = 0, and to roundoff under the two-thirds mask, whose
         products carry no aliasing error. Factors and products are masked
-        once each (two-thirds rule with dealiasing, no mask otherwise). ``w``,
-        if given, holds the grid velocities (u^x, u^y, v^x, v^y) of the
-        masked spectra, which then are not transformed again. The result is
-        written into ``out``, which may be ``y``.
+        once each (``Grid.product_mask``). ``w``, if given, holds the grid
+        velocities (u^x, u^y, v^x, v^y) of the masked spectra, which then
+        are not transformed again. The result is written into ``out``,
+        which may be ``y``.
         """
         self._products(y, w)
         q = self.z
@@ -340,8 +344,10 @@ def imex_step(
     two-stage predictor/corrector, with the quadratic terms in divergence
     and rotational form (see the module docstring). u is re-projected after
     each stage. A step takes 30 real field-transforms (16 forward,
-    14 inverse) when the dealiasing mask is a no-op on u and v (always so
-    without dealiasing), and 34 otherwise.
+    14 inverse) when the step's mask is a no-op on u and v, and 34
+    otherwise. Without dealiasing that mask drops only the Nyquist lines.
+    The u of ``s`` must hold no Nyquist modes (see ``spectral._project``);
+    every state that ``make_initial`` and this function return meets that.
 
     The trapezoidal factors and the stage buffers are built once per
     (grid, dt, eps, use_dealias) and kept in a one-entry cache, so a run
@@ -363,11 +369,11 @@ def imex_step(
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    if use_dealias and np.any(y[:4][:, ~g.dealias_mask]):
+    st = _stepper(g, dt, s.eps, use_dealias)
+    if np.any(y[:4][:, ~st.mask]):
         w = None  # the mask changes u or v: the first stage transforms the masked spectra
 
     # y1 = a y0 + b n0 and y2 = a y0 + (b n0 + b n1) / 2, projecting u after each
-    st = _stepper(g, dt, s.eps, use_dealias)
     n0 = _scale(st.b, st.explicit(y, w, st.n0))  # b n0 from here on
     del w  # free the grid velocities before the second stage
     _scale(st.a, y)  # a y0 from here on

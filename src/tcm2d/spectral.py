@@ -5,18 +5,26 @@ physical and/or Fourier representation (lazily interconverted and cached).
 The Fourier form is the ``rfft2`` half plane of shape (n, n//2 + 1): mode
 (k1, -k2 < 0) is the conjugate of the stored (-k1, k2), so Parseval sums
 weight each column by ``Grid.herm_weight`` (1 on columns 0 and n/2, which
-hold their own conjugates, 2 elsewhere). On the Nyquist line (|k1| = n/2
-or k2 = n/2) the sign of a wavenumber is ambiguous: odd derivatives zero it.
-Differential and singular-integral operators are exact Fourier multipliers:
+hold their own conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
+or k2 = n/2) the sign of a wavenumber is ambiguous, so a multiplier odd in
+it has no grid-consistent value there. The solver carries no Nyquist modes
+(the usual even-n collocation convention): every quadratic product is
+masked, by the two-thirds rule with dealiasing and by
+``Grid.nyquist_free_mask`` without it, and the operators with a multiplier
+odd on those lines (derivatives, ``riesz_double``, ``leray_project``) zero
+them. Differential and singular-integral operators are exact Fourier
+multipliers:
 
-    derivative               i * 2*pi*k/L          (Nyquist line zeroed)
+    derivative               i * 2*pi*k/L          (Nyquist lines zeroed)
     inv_neg_laplacian        1 / |2*pi*k/L|^2      (zero at k = 0)
-    riesz_double(i, j)       -k_i k_j / |k|^2      (zero at k = 0)
+    riesz_double(i, j)       -k_i k_j / |k|^2      (zero at k = 0, Nyquist lines zeroed)
     smoothing_inverse        1 / (1 + |2*pi*k/L|^2)
 
 The (0,0) mode is annihilated wherever the inverse Laplacian is undefined;
 ``dealias`` implements the two-thirds rule on the max-norm of the integer
-wavevector. All functions are pure; fields are treated as immutable values.
+wavevector. So the output of every operator here is unchanged by a round
+trip through the grid. All functions are pure; fields are treated as
+immutable values.
 """
 
 from __future__ import annotations
@@ -66,9 +74,16 @@ class Grid:
         self.ik = 1j * np.stack(np.broadcast_arrays(self.deriv_kx, self.deriv_ky))
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.kx_int) <= cutoff) & (np.abs(self.ky_int) <= cutoff)
+        self.nyquist_free_mask = (np.abs(self.kx_int) < half) & (self.ky_int < half)
         # Parseval weight of each stored column (see the module docstring)
         self.herm_weight = np.where((self.ky_int == 0) | (self.ky_int == half), 1.0, 2.0)
         self.spec_shape = (n, half + 1)
+
+    def product_mask(self, use_dealias: bool) -> np.ndarray:
+        """The mask every quadratic product applies to its factors and to
+        itself: the two-thirds rule with dealiasing, else the Nyquist-free
+        mask. Both zero the Nyquist lines."""
+        return self.dealias_mask if use_dealias else self.nyquist_free_mask
 
     @property
     def spacing(self) -> float:
@@ -278,40 +293,54 @@ def grad_inv_neg_laplacian(theta: SpectralField) -> VectorField:
 def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:
     """Composition of two Riesz transforms: multiplier -k_i k_j / |k|^2.
 
-    Symmetric in (i, j); annihilates the (0,0) mode by convention; the trace
-    over i equals minus the identity on mean-zero fields.
+    Symmetric in (i, j); annihilates the (0,0) mode by convention and the
+    Nyquist lines, where k_i k_j has no grid-consistent sign; the trace over
+    i equals minus the identity on mean-zero fields without Nyquist modes.
     """
     g = f.grid
     ki = g.kx if i == "x" else g.ky if i == "y" else None
     kj = g.kx if j == "x" else g.ky if j == "y" else None
     if ki is None or kj is None:
         raise BadParams(f"axes must be 'x' or 'y', got {i!r}, {j!r}")
-    return SpectralField(g, spec=-ki * kj * g.inv_k2 * f.spec)
+    return SpectralField(g, spec=-ki * kj * g.inv_k2 * f.spec * g.nyquist_free_mask)
 
 
 def _project(g: Grid, a: np.ndarray) -> None:
-    # Leray projection, in place, of the stacked spectra a = (a_x, a_y)
+    """Leray projection, in place, of the stacked spectra a = (a_x, a_y).
+
+    Requires a to hold no Nyquist modes: there the multiplier k k^T / |k|^2
+    takes the stored sign of -n/2, and its output would not survive a round
+    trip through the grid. Every stage of a step meets this, since u starts
+    Nyquist-free (``leray_project`` zeroes those lines) and its tendency is
+    built from masked products.
+    """
     q = (g.kx * a[0] + g.ky * a[1]) * g.inv_k2
     a[0] -= g.kx * q
     a[1] -= g.ky * q
 
 
 def leray_project(a: VectorField) -> VectorField:
-    """L2-orthogonal projection onto divergence-free fields.
+    """L2-orthogonal projection onto divergence-free fields without Nyquist
+    modes: the Nyquist lines of the output are zero.
 
     Idempotent, self-adjoint, and mean-preserving on each component.
     """
+    g = a.grid
     out = np.stack((a.x.spec, a.y.spec))
-    _project(a.grid, out)
-    return VectorField(SpectralField(a.grid, spec=out[0]), SpectralField(a.grid, spec=out[1]))
+    out *= g.nyquist_free_mask
+    _project(g, out)
+    return VectorField(SpectralField(g, spec=out[0]), SpectralField(g, spec=out[1]))
+
+
+def _masked(f: SpectralField, mask: np.ndarray) -> SpectralField:
+    return SpectralField(f.grid, spec=np.where(mask, f.spec, 0.0))
 
 
 def dealias(f):
     """Two-thirds rule: zero every mode with max(|k1|, |k2|) > n/3."""
     if isinstance(f, VectorField):
         return VectorField(dealias(f.x), dealias(f.y))
-    g = f.grid
-    return SpectralField(g, spec=np.where(g.dealias_mask, f.spec, 0.0))
+    return _masked(f, f.grid.dealias_mask)
 
 
 def smoothing_inverse(f):
@@ -325,21 +354,21 @@ def smoothing_inverse(f):
 def multiply(f: SpectralField, g: SpectralField, use_dealias: bool = False) -> SpectralField:
     """Pointwise product in physical space.
 
-    With ``use_dealias`` both factors and the product are passed through the
-    two-thirds mask, which makes quadratic products alias-free.
+    Both factors and the product are passed through
+    ``Grid.product_mask(use_dealias)``: the two-thirds mask, which makes
+    quadratic products alias-free, or without ``use_dealias`` the mask that
+    only drops the Nyquist lines.
     """
-    if use_dealias:
-        f = dealias(f)
-        g = dealias(g)
-    out = SpectralField(f.grid, phys=f.phys * g.phys)
-    return dealias(out) if use_dealias else out
+    mask = f.grid.product_mask(use_dealias)
+    out = SpectralField(f.grid, phys=_masked(f, mask).phys * _masked(g, mask).phys)
+    return _masked(out, mask)
 
 
 def advect(vel: VectorField, f, use_dealias: bool = False):
     """Advective derivative vel.grad(f) for scalar or vector f.
 
-    Quadratic products are formed pointwise in physical space, on two-thirds
-    dealiased factors (and re-masked) when ``use_dealias`` is on.
+    Quadratic products are formed pointwise in physical space by
+    :func:`multiply`, on masked factors, and masked again.
     """
     if isinstance(f, VectorField):
         return VectorField(advect(vel, f.x, use_dealias), advect(vel, f.y, use_dealias))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 
 import numpy as np
@@ -30,6 +31,8 @@ SNAPSHOT_MAGIC = "TCM1"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
 MANIFEST_NAME = "manifest.json"
 SNAPSHOT_DIR = "snapshots"  # a run directory's snapshot subdirectory
+# the file names snapshot_paths makes; group 1 is the step
+_SNAPSHOT_NAME = re.compile(r"step_(\d{8,})\.(?:%s)\.bin" % "|".join(FIELD_NAMES))
 
 
 def _fmt(x: float) -> str:
@@ -106,6 +109,16 @@ def read_state_snapshot(directory, step: int) -> State:
     )
 
 
+def remove_stale_snapshots(directory, written) -> None:
+    """Delete the files in ``directory`` that are named like this module's
+    snapshots but are not in ``written``, such as the later steps a longer
+    earlier run left behind. Other files are kept."""
+    keep = {os.path.basename(path) for path in written}
+    for name in os.listdir(directory):
+        if name not in keep and _SNAPSHOT_NAME.fullmatch(name):
+            os.remove(os.path.join(directory, name))
+
+
 def manifest_snapshot_steps(manifest: dict) -> list[int]:
     """Steps of the snapshots a run's manifest lists, in order. Snapshot files
     it does not list, such as those a longer earlier run left behind, do not
@@ -113,8 +126,9 @@ def manifest_snapshot_steps(manifest: dict) -> list[int]:
     steps = set()
     for entry in manifest["files"]:
         head, name = os.path.split(entry["path"])
-        if head == SNAPSHOT_DIR and name.startswith("step_") and name.endswith(".bin"):
-            steps.add(int(name.split(".")[0][5:]))
+        match = _SNAPSHOT_NAME.fullmatch(name)
+        if head == SNAPSHOT_DIR and match:
+            steps.add(int(match.group(1)))
     return sorted(steps)
 
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
-from tcm2d.errors import BadWindow, EpsOutOfRange, NonZeroMean
+from tcm2d.errors import BadParams, BadWindow, EpsOutOfRange, NonZeroMean
 
 from conftest import band_state, rel_l2
 
@@ -49,6 +49,11 @@ class TestPseudoBaroclinic:
             t.pseudo_baroclinic(bad)
         with pytest.raises(EpsOutOfRange):
             t.viscous_flux(bad)
+        # a State checks the same range, and the error is a BadParams (CLI exit 2)
+        for eps in (1.0, -0.1, float("nan")):
+            with pytest.raises(EpsOutOfRange):
+                t.State(u=s.u, v=s.v, theta=s.theta, t=0.0, eps=eps)
+        assert issubclass(EpsOutOfRange, BadParams)
 
     def test_potential_invariants(self):
         s = band_state(n=64, seed=5, eps=0.2)

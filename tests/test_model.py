@@ -579,11 +579,20 @@ class TestTransformBudget:
 
     def test_step(self, monkeypatch):
         # the first stage reuses the CFL check's grid velocities unless the
-        # mask drops some of their coefficients (hi = 15 > n/3)
-        for hi, use_dealias, inverse in ((4, True, 14), (4, False, 14), (15, True, 18)):
-            s = band_state(n=32, seed=24, hi=hi)
+        # mask drops some of their coefficients: the two-thirds mask for
+        # hi = 15 > n/3, the Nyquist-free mask for content on a Nyquist line
+        low, high = band_state(n=32, seed=24, hi=4), band_state(n=32, seed=24, hi=15)
+        spec = low.u.x.spec.copy()
+        spec[16, 3] = 1.0  # the row |k1| = n/2
+        nyquist = replace(low, u=t.VectorField(t.SpectralField.from_spec(low.grid, spec), low.u.y))
+        for name, s, use_dealias, inverse in (
+            ("low", low, True, 14),
+            ("low", low, False, 14),
+            ("high", high, True, 18),
+            ("nyquist", nyquist, False, 18),
+        ):
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
-            assert counts == {"rfft2": 16, "irfft2": inverse}, (hi, use_dealias)
+            assert counts == {"rfft2": 16, "irfft2": inverse}, (name, use_dealias)
 
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import tcm2d as t
 from tcm2d.errors import BadParams, NonZeroMean
+from tcm2d.spectral import multiply
 
 from conftest import band_state, rel_l2
 
@@ -228,6 +230,47 @@ class TestDealias:
         drop = sin_field(g, kx=22, ky=0)
         assert rel_l2(t.dealias(keep), keep) < 1e-14
         assert t.norm(t.dealias(drop), "L2") < 1e-13
+
+
+class TestGridConsistency:
+    """The output of every public operator is the spectrum of a real grid
+    field, so a round trip through the grid leaves it unchanged, also for
+    input with content on the Nyquist lines."""
+
+    @staticmethod
+    def moved(f, by):
+        # largest coefficient change, relative to the largest coefficient
+        return np.max(np.abs(by - f.spec)) / np.max(np.abs(f.spec))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(4, 16).map(lambda h: 2 * h), seed=st.integers(0, 2**32 - 1))
+    def test_outputs_survive_grid_roundtrip(self, n, seed):
+        g = t.Grid(n)
+        rng = np.random.default_rng(seed)
+        a, b = (t.SpectralField.from_phys(g, x - x.mean()) for x in rng.standard_normal((2, n, n)))
+        outputs = [
+            t.derivative(a, "x"),
+            t.derivative(a, "y"),
+            *t.grad(a),
+            t.div(t.VectorField(a, b)),
+            t.laplacian(a),
+            t.inv_neg_laplacian(a),
+            *t.grad_inv_neg_laplacian(a),
+            *(t.riesz_double(i, j, a) for i in "xy" for j in "xy"),
+            *t.leray_project(t.VectorField(a, b)),
+            t.smoothing_inverse(a),
+            multiply(a, b, False),
+            multiply(a, b, True),
+            t.dealias(a),
+        ]
+        for i, f in enumerate(outputs):
+            assert self.moved(f, np.fft.rfft2(np.fft.irfft2(f.spec, s=(n, n)))) < 1e-12, i
+
+        # the projection stays idempotent through the grid
+        p = t.leray_project(t.VectorField(a, b))
+        again = t.leray_project(t.VectorField(*(t.SpectralField.from_phys(g, c.phys) for c in p)))
+        for c, d in zip(p, again):
+            assert self.moved(c, d.spec) < 1e-12
 
 
 class TestNorms:

@@ -135,6 +135,32 @@ class TestSnapshots:
         with open(path, "rb") as fh:
             assert fh.readline().startswith(b"TCM1 ")
 
+    def test_undealiased_run_roundtrips(self, tmp_path):
+        # without dealiasing the state still carries no Nyquist modes, so
+        # its grid samples on disk hold all of it
+        cfg = t.SimConfig(
+            n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=15, dealias=False, snap_stride=20
+        )
+        final = t.simulate(cfg).snapshots[-1]
+        storage.write_state_snapshot(str(tmp_path), final, 20)
+        back = storage.read_state_snapshot(str(tmp_path), 20)
+
+        def spectra(s):
+            return np.stack([f.spec for f in (*s.u, *s.v, s.theta)])
+
+        assert np.linalg.norm(spectra(back) - spectra(final)) <= 1e-14 * np.linalg.norm(spectra(final))
+
+    def test_stale_snapshot_removal_keeps_other_files(self, tmp_path):
+        snap_dir = str(tmp_path)
+        kept = storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 0)
+        stale = storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 1)
+        other = ["notes.txt", "step_1.theta.bin", "step_00000001.p.bin", "step_00000001.theta.bin.bak"]
+        for name in other:
+            open(os.path.join(snap_dir, name), "w").close()
+        storage.remove_stale_snapshots(snap_dir, kept)
+        assert sorted(os.listdir(snap_dir)) == sorted(other + [os.path.basename(p) for p in kept])
+        assert not any(os.path.exists(p) for p in stale)
+
 
 class TestDiagnosticsCsv:
     def test_roundtrip_exact(self, tmp_path):
@@ -357,7 +383,7 @@ class TestCliCheck:
         assert main(["run", "--config", longer, "--out", run]) == 0
         assert main(["run", "--config", shorter, "--out", run]) == 0
         assert main(["run", "--config", shorter, "--out", fresh]) == 0
-        assert os.path.exists(os.path.join(run, "snapshots", "step_00000010.theta.bin"))  # left by the longer run
+        assert not os.path.exists(os.path.join(run, "snapshots", "step_00000010.theta.bin"))  # the longer run's
         read = []
         read_state_snapshot = storage.read_state_snapshot
         monkeypatch.setattr(storage, "read_state_snapshot", lambda d, step: read.append(step) or read_state_snapshot(d, step))
@@ -383,17 +409,30 @@ class TestCliCheck:
 
     def test_manifest_lists_every_artifact(self, tmp_path):
         cfg = write_cfg(tmp_path)
-        out = str(tmp_path / "r")
-        assert main(["run", "--config", cfg, "--out", out]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        listed = {e["path"] for e in manifest["files"]}
-        on_disk = set()
-        for root, _, names in os.walk(out):
-            for name in names:
-                rel = os.path.relpath(os.path.join(root, name), out)
-                if rel != "manifest.json":
-                    on_disk.add(rel)
-        assert listed == on_disk
+        longer = write_cfg(tmp_path, MINIMAL_CFG.replace("horizon = 0.05", "horizon = 0.1"), "long.cfg")
+        fresh, reused = str(tmp_path / "fresh"), str(tmp_path / "reused")
+        assert main(["run", "--config", longer, "--out", reused]) == 0  # leaves later snapshots there
+        for out in (fresh, reused):
+            assert main(["run", "--config", cfg, "--out", out]) == 0
+            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            listed = {e["path"] for e in manifest["files"]}
+            on_disk = set()
+            for root, _, names in os.walk(out):
+                for name in names:
+                    rel = os.path.relpath(os.path.join(root, name), out)
+                    if rel != "manifest.json":
+                        on_disk.add(rel)
+            assert listed == on_disk, out
+
+    def test_undealiased_run_passes_divergence_free(self, tmp_path, capsys):
+        # band_hi = 20 puts product content on the Nyquist lines
+        text = open(SAMPLE_CFG).read()
+        for old, new in (("dealias = true", "dealias = false"), ("band_hi = 4", "band_hi = 20"), ("horizon = 1.0", "horizon = 0.2")):
+            assert old in text
+            text = text.replace(old, new)
+        cfg = write_cfg(tmp_path, text)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert "PASS divergence_free" in capsys.readouterr().out
 
 
 class TestCliSweepTwinGronwall:
