@@ -19,7 +19,7 @@ zero = t.twin_divergence(cfg, 0.0)
 print(f"delta = 0: max separation = {np.max(zero.separation):.1e} (bitwise determinism)")
 
 rep = t.twin_divergence(cfg, 1e-8)
-print(f"\ndelta = {rep.delta:.0e}, safety = {rep.safety}")
+print(f"\ndelta = {rep.delta:.0e}, safety = {t.diagnostics.TWIN_SAFETY}")
 print(f"{'t':>6} {'separation':>12} {'envelope':>12}")
 for i in range(len(rep.times)):
     print(f"{rep.times[i]:6.2f} {rep.separation[i]:12.4e} {rep.envelope[i]:12.4e}")

@@ -36,7 +36,6 @@ from .errors import (
     Infeasible,
     NonFiniteState,
     NonZeroMean,
-    TcmError,
 )
 from .derived import residual_flux_equation, residual_phi_equation, residual_w_equation
 from .model import SimConfig, simulate
@@ -53,10 +52,6 @@ MAX_PRINCIPLE_RTOL = 1e-4
 MEAN_DRIFT_RTOL = 1e-10
 DIV_FREE_RTOL = 1e-10
 ENERGY_MONOTONE_RTOL = 1e-10
-
-
-class CheckFailure(TcmError):
-    pass
 
 
 def _machine_error(kind: str, detail: str, **extra) -> None:
@@ -87,27 +82,23 @@ def _resolve_outdir(args, cfg: SimConfig, default: str) -> str:
     return out
 
 
-def _run_to_dir(cfg: SimConfig, text: str, run_dir: str, keep=()):
+def _run_to_dir(cfg: SimConfig, text: str, run_dir: str):
     """Simulate the run into ``run_dir``: each snapshot is written as it is
-    produced and then dropped, unless its index is in ``keep``; the config,
-    the diagnostics and the manifest follow. An earlier manifest is removed
-    first, so a run that fails part-way leaves none, and snapshot files this
-    run did not write are removed before the new one is written.
+    produced and then dropped; the config, the diagnostics and the manifest
+    follow. An earlier manifest is removed first, so a run that fails
+    part-way leaves none, and snapshot files this run did not write are
+    removed before the new one is written.
 
-    Returns (result, number of snapshots written, {index: state} for the
-    kept indices).
+    Returns (result, number of snapshots written).
     """
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(run_dir, storage.MANIFEST_NAME))
     started = time.time()
     snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
-    files, kept = [], {}
+    files = []
 
     def write(step, state):
-        idx = step // cfg.snap_stride
         files.extend(storage.write_state_snapshot(snap_dir, state, step))
-        if idx in keep:
-            kept[idx] = state
 
     result = simulate(cfg, on_snapshot=write)
     storage.remove_stale_snapshots(snap_dir, files)
@@ -121,13 +112,13 @@ def _run_to_dir(cfg: SimConfig, text: str, run_dir: str, keep=()):
     storage.write_diagnostics_csv(diag_path, result.diagnostics)
     files.append(diag_path)
     storage.write_manifest(run_dir, text, __version__, started, files)
-    return result, count, kept
+    return result, count
 
 
 def cmd_run(args) -> int:
     cfg, text = _load_config(args)
     run_dir = _resolve_outdir(args, cfg, "run_out")
-    result, count, _ = _run_to_dir(cfg, text, run_dir)
+    result, count = _run_to_dir(cfg, text, run_dir)
     print(
         f"run complete: {len(result.diagnostics)} diagnostic records, "
         f"{count} snapshots -> {run_dir}"
@@ -148,27 +139,24 @@ def cmd_run(args) -> int:
 
 
 def _gather(args):
-    """Either re-simulate from a config or load a completed run directory.
+    """Load a completed run directory, after running the config into one
+    with ``--config``.
 
     Returns (config, diagnostics, window, final state, report directory): the
     window is the three snapshots around the middle of the run that the
-    equation residuals use (None with fewer than three snapshots). Either way
-    only the window and the last snapshot are held: a fresh run writes every
-    snapshot but keeps only those, and from a run directory only those are
-    read, out of the snapshots its manifest lists. The report goes to
-    ``--out`` if given, else into the run directory.
+    equation residuals use (None with fewer than three snapshots). Only the
+    window and the last snapshot are read, out of the snapshots the run's
+    manifest lists. The report goes to ``--out`` if given, else into the run
+    directory.
     """
     if args.config:
         cfg, text = _load_config(args)
         run_dir = _resolve_outdir(args, cfg, "check_out")
-        count = cfg.num_steps() // cfg.snap_stride + 1
-        window = _mid_window(range(count))
-        result, _, kept = _run_to_dir(cfg, text, run_dir, keep=set(window or ()) | {count - 1})
-        window = None if window is None else [kept[i] for i in window]
-        return cfg, result.diagnostics, window, kept[count - 1], run_dir
-    if args.seed_override is not None:
+        _run_to_dir(cfg, text, run_dir)
+    elif args.seed_override is not None:
         raise ConfigParseError("--seed-override needs --config: a run directory has its seed")
-    run_dir = args.run_dir
+    else:
+        run_dir = args.run_dir
     manifest = storage.verify_manifest(run_dir)
     cfg, _ = config_mod.parse_config_file(os.path.join(run_dir, "config.cfg"))
     series = storage.read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
@@ -290,13 +278,16 @@ def _write_check_report(out_dir, report: str, series):
         fh.write(report)
 
     series_path = os.path.join(out_dir, "check_series.csv")
-    margins = diagnostics.max_principle_check(series)
-    resid = diagnostics.energy_identity_residual(series)
-    cum = diagnostics.lipschitz_budget_curve(series)
-    with open(series_path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,energy_residual,max_principle_margin,lipschitz_budget\n")
-        for row in zip(series.times, resid, margins, cum):
-            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+    storage.write_csv(
+        series_path,
+        ("t", "energy_residual", "max_principle_margin", "lipschitz_budget"),
+        zip(
+            series.times,
+            diagnostics.energy_identity_residual(series),
+            diagnostics.max_principle_check(series),
+            diagnostics.lipschitz_budget_curve(series),
+        ),
+    )
     return summary, series_path
 
 
@@ -327,11 +318,11 @@ def cmd_sweep_eps(args) -> int:
     report = diagnostics.epsilon_sweep(diagnostics.sweep_configs(cfg, levels))
     out = _resolve_outdir(args, cfg, "sweep_out")
 
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("eps,dist_velocity_l2h1,dist_theta_l2l2\n")
-        for e, dv, dth in zip(report.eps_levels, report.dist_velocity, report.dist_theta):
-            fh.write(",".join(format(float(x), ".17g") for x in (e, dv, dth)) + "\n")
+    storage.write_csv(
+        os.path.join(out, "sweep.csv"),
+        ("eps", "dist_velocity_l2h1", "dist_theta_l2l2"),
+        zip(report.eps_levels, report.dist_velocity, report.dist_theta),
+    )
     with open(os.path.join(out, "sweep_summary.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"reference eps = {report.reference_eps!r}\n")
         fh.write(f"monotone decrease (velocity H1): {report.monotone_velocity}\n")
@@ -358,15 +349,13 @@ def cmd_twin(args) -> int:
     report = diagnostics.twin_divergence(cfg, args.delta, shape=args.shape)
     out = _resolve_outdir(args, cfg, "twin_out")
 
-    with open(os.path.join(out, "twin.csv"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,separation,coefficient,envelope,within_envelope\n")
-        for row in zip(report.times, report.separation, report.coefficient, report.envelope, report.passed):
-            fh.write(
-                ",".join(format(float(x), ".17g") for x in row[:4])
-                + f",{int(row[4])}\n"
-            )
+    storage.write_csv(
+        os.path.join(out, "twin.csv"),
+        ("t", "separation", "coefficient", "envelope", "within_envelope"),
+        zip(report.times, report.separation, report.coefficient, report.envelope, report.passed),
+    )
     with open(os.path.join(out, "twin_summary.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"delta = {report.delta!r}, safety = {report.safety!r}\n")
+        fh.write(f"delta = {report.delta!r}, safety = {diagnostics.TWIN_SAFETY!r}\n")
         fh.write(f"separation(0) = {report.separation[0]!r}\n")
         fh.write(f"max separation = {float(np.max(report.separation))!r}\n")
         fh.write(f"within envelope at every record: {report.all_passed}\n")

@@ -93,7 +93,7 @@ def certified_envelope(
 ) -> EnvelopeReport:
     """Fit the smallest K for the run's (A, B) and check the envelope."""
     g = h1_temperature_functionals(series, eps)
-    fit = gronwall.fit_min_k(g.times, g.A, g.B, g.alpha, g.beta, tol=tol)
+    fit = gronwall.fit_min_k(g.times, g.A, g.B, g.alpha, g.beta)
     g = g.with_k(fit.K)
     return EnvelopeReport(fit=fit, conclusion=gronwall.conclusion_check(g, tol=tol), series=g)
 
@@ -141,6 +141,10 @@ def commutator_estimate_ratio(u: VectorField, theta: SpectralField) -> float:
 # twin-run separation experiment
 
 
+#: factor between the twin envelope and the bare exponential bound
+TWIN_SAFETY = 10.0
+
+
 @dataclass(frozen=True)
 class TwinReport:
     """Separation of two runs in smoothed norms against a computed envelope.
@@ -148,7 +152,7 @@ class TwinReport:
     separation(t) = ||(I - lap)^{-1}(u1-u2, v1-v2, th1-th2)||_{H1};
     coefficient(t) instantiates the growth rate of the difference estimate
     (all absolute constants set to one) from the two trajectories;
-    envelope(t) = safety * delta * exp(int_0^t coefficient ds).
+    envelope(t) = TWIN_SAFETY * delta * exp(int_0^t coefficient ds).
     """
 
     times: np.ndarray
@@ -156,7 +160,6 @@ class TwinReport:
     coefficient: np.ndarray
     envelope: np.ndarray
     delta: float
-    safety: float
 
     @property
     def passed(self) -> np.ndarray:
@@ -241,9 +244,7 @@ def _perturbation(cfg: SimConfig, shape: str):
     return pu * (1.0 / size), pv * (1.0 / size), pth * (1.0 / size)
 
 
-def twin_divergence(
-    cfg: SimConfig, delta: float, shape: str = "mode", safety: float = 10.0
-) -> TwinReport:
+def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinReport:
     """Run the configured simulation twice, the second from initial data
     perturbed by delta times a unit shape, and compare the smoothed-norm
     separation against the computed exponential envelope.
@@ -284,14 +285,13 @@ def twin_divergence(
 
     times = np.array(times)
     coeffs = np.array(coeffs)
-    envelope = safety * delta * np.exp(_cumtrapz(coeffs, times))
+    envelope = TWIN_SAFETY * delta * np.exp(_cumtrapz(coeffs, times))
     return TwinReport(
         times=times,
         separation=np.array(seps),
         coefficient=coeffs,
         envelope=envelope,
         delta=delta,
-        safety=safety,
     )
 
 

@@ -28,6 +28,8 @@ from .errors import BadSeries, Infeasible
 
 #: default relative tolerance for hypothesis margins and the conclusion
 DEFAULT_TOL = 1e-6
+#: lower clip of the fitted K
+K_MIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,8 @@ class FitResult:
     argmax: int
 
 
-def fit_min_k(
-    times, A, B, alpha, beta, k_min: float = 1e-6, tol: float = DEFAULT_TOL
-) -> FitResult:
-    """Smallest K satisfying (H) on every sample, clipped below at k_min.
+def fit_min_k(times, A, B, alpha, beta) -> FitResult:
+    """Smallest K satisfying (H) on every sample, clipped below at K_MIN.
 
     K = max over samples of (A' + B - beta) / ((alpha + log B) A), taken
     where the numerator is positive. A positive numerator over a
@@ -178,7 +178,7 @@ def fit_min_k(
         idx = int(np.flatnonzero(need & (den <= 0.0))[0])
         raise Infeasible(f"nonpositive denominator with positive numerator at index {idx}")
     if not np.any(need):
-        return FitResult(K=k_min, argmax=int(np.argmax(num)))
+        return FitResult(K=K_MIN, argmax=int(np.argmax(num)))
     ratios = np.where(need, num / np.where(need, den, 1.0), -np.inf)
     arg = int(np.argmax(ratios))
-    return FitResult(K=max(float(ratios[arg]), k_min), argmax=arg)
+    return FitResult(K=max(float(ratios[arg]), K_MIN), argmax=arg)

@@ -161,16 +161,25 @@ def _band_modes(lo: int, hi: int) -> list[tuple[int, int]]:
     return out
 
 
-def _random_band_field(grid: Grid, modes, rng) -> SpectralField:
+def _modes_field(grid: Grid, coeffs) -> SpectralField:
+    # the real field with Fourier coefficient z at mode (k1, k2) and conj(z)
+    # at (-k1, -k2) for each ((k1, k2), z) of coeffs, written into the
+    # half-plane slots of both with rfft2's scaling n^2; no mode may be
+    # another's conjugate
     spec = np.zeros(grid.spec_shape, dtype=np.complex128)
-    for k1, k2 in modes:
-        z = complex(rng.standard_normal(), rng.standard_normal()) * grid.n**2
-        # half-plane slots of mode (k1, k2) and of its conjugate (-k1, -k2)
+    for (k1, k2), z in coeffs:
+        z = z * grid.n**2
         if k2 >= 0:
             spec[k1 % grid.n, k2] = z
         if k2 <= 0:
             spec[-k1 % grid.n, -k2] = np.conj(z)
-    return SpectralField(grid, spec=spec)
+    return SpectralField(grid, spec)
+
+
+def _random_band_field(grid: Grid, modes, rng) -> SpectralField:
+    return _modes_field(
+        grid, [(m, complex(rng.standard_normal(), rng.standard_normal())) for m in modes]
+    )
 
 
 def _normalized(f, target: float):
@@ -182,26 +191,27 @@ def _normalized(f, target: float):
 
 
 def make_initial(cfg: SimConfig) -> State:
-    """Build the initial state of a preset; deterministic given cfg.seed."""
+    """Build the initial state of a preset; deterministic given cfg.seed.
+
+    Every preset writes its Fourier coefficients straight into the half
+    plane, so no transform roundoff lies outside the step's mask.
+    """
     grid = cfg.grid()
     zero = SpectralField.zeros(grid)
 
     if cfg.preset == "taylor_green":
-        xx, yy = grid.meshgrid()
+        # u = perp_grad(psi) = A (sin(ax) cos(ay), -cos(ax) sin(ay)) for the
+        # stream function psi = -(A/a) sin(ax) sin(ay)
         a = 2.0 * np.pi / grid.length
-        ux = cfg.amplitude * np.sin(a * xx) * np.cos(a * yy)
-        uy = -cfg.amplitude * np.cos(a * xx) * np.sin(a * yy)
-        u = VectorField(SpectralField.from_phys(grid, ux), SpectralField.from_phys(grid, uy))
+        c = cfg.amplitude / (4.0 * a)
+        u = perp_grad(_modes_field(grid, [((1, 1), c), ((1, -1), -c)]))
         v, theta = VectorField(zero, zero), zero
     elif cfg.preset == "single_mode":
         m = (cfg.mode_x, cfg.mode_y)
         if m == (0, 0) or max(abs(m[0]), abs(m[1])) > grid.n // 2 - 1:
             raise BadParams(f"mode {m} outside resolved modes for n={grid.n}")
-        xx, yy = grid.meshgrid()
-        a = 2.0 * np.pi / grid.length
-        theta = SpectralField.from_phys(
-            grid, cfg.amplitude * np.sin(a * (m[0] * xx + m[1] * yy))
-        )
+        # theta = A sin(a (m_x x + m_y y))
+        theta = _modes_field(grid, [(m, -0.5j * cfg.amplitude)])
         u = v = VectorField(zero, zero)
     else:  # random_band
         if not (1 <= cfg.band_lo <= cfg.band_hi) or cfg.band_hi > grid.n // 2 - 1:

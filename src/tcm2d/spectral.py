@@ -1,8 +1,8 @@
 """Fourier operator algebra on the periodic square [0, L]^2.
 
-Scalar fields live on an n-by-n collocation grid and are carried in
-physical and/or Fourier representation (lazily interconverted and cached).
-The Fourier form is the ``rfft2`` half plane of shape (n, n//2 + 1): mode
+Scalar fields live on an n-by-n collocation grid. A field's value is its
+Fourier form, the ``rfft2`` half plane of shape (n, n//2 + 1); its grid
+samples are derived from it and cached on first read. In that half plane mode
 (k1, -k2 < 0) is the conjugate of the stored (-k1, k2), so Parseval sums
 weight each column by ``Grid.herm_weight`` (1 on columns 0 and n/2, which
 hold their own conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
@@ -107,68 +107,59 @@ class Grid:
 
 
 class SpectralField:
-    """Real scalar field on a :class:`Grid`, in physical and/or Fourier form.
+    """Real scalar field on a :class:`Grid`, held as its ``rfft2`` half plane.
 
-    Whichever representation is requested first is computed from the other
-    and cached; round-tripping is exact to roundoff. The mean is the (0,0)
-    Fourier mode divided by n^2.
+    The spectrum ``spec`` is the field's value: arithmetic and the mean read
+    it alone, so a result does not depend on which grid samples happen to be
+    cached. ``phys``, the grid samples, is a cache filled on first read;
+    :meth:`from_phys` keeps the samples it was given, so a field read from a
+    snapshot writes back bit for bit. The mean is the (0,0) Fourier mode
+    divided by n^2.
     """
 
-    __slots__ = ("grid", "_phys", "_spec")
+    __slots__ = ("grid", "spec", "_phys")
 
-    def __init__(self, grid: Grid, phys=None, spec=None):
-        if phys is None and spec is None:
-            raise BadParams("field needs a physical or spectral array")
+    def __init__(self, grid: Grid, spec: np.ndarray):
         self.grid = grid
-        self._phys = phys
-        self._spec = spec
+        self.spec = spec
+        self._phys = None
 
     @classmethod
-    def from_phys(cls, grid: Grid, values, copy: bool = True) -> "SpectralField":
-        arr = np.array(values, dtype=np.float64, copy=copy)
+    def from_phys(cls, grid: Grid, values) -> "SpectralField":
+        arr = np.array(values, dtype=np.float64)
         if arr.shape != (grid.n, grid.n):
             raise BadParams(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
-        return cls(grid, phys=arr)
+        f = cls(grid, np.fft.rfft2(arr))
+        f._phys = arr
+        return f
 
     @classmethod
-    def from_spec(cls, grid: Grid, coeffs, copy: bool = True) -> "SpectralField":
-        arr = np.array(coeffs, dtype=np.complex128, copy=copy)
+    def from_spec(cls, grid: Grid, coeffs) -> "SpectralField":
+        arr = np.array(coeffs, dtype=np.complex128)
         if arr.shape != grid.spec_shape:
             raise BadParams(f"expected shape {grid.spec_shape}, got {arr.shape}")
-        return cls(grid, spec=arr)
+        return cls(grid, arr)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
-        return cls(grid, phys=np.zeros((grid.n, grid.n)))
+        return cls(grid, np.zeros(grid.spec_shape, dtype=np.complex128))
 
     @property
     def phys(self) -> np.ndarray:
         if self._phys is None:
-            self._phys = np.fft.irfft2(self._spec, s=(self.grid.n, self.grid.n))
+            self._phys = np.fft.irfft2(self.spec, s=(self.grid.n, self.grid.n))
         return self._phys
 
     @property
-    def spec(self) -> np.ndarray:
-        if self._spec is None:
-            self._spec = np.fft.rfft2(self._phys)
-        return self._spec
-
-    @property
     def mean(self) -> float:
-        if self._phys is not None:
-            return float(self._phys.mean())
-        return float(self._spec[0, 0].real) / self.grid.n**2
+        return float(self.spec[0, 0].real) / self.grid.n**2
 
     def _binary(self, other, op):
         if not isinstance(other, SpectralField):
             return NotImplemented
         if other.grid != self.grid:
             raise BadParams("fields live on different grids")
-        if self._spec is not None and other._spec is not None:
-            return SpectralField(self.grid, spec=op(self._spec, other._spec))
-        if self._phys is not None and other._phys is not None:
-            return SpectralField(self.grid, phys=op(self._phys, other._phys))
-        return SpectralField(self.grid, spec=op(self.spec, other.spec))
+        return SpectralField(self.grid, op(self.spec, other.spec))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -177,12 +168,7 @@ class SpectralField:
         return self._binary(other, np.subtract)
 
     def __mul__(self, scalar):
-        s = float(scalar)
-        return SpectralField(
-            self.grid,
-            phys=None if self._phys is None else s * self._phys,
-            spec=None if self._spec is None else s * self._spec,
-        )
+        return SpectralField(self.grid, float(scalar) * self.spec)
 
     __rmul__ = __mul__
 
@@ -190,8 +176,7 @@ class SpectralField:
         return self * -1.0
 
     def __repr__(self):
-        reps = "".join(p for p, a in (("p", self._phys), ("s", self._spec)) if a is not None)
-        return f"SpectralField(n={self.grid.n}, reps={reps!r})"
+        return f"SpectralField(n={self.grid.n})"
 
 
 class VectorField:
@@ -360,8 +345,8 @@ def multiply(f: SpectralField, g: SpectralField, use_dealias: bool = False) -> S
     only drops the Nyquist lines.
     """
     mask = f.grid.product_mask(use_dealias)
-    out = SpectralField(f.grid, phys=_masked(f, mask).phys * _masked(g, mask).phys)
-    return _masked(out, mask)
+    prod = _masked(f, mask).phys * _masked(g, mask).phys
+    return SpectralField(f.grid, np.where(mask, np.fft.rfft2(prod), 0.0))
 
 
 def advect(vel: VectorField, f, use_dealias: bool = False):

@@ -1,5 +1,5 @@
-"""On-disk formats: binary field snapshots, diagnostics CSV, Gronwall CSV,
-and the run manifest.
+"""On-disk formats: binary field snapshots, CSV tables (the diagnostics, the
+Gronwall series and the check, sweep and twin series) and the run manifest.
 
 Snapshots are raw little-endian float64 physical samples, row-major, after
 a one-line ASCII header
@@ -99,7 +99,7 @@ def read_state_snapshot(directory, step: int) -> State:
     for name, path in paths.items():
         meta, arrays[name] = read_field_snapshot(path)
     grid = Grid(meta["n"], meta["L"])
-    f = {name: SpectralField.from_phys(grid, arr, copy=False) for name, arr in arrays.items()}
+    f = {name: SpectralField.from_phys(grid, arr) for name, arr in arrays.items()}
     return State(
         u=VectorField(f["u_x"], f["u_y"]),
         v=VectorField(f["v_x"], f["v_y"]),
@@ -133,14 +133,20 @@ def manifest_snapshot_steps(manifest: dict) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics CSV
+# CSV tables
+
+
+def write_csv(path, columns, rows) -> None:
+    """Write a header row of ``columns`` and one line per row of ``rows``,
+    every cell a 17-significant-digit float."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
-        for rec in series:
-            fh.write(",".join(_fmt(getattr(rec, c)) for c in COLUMNS) + "\n")
+    write_csv(path, COLUMNS, ([getattr(rec, c) for c in COLUMNS] for rec in series))
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
@@ -162,10 +168,7 @@ GRONWALL_COLUMNS = ("time", "A", "B", "alpha", "beta")
 
 
 def write_gronwall_csv(path, times, A, B, alpha, beta) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(GRONWALL_COLUMNS) + "\n")
-        for row in zip(times, A, B, alpha, beta):
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    write_csv(path, GRONWALL_COLUMNS, zip(times, A, B, alpha, beta))
 
 
 def read_gronwall_csv(path):

@@ -116,6 +116,23 @@ class TestMakeInitial:
         assert abs(s.theta.mean) < 1e-14
         assert abs(t.norm(s.theta, "Linf") - 2.0) < 1e-10
 
+    @pytest.mark.parametrize("mode", [(3, 2), (3, -2), (-3, 0), (0, 5), (-2, 7)])
+    def test_single_mode_samples(self, mode):
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset="single_mode", amplitude=1.5,
+                          mode_x=mode[0], mode_y=mode[1])
+        s = t.make_initial(cfg)
+        X, Y = s.grid.meshgrid()
+        assert_allclose(s.theta.phys, 1.5 * np.sin(mode[0] * X + mode[1] * Y), atol=1e-13)
+
+    @pytest.mark.parametrize("preset", ["taylor_green", "single_mode", "random_band"])
+    def test_presets_hold_no_modes_outside_the_mask(self, preset):
+        # built in the half plane, so no transform roundoff reaches the
+        # modes the two-thirds mask drops
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, mode_x=3, mode_y=2)
+        s = t.make_initial(cfg)
+        for f in (s.u.x, s.u.y, s.v.x, s.v.y, s.theta):
+            assert not np.any(f.spec[~s.grid.dealias_mask])
+
     def test_single_mode_rejects_unresolved(self):
         cfg = t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=8, mode_y=0)
         with pytest.raises(BadParams):
@@ -585,12 +602,20 @@ class TestTransformBudget:
         spec = low.u.x.spec.copy()
         spec[16, 3] = 1.0  # the row |k1| = n/2
         nyquist = replace(low, u=t.VectorField(t.SpectralField.from_spec(low.grid, spec), low.u.y))
-        for name, s, use_dealias, inverse in (
+        rows = [
             ("low", low, True, 14),
             ("low", low, False, 14),
             ("high", high, True, 18),
             ("nyquist", nyquist, False, 18),
-        ):
+        ]
+        # the second step of each preset: none leaves content outside the
+        # mask for the first step to carry into u or v
+        for preset in model.PRESETS:
+            cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, mode_x=3, mode_y=2)
+            for use_dealias in (True, False):
+                s1 = t.imex_step(t.make_initial(cfg), 1e-3, use_dealias=use_dealias)
+                rows.append((preset, s1, use_dealias, 14))
+        for name, s, use_dealias, inverse in rows:
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
             assert counts == {"rfft2": 16, "irfft2": inverse}, (name, use_dealias)
 

@@ -57,6 +57,25 @@ class TestFieldRepresentations:
         assert abs(t.SpectralField.from_spec(g, f.spec).mean - 2.5) < 1e-14
 
 
+    def test_arithmetic_does_not_depend_on_the_cache(self):
+        # the spectrum is a field's value: sums, differences and scalings
+        # give the same bits whether or not .spec was read first
+        g = t.Grid(32)
+        samples = np.random.default_rng(3).standard_normal((2, 32, 32))
+        a, b = (t.SpectralField.from_phys(g, x) for x in samples)
+        c, d = (t.SpectralField.from_phys(g, x) for x in samples)
+        c.spec, d.spec  # read by one pair only
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: 0.3 * x):
+            assert np.array_equal(op(a, b).spec, op(c, d).spec)
+
+    def test_mean_does_not_depend_on_the_cache(self):
+        s = t.imex_step(band_state(n=32, seed=4), 1e-3)
+        before = s.theta.mean
+        s.theta.phys
+        assert s.theta.mean == before
+        assert s.theta.mean == float(s.theta.spec[0, 0].real) / 32**2
+
+
 class TestDerivative:
     def test_eigenfunction(self):
         for L in (2.0 * np.pi, 3.0):
