@@ -17,7 +17,16 @@ from . import gronwall
 from .derived import commutator_f
 from .errors import BadParams, CflViolation, ConfigMismatch, NonFiniteState
 from .gronwall import _cumtrapz
-from .model import SimConfig, State, imex_step, make_initial, simulate
+from .model import (
+    SimConfig,
+    State,
+    _band_modes,
+    _modes_field,
+    _random_band_field,
+    imex_step,
+    make_initial,
+    simulate,
+)
 from .records import DiagnosticsSeries, _h1_functionals
 from .spectral import (
     SpectralField,
@@ -215,22 +224,19 @@ def _perturbation(cfg: SimConfig, shape: str):
     """
     grid = cfg.grid()
     zero = SpectralField.zeros(grid)
+    # the trigonometric shapes are written into the half plane, so they
+    # leave no transform roundoff outside the step's mask; with a = 2 pi / L:
     if shape == "mode":
-        xx, yy = grid.meshgrid()
-        a = 2.0 * np.pi / grid.length
-        psi = SpectralField.from_phys(grid, np.cos(a * xx) * np.cos(a * yy))
-        pu = perp_grad(psi)
-        pv = VectorField(SpectralField.from_phys(grid, np.sin(a * yy)), zero)
-        pth = SpectralField.from_phys(grid, np.sin(a * (xx + yy)))
+        # psi = cos(ax) cos(ay), v = (sin(ay), 0), theta = sin(a(x + y))
+        pu = perp_grad(_modes_field(grid, [((1, 1), 0.25), ((1, -1), 0.25)]))
+        pv = VectorField(_modes_field(grid, [((0, 1), -0.5j)]), zero)
+        pth = _modes_field(grid, [((1, 1), -0.5j)])
     elif shape == "theta":
-        xx, yy = grid.meshgrid()
-        a = 2.0 * np.pi / grid.length
+        # theta = sin(ax) cos(ay)
         pu = VectorField(zero, zero)
         pv = VectorField(zero, zero)
-        pth = SpectralField.from_phys(grid, np.sin(a * xx) * np.cos(a * yy))
+        pth = _modes_field(grid, [((1, 1), -0.25j), ((1, -1), -0.25j)])
     elif shape == "band":
-        from .model import _band_modes, _random_band_field
-
         rng = np.random.default_rng(cfg.seed + 9973)
         modes = _band_modes(max(cfg.band_lo, 1), max(cfg.band_hi, 2))
         pu = leray_project(perp_grad(_random_band_field(grid, modes, rng)))
@@ -324,27 +330,6 @@ def _config_signature(cfg: SimConfig) -> dict:
     return d
 
 
-def _distances_to(cfg: SimConfig, reference: list[State]) -> tuple[float, float]:
-    """Simulate ``cfg`` and return its distances to the reference trajectory
-    in the two sweep metrics, comparing each snapshot as it is produced."""
-    ts = np.empty(len(reference))
-    vel_sq = np.empty(len(reference))
-    th_sq = np.empty(len(reference))
-
-    def compare(step: int, s: State) -> None:
-        j = step // cfg.snap_stride
-        r = reference[j]
-        ts[j] = s.t
-        vel_sq[j] = norm(s.u - r.u, "H1") ** 2 + norm(s.v - r.v, "H1") ** 2
-        th_sq[j] = norm(s.theta - r.theta, "L2") ** 2
-
-    simulate(cfg, on_snapshot=compare)
-    return (
-        float(np.sqrt(np.trapezoid(vel_sq, ts))),
-        float(np.sqrt(np.trapezoid(th_sq, ts))),
-    )
-
-
 def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     good = (x > 0) & (y > 0)
     if good.sum() < 2:
@@ -356,11 +341,13 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
     """Run every config (identical but for eps) and report the distance of
     each member to the smallest-eps member, in the two sweep metrics.
 
-    Only the reference member's trajectory is held: it runs first, and each
-    other member is compared with it snapshot by snapshot as it runs. The
-    members run one after another rather than in lockstep, since members
-    with different eps would evict one another from the one-entry step cache
-    at every step.
+    The members run in lockstep with the reference member: at each of the
+    reference's snapshots, every other member is stepped from where it
+    stands to the same step and compared with it. The sweep holds one state
+    per member whatever the horizon, and makes no diagnostics records. The
+    members share the step's buffers and each keep their own trapezoidal
+    factors (see ``model._factors``), so stepping them in turn rebuilds
+    nothing. Members are not stepped past the reference's last snapshot.
 
     Raises :class:`ConfigMismatch` if the configs differ in anything but
     eps (or in nothing at all, which is allowed and gives zero distance).
@@ -374,13 +361,35 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
 
     eps_levels = np.array([c.eps for c in configs])
     ref = int(np.argmin(eps_levels))
-    reference = simulate(configs[ref]).snapshots
+    cfg = configs[ref]
+    members = {i: make_initial(c) for i, c in enumerate(configs) if i != ref}
+    done = 0  # the step every member stands at
+    ts = []
+    vel_sq = {i: [] for i in members}
+    th_sq = {i: [] for i in members}
+
+    def follow(step: int, r: State) -> None:
+        nonlocal done
+        for i, s in members.items():
+            for k in range(done + 1, step + 1):
+                try:
+                    s = imex_step(s, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+                except (CflViolation, NonFiniteState) as exc:
+                    exc.step = k
+                    raise
+            members[i] = s
+            vel_sq[i].append(norm(s.u - r.u, "H1") ** 2 + norm(s.v - r.v, "H1") ** 2)
+            th_sq[i].append(norm(s.theta - r.theta, "L2") ** 2)
+        done = step
+        ts.append(r.t)
+
+    simulate(cfg, on_snapshot=follow, record=False)
 
     dv = np.zeros(len(configs))
     dth = np.zeros(len(configs))
-    for i, c in enumerate(configs):
-        if i != ref:
-            dv[i], dth[i] = _distances_to(c, reference)
+    for i in members:
+        dv[i] = float(np.sqrt(np.trapezoid(vel_sq[i], ts)))
+        dth[i] = float(np.sqrt(np.trapezoid(th_sq[i], ts)))
 
     others = [i for i in range(len(configs)) if i != ref]
     order = sorted(others, key=lambda i: eps_levels[i], reverse=True)

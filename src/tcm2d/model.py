@@ -35,12 +35,16 @@ velocities when the mask drops none of their coefficients. That makes 30
 real field-transforms per step (16 forward, 14 inverse) when the mask is a
 no-op on u and v, and 34 otherwise.
 
-The step's constants (the merged trapezoidal factors and the mask) and its
-stage buffers are built once per (grid, dt, eps, dealias) and kept in a
-private one-entry cache: a run builds them at its first step and every
-later step writes its stages in place. They stay held, about 15 MB at
-n = 256, until a step with another key replaces them. Because steps share
-those buffers, ``imex_step`` is not thread-safe.
+What a step reuses is kept in two private caches. The stage buffers, the
+mask and -ik depend on (grid, dealias) alone and sit in a one-entry cache:
+every later step with that key writes its stages in place, and the buffers
+stay held, about 15 MB at n = 256, until a step on another grid or mask
+replaces them. The merged trapezoidal factors depend on (grid, dt, eps) and
+sit in a small cache of their own (about 67 KB per entry at n = 64, 1 MB at
+n = 256), so runs that differ only in eps, such as the members of an eps
+sweep stepped in lockstep, share one set of buffers and each keep their
+factors. Because steps share those buffers, ``imex_step`` is not
+thread-safe.
 """
 
 from __future__ import annotations
@@ -249,18 +253,12 @@ def _mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> No
 
 
 class _Stepper:
-    """What :func:`imex_step` reuses from step to step for one (grid, dt,
-    eps, dealias): the merged trapezoidal factors, the dealiasing mask and
-    the stage buffers, which every step overwrites."""
+    """What :func:`imex_step` reuses from step to step for one (grid,
+    dealias): the product mask, -ik and the stage buffers, which every step
+    overwrites."""
 
-    def __init__(self, g: Grid, dt: float, eps: float, use_dealias: bool):
+    def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
-        # trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
-        # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
-        # y = a y0 + b rhs; rows (u and v, theta)
-        h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
-        self.a = (1.0 + h) / (1.0 - h)
-        self.b = dt / (1.0 - h)
         self.mask = g.product_mask(use_dealias)
         self.minus_ik = -g.ik  # the tendency is minus the terms
         self.n0 = np.empty((5, *g.spec_shape), dtype=np.complex128)
@@ -332,11 +330,23 @@ class _Stepper:
 
 
 @functools.lru_cache(maxsize=1)
-def _stepper(g: Grid, dt: float, eps: float, use_dealias: bool) -> _Stepper:
-    # one entry: simulate, twin_divergence and each epsilon_sweep member step
-    # with one key for a whole run, and a stepper held for an earlier key
-    # would only add to peak memory
-    return _Stepper(g, dt, eps, use_dealias)
+def _stepper(g: Grid, use_dealias: bool) -> _Stepper:
+    # one entry: every run, twin pair and eps sweep steps on one grid with
+    # one mask, and buffers held for an earlier key would only add to peak
+    # memory
+    return _Stepper(g, use_dealias)
+
+
+@functools.lru_cache(maxsize=8)
+def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    # the trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
+    # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
+    # y = a y0 + b rhs; rows (u and v, theta). a and b take 4 n (n//2 + 1)
+    # float64 together, 67 KB at n = 64 and 1 MB at n = 256; eight entries
+    # let the members of a sweep of up to eight eps levels, stepped in
+    # lockstep, keep theirs instead of evicting one another at every step
+    h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
+    return (1.0 + h) / (1.0 - h), dt / (1.0 - h)
 
 
 def imex_step(
@@ -359,12 +369,14 @@ def imex_step(
     The u of ``s`` must hold no Nyquist modes (see ``spectral._project``);
     every state that ``make_initial`` and this function return meets that.
 
-    The trapezoidal factors and the stage buffers are built once per
-    (grid, dt, eps, use_dealias) and kept in a one-entry cache, so a run
-    builds them at its first step, and they stay held (about 15 MB at
-    n = 256) until a step with another key replaces them. Steps share those
-    buffers, so this function is not thread-safe: step at most one state at
-    a time per process. The returned State owns its arrays.
+    The stage buffers are built once per (grid, use_dealias) and kept in a
+    one-entry cache, and stay held (about 15 MB at n = 256) until a step
+    with another grid or mask replaces them; the trapezoidal factors are
+    built once per (grid, dt, eps) and kept in a small cache of their own,
+    so states that differ only in eps can be stepped in turn without
+    rebuilding anything. Steps share those buffers, so this function is not
+    thread-safe: step at most one state at a time per process. The returned
+    State owns its arrays.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
@@ -379,17 +391,18 @@ def imex_step(
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    st = _stepper(g, dt, s.eps, use_dealias)
+    st = _stepper(g, use_dealias)
+    a, b = _factors(g, dt, s.eps)
     if np.any(y[:4][:, ~st.mask]):
         w = None  # the mask changes u or v: the first stage transforms the masked spectra
 
     # y1 = a y0 + b n0 and y2 = a y0 + (b n0 + b n1) / 2, projecting u after each
-    n0 = _scale(st.b, st.explicit(y, w, st.n0))  # b n0 from here on
+    n0 = _scale(b, st.explicit(y, w, st.n0))  # b n0 from here on
     del w  # free the grid velocities before the second stage
-    _scale(st.a, y)  # a y0 from here on
+    _scale(a, y)  # a y0 from here on
     y1 = np.add(y, n0, out=st.y1)
     _project(g, y1[:2])  # predictor
-    n1 = _scale(st.b, st.explicit(y1, None, y1))  # b n1, over y1
+    n1 = _scale(b, st.explicit(y1, None, y1))  # b n1, over y1
     n1 += n0
     n1 *= 0.5
     y += n1
@@ -398,16 +411,19 @@ def imex_step(
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
-def simulate(cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = None) -> SimResult:
+def simulate(
+    cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = None, *, record: bool = True
+) -> SimResult:
     """Advance from the configured initial data to the horizon.
 
     Diagnostics are recorded every ``diag_stride`` steps and snapshots taken
     every ``snap_stride`` steps, both including step 0; a step's snapshot is
-    taken after its record. Without ``on_snapshot`` the snapshots are kept
-    in ``result.snapshots``, so memory grows with the horizon. With it,
-    ``on_snapshot(step, state)`` receives each one instead and
-    ``result.snapshots`` stays empty: the run holds O(1) states unless the
-    sink keeps them.
+    taken after its record. With ``record=False`` no record is made and
+    ``result.diagnostics`` stays empty. Without ``on_snapshot`` the
+    snapshots are kept in ``result.snapshots``, so memory grows with the
+    horizon. With it, ``on_snapshot(step, state)`` receives each one instead
+    and ``result.snapshots`` stays empty: the run holds O(1) states unless
+    the sink keeps them.
     """
     state = make_initial(cfg)
     nsteps = cfg.num_steps()
@@ -417,7 +433,8 @@ def simulate(cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = 
         def on_snapshot(step, s):
             result.snapshots.append(s)
 
-    series.append(records.make_record(state, cfg.dealias))
+    if record:
+        series.append(records.make_record(state, cfg.dealias))
     on_snapshot(0, state)
     for k in range(1, nsteps + 1):
         try:
@@ -425,7 +442,7 @@ def simulate(cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = 
         except (CflViolation, NonFiniteState) as exc:
             exc.step = k
             raise
-        if k % cfg.diag_stride == 0:
+        if record and k % cfg.diag_stride == 0:
             series.append(records.make_record(state, cfg.dealias))
         if k % cfg.snap_stride == 0:
             on_snapshot(k, state)

@@ -7,8 +7,9 @@ That check runs in a subprocess because installing the tracer patches
 ``numpy.fft`` and ``scipy.fft`` for the rest of the process.
 
 The benchmark's correctness gate compares every run's final diagnostics
-record and every eps sweep's distances and flags with ``bench/reference.json``;
-the same gate runs here, in-process, on seed 0 of each workload.
+record and every eps sweep's distances and flags with ``bench/reference.json``,
+and checks the verdict lines that ``check`` and ``twin`` print; the same gate
+runs here, in-process, on every command of each workload at seed 0.
 """
 
 import json
@@ -52,7 +53,7 @@ def test_expected_spans_name_traced_functions():
 
 
 @pytest.mark.parametrize("workload", ["run_n256", "session_n64"])
-def test_outputs_match_reference(workload, tmp_path, monkeypatch):
+def test_outputs_match_reference(workload, tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
     import run
 
@@ -61,7 +62,8 @@ def test_outputs_match_reference(workload, tmp_path, monkeypatch):
     assert reference is not None
     cfgs = run.write_configs(wl, tmp_path)
     for cfg_name, cmd in wl.commands:
-        if cmd[0] in ("run", "sweep-eps"):  # the commands whose numbers are stored
-            args = run.fill(cmd, cfgs[cfg_name], tmp_path, 0)
-            child = run.Child(code=main(args), wall_s=0.0, cpu_s=0.0, maxrss_mb=0.0, stdout="", stderr="")
-            assert run.gate(args, child, tmp_path, reference) is None, args
+        args = run.fill(cmd, cfgs[cfg_name], tmp_path, 0)
+        code = main(args)
+        out = capsys.readouterr()
+        child = run.Child(code=code, wall_s=0.0, cpu_s=0.0, maxrss_mb=0.0, stdout=out.out, stderr=out.err)
+        assert run.gate(args, child, tmp_path, reference) is None, args

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,39 @@ class TestEpsilonSweep:
             assert rep.dist_theta[i] == float(np.sqrt(np.trapezoid(th_sq, ts)))
         assert rep.dist_velocity[1] == rep.dist_theta[1] == 0.0
         assert np.all(rep.dist_velocity[[0, 2, 3]] > 0)
+
+    def test_member_guard_error_carries_its_step_index(self, monkeypatch):
+        # only the members start from diagnostics.make_initial; the NaN in
+        # theta reaches v during step 1 and is caught at step 2
+        from tcm2d import diagnostics
+
+        make_initial = diagnostics.make_initial
+        monkeypatch.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+        with pytest.raises(NonFiniteState) as info:
+            t.epsilon_sweep(t.sweep_configs(twin_cfg(horizon=0.05, snap_stride=5), [0.1, 0.0]))
+        assert info.value.step == 2
+
+    def test_sweep_memory_does_not_grow_with_horizon(self):
+        # a snapshot every step, so that a held reference trajectory (45 KB
+        # a state at n = 32) would dominate what the sweep allocates
+        levels = (0.2, 0.1, 0.05, 0.0)
+
+        def peak(horizon):
+            configs = t.sweep_configs(twin_cfg(horizon=horizon, dt=2e-3, snap_stride=1, seed=39), levels)
+            for c in configs:  # build the step caches outside the measurement
+                t.imex_step(t.make_initial(c), c.dt)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                t.epsilon_sweep(configs)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # measured: 0.49 and 0.51 MB; 3.5 and 11.5 MB with the reference
+        # trajectory held and every member making records
+        small, large = peak(0.1), peak(0.4)
+        assert large - small <= 0.1e6, (small, large)
 
     def test_monotone_decrease(self):
         base = twin_cfg(horizon=0.2, eps=0.0, snap_stride=10, seed=34)

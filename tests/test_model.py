@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 import tcm2d as t
 from tcm2d import model
+from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
 from tcm2d.model import _stack, _stepper
 from tcm2d.spectral import derivative, multiply
@@ -20,7 +21,7 @@ def explicit(s, use_dealias):
     It is written over the stacked input, as the second stage does; dt does
     not enter the stage."""
     y = _stack(s)
-    _stepper(s.grid, 1e-3, s.eps, use_dealias).explicit(y, None, y)
+    _stepper(s.grid, use_dealias).explicit(y, None, y)
     f = [t.SpectralField(s.grid, spec=c) for c in y]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
@@ -436,9 +437,14 @@ class TestStepCache:
             assert same_state(a, b)
 
     def test_sweep_holds_one_stepper(self):
+        # the members step in lockstep: one set of buffers for all of them,
+        # and each level's factors built once, not at every step
         base = t.SimConfig(n=16, dt=1e-3, horizon=4e-3, preset="random_band", band_hi=3, seed=33)
+        _stepper.cache_clear()
+        model._factors.cache_clear()
         t.epsilon_sweep(t.sweep_configs(base, (0.2, 0.1, 0.05, 0.0)))
-        assert _stepper.cache_info().currsize == 1
+        assert _stepper.cache_info().currsize == _stepper.cache_info().misses == 1
+        assert model._factors.cache_info().misses == 4
 
     def test_warm_step_allocates_little(self):
         # the stage buffers are reused: a warm step at n = 64 allocates its
@@ -615,6 +621,14 @@ class TestTransformBudget:
             for use_dealias in (True, False):
                 s1 = t.imex_step(t.make_initial(cfg), 1e-3, use_dealias=use_dealias)
                 rows.append((preset, s1, use_dealias, 14))
+        # the second step of a twin's perturbed member, for each shape
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset="random_band", eps=0.1, seed=33)
+        base = t.make_initial(cfg)
+        for shape in PERTURBATION_SHAPES:
+            pu, pv, pth = _perturbation(cfg, shape)
+            pert = replace(base, u=t.leray_project(base.u + pu * 1e-8), v=base.v + pv * 1e-8,
+                           theta=base.theta + pth * 1e-8)
+            rows.append((shape, t.imex_step(pert, 1e-3), True, 14))
         for name, s, use_dealias, inverse in rows:
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
             assert counts == {"rfft2": 16, "irfft2": inverse}, (name, use_dealias)
