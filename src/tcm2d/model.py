@@ -33,12 +33,17 @@ theta, curl(u), curl(v)), eight grid products, and one batched forward transform
 The CFL check transforms u and v once; the first stage reuses those grid
 velocities when the mask drops none of their coefficients. That makes 30
 real field-transforms per step (16 forward, 14 inverse) when the mask is a
-no-op on u and v, and 34 otherwise.
+no-op on u and v, and 34 otherwise. Each inverse transform is taken as the
+two passes numpy's ``irfft2`` is made of, a complex inverse along the first
+axis and a real one along the second, both written into held arrays
+(``irfft2`` itself ignores ``out=``); the forward ones go through
+``rfft2(..., out=)``. So no stage allocates a fresh array: a warm step
+allocates its result and small temporaries only.
 
 What a step reuses is kept in two private caches. The stage buffers, the
 mask and -ik depend on (grid, dealias) alone and sit in a one-entry cache:
 every later step with that key writes its stages in place, and the buffers
-stay held, about 15 MB at n = 256, until a step on another grid or mask
+stay held, about 20 MB at n = 256, until a step on another grid or mask
 replaces them. The merged trapezoidal factors depend on (grid, dt, eps) and
 sit in a small cache of their own (about 67 KB per entry at n = 64, 1 MB at
 n = 256), so runs that differ only in eps, such as the members of an eps
@@ -246,53 +251,85 @@ def _scale(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def _mul_add(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-    # out = a*b + c, with no temporary for a*b
+def _mul_add(a, b, c, d, out: np.ndarray, tmp: np.ndarray) -> None:
+    # out = a*b + c*d, with c*d in tmp
+    np.multiply(c, d, out=tmp)
     np.multiply(a, b, out=out)
-    out += c
+    out += tmp
+
+
+def _irfft2(a: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+    # np.fft.irfft2(a, s=out.shape[-2:]) into out, through work (a's shape
+    # and dtype; may be a itself): irfft2 is a complex inverse along axis -2
+    # and a real one along axis -1, but drops out=, so both passes are taken
+    # here with it. Bit-identical to irfft2.
+    np.fft.ifftn(a, axes=(-2,), out=work)
+    np.fft.irfft(work, out.shape[-1], axis=-1, out=out)
 
 
 class _Stepper:
     """What :func:`imex_step` reuses from step to step for one (grid,
     dealias): the product mask, -ik and the stage buffers, which every step
-    overwrites."""
+    overwrites. A warm step allocates nothing of grid size but its result."""
 
     def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
         self.mask = g.product_mask(use_dealias)
         self.minus_ik = -g.ik  # the tendency is minus the terms
-        self.n0 = np.empty((5, *g.spec_shape), dtype=np.complex128)
+        spec = (5, *g.spec_shape)
+        self.n0 = np.empty(spec, dtype=np.complex128)
         self.y1 = np.empty_like(self.n0)  # the predictor, then n1 over it
         # the masked factors, then the products' spectra
         self.z = np.empty((8, *g.spec_shape), dtype=np.complex128)
+        # the factors u, v, theta, curl(u), curl(v) on the grid
+        self.f = np.empty((7, g.n, g.n))
         self.p = np.empty((8, g.n, g.n))  # the products on the grid
+        self.c = np.empty((2, *g.spec_shape), dtype=np.complex128)  # scratch
+        # the u and v coefficients outside the mask that are nonzero
+        self.outside = ~self.mask
+        self.off = np.zeros((4, *g.spec_shape), dtype=bool)
 
-    def _products(self, y: np.ndarray, w: np.ndarray | None) -> None:
+    def velocities(self, y: np.ndarray) -> np.ndarray:
+        """u and v of the stacked spectra y on the grid, into f[:4], and
+        (||u||_Linf, ||v||_Linf) as norm(., "Linf") computes them."""
+        f, sq = self.f, self.p[:4]
+        _irfft2(y[:4], self.z[:4], f[:4])
+        np.square(f[0:4:2], out=sq[:2])
+        np.square(f[1:4:2], out=sq[2:])
+        sq[:2] += sq[2:]
+        return np.sqrt(np.max(sq[:2], axis=(1, 2)))
+
+    def drops_uv(self, y: np.ndarray) -> bool:
+        """Whether the mask drops a nonzero coefficient of u or v in y;
+        copies none of them."""
+        np.not_equal(y[:4], 0, out=self.off, where=self.outside)
+        return bool(self.off.any())
+
+    def _products(self, y: np.ndarray, grid_uv: bool) -> None:
         # u^x u^x + v^x v^x, u^x u^y + v^x v^y, u^y u^y + v^y v^y, u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
         # u^y theta on the grid into p, from the spectra y masked into z and,
-        # when given, the grid velocities w of the masked u and v. Apart from
-        # explicit so that the grid fields made here are freed before the
-        # forward transform (peak RSS).
-        g, ik, z, p = self.g, self.g.ik, self.z, self.p
+        # if grid_uv, the grid velocities of the masked u and v in f[:4]
+        ik, z, f, p, c = self.g.ik, self.z, self.f, self.p, self.c[0]
         np.multiply(y, self.mask, out=z[:5])
-        np.subtract(ik[0] * z[1], ik[1] * z[0], out=z[5])
-        np.subtract(ik[0] * z[3], ik[1] * z[2], out=z[6])
-        # no out= here: numpy's irfft2 passes out=None on to irfftn, so it
-        # would be ignored
-        f = np.fft.irfft2(z[:7] if w is None else z[4:7], s=(g.n, g.n))
-        ux, uy, vx, vy = f[:4] if w is None else w
-        th, cu, cv = f[-3:]
-        _mul_add(ux, ux, vx * vx, p[0])
-        _mul_add(ux, uy, vx * vy, p[1])
-        _mul_add(uy, uy, vy * vy, p[2])
-        _mul_add(ux, vx, uy * vy, p[3])
-        _mul_add(uy, cv, vy * cu, p[4])
-        _mul_add(ux, cv, vx * cu, p[5])
+        np.multiply(ik[0], z[1], out=z[5])
+        np.multiply(ik[1], z[0], out=c)
+        z[5] -= c
+        np.multiply(ik[0], z[3], out=z[6])
+        np.multiply(ik[1], z[2], out=c)
+        z[6] -= c
+        if grid_uv:
+            _irfft2(z[4:7], z[4:7], f[4:])
+        else:
+            _irfft2(z[:7], z[:7], f)
+        ux, uy, vx, vy, th, cu, cv = f
+        sums = ((ux, ux, vx, vx), (ux, uy, vx, vy), (uy, uy, vy, vy), (ux, vx, uy, vy), (uy, cv, vy, cu), (ux, cv, vx, cu))
+        for k, factors in enumerate(sums):
+            _mul_add(*factors, p[k], p[k + 1])  # p[k + 1] is written next
         np.multiply(ux, th, out=p[6])
         np.multiply(uy, th, out=p[7])
 
-    def explicit(self, y: np.ndarray, w: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    def explicit(self, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
         """Everything except the implicit Laplacians, for the stacked spectra
         y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection and
         curl(a) = d_x a^y - d_y a^x:
@@ -305,13 +342,13 @@ class _Stepper:
         (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta):
         equal for div u = 0, and to roundoff under the two-thirds mask, whose
         products carry no aliasing error. Factors and products are masked
-        once each (``Grid.product_mask``). ``w``, if given, holds the grid
-        velocities (u^x, u^y, v^x, v^y) of the masked spectra, which then
-        are not transformed again. The result is written into ``out``,
-        which may be ``y``.
+        once each (``Grid.product_mask``). With ``grid_uv``, f[:4] already
+        holds the grid velocities (u^x, u^y, v^x, v^y) of the masked spectra
+        (as :meth:`velocities` leaves them), which then are not transformed
+        again. The result is written into ``out``, which may be ``y``.
         """
-        self._products(y, w)
-        q = self.z
+        self._products(y, grid_uv)
+        q, c = self.z, self.c[0]
         np.fft.rfft2(self.p, out=q)
         q *= self.mask
         q[3] += y[4]  # u.v + theta
@@ -319,13 +356,14 @@ class _Stepper:
         q[7] += y[3]  # u^y theta + v^y
         # y is not read below this line, so out may be y
         mik = self.minus_ik
-        _mul_add(mik[0], q[0], mik[1] * q[1], out[0])
-        _mul_add(mik[0], q[1], mik[1] * q[2], out[1])
-        _mul_add(mik[0], q[3], q[4], out[2])
+        _mul_add(mik[0], q[0], mik[1], q[1], out[0], c)
+        _mul_add(mik[0], q[1], mik[1], q[2], out[1], c)
+        np.multiply(mik[0], q[3], out=out[2])
+        out[2] += q[4]
         np.multiply(mik[1], q[3], out=out[3])
         out[3] -= q[5]
-        _mul_add(mik[0], q[6], mik[1] * q[7], out[4])
-        _project(self.g, out[:2])
+        _mul_add(mik[0], q[6], mik[1], q[7], out[4], c)
+        _project(self.g, out[:2], self.c)
         return out
 
 
@@ -370,43 +408,42 @@ def imex_step(
     every state that ``make_initial`` and this function return meets that.
 
     The stage buffers are built once per (grid, use_dealias) and kept in a
-    one-entry cache, and stay held (about 15 MB at n = 256) until a step
+    one-entry cache, and stay held (about 20 MB at n = 256) until a step
     with another grid or mask replaces them; the trapezoidal factors are
     built once per (grid, dt, eps) and kept in a small cache of their own,
     so states that differ only in eps can be stepped in turn without
     rebuilding anything. Steps share those buffers, so this function is not
     thread-safe: step at most one state at a time per process. The returned
-    State owns its arrays.
+    State owns its arrays, and is all that a warm step allocates beyond
+    small temporaries.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
+    st = _stepper(g, use_dealias)
     y = _stack(s)  # fresh: becomes the result, whose views the State holds
-    w = np.fft.irfft2(y[:4], s=(g.n, g.n))
-    # ||u||_Linf and ||v||_Linf, as norm(., "Linf") computes them
-    linf = np.sqrt(np.max(w[0::2] ** 2 + w[1::2] ** 2, axis=(1, 2)))
+    linf = st.velocities(y)
     bad = ~np.isfinite(linf)
     if bad.any():
         raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    st = _stepper(g, use_dealias)
     a, b = _factors(g, dt, s.eps)
-    if np.any(y[:4][:, ~st.mask]):
-        w = None  # the mask changes u or v: the first stage transforms the masked spectra
+    # the first stage reuses the CFL check's grid velocities unless the mask
+    # changes u or v
+    grid_uv = not st.drops_uv(y)
 
     # y1 = a y0 + b n0 and y2 = a y0 + (b n0 + b n1) / 2, projecting u after each
-    n0 = _scale(b, st.explicit(y, w, st.n0))  # b n0 from here on
-    del w  # free the grid velocities before the second stage
+    n0 = _scale(b, st.explicit(y, grid_uv, st.n0))  # b n0 from here on
     _scale(a, y)  # a y0 from here on
     y1 = np.add(y, n0, out=st.y1)
-    _project(g, y1[:2])  # predictor
-    n1 = _scale(b, st.explicit(y1, None, y1))  # b n1, over y1
+    _project(g, y1[:2], st.c)  # predictor
+    n1 = _scale(b, st.explicit(y1, False, y1))  # b n1, over y1
     n1 += n0
     n1 *= 0.5
     y += n1
-    _project(g, y[:2])  # corrector
+    _project(g, y[:2], st.c)  # corrector
     f = [SpectralField(g, spec=c) for c in y]
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 

@@ -290,8 +290,9 @@ def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:
     return SpectralField(g, spec=-ki * kj * g.inv_k2 * f.spec * g.nyquist_free_mask)
 
 
-def _project(g: Grid, a: np.ndarray) -> None:
-    """Leray projection, in place, of the stacked spectra a = (a_x, a_y).
+def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
+    """Leray projection, in place, of the stacked spectra a = (a_x, a_y),
+    with ``work`` (a's shape and dtype) as scratch.
 
     Requires a to hold no Nyquist modes: there the multiplier k k^T / |k|^2
     takes the stored sign of -n/2, and its output would not survive a round
@@ -299,9 +300,15 @@ def _project(g: Grid, a: np.ndarray) -> None:
     Nyquist-free (``leray_project`` zeroes those lines) and its tendency is
     built from masked products.
     """
-    q = (g.kx * a[0] + g.ky * a[1]) * g.inv_k2
-    a[0] -= g.kx * q
-    a[1] -= g.ky * q
+    q, t = work
+    np.multiply(g.kx, a[0], out=q)
+    np.multiply(g.ky, a[1], out=t)
+    q += t
+    q *= g.inv_k2  # (k . a) / |k|^2
+    np.multiply(g.kx, q, out=t)
+    a[0] -= t
+    np.multiply(g.ky, q, out=t)
+    a[1] -= t
 
 
 def leray_project(a: VectorField) -> VectorField:
@@ -313,7 +320,7 @@ def leray_project(a: VectorField) -> VectorField:
     g = a.grid
     out = np.stack((a.x.spec, a.y.spec))
     out *= g.nyquist_free_mask
-    _project(g, out)
+    _project(g, out, np.empty_like(out))
     return VectorField(SpectralField(g, spec=out[0]), SpectralField(g, spec=out[1]))
 
 
