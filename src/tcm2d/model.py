@@ -18,9 +18,18 @@ rotational form, with curl(a) = d_x a^y - d_y a^x:
                                                  -(u^x curl(v) + v^x curl(u))),
     u.grad(theta)               as  div(u theta),
 
-which the advective forms equal when div u = 0. Every factor and product
-is masked: by the two-thirds rule with dealiasing, and otherwise by the
-mask that only drops the Nyquist lines (``Grid.product_mask``). So neither
+which the advective forms equal when div u = 0. The Leray projection kills
+gradients, so the u tendency takes only the trace-free part of the stress
+S = u (x) u + v (x) v,
+
+    P div S  =  P div(S - tr(S) I / 2),
+
+which needs the two products S_xx - S_yy and S_xy instead of three. This
+holds under either mask below: the masked product of the trace is still a
+gradient, aliased or not.
+
+Every factor and product is masked: by the two-thirds rule with
+dealiasing, and otherwise by the mask that only drops the Nyquist lines (``Grid.product_mask``). So neither
 setting carries Nyquist modes, and u stays in the range of the Leray
 projection. Under the two-thirds mask the products carry no aliasing error,
 so both forms give one discrete operator to roundoff; under the
@@ -29,22 +38,25 @@ Nyquist-free mask they differ by their aliasing errors.
 A step works on the stacked half-plane spectra (u^x, u^y, v^x, v^y, theta),
 shape (5, n, n//2 + 1); the returned State holds views of that array. Each
 explicit stage is one batched inverse transform of seven fields (u, v,
-theta, curl(u), curl(v)), eight grid products, and one batched forward transform.
-The CFL check transforms u and v once; the first stage reuses those grid
-velocities when the mask drops none of their coefficients. That makes 30
-real field-transforms per step (16 forward, 14 inverse) when the mask is a
-no-op on u and v, and 34 otherwise. Each inverse transform is taken as the
-two passes numpy's ``irfft2`` is made of, a complex inverse along the first
-axis and a real one along the second, both written into held arrays
-(``irfft2`` itself ignores ``out=``); the forward ones go through
-``rfft2(..., out=)``. So no stage allocates a fresh array: a warm step
-allocates its result and small temporaries only.
+theta, curl(u), curl(v)), seven grid products, and one batched forward
+transform of seven fields. The CFL check transforms u and v once; the first
+stage reuses those grid velocities when the mask drops none of their
+coefficients. That makes 28 real field-transforms per step (14 forward,
+14 inverse) when the mask is a no-op on u and v, and 32 otherwise.
+
+Each inverse transform is taken as the two passes numpy's ``irfft2`` is
+made of, a complex inverse along the first axis and a real one along the
+second, both written into held arrays (``irfft2`` itself ignores
+``out=``); the forward ones go through ``rfft2(..., out=)``. The corrector
+accumulates into the result, so no stage's tendency is held beside it. So
+no stage allocates a fresh array: a warm step allocates its result and
+small temporaries only.
 
 What a step reuses is kept in two private caches. The stage buffers, the
 mask and -ik depend on (grid, dealias) alone and sit in a one-entry cache:
 every later step with that key writes its stages in place, and the buffers
-stay held, about 20 MB at n = 256, until a step on another grid or mask
-replaces them. The merged trapezoidal factors depend on (grid, dt, eps) and
+stay held, about 16 MB at n = 256 (1 MB at n = 64), until a step on
+another grid or mask replaces them. The merged trapezoidal factors depend on (grid, dt, eps) and
 sit in a small cache of their own (about 67 KB per entry at n = 64, 1 MB at
 n = 256), so runs that differ only in eps, such as the members of an eps
 sweep stepped in lockstep, share one set of buffers and each keep their
@@ -270,20 +282,21 @@ def _irfft2(a: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
 class _Stepper:
     """What :func:`imex_step` reuses from step to step for one (grid,
     dealias): the product mask, -ik and the stage buffers, which every step
-    overwrites. A warm step allocates nothing of grid size but its result."""
+    overwrites (about 16 MB at n = 256). A stage transforms seven fields
+    each way and forms seven products; with the buffers held, a warm step
+    allocates nothing of grid size but its result."""
 
     def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
         self.mask = g.product_mask(use_dealias)
         self.minus_ik = -g.ik  # the tendency is minus the terms
-        spec = (5, *g.spec_shape)
-        self.n0 = np.empty(spec, dtype=np.complex128)
-        self.y1 = np.empty_like(self.n0)  # the predictor, then n1 over it
+        # b n0 / 2, then the predictor, then b n1 / 2 over it
+        self.y1 = np.empty((5, *g.spec_shape), dtype=np.complex128)
         # the masked factors, then the products' spectra
-        self.z = np.empty((8, *g.spec_shape), dtype=np.complex128)
+        self.z = np.empty((7, *g.spec_shape), dtype=np.complex128)
         # the factors u, v, theta, curl(u), curl(v) on the grid
         self.f = np.empty((7, g.n, g.n))
-        self.p = np.empty((8, g.n, g.n))  # the products on the grid
+        self.p = np.empty((7, g.n, g.n))  # the products on the grid
         self.c = np.empty((2, *g.spec_shape), dtype=np.complex128)  # scratch
         # the u and v coefficients outside the mask that are nonzero
         self.outside = ~self.mask
@@ -306,7 +319,7 @@ class _Stepper:
         return bool(self.off.any())
 
     def _products(self, y: np.ndarray, grid_uv: bool) -> None:
-        # u^x u^x + v^x v^x, u^x u^y + v^x v^y, u^y u^y + v^y v^y, u.v,
+        # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
         # u^y theta on the grid into p, from the spectra y masked into z and,
         # if grid_uv, the grid velocities of the masked u and v in f[:4]
@@ -319,15 +332,18 @@ class _Stepper:
         np.multiply(ik[1], z[2], out=c)
         z[6] -= c
         if grid_uv:
-            _irfft2(z[4:7], z[4:7], f[4:])
+            _irfft2(z[4:], z[4:], f[4:])
         else:
-            _irfft2(z[:7], z[:7], f)
+            _irfft2(z, z, f)
         ux, uy, vx, vy, th, cu, cv = f
-        sums = ((ux, ux, vx, vx), (ux, uy, vx, vy), (uy, uy, vy, vy), (ux, vx, uy, vy), (uy, cv, vy, cu), (ux, cv, vx, cu))
-        for k, factors in enumerate(sums):
+        _mul_add(ux, ux, vx, vx, p[0], p[1])
+        _mul_add(uy, uy, vy, vy, p[1], p[2])
+        p[0] -= p[1]
+        sums = ((ux, uy, vx, vy), (ux, vx, uy, vy), (uy, cv, vy, cu), (ux, cv, vx, cu))
+        for k, factors in enumerate(sums, 1):
             _mul_add(*factors, p[k], p[k + 1])  # p[k + 1] is written next
-        np.multiply(ux, th, out=p[6])
-        np.multiply(uy, th, out=p[7])
+        np.multiply(ux, th, out=p[5])
+        np.multiply(uy, th, out=p[6])
 
     def explicit(self, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
         """Everything except the implicit Laplacians, for the stacked spectra
@@ -341,7 +357,11 @@ class _Stepper:
         These are the divergence and rotational forms of the advective terms
         (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta):
         equal for div u = 0, and to roundoff under the two-thirds mask, whose
-        products carry no aliasing error. Factors and products are masked
+        products carry no aliasing error. P kills gradients, so the u
+        tendency takes the trace-free part of the stress S = u (x) u + v (x) v,
+        P div S = P div(S - tr(S) I / 2), which needs S_xx - S_yy and S_xy
+        only: seven products in all. Under either mask the trace's product
+        is a gradient too, aliased or not. Factors and products are masked
         once each (``Grid.product_mask``). With ``grid_uv``, f[:4] already
         holds the grid velocities (u^x, u^y, v^x, v^y) of the masked spectra
         (as :meth:`velocities` leaves them), which then are not transformed
@@ -351,18 +371,21 @@ class _Stepper:
         q, c = self.z, self.c[0]
         np.fft.rfft2(self.p, out=q)
         q *= self.mask
-        q[3] += y[4]  # u.v + theta
-        q[6] += y[2]  # u^x theta + v^x
-        q[7] += y[3]  # u^y theta + v^y
+        q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
+        q[2] += y[4]  # u.v + theta
+        q[5] += y[2]  # u^x theta + v^x
+        q[6] += y[3]  # u^y theta + v^y
         # y is not read below this line, so out may be y
         mik = self.minus_ik
         _mul_add(mik[0], q[0], mik[1], q[1], out[0], c)
-        _mul_add(mik[0], q[1], mik[1], q[2], out[1], c)
-        np.multiply(mik[0], q[3], out=out[2])
-        out[2] += q[4]
-        np.multiply(mik[1], q[3], out=out[3])
-        out[3] -= q[5]
-        _mul_add(mik[0], q[6], mik[1], q[7], out[4], c)
+        np.multiply(mik[0], q[1], out=out[1])
+        np.multiply(mik[1], q[0], out=c)
+        out[1] -= c
+        np.multiply(mik[0], q[2], out=out[2])
+        out[2] += q[3]
+        np.multiply(mik[1], q[2], out=out[3])
+        out[3] -= q[4]
+        _mul_add(mik[0], q[5], mik[1], q[6], out[4], c)
         _project(self.g, out[:2], self.c)
         return out
 
@@ -379,12 +402,13 @@ def _stepper(g: Grid, use_dealias: bool) -> _Stepper:
 def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # the trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
     # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
-    # y = a y0 + b rhs; rows (u and v, theta). a and b take 4 n (n//2 + 1)
-    # float64 together, 67 KB at n = 64 and 1 MB at n = 256; eight entries
-    # let the members of a sweep of up to eight eps levels, stepped in
-    # lockstep, keep theirs instead of evicting one another at every step
+    # y = a y0 + b rhs; returns a and b/2, the weight of each stage's rhs,
+    # in rows (u and v, theta). They take 4 n (n//2 + 1) float64 together,
+    # 67 KB at n = 64 and 1 MB at n = 256; eight entries let the members of
+    # a sweep of up to eight eps levels, stepped in lockstep, keep theirs
+    # instead of evicting one another at every step
     h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
-    return (1.0 + h) / (1.0 - h), dt / (1.0 - h)
+    return (1.0 + h) / (1.0 - h), 0.5 * dt / (1.0 - h)
 
 
 def imex_step(
@@ -401,14 +425,14 @@ def imex_step(
     by the trapezoidal rule; advection and coupling are explicit through a
     two-stage predictor/corrector, with the quadratic terms in divergence
     and rotational form (see the module docstring). u is re-projected after
-    each stage. A step takes 30 real field-transforms (16 forward,
-    14 inverse) when the step's mask is a no-op on u and v, and 34
+    each stage. A step takes 28 real field-transforms (14 forward,
+    14 inverse) when the step's mask is a no-op on u and v, and 32
     otherwise. Without dealiasing that mask drops only the Nyquist lines.
     The u of ``s`` must hold no Nyquist modes (see ``spectral._project``);
     every state that ``make_initial`` and this function return meets that.
 
     The stage buffers are built once per (grid, use_dealias) and kept in a
-    one-entry cache, and stay held (about 20 MB at n = 256) until a step
+    one-entry cache, and stay held (about 16 MB at n = 256) until a step
     with another grid or mask replaces them; the trapezoidal factors are
     built once per (grid, dt, eps) and kept in a small cache of their own,
     so states that differ only in eps can be stepped in turn without
@@ -429,20 +453,19 @@ def imex_step(
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    a, b = _factors(g, dt, s.eps)
+    a, half_b = _factors(g, dt, s.eps)
     # the first stage reuses the CFL check's grid velocities unless the mask
     # changes u or v
     grid_uv = not st.drops_uv(y)
 
-    # y1 = a y0 + b n0 and y2 = a y0 + (b n0 + b n1) / 2, projecting u after each
-    n0 = _scale(b, st.explicit(y, grid_uv, st.n0))  # b n0 from here on
-    _scale(a, y)  # a y0 from here on
-    y1 = np.add(y, n0, out=st.y1)
+    # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
+    # y1 = a y0 + b n0 is y + b n0 / 2 midway; u is projected in both
+    y1 = _scale(half_b, st.explicit(y, grid_uv, st.y1))  # b n0 / 2
+    _scale(a, y)
+    y += y1
+    y1 += y
     _project(g, y1[:2], st.c)  # predictor
-    n1 = _scale(b, st.explicit(y1, False, y1))  # b n1, over y1
-    n1 += n0
-    n1 *= 0.5
-    y += n1
+    y += _scale(half_b, st.explicit(y1, False, y1))  # + b n1 / 2
     _project(g, y[:2], st.c)  # corrector
     f = [SpectralField(g, spec=c) for c in y]
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)

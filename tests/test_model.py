@@ -655,7 +655,7 @@ class TestTransformBudget:
             rows.append((shape, t.imex_step(pert, 1e-3), True, 14))
         for name, s, use_dealias, inverse in rows:
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
-            assert counts == {"rfft2": 16, "ifftn": inverse}, (name, use_dealias)
+            assert counts == {"rfft2": 14, "ifftn": inverse}, (name, use_dealias)
 
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)
