@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gronwall
 from .derived import commutator_f
-from .errors import BadParams, CflViolation, ConfigMismatch, NonFiniteState
+from .errors import BadParams, ConfigMismatch
 from .gronwall import _cumtrapz
 from .model import (
     SimConfig,
@@ -23,7 +23,7 @@ from .model import (
     _band_modes,
     _modes_field,
     _random_band_field,
-    imex_step,
+    _step,
     make_initial,
     simulate,
 )
@@ -278,12 +278,8 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
     seps = [_separation(base, pert)]
     coeffs = [_growth_coefficient(base, pert)]
     for k in range(1, nsteps + 1):
-        try:
-            base = imex_step(base, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
-            pert = imex_step(pert, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
-        except (CflViolation, NonFiniteState) as exc:
-            exc.step = k
-            raise
+        base = _step(k, base, cfg)
+        pert = _step(k, pert, cfg)
         if k % cfg.diag_stride == 0:
             times.append(base.t)
             seps.append(_separation(base, pert))
@@ -372,11 +368,7 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
         nonlocal done
         for i, s in members.items():
             for k in range(done + 1, step + 1):
-                try:
-                    s = imex_step(s, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
-                except (CflViolation, NonFiniteState) as exc:
-                    exc.step = k
-                    raise
+                s = _step(k, s, cfg)
             members[i] = s
             vel_sq[i].append(norm(s.u - r.u, "H1") ** 2 + norm(s.v - r.v, "H1") ** 2)
             th_sq[i].append(norm(s.theta - r.theta, "L2") ** 2)

@@ -29,11 +29,12 @@ holds under either mask below: the masked product of the trace is still a
 gradient, aliased or not.
 
 Every factor and product is masked: by the two-thirds rule with
-dealiasing, and otherwise by the mask that only drops the Nyquist lines (``Grid.product_mask``). So neither
-setting carries Nyquist modes, and u stays in the range of the Leray
-projection. Under the two-thirds mask the products carry no aliasing error,
-so both forms give one discrete operator to roundoff; under the
-Nyquist-free mask they differ by their aliasing errors.
+dealiasing, and otherwise by the mask that only drops the Nyquist lines
+(``Grid.product_mask``). So neither setting carries Nyquist modes, and u
+stays in the range of the Leray projection. Under the two-thirds mask the
+products carry no aliasing error, so both forms give one discrete operator
+to roundoff; under the Nyquist-free mask they differ by their aliasing
+errors.
 
 A step works on the stacked half-plane spectra (u^x, u^y, v^x, v^y, theta),
 shape (5, n, n//2 + 1); the returned State holds views of that array. Each
@@ -56,11 +57,11 @@ What a step reuses is kept in two private caches. The stage buffers, the
 mask and -ik depend on (grid, dealias) alone and sit in a one-entry cache:
 every later step with that key writes its stages in place, and the buffers
 stay held, about 16 MB at n = 256 (1 MB at n = 64), until a step on
-another grid or mask replaces them. The merged trapezoidal factors depend on (grid, dt, eps) and
-sit in a small cache of their own (about 67 KB per entry at n = 64, 1 MB at
-n = 256), so runs that differ only in eps, such as the members of an eps
-sweep stepped in lockstep, share one set of buffers and each keep their
-factors. Because steps share those buffers, ``imex_step`` is not
+another grid or mask replaces them. The merged trapezoidal factors depend
+on (grid, dt, eps) and sit in a small cache of their own (about 67 KB per
+entry at n = 64, 1 MB at n = 256), so runs that differ only in eps, such
+as the members of an eps sweep stepped in lockstep, share one set of
+buffers and each keep their factors. Because steps share those buffers, ``imex_step`` is not
 thread-safe.
 """
 
@@ -471,6 +472,16 @@ def imex_step(
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
+def _step(k: int, s: State, cfg: SimConfig) -> State:
+    # step k of a run of cfg: imex_step with cfg's settings, whose guard
+    # errors carry k
+    try:
+        return imex_step(s, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+    except (CflViolation, NonFiniteState) as exc:
+        exc.step = k
+        raise
+
+
 def simulate(
     cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = None, *, record: bool = True
 ) -> SimResult:
@@ -497,11 +508,7 @@ def simulate(
         series.append(records.make_record(state, cfg.dealias))
     on_snapshot(0, state)
     for k in range(1, nsteps + 1):
-        try:
-            state = imex_step(state, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
-        except (CflViolation, NonFiniteState) as exc:
-            exc.step = k
-            raise
+        state = _step(k, state, cfg)
         if record and k % cfg.diag_stride == 0:
             series.append(records.make_record(state, cfg.dealias))
         if k % cfg.snap_stride == 0:

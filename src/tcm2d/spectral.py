@@ -78,12 +78,21 @@ class Grid:
         # Parseval weight of each stored column (see the module docstring)
         self.herm_weight = np.where((self.ky_int == 0) | (self.ky_int == half), 1.0, 2.0)
         self.spec_shape = (n, half + 1)
+        self._seminorm_weights = {}
 
     def product_mask(self, use_dealias: bool) -> np.ndarray:
         """The mask every quadratic product applies to its factors and to
         itself: the two-thirds rule with dealiasing, else the Nyquist-free
         mask. Both zero the Nyquist lines."""
         return self.dealias_mask if use_dealias else self.nyquist_free_mask
+
+    def seminorm_weight(self, order: int) -> np.ndarray:
+        """herm_weight * |k|^(2*order), the Parseval weight of the order-th
+        derivative tensor; built once per order and shared, so read only."""
+        w = self._seminorm_weights.get(order)
+        if w is None:
+            w = self._seminorm_weights[order] = self.herm_weight * self.k2**order
+        return w
 
     @property
     def spacing(self) -> float:
@@ -374,8 +383,7 @@ def seminorm(f, order: int) -> float:
     if isinstance(f, VectorField):
         return float(np.sqrt(seminorm(f.x, order) ** 2 + seminorm(f.y, order) ** 2))
     g = f.grid
-    w = g.herm_weight * g.k2**order
-    total = np.sum(w * np.abs(f.spec) ** 2)
+    total = np.sum(g.seminorm_weight(order) * np.abs(f.spec) ** 2)
     return float(g.length / g.n**2 * np.sqrt(total))
 
 

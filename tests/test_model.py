@@ -653,6 +653,8 @@ class TestTransformBudget:
             pert = replace(base, u=t.leray_project(base.u + pu * 1e-8), v=base.v + pv * 1e-8,
                            theta=base.theta + pth * 1e-8)
             rows.append((shape, t.imex_step(pert, 1e-3), True, 14))
+        # the step takes each inverse transform as ifftn along axis -2 and
+        # then irfft along axis -1, so ifftn counts its fields once
         for name, s, use_dealias, inverse in rows:
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
             assert counts == {"rfft2": 14, "ifftn": inverse}, (name, use_dealias)

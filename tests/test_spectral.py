@@ -341,6 +341,16 @@ class TestNorms:
         with pytest.raises(BadParams):
             t.norm(t.SpectralField.zeros(g), "L3")
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_seminorm_weight_built_once(self, order):
+        f = band_state(n=32, seed=20).theta
+        g = f.grid
+        w = g.herm_weight * g.k2**order
+        want = float(g.length / g.n**2 * np.sqrt(np.sum(w * np.abs(f.spec) ** 2)))
+        assert t.seminorm(f, order) == want
+        assert g.seminorm_weight(order) is g.seminorm_weight(order)
+        assert np.array_equal(g.seminorm_weight(order), w)
+
 
 class TestSmoothingInverse:
     def test_constant_preserved(self):
