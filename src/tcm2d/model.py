@@ -299,8 +299,8 @@ class _Stepper:
         self.f = np.empty((7, g.n, g.n))
         self.p = np.empty((7, g.n, g.n))  # the products on the grid
         self.c = np.empty((2, *g.spec_shape), dtype=np.complex128)  # scratch
-        # the u and v coefficients outside the mask that are nonzero
         self.outside = ~self.mask
+        # which coefficients of u and v outside the mask are nonzero
         self.off = np.zeros((4, *g.spec_shape), dtype=bool)
 
     def velocities(self, y: np.ndarray) -> np.ndarray:
