@@ -24,7 +24,6 @@ from .spectral import (
     SpectralField,
     VectorField,
     advect,
-    dealias,
     derivative,
     div,
     grad,
@@ -55,7 +54,7 @@ from .derived import (
     temperature_potential,
     viscous_flux,
 )
-from .records import COLUMNS, DiagnosticsRecord, DiagnosticsSeries, make_record
+from .records import COLUMNS, DiagnosticsSeries, make_record
 from .gronwall import (
     GronwallSeries,
     conclusion_check,

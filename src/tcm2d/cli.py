@@ -255,7 +255,7 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gro
     info.append(("theta_tail_fraction_max", None, tail, "flag if > 0.01"))
     cum = diagnostics.lipschitz_budget_curve(series)
     info.append(
-        ("lipschitz_sqrt_t_slope", None, diagnostics._loglog_slope(t[1:], cum[1:]), "log-log slope of the budget curve")
+        ("lipschitz_sqrt_t_slope", None, diagnostics.loglog_slope(t[1:], cum[1:]), "log-log slope of the budget curve")
     )
     return gated, info
 

@@ -326,7 +326,9 @@ def _config_signature(cfg: SimConfig) -> dict:
     return d
 
 
-def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of log y against log x over the points where both
+    are positive; NaN with fewer than two such points."""
     good = (x > 0) & (y > 0)
     if good.sum() < 2:
         return float("nan")
@@ -398,8 +400,8 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
         dist_theta=dth,
         monotone_velocity=monotone(dv) if len(order) > 1 else True,
         monotone_theta=monotone(dth) if len(order) > 1 else True,
-        slope_velocity=_loglog_slope(gaps, np.array([dv[i] for i in order])),
-        slope_theta=_loglog_slope(gaps, np.array([dth[i] for i in order])),
+        slope_velocity=loglog_slope(gaps, np.array([dv[i] for i in order])),
+        slope_theta=loglog_slope(gaps, np.array([dth[i] for i in order])),
     )
 
 

@@ -25,7 +25,8 @@ class CflViolation(TcmError):
     """Advective CFL guard tripped; the step from time ``t`` was rejected.
 
     ``step`` is the index of that step in the run that raised it (set by
-    ``simulate`` and ``twin_divergence``), or None outside a run.
+    ``model._step`` for runs, twins and sweep members), or None outside a
+    run.
     """
 
     def __init__(self, ratio, limit, t):

@@ -14,77 +14,69 @@ the top third of the active spectral band (an under-resolution flag).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterator
-
 import numpy as np
 
 from . import derived
 from .errors import EmptyTrajectory
 from .spectral import _grad_norms, div, grad_l4, norm, seminorm
 
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    # fields in CSV column order; 't' must stay first
-    t: float
-    energy: float
-    dissipation: float
-    u_l2: float
-    v_l2: float
-    theta_l2: float
-    grad_u_l2: float
-    grad_v_l2: float
-    grad_theta_l2: float
-    grad_w_l2: float
-    lap_u_l2: float
-    lap_w_l2: float
-    lap_theta_l2: float
-    grad_lap_u_l2: float
-    grad_lap_w_l2: float
-    theta_l4: float
-    theta_linf: float
-    u_linf: float
-    v_linf: float
-    uv_linf: float
-    grad_u_linf: float
-    grad_u_l4: float
-    grad_w_l4: float
-    phi_linf: float
-    a_func: float
-    b_func: float
-    theta_tail_frac: float
-    mean_theta: float
-    mean_u_x: float
-    mean_u_y: float
-    div_u_rel: float
-
-
-COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+# CSV column order; "t" must stay first
+COLUMNS = (
+    "t",
+    "energy",
+    "dissipation",
+    "u_l2",
+    "v_l2",
+    "theta_l2",
+    "grad_u_l2",
+    "grad_v_l2",
+    "grad_theta_l2",
+    "grad_w_l2",
+    "lap_u_l2",
+    "lap_w_l2",
+    "lap_theta_l2",
+    "grad_lap_u_l2",
+    "grad_lap_w_l2",
+    "theta_l4",
+    "theta_linf",
+    "u_linf",
+    "v_linf",
+    "uv_linf",
+    "grad_u_linf",
+    "grad_u_l4",
+    "grad_w_l4",
+    "phi_linf",
+    "a_func",
+    "b_func",
+    "theta_tail_frac",
+    "mean_theta",
+    "mean_u_x",
+    "mean_u_y",
+    "div_u_rel",
+)
 
 
 class DiagnosticsSeries:
-    """Append-only list of records with array-style column access."""
+    """Append-only list of records, each a float64 row in ``COLUMNS`` order,
+    with array-style column access."""
 
-    def __init__(self, records=None):
-        self.records: list[DiagnosticsRecord] = list(records) if records else []
+    def __init__(self):
+        self.rows: list[np.ndarray] = []
 
-    def append(self, rec: DiagnosticsRecord) -> None:
-        self.records.append(rec)
+    def append(self, row: np.ndarray) -> None:
+        self.rows.append(row)
 
     def col(self, name: str) -> np.ndarray:
-        if not self.records:
+        if not self.rows:
             raise EmptyTrajectory("diagnostics series is empty")
-        return np.array([getattr(r, name) for r in self.records], dtype=float)
+        return np.array(self.rows)[:, COLUMNS.index(name)]
 
     @property
     def times(self) -> np.ndarray:
         return self.col("t")
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[DiagnosticsRecord]:
-        return iter(self.records)
+        return len(self.rows)
 
 
 def _tail_fraction(theta, use_dealias: bool) -> float:
@@ -107,8 +99,9 @@ def _h1_functionals(t, eps, gth, lu, lw, lth, glu, glw):
     return a_func, b_func
 
 
-def make_record(state, use_dealias: bool) -> DiagnosticsRecord:
-    """Evaluate all observables of one state."""
+def make_record(state, use_dealias: bool) -> np.ndarray:
+    """Evaluate all observables of one state, as a float64 row in
+    ``COLUMNS`` order."""
     u, v, th, t, eps = state.u, state.v, state.theta, state.t, state.eps
     w = derived.pseudo_baroclinic(state)
     flux = derived.viscous_flux(state)
@@ -125,7 +118,7 @@ def make_record(state, use_dealias: bool) -> DiagnosticsRecord:
     div_u = norm(div(u), "L2")
     u_h1 = float(np.hypot(u_l2, gu))
 
-    return DiagnosticsRecord(
+    values = dict(
         t=t,
         energy=0.5 * (u_l2**2 + v_l2**2 + th_l2**2),
         dissipation=gu**2 + gv**2 + eps * gth**2,
@@ -159,3 +152,4 @@ def make_record(state, use_dealias: bool) -> DiagnosticsRecord:
         mean_u_y=float(u.y.phys.mean()),
         div_u_rel=div_u / u_h1 if u_h1 > 0.0 else 0.0,
     )
+    return np.array([values[c] for c in COLUMNS])

@@ -21,7 +21,7 @@ multipliers:
     smoothing_inverse        1 / (1 + |2*pi*k/L|^2)
 
 The (0,0) mode is annihilated wherever the inverse Laplacian is undefined;
-``dealias`` implements the two-thirds rule on the max-norm of the integer
+``Grid.dealias_mask`` is the two-thirds rule on the max-norm of the integer
 wavevector. So the output of every operator here is unchanged by a round
 trip through the grid. All functions are pure; fields are treated as
 immutable values.
@@ -335,13 +335,6 @@ def leray_project(a: VectorField) -> VectorField:
 
 def _masked(f: SpectralField, mask: np.ndarray) -> SpectralField:
     return SpectralField(f.grid, spec=np.where(mask, f.spec, 0.0))
-
-
-def dealias(f):
-    """Two-thirds rule: zero every mode with max(|k1|, |k2|) > n/3."""
-    if isinstance(f, VectorField):
-        return VectorField(dealias(f.x), dealias(f.y))
-    return _masked(f, f.grid.dealias_mask)
 
 
 def smoothing_inverse(f):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BadSeries, ChecksumMismatch, ConfigParseError
 from .model import State
-from .records import COLUMNS, DiagnosticsRecord, DiagnosticsSeries
+from .records import COLUMNS, DiagnosticsSeries
 from .spectral import Grid, SpectralField, VectorField
 
 SNAPSHOT_MAGIC = "TCM1"
@@ -66,14 +66,15 @@ def read_field_snapshot(path):
     for tok in parts[1:]:
         key, _, val = tok.partition("=")
         meta[key] = val
-    n = int(meta["n"])
+    try:
+        n = meta["n"] = int(meta["n"])
+        for key in ("L", "t", "eps"):
+            meta[key] = float(meta[key])
+    except (KeyError, ValueError) as exc:
+        raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc!r}") from exc
     arr = np.frombuffer(raw, dtype="<f8")
     if arr.size != n * n:
         raise ConfigParseError(f"{path}: expected {n * n} samples, found {arr.size}")
-    meta["n"] = n
-    meta["L"] = float(meta["L"])
-    meta["t"] = float(meta["t"])
-    meta["eps"] = float(meta["eps"])
     return meta, arr.reshape(n, n).copy()
 
 
@@ -146,18 +147,26 @@ def write_csv(path, columns, rows) -> None:
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
-    write_csv(path, COLUMNS, ([getattr(rec, c) for c in COLUMNS] for rec in series))
+    write_csv(path, COLUMNS, series.rows)
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
+    """The series of a diagnostics CSV; a malformed row raises
+    ConfigParseError naming its line."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if tuple(header) != COLUMNS:
             raise ConfigParseError(f"{path}: unexpected diagnostics columns")
         series = DiagnosticsSeries()
-        for line in fh:
-            vals = [float(x) for x in line.strip().split(",")]
-            series.append(DiagnosticsRecord(**dict(zip(COLUMNS, vals))))
+        for lineno, line in enumerate(fh, start=2):
+            cells = line.strip().split(",")
+            if len(cells) != len(COLUMNS):
+                raise ConfigParseError(f"{path}: line {lineno}: expected {len(COLUMNS)} cells, found {len(cells)}")
+            try:
+                row = np.array([float(x) for x in cells])
+            except ValueError as exc:
+                raise ConfigParseError(f"{path}: line {lineno}: {exc}") from exc
+            series.append(row)
     return series
 
 

@@ -35,6 +35,33 @@ class TestEnergyIdentity:
         assert abs(res[-1]) < 1e-3
 
 
+class TestRecordRow:
+    def test_row_layout(self):
+        s = dataclasses.replace(band_state(n=16, seed=3, hi=4), t=0.25)
+        row = t.make_record(s, True)
+        assert row.dtype == np.float64 and row.shape == (len(t.COLUMNS),)
+        assert t.COLUMNS[0] == "t" and row[0] == 0.25
+        at = dict(zip(t.COLUMNS, row))
+        assert at["energy"] == 0.5 * (at["u_l2"] ** 2 + at["v_l2"] ** 2 + at["theta_l2"] ** 2)
+
+    def test_held_records_are_small(self):
+        # a float64 row of 31 values and its list slot take about 0.37 KB;
+        # an object per record with one attribute per column takes 2.4 KB
+        s = band_state(n=8, seed=3, hi=2)
+        t.make_record(s, True)  # build the grid's cached weights outside the measurement
+        series = t.DiagnosticsSeries()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                series.append(t.make_record(s, True))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 1000
+        assert held / 1000 <= 600
+
+
 class TestMaxPrinciple:
     def test_decoupled_run_zero_margin(self):
         cfg = t.SimConfig(n=16, dt=1e-2, horizon=0.1, preset="taylor_green", diag_stride=1, snap_stride=10)

@@ -1,8 +1,10 @@
-"""Every module of the package, ``__init__.py`` aside, uses each name it
-imports. A stand-in for a linter's unused-import rule, on the standard
-library's ``ast`` alone."""
+"""Static checks on the standard library's ``ast`` alone: every module of the
+package, ``__init__.py`` aside, uses each name it imports (a stand-in for a
+linter's unused-import rule); every name the package root exports is used
+outside the tests; and every package name a demo uses exists."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -44,3 +46,123 @@ def test_no_unused_imports(path):
 def test_the_check_finds_an_unused_import():
     source = "import os\nimport numpy as np\nfrom .spectral import Grid, norm\nx: 'Grid' = np.zeros(norm)\n"
     assert unused_imports(source) == ["line 1: os"]
+
+
+# Every name the package root exports is used by a package module or a demo,
+# or is named here with the reason it stays public although neither uses it.
+# Tests do not count: a name only tests call is test-only public API.
+DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
+UNUSED_EXPORTS_ALLOWED = {
+    "commutator_estimate_ratio": "the commutator estimate that acceptance criterion c5 checks",
+    "inv_neg_laplacian": "the (-lap)^-1 multiplier of the spectral module docstring",
+    "grad": "the gradient of the operator algebra, the partner of div",
+}
+
+
+def exported_names(init_source: str) -> set[str]:
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def _module_aliases(tree) -> set[str]:
+    # names bound to a package module: "import tcm2d as t", "from . import derived"
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name.split(".")[0] for a in node.names if a.name.split(".")[0] == "tcm2d")
+        elif isinstance(node, ast.ImportFrom) and (node.module is None and node.level or node.module == "tcm2d"):
+            aliases.update(a.asname or a.name for a in node.names)
+    return aliases
+
+
+def _references(node, modules, inside=()):
+    # names read (not bound: a config field "dealias" is not the function) and
+    # attributes of package modules (t.norm, derived.pseudo_baroclinic), except
+    # inside the definition of the function or class they name: a recursive
+    # call is no use
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside += (node.name,)
+    name = None
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        name = node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+        name = node.attr
+    if name is not None and name not in inside:
+        yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, modules, inside)
+
+
+def unused_exports(init_source: str, sources) -> list[str]:
+    used = set()
+    for source in sources:
+        tree = ast.parse(source)
+        used.update(_references(tree, _module_aliases(tree)))
+        used.update(_annotation_names(tree))
+    return sorted(exported_names(init_source) - used)
+
+
+def test_every_export_is_used():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES + DEMOS]
+    unused = unused_exports((SRC / "__init__.py").read_text(encoding="utf-8"), sources)
+    assert unused == sorted(UNUSED_EXPORTS_ALLOWED)
+
+
+def test_the_check_finds_a_test_only_export():
+    init = "from .ops import Grid, helper, planted\n"
+    module = (
+        "class Grid:\n    def copy(self) -> 'Grid':\n        return Grid()\n"
+        "def helper(g: Grid):\n    return g\n"
+        "def planted(f):\n    return f if f is None else planted(f.planted)\n"
+        "class Config:\n    planted: bool = True\n"
+    )
+    demo = "import tcm2d as t\nt.helper(t.Grid())\n"
+    assert unused_exports(init, [module]) == ["helper", "planted"]
+    assert unused_exports(init, [module, demo]) == ["planted"]
+
+
+def unresolved_package_names(source: str) -> list[str]:
+    """The ``tcm2d`` names a script uses, as ``alias.name...`` after
+    ``import tcm2d as alias`` or through ``from tcm2d... import name``, that
+    the package does not have."""
+    tree = ast.parse(source)
+    roots, missing = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "tcm2d":
+                    bound = alias.name if alias.asname else "tcm2d"
+                    roots[alias.asname or "tcm2d"] = importlib.import_module(bound)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tcm2d":
+            module = importlib.import_module(node.module)
+            missing.update(f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name))
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in roots:
+            obj = roots[node.id]
+            for i, attr in enumerate(chain):
+                if not hasattr(obj, attr):
+                    missing.add(".".join([node.id] + chain[: i + 1]))
+                    break
+                obj = getattr(obj, attr)
+    return sorted(missing)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_names_resolve(path):
+    assert unresolved_package_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_removed_name():
+    source = (
+        "import tcm2d as t\nfrom tcm2d.storage import write_csv, write_rows\n"
+        "g = t.Grid(8)\nt.SpectralField.from_phys(g, 0)\nt.SpectralField.from_grid(g)\nt.removed_operator(g)\n"
+    )
+    assert unresolved_package_names(source) == ["t.SpectralField.from_grid", "t.removed_operator", "tcm2d.storage.write_rows"]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -433,6 +434,53 @@ class TestCliCheck:
         cfg = write_cfg(tmp_path, text)
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert "PASS divergence_free" in capsys.readouterr().out
+
+
+class TestMalformedRunDir:
+    """``check --run-dir`` on a run whose manifest lists a malformed file
+    exits 2 with a ConfigParseError naming the file and line."""
+
+    @staticmethod
+    def check_edited(tmp_path, capsys, rel, edit):
+        run = str(tmp_path / "r")
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", run]) == 0
+        path = os.path.join(run, rel)
+        with open(path, "rb") as fh:
+            data = edit(fh.read())
+        with open(path, "wb") as fh:
+            fh.write(data)
+        # list the edited file's checksum, so that the manifest check passes
+        manifest_path = os.path.join(run, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        for entry in manifest["files"]:
+            if entry["path"] == rel:
+                entry["sha256"] = hashlib.sha256(data).hexdigest()
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert main(["check", "--run-dir", run]) == 2
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "ConfigParseError"
+        return payload["detail"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda cells: cells[:-1], lambda cells: cells + [b"0"], lambda cells: cells[:4] + [b"oops"] + cells[5:]],
+        ids=["30_cells", "32_cells", "non_numeric"],
+    )
+    def test_bad_diagnostics_row(self, tmp_path, capsys, edit):
+        def rewrite(data):
+            lines = data.split(b"\n")
+            lines[2] = b",".join(edit(lines[2].split(b",")))
+            return b"\n".join(lines)
+
+        assert "diagnostics.csv: line 3" in self.check_edited(tmp_path, capsys, "diagnostics.csv", rewrite)
+
+    def test_snapshot_header_without_n(self, tmp_path, capsys):
+        rel = os.path.join("snapshots", "step_00000010.theta.bin")
+        detail = self.check_edited(tmp_path, capsys, rel, lambda data: data.replace(b" n=32", b"", 1))
+        assert "step_00000010.theta.bin: line 1" in detail
 
 
 class TestCliSweepTwinGronwall:
