@@ -6,9 +6,11 @@
     tcm2d twin      --config FILE [--delta X] [--shape NAME] [--out DIR]
     tcm2d gronwall  --csv FILE (--fit-k | --k X) [--tol X]
 
-Exit codes: 0 success, 2 config error, 3 numerical guard (CFL or
-non-finite state), 4 I/O, 5 check failure. Failures print a single
-machine-readable line ``TCM-ERROR {...}`` to stderr.
+Exit codes: 0 success, 2 config error or malformed input file, 3 numerical
+guard (CFL or non-finite state), 4 I/O or an untrusted run directory (a
+missing, tampered or malformed manifest, or one of another snapshot format
+such as TCM1), 5 check failure. Failures print a single machine-readable
+line ``TCM-ERROR {...}`` to stderr.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def _run_to_dir(cfg: SimConfig, text: str, run_dir: str):
     files = []
 
     def write(step, state):
-        files.extend(storage.write_state_snapshot(snap_dir, state, step))
+        files.append(storage.write_state_snapshot(snap_dir, state, step))
 
     result = simulate(cfg, on_snapshot=write)
     storage.remove_stale_snapshots(snap_dir, files)
-    count = len(files) // len(storage.FIELD_NAMES)
+    count = len(files)
     cfg_path = os.path.join(run_dir, "config.cfg")
     with open(cfg_path, "w", encoding="utf-8") as fh:
         fh.write(text)

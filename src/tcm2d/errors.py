@@ -78,7 +78,10 @@ class ConfigParseError(TcmError):
 
 
 class ChecksumMismatch(TcmError):
-    """A manifested file is missing or does not match its recorded checksum."""
+    """A run directory's manifest cannot be trusted: it is malformed (not
+    JSON, or a listed file without a path or checksum), it names another
+    snapshot format, or a file it lists is missing or does not match its
+    recorded checksum."""
 
 
 class EmptyTrajectory(TcmError):

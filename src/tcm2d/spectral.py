@@ -121,9 +121,8 @@ class SpectralField:
     The spectrum ``spec`` is the field's value: arithmetic and the mean read
     it alone, so a result does not depend on which grid samples happen to be
     cached. ``phys``, the grid samples, is a cache filled on first read;
-    :meth:`from_phys` keeps the samples it was given, so a field read from a
-    snapshot writes back bit for bit. The mean is the (0,0) Fourier mode
-    divided by n^2.
+    :meth:`from_phys` transforms the samples it was given and keeps them as
+    that cache. The mean is the (0,0) Fourier mode divided by n^2.
     """
 
     __slots__ = ("grid", "spec", "_phys")

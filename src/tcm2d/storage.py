@@ -1,38 +1,47 @@
-"""On-disk formats: binary field snapshots, CSV tables (the diagnostics, the
+"""On-disk formats: binary state snapshots, CSV tables (the diagnostics, the
 Gronwall series and the check, sweep and twin series) and the run manifest.
 
-Snapshots are raw little-endian float64 physical samples, row-major, after
-a one-line ASCII header
+A snapshot is one file per state, ``step_NNNNNNNN.bin``: a one-line ASCII
+header
 
-    TCM1 n=<n> L=<length> t=<time> field=<name> eps=<eps>
+    TCM2 n=<n> L=<length> t=<time> eps=<eps> fields=u_x,u_y,v_x,v_y,theta
 
-so each file is self-describing and round-trips bit-exactly. CSVs carry a
-fixed header row and 17-significant-digit decimal floats, so identical
-runs produce byte-identical files. The manifest lists every artifact with
-its SHA-256 checksum.
+followed by each field's ``rfft2`` half-plane spectrum, n x (n/2 + 1)
+little-endian complex128, row-major, in the order the header names. The
+spectrum is a field's value, so a snapshot read back is the state that was
+stepped, bit for bit, and writing one takes no transform; grid samples are
+``numpy.fft.irfft2(spec, s=(n, n))``. CSVs carry a fixed header row and
+17-significant-digit decimal floats, so identical runs produce
+byte-identical files. The manifest lists every artifact with its SHA-256
+checksum and names the snapshot format; a run directory of another format
+(the per-field ``TCM1`` files of grid samples) is rejected, not read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import time
 
 import numpy as np
 
-from .errors import BadSeries, ChecksumMismatch, ConfigParseError
+from .errors import BadParams, BadSeries, ChecksumMismatch, ConfigParseError
 from .model import State
 from .records import COLUMNS, DiagnosticsSeries
 from .spectral import Grid, SpectralField, VectorField
 
-SNAPSHOT_MAGIC = "TCM1"
+SNAPSHOT_MAGIC = "TCM2"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
 MANIFEST_NAME = "manifest.json"
 SNAPSHOT_DIR = "snapshots"  # a run directory's snapshot subdirectory
-# the file names snapshot_paths makes; group 1 is the step
-_SNAPSHOT_NAME = re.compile(r"step_(\d{8,})\.(?:%s)\.bin" % "|".join(FIELD_NAMES))
+# the file name _snapshot_path makes; group 1 is the step
+_SNAPSHOT_NAME = re.compile(r"step_(\d{8,})\.bin")
+# the per-field files of the TCM1 format, cleared with stale snapshots
+_TCM1_NAME = re.compile(r"step_\d{8,}\.(?:%s)\.bin" % "|".join(FIELD_NAMES))
+_SPEC_DTYPE = np.dtype("<c16")
 
 
 def _fmt(x: float) -> str:
@@ -43,80 +52,78 @@ def _fmt(x: float) -> str:
 # snapshots
 
 
-def write_field_snapshot(path, name: str, field: SpectralField, t: float, eps: float) -> None:
-    arr = np.ascontiguousarray(field.phys, dtype="<f8")
+def write_field_snapshot(path, state: State) -> None:
+    """Write ``state`` to ``path`` as one TCM2 file, from its spectra alone."""
+    g = state.grid
     header = (
-        f"{SNAPSHOT_MAGIC} n={field.grid.n} L={field.grid.length!r} "
-        f"t={t!r} field={name} eps={eps!r}\n"
+        f"{SNAPSHOT_MAGIC} n={g.n} L={g.length!r} t={state.t!r} "
+        f"eps={state.eps!r} fields={','.join(FIELD_NAMES)}\n"
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(arr.tobytes())
+        # one field at a time: stacking the five would copy the whole state
+        for field in (state.u.x, state.u.y, state.v.x, state.v.y, state.theta):  # FIELD_NAMES order
+            fh.write(np.ascontiguousarray(field.spec, dtype=_SPEC_DTYPE))
 
 
-def read_field_snapshot(path):
-    """Returns (meta dict, physical array)."""
+def read_field_snapshot(path) -> State:
+    """The state a TCM2 file holds, its fields views of one spectrum array.
+    A malformed file raises ConfigParseError naming it."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        raw = fh.read()
-    parts = header.split()
-    if not parts or parts[0] != SNAPSHOT_MAGIC:
-        raise ConfigParseError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
-    meta = {}
-    for tok in parts[1:]:
-        key, _, val = tok.partition("=")
-        meta[key] = val
+        try:
+            parts = fh.readline().decode("ascii").split()
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"{path}: line 1: non-ASCII byte in the header") from exc
+        if not parts or parts[0] != SNAPSHOT_MAGIC:
+            raise ConfigParseError(f"{path}: line 1: not a {SNAPSHOT_MAGIC} snapshot")
+        meta = dict(tok.partition("=")[::2] for tok in parts[1:])
+        try:
+            if meta["fields"] != ",".join(FIELD_NAMES):
+                raise ValueError(f"fields={meta['fields']}, expected {','.join(FIELD_NAMES)}")
+            n = int(meta["n"])
+            shape = (len(FIELD_NAMES), n, n // 2 + 1)
+            # checked before the grid is built, so a corrupt n allocates nothing
+            payload = os.fstat(fh.fileno()).st_size - fh.tell()
+            if payload != math.prod(shape) * _SPEC_DTYPE.itemsize:
+                raise ValueError(f"{payload} payload bytes do not hold five {n} x {n // 2 + 1} spectra")
+            grid = Grid(n, float(meta["L"]))
+            t, eps = float(meta["t"]), float(meta["eps"])
+        except (KeyError, ValueError, BadParams) as exc:
+            raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc!r}") from exc
+        spectra = np.empty(shape, dtype=_SPEC_DTYPE)
+        if fh.readinto(spectra) != spectra.nbytes:
+            raise ConfigParseError(f"{path}: truncated while reading")
+    u_x, u_y, v_x, v_y, theta = (SpectralField(grid, spec) for spec in spectra)
     try:
-        n = meta["n"] = int(meta["n"])
-        for key in ("L", "t", "eps"):
-            meta[key] = float(meta[key])
-    except (KeyError, ValueError) as exc:
-        raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc!r}") from exc
-    arr = np.frombuffer(raw, dtype="<f8")
-    if arr.size != n * n:
-        raise ConfigParseError(f"{path}: expected {n * n} samples, found {arr.size}")
-    return meta, arr.reshape(n, n).copy()
+        return State(u=VectorField(u_x, u_y), v=VectorField(v_x, v_y), theta=theta, t=t, eps=eps)
+    except BadParams as exc:
+        raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc}") from exc
 
 
-def snapshot_paths(directory, step: int) -> dict[str, str]:
-    return {
-        name: os.path.join(directory, f"step_{step:08d}.{name}.bin") for name in FIELD_NAMES
-    }
+def _snapshot_path(directory, step: int) -> str:
+    return os.path.join(directory, f"step_{step:08d}.bin")
 
 
-def write_state_snapshot(directory, state: State, step: int) -> list[str]:
+def write_state_snapshot(directory, state: State, step: int) -> str:
+    """Write the snapshot of ``step`` into ``directory``; returns its path."""
     os.makedirs(directory, exist_ok=True)
-    fields = (state.u.x, state.u.y, state.v.x, state.v.y, state.theta)  # FIELD_NAMES order
-    written = []
-    for (name, path), field in zip(snapshot_paths(directory, step).items(), fields):
-        write_field_snapshot(path, name, field, state.t, state.eps)
-        written.append(path)
-    return written
+    path = _snapshot_path(directory, step)
+    write_field_snapshot(path, state)
+    return path
 
 
 def read_state_snapshot(directory, step: int) -> State:
-    paths = snapshot_paths(directory, step)
-    arrays, meta = {}, None
-    for name, path in paths.items():
-        meta, arrays[name] = read_field_snapshot(path)
-    grid = Grid(meta["n"], meta["L"])
-    f = {name: SpectralField.from_phys(grid, arr) for name, arr in arrays.items()}
-    return State(
-        u=VectorField(f["u_x"], f["u_y"]),
-        v=VectorField(f["v_x"], f["v_y"]),
-        theta=f["theta"],
-        t=meta["t"],
-        eps=meta["eps"],
-    )
+    return read_field_snapshot(_snapshot_path(directory, step))
 
 
 def remove_stale_snapshots(directory, written) -> None:
     """Delete the files in ``directory`` that are named like this module's
-    snapshots but are not in ``written``, such as the later steps a longer
-    earlier run left behind. Other files are kept."""
+    snapshots, or like the per-field files of the TCM1 format, but are not in
+    ``written``: the later steps a longer earlier run left behind, or a whole
+    TCM1 run. Other files are kept."""
     keep = {os.path.basename(path) for path in written}
     for name in os.listdir(directory):
-        if name not in keep and _SNAPSHOT_NAME.fullmatch(name):
+        if name not in keep and (_SNAPSHOT_NAME.fullmatch(name) or _TCM1_NAME.fullmatch(name)):
             os.remove(os.path.join(directory, name))
 
 
@@ -150,15 +157,26 @@ def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
     write_csv(path, COLUMNS, series.rows)
 
 
+def _ascii_lines(fh, path):
+    """(line number, text) for each line of the binary file ``fh``; a
+    non-ASCII byte raises ConfigParseError naming its line."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield lineno, raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ConfigParseError(f"{path}: line {lineno}: non-ASCII byte at column {exc.start + 1}") from exc
+
+
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
     """The series of a diagnostics CSV; a malformed row raises
     ConfigParseError naming its line."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(header) != COLUMNS:
+    with open(path, "rb") as fh:
+        lines = _ascii_lines(fh, path)
+        _, header = next(lines, (1, ""))
+        if tuple(header.strip().split(",")) != COLUMNS:
             raise ConfigParseError(f"{path}: unexpected diagnostics columns")
         series = DiagnosticsSeries()
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             cells = line.strip().split(",")
             if len(cells) != len(COLUMNS):
                 raise ConfigParseError(f"{path}: line {lineno}: expected {len(COLUMNS)} cells, found {len(cells)}")
@@ -237,12 +255,32 @@ def write_manifest(run_dir, config_text: str, version: str, started: float, file
 
 
 def read_manifest(run_dir) -> dict:
-    with open(os.path.join(run_dir, MANIFEST_NAME), "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """The run's manifest. One that is not JSON, lists its files without a
+    path and checksum each, or names another snapshot format raises
+    ChecksumMismatch."""
+    path = os.path.join(run_dir, MANIFEST_NAME)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ChecksumMismatch(f"{path}: not a JSON manifest: {exc}") from exc
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list):
+        raise ChecksumMismatch(f"{path}: no list of files")
+    for i, entry in enumerate(files):
+        if not (isinstance(entry, dict) and isinstance(entry.get("path"), str) and isinstance(entry.get("sha256"), str)):
+            raise ChecksumMismatch(f"{path}: files[{i}] needs a path and a sha256")
+    if manifest.get("format") != SNAPSHOT_MAGIC:
+        raise ChecksumMismatch(
+            f"{path}: format {manifest.get('format')!r}, this version reads {SNAPSHOT_MAGIC}; "
+            "rerun the config to rewrite the directory"
+        )
+    return manifest
 
 
 def verify_manifest(run_dir) -> dict:
-    """Re-hash every listed file; raises ChecksumMismatch on any deviation."""
+    """Re-hash every listed file; raises ChecksumMismatch on any deviation or
+    a manifest that read_manifest rejects."""
     manifest = read_manifest(run_dir)
     for entry in manifest["files"]:
         path = os.path.join(run_dir, entry["path"])

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
-from tcm2d import model
+from tcm2d import model, storage
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
 from tcm2d.model import _stack, _stepper
@@ -624,7 +624,7 @@ class TestTransformBudget:
         monkeypatch.undo()
         return counts
 
-    def test_step(self, monkeypatch):
+    def test_step(self, monkeypatch, tmp_path):
         # the first stage reuses the CFL check's grid velocities unless the
         # mask drops some of their coefficients: the two-thirds mask for
         # hi = 15 > n/3, the Nyquist-free mask for content on a Nyquist line
@@ -653,6 +653,12 @@ class TestTransformBudget:
             pert = replace(base, u=t.leray_project(base.u + pu * 1e-8), v=base.v + pv * 1e-8,
                            theta=base.theta + pth * 1e-8)
             rows.append((shape, t.imex_step(pert, 1e-3), True, 14))
+        # a stepped state read back from a snapshot holds the stepped spectra,
+        # so nothing outside the mask either
+        for use_dealias in (True, False):
+            snap_dir = tmp_path / str(use_dealias)
+            storage.write_state_snapshot(snap_dir, t.imex_step(low, 1e-3, use_dealias=use_dealias), 1)
+            rows.append(("read back", storage.read_state_snapshot(snap_dir, 1), use_dealias, 14))
         # the step takes each inverse transform as ifftn along axis -2 and
         # then irfft along axis -1, so ifftn counts its fields once
         for name, s, use_dealias, inverse in rows:

@@ -116,45 +116,87 @@ class TestConfigParsing:
             parse_config_text("[grid]\nn = 32\n")
 
 
+def spectra(s):
+    return [f.spec for f in (*s.u, *s.v, s.theta)]
+
+
+def same_spectra(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(spectra(a), spectra(b)))
+
+
 class TestSnapshots:
     def test_bit_exact_roundtrip(self, tmp_path):
         s = band_state(n=32, seed=1, eps=0.25)
-        paths = storage.write_state_snapshot(tmp_path / "snaps", s, 7)
-        assert len(paths) == 5
+        path = storage.write_state_snapshot(tmp_path / "snaps", s, 7)
+        assert os.listdir(tmp_path / "snaps") == ["step_00000007.bin"] == [os.path.basename(path)]
         back = storage.read_state_snapshot(tmp_path / "snaps", 7)
+        assert same_spectra(back, s)
         assert np.array_equal(back.theta.phys, s.theta.phys)
-        assert np.array_equal(back.u.x.phys, s.u.x.phys)
         assert back.eps == s.eps and back.t == s.t
 
     def test_header_self_describing(self, tmp_path):
-        s = band_state(n=16, seed=2)
+        s = dataclasses.replace(band_state(n=16, seed=2), t=1.5)
         path = tmp_path / "f.bin"
-        storage.write_field_snapshot(path, "theta", s.theta, 1.5, 0.1)
-        meta, arr = storage.read_field_snapshot(path)
-        assert meta["n"] == 16 and meta["field"] == "theta"
-        assert meta["t"] == 1.5 and meta["eps"] == 0.1
+        storage.write_field_snapshot(path, s)
+        back = storage.read_field_snapshot(path)
+        assert back.grid.n == 16 and back.t == 1.5 and back.eps == 0.1
         with open(path, "rb") as fh:
-            assert fh.readline().startswith(b"TCM1 ")
+            header = fh.readline()
+            raw = fh.read()
+        assert header == b"TCM2 n=16 L=6.283185307179586 t=1.5 eps=0.1 fields=u_x,u_y,v_x,v_y,theta\n"
+        # the documented layout, read without the package
+        spec = np.frombuffer(raw, dtype="<c16").reshape(5, 16, 9)
+        assert np.array_equal(np.fft.irfft2(spec[4], s=(16, 16)), s.theta.phys)
 
     def test_undealiased_run_roundtrips(self, tmp_path):
-        # without dealiasing the state still carries no Nyquist modes, so
-        # its grid samples on disk hold all of it
+        # without dealiasing the state still carries no Nyquist modes; the
+        # snapshot holds its spectra, so it reads back exactly
         cfg = t.SimConfig(
             n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=15, dealias=False, snap_stride=20
         )
         final = t.simulate(cfg).snapshots[-1]
         storage.write_state_snapshot(str(tmp_path), final, 20)
         back = storage.read_state_snapshot(str(tmp_path), 20)
+        assert same_spectra(back, final)
 
-        def spectra(s):
-            return np.stack([f.spec for f in (*s.u, *s.v, s.theta)])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_read_back_state_steps_bit_for_bit(self, tmp_path, dealias):
+        # band_hi = 15 > n/3 puts content outside the two-thirds mask
+        cfg = t.SimConfig(
+            n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=15, dealias=dealias, snap_stride=10
+        )
+        stepped = t.simulate(cfg).snapshots[-1]
+        storage.write_state_snapshot(str(tmp_path), stepped, 20)
+        back = storage.read_state_snapshot(str(tmp_path), 20)
+        assert same_spectra(back, stepped) and back.t == stepped.t and back.eps == stepped.eps
+        assert same_spectra(t.imex_step(back, cfg.dt, use_dealias=dealias), t.imex_step(stepped, cfg.dt, use_dealias=dealias))
 
-        assert np.linalg.norm(spectra(back) - spectra(final)) <= 1e-14 * np.linalg.norm(spectra(final))
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data[:-1], "payload bytes"),
+            (lambda data: data.replace(b",theta", b",p", 1), "fields="),
+            (lambda data: data.replace(b"eps=0.1", b"eps=1.5", 1), "eps"),
+            (lambda data: data.replace(b"TCM2", b"TCM1", 1), "not a TCM2 snapshot"),
+        ],
+        ids=["truncated", "fields", "eps", "magic"],
+    )
+    def test_malformed_snapshot(self, tmp_path, edit, message):
+        path = tmp_path / "f.bin"
+        storage.write_field_snapshot(path, band_state(n=16, seed=2))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ConfigParseError, match=message) as info:
+            storage.read_field_snapshot(path)
+        assert f"{path}: line 1" in str(info.value)
 
     def test_stale_snapshot_removal_keeps_other_files(self, tmp_path):
         snap_dir = str(tmp_path)
-        kept = storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 0)
-        stale = storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 1)
+        kept = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 0)]
+        stale = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 1)]
+        # the per-field files of a TCM1 run in the same directory
+        for name in ("step_00000000.theta.bin", "step_00000001.u_x.bin"):
+            stale.append(os.path.join(snap_dir, name))
+            open(stale[-1], "w").close()
         other = ["notes.txt", "step_1.theta.bin", "step_00000001.p.bin", "step_00000001.theta.bin.bak"]
         for name in other:
             open(os.path.join(snap_dir, name), "w").close()
@@ -242,6 +284,19 @@ class TestCliRun:
         assert lines[0].startswith("t,")
         assert len(lines) >= 3  # header + at least two records
         assert os.path.exists(os.path.join(out, "manifest.json"))
+
+    def test_one_file_per_snapshot(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("snap_stride = 5", "snap_stride = 1"))
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        names = [f"step_{step:08d}.bin" for step in range(11)]
+        assert sorted(os.listdir(os.path.join(out, "snapshots"))) == names
+        assert "11 snapshots" in capsys.readouterr().out
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["format"] == "TCM2"
+        assert sorted(e["path"] for e in manifest["files"] if e["path"].startswith("snapshots")) == [
+            os.path.join("snapshots", name) for name in names
+        ]
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path)
@@ -384,7 +439,7 @@ class TestCliCheck:
         assert main(["run", "--config", longer, "--out", run]) == 0
         assert main(["run", "--config", shorter, "--out", run]) == 0
         assert main(["run", "--config", shorter, "--out", fresh]) == 0
-        assert not os.path.exists(os.path.join(run, "snapshots", "step_00000010.theta.bin"))  # the longer run's
+        assert not os.path.exists(os.path.join(run, "snapshots", "step_00000010.bin"))  # the longer run's
         read = []
         read_state_snapshot = storage.read_state_snapshot
         monkeypatch.setattr(storage, "read_state_snapshot", lambda d, step: read.append(step) or read_state_snapshot(d, step))
@@ -466,8 +521,9 @@ class TestMalformedRunDir:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda cells: cells[:-1], lambda cells: cells + [b"0"], lambda cells: cells[:4] + [b"oops"] + cells[5:]],
-        ids=["30_cells", "32_cells", "non_numeric"],
+        [lambda cells: cells[:-1], lambda cells: cells + [b"0"], lambda cells: cells[:4] + [b"oops"] + cells[5:],
+         lambda cells: [b"\xe9" + cells[0]] + cells[1:]],
+        ids=["30_cells", "32_cells", "non_numeric", "non_ascii"],
     )
     def test_bad_diagnostics_row(self, tmp_path, capsys, edit):
         def rewrite(data):
@@ -478,9 +534,63 @@ class TestMalformedRunDir:
         assert "diagnostics.csv: line 3" in self.check_edited(tmp_path, capsys, "diagnostics.csv", rewrite)
 
     def test_snapshot_header_without_n(self, tmp_path, capsys):
-        rel = os.path.join("snapshots", "step_00000010.theta.bin")
+        rel = os.path.join("snapshots", "step_00000010.bin")
         detail = self.check_edited(tmp_path, capsys, rel, lambda data: data.replace(b" n=32", b"", 1))
-        assert "step_00000010.theta.bin: line 1" in detail
+        assert "step_00000010.bin: line 1" in detail
+
+    def test_snapshot_header_non_ascii(self, tmp_path, capsys):
+        rel = os.path.join("snapshots", "step_00000010.bin")
+        detail = self.check_edited(tmp_path, capsys, rel, lambda data: data.replace(b" t=", b" \xe9t=", 1))
+        assert "step_00000010.bin: line 1" in detail
+
+
+class TestUntrustedRunDir:
+    """``check --run-dir`` on a run directory whose manifest is malformed or
+    names another snapshot format exits 4 with a ChecksumMismatch."""
+
+    @staticmethod
+    def check_manifest(tmp_path, capsys, edit):
+        run = str(tmp_path / "r")
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", run]) == 0
+        path = os.path.join(run, "manifest.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(edit(text))
+        capsys.readouterr()
+        assert main(["check", "--run-dir", run]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("TCM-ERROR ")
+        payload = json.loads(err.split(" ", 1)[1])
+        assert payload["error"] == "ChecksumMismatch" and "manifest.json" in payload["detail"]
+        assert not os.path.exists(os.path.join(run, "check_summary.txt"))
+        return payload["detail"]
+
+    @staticmethod
+    def edit_json(change):
+        def edit(text):
+            manifest = json.loads(text)
+            change(manifest)
+            return json.dumps(manifest)
+
+        return edit
+
+    def test_invalid_json(self, tmp_path, capsys):
+        assert "not a JSON manifest" in self.check_manifest(tmp_path, capsys, lambda text: "{bad")
+
+    def test_missing_files_key(self, tmp_path, capsys):
+        detail = self.check_manifest(tmp_path, capsys, self.edit_json(lambda m: m.pop("files")))
+        assert "no list of files" in detail
+
+    @pytest.mark.parametrize("key", ["path", "sha256"])
+    def test_entry_without_key(self, tmp_path, capsys, key):
+        detail = self.check_manifest(tmp_path, capsys, self.edit_json(lambda m: m["files"][1].pop(key)))
+        assert "files[1] needs a path and a sha256" in detail
+
+    def test_old_format_run_dir(self, tmp_path, capsys):
+        # a run directory written as per-field TCM1 grid samples
+        detail = self.check_manifest(tmp_path, capsys, self.edit_json(lambda m: m.update(format="TCM1")))
+        assert "'TCM1'" in detail and "TCM2" in detail
 
 
 class TestCliSweepTwinGronwall:
