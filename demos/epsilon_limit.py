@@ -12,7 +12,7 @@ import tcm2d as t
 base = t.SimConfig(n=64, dt=2e-3, horizon=0.5, preset="random_band", eps=0.0,
                    band_lo=1, band_hi=4, seed=11, diag_stride=25, snap_stride=5)
 levels = [0.2, 0.1, 0.05, 0.025, 0.0]
-rep = t.epsilon_sweep(t.sweep_configs(base, levels))
+rep = t.epsilon_sweep(base, levels)
 
 print(f"distances to the eps = {rep.reference_eps} run:")
 print(f"{'eps':>7} {'velocity L2H1':>15} {'theta L2L2':>12}")

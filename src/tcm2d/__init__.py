@@ -10,7 +10,6 @@ from .errors import (
     BadWindow,
     CflViolation,
     ChecksumMismatch,
-    ConfigMismatch,
     ConfigParseError,
     EmptyTrajectory,
     EpsOutOfRange,
@@ -72,6 +71,5 @@ from .diagnostics import (
     lipschitz_budget,
     lipschitz_budget_curve,
     max_principle_check,
-    sweep_configs,
     twin_divergence,
 )

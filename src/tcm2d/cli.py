@@ -9,7 +9,8 @@
 Exit codes: 0 success, 2 config error or malformed input file, 3 numerical
 guard (CFL or non-finite state), 4 I/O or an untrusted run directory (a
 missing, tampered or malformed manifest, or one of another snapshot format
-such as TCM1), 5 check failure. Failures print a single machine-readable
+such as TCM1), 5 check failure. A package error's code is its class's
+``exit_code`` (see ``errors``). Failures print a single machine-readable
 line ``TCM-ERROR {...}`` to stderr.
 """
 
@@ -26,26 +27,13 @@ import time
 import numpy as np
 
 from . import __version__, config as config_mod, diagnostics, gronwall, storage
-from .errors import (
-    BadParams,
-    BadSeries,
-    BadWindow,
-    CflViolation,
-    ChecksumMismatch,
-    ConfigMismatch,
-    ConfigParseError,
-    EmptyTrajectory,
-    Infeasible,
-    NonFiniteState,
-    NonZeroMean,
-)
+from .errors import ConfigParseError, TcmError
 from .derived import residual_flux_equation, residual_phi_equation, residual_w_equation
 from .model import SimConfig, simulate
 from .records import DiagnosticsSeries
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_GUARD = 3
 EXIT_IO = 4
 EXIT_CHECK = 5
 
@@ -315,9 +303,7 @@ def cmd_sweep_eps(args) -> int:
         levels = [float(x) for x in args.levels.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise ConfigParseError(f"--levels: {exc}") from exc
-    if not levels:
-        raise ConfigParseError("--levels must name at least one value")
-    report = diagnostics.epsilon_sweep(diagnostics.sweep_configs(cfg, levels))
+    report = diagnostics.epsilon_sweep(cfg, levels)
     out = _resolve_outdir(args, cfg, "sweep_out")
 
     storage.write_csv(
@@ -344,10 +330,6 @@ def cmd_sweep_eps(args) -> int:
 
 def cmd_twin(args) -> int:
     cfg, _ = _load_config(args)
-    if args.delta < 0:
-        raise ConfigParseError(f"--delta must be nonnegative, got {args.delta}")
-    if args.shape not in diagnostics.PERTURBATION_SHAPES:
-        raise ConfigParseError(f"--shape must be one of {diagnostics.PERTURBATION_SHAPES}")
     report = diagnostics.twin_divergence(cfg, args.delta, shape=args.shape)
     out = _resolve_outdir(args, cfg, "twin_out")
 
@@ -455,19 +437,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigParseError, BadParams, BadSeries, ConfigMismatch, Infeasible,
-            NonZeroMean, BadWindow, EmptyTrajectory) as exc:
-        _machine_error(type(exc).__name__, str(exc))
-        return EXIT_CONFIG
-    except CflViolation as exc:
-        _machine_error("CflViolation", str(exc), ratio=exc.ratio, limit=exc.limit, t=exc.t, step=exc.step)
-        return EXIT_GUARD
-    except NonFiniteState as exc:
-        _machine_error("NonFiniteState", str(exc), t=exc.t, field=exc.field, step=exc.step)
-        return EXIT_GUARD
-    except ChecksumMismatch as exc:
-        _machine_error("ChecksumMismatch", str(exc))
-        return EXIT_IO
+    except TcmError as exc:
+        _machine_error(type(exc).__name__, str(exc), **{name: getattr(exc, name) for name in exc.fields})
+        return exc.exit_code
     except OSError as exc:
         _machine_error("IoError", str(exc))
         return EXIT_IO

@@ -98,9 +98,18 @@ def parse_config_text(text: str) -> SimConfig:
 
 
 def parse_config_file(path) -> tuple[SimConfig, str]:
-    """Parse a config file; returns the config and the raw text echo."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a UTF-8 config file; returns the config and the raw text echo.
+    A byte that is not UTF-8 raises ConfigParseError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise ConfigParseError(f"{path}: line {line}: byte not UTF-8 at column {column}") from exc
+    # the universal newlines that reading in text mode gives
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_config_text(text), text
 
 

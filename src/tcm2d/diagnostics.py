@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gronwall
 from .derived import commutator_f
-from .errors import BadParams, ConfigMismatch
+from .errors import BadParams
 from .gronwall import _cumtrapz
 from .model import (
     SimConfig,
@@ -103,7 +103,7 @@ def certified_envelope(
     """Fit the smallest K for the run's (A, B) and check the envelope."""
     g = h1_temperature_functionals(series, eps)
     fit = gronwall.fit_min_k(g.times, g.A, g.B, g.alpha, g.beta)
-    g = g.with_k(fit.K)
+    g = replace(g, K=fit.K)
     return EnvelopeReport(fit=fit, conclusion=gronwall.conclusion_check(g, tol=tol), series=g)
 
 
@@ -236,7 +236,7 @@ def _perturbation(cfg: SimConfig, shape: str):
         pu = VectorField(zero, zero)
         pv = VectorField(zero, zero)
         pth = _modes_field(grid, [((1, 1), -0.25j), ((1, -1), -0.25j)])
-    elif shape == "band":
+    else:  # "band"
         rng = np.random.default_rng(cfg.seed + 9973)
         modes = _band_modes(max(cfg.band_lo, 1), max(cfg.band_hi, 2))
         pu = leray_project(perp_grad(_random_band_field(grid, modes, rng)))
@@ -244,8 +244,6 @@ def _perturbation(cfg: SimConfig, shape: str):
             _random_band_field(grid, modes, rng), _random_band_field(grid, modes, rng)
         )
         pth = _random_band_field(grid, modes, rng)
-    else:
-        raise BadParams(f"unknown perturbation shape {shape!r}")
     size = _smoothed_h1(pu, pv, pth)
     return pu * (1.0 / size), pv * (1.0 / size), pth * (1.0 / size)
 
@@ -256,8 +254,11 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
     separation against the computed exponential envelope.
 
     With delta = 0 the two runs are the same computation and the
-    separation is identically zero.
+    separation is identically zero. An unknown shape or a negative delta
+    raises BadParams.
     """
+    if shape not in PERTURBATION_SHAPES:
+        raise BadParams(f"shape must be one of {PERTURBATION_SHAPES}, got {shape!r}")
     if delta < 0:
         raise BadParams(f"delta must be nonnegative, got {delta}")
     base = make_initial(cfg)
@@ -319,13 +320,6 @@ class SweepReport:
     slope_theta: float
 
 
-def _config_signature(cfg: SimConfig) -> dict:
-    d = cfg.__dict__.copy()
-    d.pop("eps")
-    d.pop("outdir", None)
-    return d
-
-
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log y against log x over the points where both
     are positive; NaN with fewer than two such points."""
@@ -335,8 +329,8 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x[good]), np.log(y[good]), 1)[0])
 
 
-def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
-    """Run every config (identical but for eps) and report the distance of
+def epsilon_sweep(base: SimConfig, levels) -> SweepReport:
+    """Run ``base`` at every eps of ``levels`` and report the distance of
     each member to the smallest-eps member, in the two sweep metrics.
 
     The members run in lockstep with the reference member: at each of the
@@ -347,16 +341,12 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
     factors (see ``model._factors``), so stepping them in turn rebuilds
     nothing. Members are not stepped past the reference's last snapshot.
 
-    Raises :class:`ConfigMismatch` if the configs differ in anything but
-    eps (or in nothing at all, which is allowed and gives zero distance).
+    An empty ``levels`` raises BadParams, and so does a level that
+    SimConfig rejects. Repeated levels are allowed and give zero distance.
     """
+    configs = [replace(base, eps=float(e)) for e in levels]
     if not configs:
-        raise BadParams("need at least one config")
-    sig0 = _config_signature(configs[0])
-    for c in configs[1:]:
-        if _config_signature(c) != sig0:
-            raise ConfigMismatch("sweep members differ in something other than eps")
-
+        raise BadParams("need at least one eps level")
     eps_levels = np.array([c.eps for c in configs])
     ref = int(np.argmin(eps_levels))
     cfg = configs[ref]
@@ -403,8 +393,3 @@ def epsilon_sweep(configs: list[SimConfig]) -> SweepReport:
         slope_velocity=loglog_slope(gaps, np.array([dv[i] for i in order])),
         slope_theta=loglog_slope(gaps, np.array([dth[i] for i in order])),
     )
-
-
-def sweep_configs(base: SimConfig, levels) -> list[SimConfig]:
-    """Per-level copies of a base config, differing only in eps."""
-    return [replace(base, eps=float(e)) for e in levels]

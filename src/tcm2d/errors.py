@@ -1,8 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the command-line contract of its errors: ``exit_code``
+is the process exit status, and ``fields`` names the attributes that the
+``TCM-ERROR`` line reports next to ``error`` and ``detail``.
+"""
 
 
 class TcmError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors: a config error or a
+    malformed input unless a subclass says otherwise."""
+
+    exit_code = 2
+    fields = ()
 
 
 class BadParams(TcmError):
@@ -29,6 +38,9 @@ class CflViolation(TcmError):
     run.
     """
 
+    exit_code = 3
+    fields = ("ratio", "limit", "t", "step")
+
     def __init__(self, ratio, limit, t):
         self.ratio = float(ratio)
         self.limit = float(limit)
@@ -45,6 +57,9 @@ class NonFiniteState(TcmError):
     ``field`` names the offending field ("u" or "v"); ``t`` and ``step``
     are as for :class:`CflViolation`.
     """
+
+    exit_code = 3
+    fields = ("t", "field", "step")
 
     def __init__(self, t, field):
         self.t = float(t)
@@ -69,10 +84,6 @@ class Infeasible(TcmError):
     """No positive constant can satisfy the inequality on these samples."""
 
 
-class ConfigMismatch(TcmError):
-    """Sweep members differ in something other than the swept parameter."""
-
-
 class ConfigParseError(TcmError):
     """Malformed or invalid configuration input."""
 
@@ -82,6 +93,8 @@ class ChecksumMismatch(TcmError):
     JSON, or a listed file without a path or checksum), it names another
     snapshot format, or a file it lists is missing or does not match its
     recorded checksum."""
+
+    exit_code = 4
 
 
 class EmptyTrajectory(TcmError):

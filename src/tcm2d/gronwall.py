@@ -20,7 +20,7 @@ outcome is three-valued: holds / not-applicable / violated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class GronwallSeries:
         if bad.size:
             raise BadSeries(message, index=int(bad[0]) + offset)
 
-    def with_k(self, K: float) -> "GronwallSeries":
-        return replace(self, K=K)
-
     @property
     def elapsed(self) -> np.ndarray:
         return self.times - self.times[0]
@@ -99,9 +96,7 @@ def a_prime(g: GronwallSeries) -> np.ndarray:
 class HypothesisReport:
     margins: np.ndarray
     scale: np.ndarray
-    ok: np.ndarray
     holds: bool
-    tol: float
 
 
 def verify_hypothesis(g: GronwallSeries, tol: float = DEFAULT_TOL) -> HypothesisReport:
@@ -114,10 +109,7 @@ def verify_hypothesis(g: GronwallSeries, tol: float = DEFAULT_TOL) -> Hypothesis
     logB = np.log(g.B)
     margins = g.K * (g.alpha + logB) * g.A + g.beta - (dA + g.B)
     scale = g.K * (1.0 + g.alpha) * (g.A + np.abs(logB) * g.A) + g.beta + np.abs(dA) + g.B
-    ok = margins >= -tol * scale
-    return HypothesisReport(
-        margins=margins, scale=scale, ok=ok, holds=bool(np.all(ok)), tol=tol
-    )
+    return HypothesisReport(margins=margins, scale=scale, holds=bool(np.all(margins >= -tol * scale)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,6 @@ class ConclusionReport:
     """Envelope check; ``outcome`` is holds / not-applicable / violated."""
 
     lhs: np.ndarray
-    rhs: np.ndarray
     log_rhs: np.ndarray
     satisfied: np.ndarray
     outcome: str
@@ -143,8 +134,6 @@ def conclusion_check(g: GronwallSeries, tol: float = DEFAULT_TOL) -> ConclusionR
     lhs = np.maximum.accumulate(g.A) + _cumtrapz(g.B, g.elapsed)
     q = q_of_t(g)
     log_rhs = q + np.log(2.0 * q + 1.0)
-    with np.errstate(over="ignore"):
-        rhs = np.exp(log_rhs)
     satisfied = np.log(lhs) <= log_rhs + np.log1p(tol)
     if not hyp.holds:
         outcome = "not-applicable"
@@ -153,7 +142,7 @@ def conclusion_check(g: GronwallSeries, tol: float = DEFAULT_TOL) -> ConclusionR
     else:
         outcome = "violated"
     return ConclusionReport(
-        lhs=lhs, rhs=rhs, log_rhs=log_rhs, satisfied=satisfied, outcome=outcome, hypothesis=hyp
+        lhs=lhs, log_rhs=log_rhs, satisfied=satisfied, outcome=outcome, hypothesis=hyp
     )
 
 

@@ -166,7 +166,6 @@ class SimResult:
     ``snapshots`` is empty when :func:`simulate` handed them to a sink.
     """
 
-    config: SimConfig
     snapshots: list[State] = field(default_factory=list)
     diagnostics: "records.DiagnosticsSeries" = None
 
@@ -499,7 +498,7 @@ def simulate(
     state = make_initial(cfg)
     nsteps = cfg.num_steps()
     series = records.DiagnosticsSeries()
-    result = SimResult(config=cfg, diagnostics=series)
+    result = SimResult(diagnostics=series)
     if on_snapshot is None:
         def on_snapshot(step, s):
             result.snapshots.append(s)

@@ -202,10 +202,6 @@ class VectorField:
     def grid(self) -> Grid:
         return self.x.grid
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "VectorField":
-        return cls(SpectralField.zeros(grid), SpectralField.zeros(grid))
-
     def __add__(self, other):
         return VectorField(self.x + other.x, self.y + other.y)
 

@@ -199,13 +199,15 @@ def write_gronwall_csv(path, times, A, B, alpha, beta) -> None:
 
 
 def read_gronwall_csv(path):
-    """Returns (times, A, B, alpha, beta) arrays; errors carry row numbers."""
+    """Returns (times, A, B, alpha, beta) arrays; errors carry row numbers,
+    and a non-ASCII byte raises ConfigParseError naming its line."""
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if tuple(h.strip() for h in header) != GRONWALL_COLUMNS:
+    with open(path, "rb") as fh:
+        lines = _ascii_lines(fh, path)
+        _, header = next(lines, (1, ""))
+        if tuple(h.strip() for h in header.strip().split(",")) != GRONWALL_COLUMNS:
             raise BadSeries(f"{path}: expected columns {','.join(GRONWALL_COLUMNS)}")
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in lines:
             if not line.strip():
                 continue
             parts = line.strip().split(",")

@@ -210,7 +210,7 @@ def test_c8_epsilon_sweep():
         n=64, dt=2e-3, horizon=0.5, preset="random_band", eps=0.0,
         band_lo=1, band_hi=4, seed=11, diag_stride=25, snap_stride=5,
     )
-    rep = t.epsilon_sweep(t.sweep_configs(base, [0.2, 0.1, 0.05, 0.0]))
+    rep = t.epsilon_sweep(base, [0.2, 0.1, 0.05, 0.0])
     ok = rep.monotone_velocity and rep.monotone_theta and rep.reference_eps == 0.0
     dv = ", ".join(f"{x:.3g}" for x in rep.dist_velocity[:-1])
     report(8, "epsilon sweep", ok, f"velocity distances {dv}", time.time() - start, 600)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import tcm2d as t
-from tcm2d.errors import ConfigMismatch, EmptyTrajectory, NonFiniteState
+from tcm2d.errors import BadParams, EmptyTrajectory, NonFiniteState
 
 from conftest import band_state, with_nan
 
@@ -192,6 +192,10 @@ class TestTwinDivergence:
             t.twin_divergence(twin_cfg(), 1e-8)
         assert info.value.step == 2
 
+    def test_unknown_shape_with_zero_delta(self):
+        with pytest.raises(BadParams, match="shape"):
+            t.twin_divergence(twin_cfg(), 0.0, shape="bogus")
+
     @pytest.mark.parametrize("shape", ["mode", "band", "theta"])
     def test_shapes_normalized(self, shape):
         from tcm2d.diagnostics import _perturbation, _smoothed_h1
@@ -203,26 +207,25 @@ class TestTwinDivergence:
 class TestEpsilonSweep:
     def test_identical_levels_zero_distance(self):
         base = twin_cfg(horizon=0.05)
-        rep = t.epsilon_sweep(t.sweep_configs(base, [0.1, 0.1]))
+        rep = t.epsilon_sweep(base, [0.1, 0.1])
         assert np.all(rep.dist_velocity == 0.0)
         assert np.all(rep.dist_theta == 0.0)
 
-    def test_config_mismatch(self):
-        a = twin_cfg(horizon=0.05, eps=0.1)
-        b = dataclasses.replace(a, n=64, eps=0.05)
-        with pytest.raises(ConfigMismatch):
-            t.epsilon_sweep([a, b])
+    @pytest.mark.parametrize("levels", [[], [0.7]], ids=["empty", "out_of_range"])
+    def test_bad_levels(self, levels):
+        with pytest.raises(BadParams):
+            t.epsilon_sweep(twin_cfg(horizon=0.05), levels)
 
     def test_single_level_degenerate(self):
-        rep = t.epsilon_sweep([twin_cfg(horizon=0.05)])
+        rep = t.epsilon_sweep(twin_cfg(horizon=0.05), [0.1])
         assert rep.dist_velocity.shape == (1,)
         assert rep.monotone_velocity and rep.monotone_theta
 
     def test_distances_match_list_mode_runs(self):
         # the reference (eps = 0) is not the first member
-        configs = t.sweep_configs(twin_cfg(horizon=0.05, snap_stride=2, seed=38), [0.2, 0.0, 0.1, 0.05])
-        rep = t.epsilon_sweep(configs)
-        runs = [t.simulate(c).snapshots for c in configs]
+        base, levels = twin_cfg(horizon=0.05, snap_stride=2, seed=38), [0.2, 0.0, 0.1, 0.05]
+        rep = t.epsilon_sweep(base, levels)
+        runs = [t.simulate(dataclasses.replace(base, eps=e)).snapshots for e in levels]
         for i, snaps in enumerate(runs):
             ts = np.array([s.t for s in snaps])
             vel_sq = [t.norm(a.u - b.u, "H1") ** 2 + t.norm(a.v - b.v, "H1") ** 2 for a, b in zip(snaps, runs[1])]
@@ -240,7 +243,7 @@ class TestEpsilonSweep:
         make_initial = diagnostics.make_initial
         monkeypatch.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
         with pytest.raises(NonFiniteState) as info:
-            t.epsilon_sweep(t.sweep_configs(twin_cfg(horizon=0.05, snap_stride=5), [0.1, 0.0]))
+            t.epsilon_sweep(twin_cfg(horizon=0.05, snap_stride=5), [0.1, 0.0])
         assert info.value.step == 2
 
     def test_sweep_memory_does_not_grow_with_horizon(self):
@@ -249,13 +252,13 @@ class TestEpsilonSweep:
         levels = (0.2, 0.1, 0.05, 0.0)
 
         def peak(horizon):
-            configs = t.sweep_configs(twin_cfg(horizon=horizon, dt=2e-3, snap_stride=1, seed=39), levels)
-            for c in configs:  # build the step caches outside the measurement
-                t.imex_step(t.make_initial(c), c.dt)
+            cfg = twin_cfg(horizon=horizon, dt=2e-3, snap_stride=1, seed=39)
+            for e in levels:  # build the step caches outside the measurement
+                t.imex_step(t.make_initial(dataclasses.replace(cfg, eps=e)), cfg.dt)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                t.epsilon_sweep(configs)
+                t.epsilon_sweep(cfg, levels)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -267,7 +270,7 @@ class TestEpsilonSweep:
 
     def test_monotone_decrease(self):
         base = twin_cfg(horizon=0.2, eps=0.0, snap_stride=10, seed=34)
-        rep = t.epsilon_sweep(t.sweep_configs(base, [0.2, 0.1, 0.05, 0.0]))
+        rep = t.epsilon_sweep(base, [0.2, 0.1, 0.05, 0.0])
         assert rep.reference_eps == 0.0
         assert rep.monotone_velocity and rep.monotone_theta
         assert np.isfinite(rep.slope_velocity)

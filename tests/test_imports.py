@@ -1,7 +1,8 @@
 """Static checks on the standard library's ``ast`` alone: every module of the
 package, ``__init__.py`` aside, uses each name it imports (a stand-in for a
-linter's unused-import rule); every name the package root exports is used
-outside the tests; and every package name a demo uses exists."""
+linter's unused-import rule); every name the package root exports, and every
+public function and class a module defines, is used outside the tests; and
+every package name a demo uses exists."""
 
 import ast
 import importlib
@@ -48,8 +49,9 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os"]
 
 
-# Every name the package root exports is used by a package module or a demo,
-# or is named here with the reason it stays public although neither uses it.
+# Every name the package root exports, and every public function and class a
+# package module defines, is used by a package module or a demo, or is named
+# here with the reason it stays public although neither uses it.
 # Tests do not count: a name only tests call is test-only public API.
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 UNUSED_EXPORTS_ALLOWED = {
@@ -97,19 +99,48 @@ def _references(node, modules, inside=()):
         yield from _references(child, modules, inside)
 
 
-def unused_exports(init_source: str, sources) -> list[str]:
+def _used_names(sources) -> set[str]:
     used = set()
     for source in sources:
         tree = ast.parse(source)
         used.update(_references(tree, _module_aliases(tree)))
         used.update(_annotation_names(tree))
-    return sorted(exported_names(init_source) - used)
+    return used
+
+
+def unused_exports(init_source: str, sources) -> list[str]:
+    return sorted(exported_names(init_source) - _used_names(sources))
+
+
+def unused_definitions(modules, demos) -> list[str]:
+    """The public module-level functions and classes of ``modules`` that no
+    module or demo uses."""
+    defined = {
+        node.name
+        for source in modules
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    return sorted(defined - _used_names(modules + demos))
+
+
+def _sources(paths) -> list[str]:
+    return [p.read_text(encoding="utf-8") for p in paths]
 
 
 def test_every_export_is_used():
-    sources = [p.read_text(encoding="utf-8") for p in MODULES + DEMOS]
-    unused = unused_exports((SRC / "__init__.py").read_text(encoding="utf-8"), sources)
+    unused = unused_exports((SRC / "__init__.py").read_text(encoding="utf-8"), _sources(MODULES + DEMOS))
     assert unused == sorted(UNUSED_EXPORTS_ALLOWED)
+
+
+def test_every_public_definition_is_used():
+    assert unused_definitions(_sources(MODULES), _sources(DEMOS)) == sorted(UNUSED_EXPORTS_ALLOWED)
+
+
+def test_the_check_finds_an_unused_definition():
+    modules = _sources(MODULES)
+    modules[0] += "\n\ndef planted_helper(x):\n    return planted_helper(x - 1) if x else 0\n"
+    assert unused_definitions(modules, _sources(DEMOS)) == sorted({*UNUSED_EXPORTS_ALLOWED, "planted_helper"})
 
 
 def test_the_check_finds_a_test_only_export():

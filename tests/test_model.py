@@ -442,7 +442,7 @@ class TestStepCache:
         base = t.SimConfig(n=16, dt=1e-3, horizon=4e-3, preset="random_band", band_hi=3, seed=33)
         _stepper.cache_clear()
         model._factors.cache_clear()
-        t.epsilon_sweep(t.sweep_configs(base, (0.2, 0.1, 0.05, 0.0)))
+        t.epsilon_sweep(base, (0.2, 0.1, 0.05, 0.0))
         assert _stepper.cache_info().currsize == _stepper.cache_info().misses == 1
         assert model._factors.cache_info().misses == 4
 

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import tcm2d as t
-from tcm2d import storage
+from tcm2d import cli, storage
 from tcm2d.cli import main
 from tcm2d.config import parse_config_file, parse_config_text, render_config
-from tcm2d.errors import BadSeries, ChecksumMismatch, ConfigParseError
+from tcm2d.errors import BadSeries, CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
 
 from conftest import band_state, with_nan
 
@@ -362,6 +362,45 @@ class TestCliRun:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[grid]\nn = 32\xff\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "ConfigParseError"
+        assert "run.cfg: line 2" in payload["detail"]
+
+
+def _error_classes(cls=TcmError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+class TestErrorContract:
+    """Every package error, raised inside a command, exits with its class's
+    code and prints exactly one ``TCM-ERROR`` line naming the class."""
+
+    ARGS = {CflViolation: (2.0, 0.5, 0.25), NonFiniteState: (0.25, "u")}
+    EXIT_CODES = {CflViolation: 3, NonFiniteState: 3, ChecksumMismatch: 4}
+    # the keys a guard error adds to the line; step is None outside a run
+    EXTRA = {
+        CflViolation: {"ratio": 2.0, "limit": 0.5, "t": 0.25, "step": None},
+        NonFiniteState: {"t": 0.25, "field": "u", "step": None},
+    }
+
+    @pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_exit_code_and_one_line(self, cls, capsys, monkeypatch):
+        exc = cls(*self.ARGS.get(cls, ("planted",)))
+
+        def command(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_gronwall", command)
+        assert main(["gronwall", "--csv", "unused.csv", "--k", "1"]) == self.EXIT_CODES.get(cls, 2)
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("TCM-ERROR ")
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload == {"error": cls.__name__, "detail": str(exc), **self.EXTRA.get(cls, {})}
+
 
 class TestCliCheck:
     def test_fresh_run_passes(self, tmp_path, capsys):
@@ -605,7 +644,7 @@ class TestCliSweepTwinGronwall:
         out = str(tmp_path / "sw")
         levels = (0.2, 0.1, 0.0)
         assert main(["sweep-eps", "--config", cfg, "--levels", ",".join(map(str, levels)), "--out", out]) == 0
-        rep = t.epsilon_sweep(t.sweep_configs(parse_config_file(cfg)[0], levels))
+        rep = t.epsilon_sweep(parse_config_file(cfg)[0], levels)
         rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
         assert rows[0] == "eps,dist_velocity_l2h1,dist_theta_l2l2"
         want = zip(rep.eps_levels, rep.dist_velocity, rep.dist_theta)
@@ -643,6 +682,14 @@ class TestCliSweepTwinGronwall:
         storage.write_gronwall_csv(path, ts, ones, np.e * ones, 0 * ones, 0 * ones)
         assert main(["gronwall", "--csv", str(path), "--fit-k"]) == 0
         assert "fitted K" in capsys.readouterr().out
+
+    def test_gronwall_non_ascii_row(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"time,A,B,alpha,beta\n0,1,1,0,0\n\xe90.5,1,1,0,0\n")
+        assert main(["gronwall", "--csv", str(path), "--k", "1.0"]) == 2
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "ConfigParseError"
+        assert "g.csv: line 3" in payload["detail"]
 
     def test_gronwall_bad_series_exit(self, tmp_path, capsys):
         ts = np.linspace(0, 1, 5)
