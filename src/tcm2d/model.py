@@ -45,13 +45,18 @@ stage reuses those grid velocities when the mask drops none of their
 coefficients. That makes 28 real field-transforms per step (14 forward,
 14 inverse) when the mask is a no-op on u and v, and 32 otherwise.
 
-Each inverse transform is taken as the two passes numpy's ``irfft2`` is
-made of, a complex inverse along the first axis and a real one along the
-second, both written into held arrays (``irfft2`` itself ignores
-``out=``); the forward ones go through ``rfft2(..., out=)``. The corrector
-accumulates into the result, so no stage's tendency is held beside it. So
-no stage allocates a fresh array: a warm step allocates its result and
-small temporaries only.
+Each transform is taken as the two passes numpy's ``irfft2`` and
+``rfft2`` are made of, a complex one along the first axis and a real one
+along the second, written into held arrays (``irfft2`` itself ignores
+``out=``). The complex pass runs only over the leading columns of the half
+plane in which the mask keeps a mode (a pruned FFT): factors and products
+are zero in the others, which hold a third of the half plane under the
+two-thirds mask (86 of 129 columns at n = 256 are kept) and one column
+without it. The results equal ``irfft2``'s and the masked ``rfft2``'s;
+only the sign of zero coefficients can differ. The corrector accumulates
+into the result, so no stage's tendency is held beside it. So no stage
+allocates a fresh array: a warm step allocates its result and small
+temporaries only.
 
 What a step reuses is kept in two private caches. The stage buffers, the
 mask and -ik depend on (grid, dealias) alone and sit in a one-entry cache:
@@ -270,25 +275,42 @@ def _mul_add(a, b, c, d, out: np.ndarray, tmp: np.ndarray) -> None:
     out += tmp
 
 
-def _irfft2(a: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+def _irfft2(a: np.ndarray, work: np.ndarray, out: np.ndarray, cols: int) -> None:
     # np.fft.irfft2(a, s=out.shape[-2:]) into out, through work (a's shape
-    # and dtype; may be a itself): irfft2 is a complex inverse along axis -2
-    # and a real one along axis -1, but drops out=, so both passes are taken
-    # here with it. Bit-identical to irfft2.
-    np.fft.ifftn(a, axes=(-2,), out=work)
+    # and dtype; may be a itself), for a zero beyond its first cols columns:
+    # irfft2 is a complex inverse along axis -2 and a real one along axis -1,
+    # but drops out=, so both passes are taken here with it, the first over
+    # those cols columns only; work's later columns must hold zeros. Equal
+    # to irfft2 (zeros may differ in sign).
+    np.fft.ifftn(a[..., :cols], axes=(-2,), out=work[..., :cols])
     np.fft.irfft(work, out.shape[-1], axis=-1, out=out)
+
+
+def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
+    # np.fft.rfft2(a) into out's first cols columns; the later ones take
+    # only the real pass along axis -1, for the caller's mask to zero.
+    # (fftn along one axis is fft, under the n-d name that
+    # bench/trace_child.py and the transform-count tests wrap)
+    np.fft.rfft(a, axis=-1, out=out)
+    np.fft.fftn(out[..., :cols], axes=(-2,), out=out[..., :cols])
 
 
 class _Stepper:
     """What :func:`imex_step` reuses from step to step for one (grid,
-    dealias): the product mask, -ik and the stage buffers, which every step
-    overwrites (about 16 MB at n = 256). A stage transforms seven fields
-    each way and forms seven products; with the buffers held, a warm step
-    allocates nothing of grid size but its result."""
+    dealias): the product mask, the number of leading half-plane columns
+    it keeps, -ik and the stage buffers, which every step overwrites (about
+    16 MB at n = 256). A stage transforms seven fields each way, with the
+    complex passes pruned to the kept columns, and forms seven products;
+    with the buffers held, a warm step allocates nothing of grid size but
+    its result."""
 
     def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
         self.mask = g.product_mask(use_dealias)
+        # the kept modes lie in the leading cols columns of the half plane
+        # (86 of 129 at n = 256 under the two-thirds mask, 128 without it);
+        # the complex passes of every stage transform skip the rest
+        self.cols = int(self.mask.any(axis=0).sum())
         self.minus_ik = -g.ik  # the tendency is minus the terms
         # b n0 / 2, then the predictor, then b n1 / 2 over it
         self.y1 = np.empty((5, *g.spec_shape), dtype=np.complex128)
@@ -302,11 +324,13 @@ class _Stepper:
         # which coefficients of u and v outside the mask are nonzero
         self.off = np.zeros((4, *g.spec_shape), dtype=bool)
 
-    def velocities(self, y: np.ndarray) -> np.ndarray:
-        """u and v of the stacked spectra y on the grid, into f[:4], and
-        (||u||_Linf, ||v||_Linf) as norm(., "Linf") computes them."""
-        f, sq = self.f, self.p[:4]
-        _irfft2(y[:4], self.z[:4], f[:4])
+    def velocities(self, y: np.ndarray, cols: int) -> np.ndarray:
+        """u and v of the stacked spectra y, zero beyond their first cols
+        columns, on the grid, into f[:4], and (||u||_Linf, ||v||_Linf) as
+        norm(., "Linf") computes them."""
+        f, sq, work = self.f, self.p[:4], self.z[:4]
+        work[..., cols:] = 0
+        _irfft2(y[:4], work, f[:4], cols)
         np.square(f[0:4:2], out=sq[:2])
         np.square(f[1:4:2], out=sq[2:])
         sq[:2] += sq[2:]
@@ -332,9 +356,9 @@ class _Stepper:
         np.multiply(ik[1], z[2], out=c)
         z[6] -= c
         if grid_uv:
-            _irfft2(z[4:], z[4:], f[4:])
+            _irfft2(z[4:], z[4:], f[4:], self.cols)
         else:
-            _irfft2(z, z, f)
+            _irfft2(z, z, f, self.cols)
         ux, uy, vx, vy, th, cu, cv = f
         _mul_add(ux, ux, vx, vx, p[0], p[1])
         _mul_add(uy, uy, vy, vy, p[1], p[2])
@@ -369,7 +393,7 @@ class _Stepper:
         """
         self._products(y, grid_uv)
         q, c = self.z, self.c[0]
-        np.fft.rfft2(self.p, out=q)
+        _rfft2(self.p, q, self.cols)
         q *= self.mask
         q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
         q[2] += y[4]  # u.v + theta
@@ -417,7 +441,8 @@ def imex_step(
     """Advance one step of size dt; deterministic, CFL-guarded.
 
     The CFL ratio is dt * max(||u||_Linf, ||v||_Linf) / spacing, from one
-    batched transform of u and v. A state whose u or v holds a NaN or an
+    batched transform of u and v, pruned to the mask's columns when the
+    mask drops none of their coefficients. A state whose u or v holds a NaN or an
     infinity raises :class:`NonFiniteState` naming that field instead of
     stepping on.
 
@@ -427,7 +452,8 @@ def imex_step(
     and rotational form (see the module docstring). u is re-projected after
     each stage. A step takes 28 real field-transforms (14 forward,
     14 inverse) when the step's mask is a no-op on u and v, and 32
-    otherwise. Without dealiasing that mask drops only the Nyquist lines.
+    otherwise; the complex pass of each runs only over the columns in
+    which the mask keeps a mode. Without dealiasing that mask drops only the Nyquist lines.
     The u of ``s`` must hold no Nyquist modes (see ``spectral._project``);
     every state that ``make_initial`` and this function return meets that.
 
@@ -446,7 +472,10 @@ def imex_step(
     g = s.grid
     st = _stepper(g, use_dealias)
     y = _stack(s)  # fresh: becomes the result, whose views the State holds
-    linf = st.velocities(y)
+    # the first stage reuses the CFL check's grid velocities unless the mask
+    # changes u or v; if it changes nothing, u and v lie in the kept columns
+    grid_uv = not st.drops_uv(y)
+    linf = st.velocities(y, st.cols if grid_uv else y.shape[-1])
     bad = ~np.isfinite(linf)
     if bad.any():
         raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
@@ -454,9 +483,6 @@ def imex_step(
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
     a, half_b = _factors(g, dt, s.eps)
-    # the first stage reuses the CFL check's grid velocities unless the mask
-    # changes u or v
-    grid_uv = not st.drops_uv(y)
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
     # y1 = a y0 + b n0 is y + b n0 / 2 midway; u is projected in both

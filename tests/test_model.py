@@ -472,18 +472,26 @@ class TestStepCache:
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
-    def test_held_inverse_equals_irfft2(self, n, fields):
-        # the step's batches: theta and the curls, u and v, all seven; in
-        # place, as the stages take it, and through separate work, as the
-        # CFL check does
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    def test_pruned_passes_equal_rfft2_and_irfft2(self, n, fields, use_dealias):
+        # the step's batches: theta and the curls, u and v, all seven. The
+        # inverse of masked spectra in place, as the stages take it, and
+        # through separate work with zeroed later columns, as the CFL check
+        # does; the forward one before the stage's mask
+        st = _stepper(t.Grid(n), use_dealias)
         rng = np.random.default_rng(n + fields)
-        a = np.fft.rfft2(rng.standard_normal((fields, n, n)))
+        x = rng.standard_normal((fields, n, n))
+        a = np.fft.rfft2(x) * st.mask
         want = np.fft.irfft2(a, s=(n, n))
         out = np.empty((fields, n, n))
-        model._irfft2(a, np.empty_like(a), out)
+        model._irfft2(a, np.zeros_like(a), out, st.cols)
         assert np.array_equal(out, want)
-        model._irfft2(a, a, out)
+        model._irfft2(a, a, out, st.cols)
         assert np.array_equal(out, want)
+        q = np.empty_like(a)
+        model._rfft2(x, q, st.cols)
+        q *= st.mask
+        assert np.array_equal(q, np.fft.rfft2(x) * st.mask)
 
 
 class TestSimulate:
@@ -660,10 +668,11 @@ class TestTransformBudget:
             storage.write_state_snapshot(snap_dir, t.imex_step(low, 1e-3, use_dealias=use_dealias), 1)
             rows.append(("read back", storage.read_state_snapshot(snap_dir, 1), use_dealias, 14))
         # the step takes each inverse transform as ifftn along axis -2 and
-        # then irfft along axis -1, so ifftn counts its fields once
+        # then irfft along axis -1, and each forward one as rfft along axis
+        # -1 and then fftn along axis -2, so each field counts once
         for name, s, use_dealias, inverse in rows:
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
-            assert counts == {"rfft2": 14, "ifftn": inverse}, (name, use_dealias)
+            assert counts == {"fftn": 14, "ifftn": inverse}, (name, use_dealias)
 
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)
