@@ -66,8 +66,9 @@ another grid or mask replaces them. The merged trapezoidal factors depend
 on (grid, dt, eps) and sit in a small cache of their own (about 67 KB per
 entry at n = 64, 1 MB at n = 256), so runs that differ only in eps, such
 as the members of an eps sweep stepped in lockstep, share one set of
-buffers and each keep their factors. Because steps share those buffers, ``imex_step`` is not
-thread-safe.
+buffers and each keep their factors. ``records.make_record`` borrows the
+same stage buffers between steps. Because steps and records share those
+buffers, neither ``imex_step`` nor ``make_record`` is thread-safe.
 """
 
 from __future__ import annotations
@@ -302,7 +303,9 @@ class _Stepper:
     16 MB at n = 256). A stage transforms seven fields each way, with the
     complex passes pruned to the kept columns, and forms seven products;
     with the buffers held, a warm step allocates nothing of grid size but
-    its result."""
+    its result. A step writes each buffer before reading it (the later
+    columns of z included), so ``records.make_record`` may work in them
+    between steps."""
 
     def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
@@ -462,8 +465,9 @@ def imex_step(
     with another grid or mask replaces them; the trapezoidal factors are
     built once per (grid, dt, eps) and kept in a small cache of their own,
     so states that differ only in eps can be stepped in turn without
-    rebuilding anything. Steps share those buffers, so this function is not
-    thread-safe: step at most one state at a time per process. The returned
+    rebuilding anything. Steps share those buffers, and records borrow them
+    between steps, so this function is not thread-safe: step or record at
+    most one state at a time per process. The returned
     State owns its arrays, and is all that a warm step allocates beyond
     small temporaries.
     """

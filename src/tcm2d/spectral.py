@@ -416,25 +416,10 @@ def norm(f, kind: str = "L2") -> float:
     raise BadParams(f"unknown norm kind {kind!r}")
 
 
-def _grad_stack(g: Grid, f: np.ndarray) -> np.ndarray:
-    # spectra of (d_x f_0, d_y f_0, d_x f_1, d_y f_1, ...) for stacked spectra f
-    return (g.ik * f[:, None]).reshape(-1, *g.spec_shape)
-
-
-def _grad_norms(a: VectorField) -> tuple[float, float]:
-    # (grad_linf(a), grad_l4(a)) from one batched transform of the gradient
-    g = a.grid
-    sq = np.fft.irfft2(_grad_stack(g, np.stack((a.x.spec, a.y.spec))), s=(g.n, g.n)) ** 2
-    linf = np.max(np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2] + sq[3]))
-    l4 = (np.sum((sq[0] + sq[1] + sq[2] + sq[3]) ** 2) * (g.length / g.n) ** 2) ** 0.25
-    return float(linf), float(l4)
-
-
 def grad_linf(a: VectorField) -> float:
     """Sup over grid points of |grad a^x| + |grad a^y| (Euclidean per component)."""
-    return _grad_norms(a)[0]
-
-
-def grad_l4(a: VectorField) -> float:
-    """L4 norm of the gradient tensor (Frobenius pointwise)."""
-    return _grad_norms(a)[1]
+    g = a.grid
+    # (d_x a^x, d_y a^x, d_x a^y, d_y a^y) from one batched transform
+    grads = (g.ik * np.stack((a.x.spec, a.y.spec))[:, None]).reshape(4, *g.spec_shape)
+    sq = np.fft.irfft2(grads, s=(g.n, g.n)) ** 2
+    return float(np.max(np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2] + sq[3])))

@@ -6,6 +6,7 @@ import pytest
 
 import tcm2d as t
 from tcm2d.errors import BadParams, EmptyTrajectory, NonFiniteState
+from tcm2d.spectral import grad_linf
 
 from conftest import band_state, with_nan
 
@@ -35,7 +36,95 @@ class TestEnergyIdentity:
         assert abs(res[-1]) < 1e-3
 
 
+def oracle_record(s, use_dealias):
+    """Every column of a record, field by field from the public operators."""
+    g, u, v, th = s.grid, s.u, s.v, s.theta
+    w, flux = t.pseudo_baroclinic(s), t.viscous_flux(s)
+    sem = t.seminorm
+
+    def grad_l4(a):
+        # L4 norm of the gradient tensor, Frobenius pointwise
+        frob = sum(t.derivative(c, axis).phys ** 2 for c in a for axis in "xy")
+        return (np.sum(frob**2) * (g.length / g.n) ** 2) ** 0.25
+
+    active = g.n / 3.0 if use_dealias else g.n / 2.0
+    band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
+    tail = t.SpectralField(g, np.where(band > 2.0 / 3.0 * active, th.spec, 0.0))
+    th_l2 = t.norm(th)
+    a_func = sem(th, 1) ** 2 + s.t * (sem(u, 2) ** 2 + sem(w, 2) ** 2) + 1.0
+    return dict(
+        t=s.t,
+        energy=0.5 * (t.norm(u) ** 2 + t.norm(v) ** 2 + th_l2**2),
+        dissipation=sem(u, 1) ** 2 + sem(v, 1) ** 2 + s.eps * sem(th, 1) ** 2,
+        u_l2=t.norm(u),
+        v_l2=t.norm(v),
+        theta_l2=th_l2,
+        grad_u_l2=sem(u, 1),
+        grad_v_l2=sem(v, 1),
+        grad_theta_l2=sem(th, 1),
+        grad_w_l2=sem(w, 1),
+        lap_u_l2=sem(u, 2),
+        lap_w_l2=sem(w, 2),
+        lap_theta_l2=sem(th, 2),
+        grad_lap_u_l2=sem(u, 3),
+        grad_lap_w_l2=sem(w, 3),
+        theta_l4=t.norm(th, "L4"),
+        theta_linf=t.norm(th, "Linf"),
+        u_linf=t.norm(u, "Linf"),
+        v_linf=t.norm(v, "Linf"),
+        uv_linf=np.sqrt(np.max(sum(c.phys**2 for c in (*u, *v)))),
+        grad_u_linf=grad_linf(u),
+        grad_u_l4=grad_l4(u),
+        grad_w_l4=grad_l4(w),
+        phi_linf=t.norm(flux, "Linf"),
+        a_func=a_func,
+        b_func=a_func + s.t * (sem(u, 3) ** 2 + sem(w, 3) ** 2) + s.eps * sem(th, 2) ** 2 + np.e,
+        theta_tail_frac=t.norm(tail) ** 2 / th_l2**2 if th_l2 > 0 else 0.0,
+        mean_theta=th.mean,
+        mean_u_x=u.x.mean,
+        mean_u_y=u.y.mean,
+        div_u_rel=t.norm(t.div(u)) / t.norm(u, "H1") if t.norm(u, "H1") > 0 else 0.0,
+    )
+
+
+RECORD_STATES = {
+    "band": lambda: band_state(n=32, seed=3),
+    "beyond_mask": lambda: band_state(n=32, seed=3, hi=15),
+    "zero": lambda: band_state(n=32, u_amp=0.0, v_amp=0.0, theta_amp=0.0),
+    "eps_at_t": lambda: dataclasses.replace(band_state(n=32, seed=5, eps=0.2), t=0.3),
+}
+
+
 class TestRecordRow:
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    @pytest.mark.parametrize("name", sorted(RECORD_STATES))
+    def test_columns_match_public_operators(self, name, use_dealias):
+        # the record's batched pass against a field-by-field evaluation;
+        # each sum may take another order, so roundoff may differ
+        s = RECORD_STATES[name]()
+        got = dict(zip(t.COLUMNS, t.make_record(s, use_dealias)))
+        want = oracle_record(s, use_dealias)
+        assert set(want) == set(t.COLUMNS)
+        for c in t.COLUMNS:
+            tol = 1e-13 * abs(want[c]) if abs(want[c]) > 1e-10 else 1e-15
+            assert abs(got[c] - want[c]) <= tol, (c, got[c], want[c])
+
+    def test_warm_record_allocates_little(self):
+        # the record works in the step's held buffers: no grid-size array
+        # and no phys cache (11.85 MB while each field was transformed into
+        # fresh arrays and cached on the state)
+        t.make_record(band_state(n=256, seed=35), True)
+        s = band_state(n=256, seed=36)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t.make_record(s, True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0e6, peak
+        assert all(f._phys is None for f in (*s.u, *s.v, s.theta))
+
     def test_row_layout(self):
         s = dataclasses.replace(band_state(n=16, seed=3, hi=4), t=0.25)
         row = t.make_record(s, True)

@@ -472,26 +472,33 @@ class TestStepCache:
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
-    @pytest.mark.parametrize("use_dealias", [True, False])
-    def test_pruned_passes_equal_rfft2_and_irfft2(self, n, fields, use_dealias):
-        # the step's batches: theta and the curls, u and v, all seven. The
-        # inverse of masked spectra in place, as the stages take it, and
-        # through separate work with zeroed later columns, as the CFL check
-        # does; the forward one before the stage's mask
-        st = _stepper(t.Grid(n), use_dealias)
+    def test_held_inverse_equals_irfft2(self, n, fields):
+        # the step's batches: theta and the curls, u and v, all seven; the
+        # complex pass pruned to the columns each mask keeps, in place, as
+        # the stages take it, and through separate work with zeroed later
+        # columns, as the CFL check does
+        rng = np.random.default_rng(n + fields)
+        for use_dealias in (True, False):
+            st = _stepper(t.Grid(n), use_dealias)
+            a = np.fft.rfft2(rng.standard_normal((fields, n, n))) * st.mask
+            want = np.fft.irfft2(a, s=(n, n))
+            out = np.empty((fields, n, n))
+            model._irfft2(a, np.zeros_like(a), out, st.cols)
+            assert np.array_equal(out, want)
+            model._irfft2(a, a, out, st.cols)
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("fields", [3, 4, 7])
+    def test_pruned_forward_equals_masked_rfft2(self, n, fields):
         rng = np.random.default_rng(n + fields)
         x = rng.standard_normal((fields, n, n))
-        a = np.fft.rfft2(x) * st.mask
-        want = np.fft.irfft2(a, s=(n, n))
-        out = np.empty((fields, n, n))
-        model._irfft2(a, np.zeros_like(a), out, st.cols)
-        assert np.array_equal(out, want)
-        model._irfft2(a, a, out, st.cols)
-        assert np.array_equal(out, want)
-        q = np.empty_like(a)
-        model._rfft2(x, q, st.cols)
-        q *= st.mask
-        assert np.array_equal(q, np.fft.rfft2(x) * st.mask)
+        for use_dealias in (True, False):
+            st = _stepper(t.Grid(n), use_dealias)
+            q = np.empty((fields, *st.g.spec_shape), dtype=np.complex128)
+            model._rfft2(x, q, st.cols)
+            q *= st.mask
+            assert np.array_equal(q, np.fft.rfft2(x) * st.mask)
 
 
 class TestSimulate:
@@ -677,4 +684,4 @@ class TestTransformBudget:
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)
         counts = self.count(monkeypatch, lambda: t.make_record(s, True))
-        assert counts == {"irfft2": 14}
+        assert counts == {"ifftn": 14}
