@@ -254,13 +254,13 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
     separation against the computed exponential envelope.
 
     With delta = 0 the two runs are the same computation and the
-    separation is identically zero. An unknown shape or a negative delta
-    raises BadParams.
+    separation is identically zero. An unknown shape, or a delta that is
+    not finite and nonnegative (NaN included), raises BadParams.
     """
     if shape not in PERTURBATION_SHAPES:
         raise BadParams(f"shape must be one of {PERTURBATION_SHAPES}, got {shape!r}")
-    if delta < 0:
-        raise BadParams(f"delta must be nonnegative, got {delta}")
+    if not (np.isfinite(delta) and delta >= 0):
+        raise BadParams(f"delta must be finite and nonnegative, got {delta}")
     base = make_initial(cfg)
     if delta == 0.0:
         pert = base

@@ -281,6 +281,11 @@ class TestTwinDivergence:
             t.twin_divergence(twin_cfg(), 1e-8)
         assert info.value.step == 2
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
+    def test_bad_delta(self, delta):
+        with pytest.raises(BadParams, match="delta"):
+            t.twin_divergence(twin_cfg(), delta)
+
     def test_unknown_shape_with_zero_delta(self):
         with pytest.raises(BadParams, match="shape"):
             t.twin_divergence(twin_cfg(), 0.0, shape="bogus")

@@ -665,6 +665,14 @@ class TestCliSweepTwinGronwall:
         cfg = write_cfg(tmp_path)
         assert main(["twin", "--config", cfg, "--delta", "-1", "--out", str(tmp_path / "t")]) == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_twin_non_finite_delta(self, tmp_path, capsys, delta):
+        # refused before any step, not stopped at step 1 as a non-finite state
+        cfg = write_cfg(tmp_path)
+        assert main(["twin", "--config", cfg, "--delta", delta, "--out", str(tmp_path / "t")]) == 2
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "BadParams" and "delta" in payload["detail"]
+
     def test_gronwall_constant_series(self, tmp_path, capsys):
         ts = np.linspace(0, 1, 21)
         ones = np.ones_like(ts)
