@@ -66,8 +66,9 @@ another grid or mask replaces them. The merged trapezoidal factors depend
 on (grid, dt, eps) and sit in a small cache of their own (about 67 KB per
 entry at n = 64, 1 MB at n = 256), so runs that differ only in eps, such
 as the members of an eps sweep stepped in lockstep, share one set of
-buffers and each keep their factors. ``records.make_record`` borrows the
-same stage buffers between steps. Because steps and records share those
+buffers and each keep their factors. A record borrows the same stage
+buffers between steps (``_Stepper.record_norms``, which
+``records.make_record`` calls). Because steps and records share those
 buffers, neither ``imex_step`` nor ``make_record`` is thread-safe.
 """
 
@@ -304,11 +305,13 @@ class _Stepper:
     complex passes pruned to the kept columns, and forms seven products;
     with the buffers held, a warm step allocates nothing of grid size but
     its result. A step writes each buffer before reading it (the later
-    columns of z included), so ``records.make_record`` may work in them
-    between steps."""
+    columns of z included), so :meth:`record_norms`, the batched pass of a
+    diagnostics record, may work in them between steps; the record's
+    Parseval weights (:attr:`weights`) are built on its first call."""
 
     def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
+        self.use_dealias = use_dealias
         self.mask = g.product_mask(use_dealias)
         # the kept modes lie in the leading cols columns of the half plane
         # (86 of 129 at n = 256 under the two-thirds mask, 128 without it);
@@ -415,6 +418,117 @@ class _Stepper:
         _mul_add(mik[0], q[5], mik[1], q[6], out[4], c)
         _project(self.g, out[:2], self.c)
         return out
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The Parseval weights of a record, as the rows of one
+        (5, n (n//2 + 1)) array: herm_weight |k|^(2j) for j = 0..3, then
+        herm_weight on the tail band, the top third of the active band
+        (|k|_max <= n/3 with dealiasing, n/2 without)."""
+        g = self.g
+        active = g.n / 3.0 if self.use_dealias else g.n / 2.0
+        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
+        rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
+        return np.stack(rows).reshape(5, -1)
+
+    def record_norms(self, s) -> tuple[np.ndarray, dict]:
+        """What ``records.make_record`` assembles the record of the state s
+        from, in one batched pass through the stage buffers, which sit idle
+        between steps (a step writes each buffer before reading it, the
+        later columns of z included):
+
+        - the (5, 5) Parseval sums  sum herm_weight |k|^(2j) |a_k|^2  for
+          j = 0..3 and over the tail band (columns), of u, v, theta, the
+          pseudo baroclinic velocity w and div u (rows), from one power
+          stack (re^2 + im^2) reduced by one matmul against
+          :attr:`weights`;
+        - the grid norms and means of the record, keyed by their column
+          names, from two seven-field inverse transforms over every column
+          (s may hold modes the mask drops), each reduced in place in the
+          order of operations of ``norm`` and ``grad_linf``.
+
+        Allocates no array of grid size and fills no ``SpectralField.phys``
+        cache.
+        """
+        u, v, th, eps = s.u, s.v, s.theta, s.eps
+        g = self.g
+        ik, z, y, f, p = g.ik, self.z, self.y1, self.f, self.p
+        m = th.spec.size
+        scale = 1.0 / (1.0 - eps)
+
+        # spectra: w = v + grad((-lap)^-1 theta) / (1 - eps) and div u into
+        # y[:3]; u, v, theta, the flux div v - theta / (1 - eps) and d_x u^x
+        # into z
+        np.multiply(g.inv_k2, th.spec, out=y[2])
+        np.multiply(ik, y[2], out=y[:2])
+        y[:2] *= scale
+        y[0] += v.x.spec
+        y[1] += v.y.spec
+        np.multiply(ik[0], u.x.spec, out=y[2])
+        np.multiply(ik[1], u.y.spec, out=y[3])
+        y[2] += y[3]
+        for k, a in enumerate((u.x, u.y, v.x, v.y, th)):
+            z[k] = a.spec
+        np.multiply(ik[0], v.x.spec, out=z[5])
+        np.multiply(ik[1], v.y.spec, out=z[6])
+        z[5] += z[6]
+        np.multiply(th.spec, scale, out=z[6])
+        z[5] -= z[6]
+        np.multiply(ik[0], u.x.spec, out=z[6])
+
+        # the power stack of (u^x, u^y, v^x, v^y, theta, w^x, w^y, div u)
+        # in p, the squared real and imaginary parts of five spectra at a
+        # time in f; 8 and 10 half planes of floats, which fit in 7 n^2
+        # for every n >= 8 that Grid allows
+        power = p.reshape(-1)[: 8 * m].reshape(8, *g.spec_shape)
+        for spec, pw in ((z[:5], power[:5]), (y[:3], power[5:])):
+            sq = f.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
+            np.square(spec.view(np.float64), out=sq)
+            np.add(sq[..., 0::2], sq[..., 1::2], out=pw)
+        raw = power.reshape(8, m) @ self.weights.T
+        sums = np.array([raw[0] + raw[1], raw[2] + raw[3], raw[4], raw[5] + raw[6], raw[7]])
+
+        # the grid fields: f = (u^x, u^y, v^x, v^y, theta, flux, d_x u^x) and
+        # p = (d_y u^x, d_x u^y, d_y u^y, d_x w^x, d_y w^x, d_x w^y, d_y w^y)
+        cols = z.shape[-1]
+        _irfft2(z, z, f, cols)
+        np.multiply(ik[1], u.x.spec, out=z[0])
+        np.multiply(ik, u.y.spec, out=z[1:3])
+        np.multiply(ik, y[0], out=z[3:5])
+        np.multiply(ik, y[1], out=z[5:7])
+        _irfft2(z, z, p, cols)
+
+        area = (g.length / g.n) ** 2
+        grid = dict(mean_theta=f[4].mean(), mean_u_x=f[0].mean(), mean_u_y=f[1].mean())
+        np.square(f, out=f)
+        np.square(p, out=p)
+        grid.update(theta_linf=np.sqrt(np.max(f[4])), phi_linf=np.sqrt(np.max(f[5])))
+        np.square(f[4], out=f[4])
+        grid["theta_l4"] = (np.sum(f[4]) * area) ** 0.25
+        np.add(f[2], f[3], out=f[5])
+        grid["v_linf"] = np.sqrt(np.max(f[5]))
+        f[0] += f[1]
+        grid["u_linf"] = np.sqrt(np.max(f[0]))
+        f[0] += f[2]
+        f[0] += f[3]
+        grid["uv_linf"] = np.sqrt(np.max(f[0]))
+        # |grad u|^2 = ((a + b) + c) + d for a, b, c, d = f[6], p[0], p[1], p[2]
+        np.add(f[6], p[0], out=f[4])
+        np.add(f[4], p[1], out=f[6])
+        f[6] += p[2]
+        np.square(f[6], out=f[6])
+        grid["grad_u_l4"] = (np.sum(f[6]) * area) ** 0.25
+        np.sqrt(f[4], out=f[4])
+        np.add(p[1], p[2], out=p[0])
+        np.sqrt(p[0], out=p[0])
+        f[4] += p[0]
+        grid["grad_u_linf"] = np.max(f[4])
+        p[3] += p[4]
+        p[3] += p[5]
+        p[3] += p[6]
+        np.square(p[3], out=p[3])
+        grid["grad_w_l4"] = (np.sum(p[3]) * area) ** 0.25
+        return sums, grid
 
 
 @functools.lru_cache(maxsize=1)

@@ -11,21 +11,20 @@ the effective viscous flux, the H1-estimate functionals
 mean/divergence bookkeeping, and the fraction of temperature variance in
 the top third of the active spectral band (an under-resolution flag).
 
-A record is one batched pass: every L2 norm, seminorm and the tail
-fraction is a Parseval sum, read off one stack of spectral powers reduced
-against weights built once per grid, and every grid norm comes from two
-batched inverse transforms written into the stage buffers of the step for
-the same grid and mask (``model._Stepper``), which sit idle between steps.
+A record is one batched pass, taken by ``model._Stepper.record_norms`` in
+the stage buffers of the step for the same grid and mask, which sit idle
+between steps: every L2 norm, seminorm and the tail fraction is a Parseval
+sum, read off one stack of spectral powers reduced against weights built
+once per grid, and every grid norm comes from two batched inverse
+transforms. This module assembles the row from those sums and norms.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import EmptyTrajectory, NonZeroMean
-from .spectral import MEAN_ZERO_RTOL, Grid
+from .spectral import MEAN_ZERO_RTOL
 
 # CSV column order; "t" must stay first
 COLUMNS = (
@@ -94,127 +93,38 @@ def _h1_functionals(t, eps, gth, lu, lw, lth, glu, glw):
     return a_func, b_func
 
 
-@functools.lru_cache(maxsize=1)
-def _weights(g: Grid, use_dealias: bool) -> np.ndarray:
-    # the Parseval weights a record reduces its power stack against, as
-    # the rows of one (5, n (n//2 + 1)) array: herm_weight |k|^(2j) for
-    # j = 0..3, then herm_weight on the tail band, the top third of the
-    # active band (|k|_max <= n/3 with dealiasing, n/2 without); one entry,
-    # like the step's buffers whose key it shares
-    active = g.n / 3.0 if use_dealias else g.n / 2.0
-    band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-    rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
-    return np.stack(rows).reshape(5, -1)
-
-
 def make_record(state, use_dealias: bool) -> np.ndarray:
     """Evaluate all observables of one state, as a float64 row in
     ``COLUMNS`` order.
 
-    One batched pass through the stage buffers of the step for
-    (grid, use_dealias), which sit idle between steps: every L2 norm and
-    seminorm, of u, v, theta, the pseudo baroclinic velocity w and div u,
-    and the tail fraction come from one power stack (re^2 + im^2 of the
-    spectra) reduced against weights built once per grid; the 14 grid
-    fields (u, v, theta, the effective viscous flux, grad u, grad w) come
-    from two batched inverse transforms. So a record allocates no array of
-    grid size and fills no ``SpectralField.phys`` cache. Like
-    ``imex_step``, whose buffers it shares, it is not thread-safe.
-    Requires mean-zero theta, as w does.
+    The norms come from one batched pass through the stage buffers of the
+    step for (grid, use_dealias), which sit idle between steps
+    (``model._Stepper.record_norms``): every L2 norm and seminorm, of u, v,
+    theta, the pseudo baroclinic velocity w and div u, and the tail
+    fraction from one power stack of the spectra reduced against weights
+    built once per grid; the 14 grid fields (u, v, theta, the effective
+    viscous flux, grad u, grad w) from two batched inverse transforms. So
+    a record allocates no array of grid size and fills no
+    ``SpectralField.phys`` cache. Like ``imex_step``, whose buffers it
+    shares, it is not thread-safe. Requires mean-zero theta, as w does.
     """
-    from .model import _irfft2, _stepper  # model imports this module
+    from .model import _stepper  # model imports this module
 
-    u, v, th, t, eps = state.u, state.v, state.theta, state.t, state.eps
+    th, t, eps = state.theta, state.t, state.eps
     g = th.grid
-    st = _stepper(g, use_dealias)
-    ik, z, y, f, p = g.ik, st.z, st.y1, st.f, st.p
-    m = th.spec.size
-    s = 1.0 / (1.0 - eps)
-
-    # spectra: w = v + grad((-lap)^-1 theta) / (1 - eps) and div u into
-    # y[:3]; u, v, theta, the flux div v - theta / (1 - eps) and d_x u^x
-    # into z
-    np.multiply(g.inv_k2, th.spec, out=y[2])
-    np.multiply(ik, y[2], out=y[:2])
-    y[:2] *= s
-    y[0] += v.x.spec
-    y[1] += v.y.spec
-    np.multiply(ik[0], u.x.spec, out=y[2])
-    np.multiply(ik[1], u.y.spec, out=y[3])
-    y[2] += y[3]
-    for k, a in enumerate((u.x, u.y, v.x, v.y, th)):
-        z[k] = a.spec
-    np.multiply(ik[0], v.x.spec, out=z[5])
-    np.multiply(ik[1], v.y.spec, out=z[6])
-    z[5] += z[6]
-    np.multiply(th.spec, s, out=z[6])
-    z[5] -= z[6]
-    np.multiply(ik[0], u.x.spec, out=z[6])
-
-    # the power stack of (u^x, u^y, v^x, v^y, theta, w^x, w^y, div u) in p,
-    # its squared real and imaginary parts in f
-    power = p.reshape(-1)[: 8 * m].reshape(8, *g.spec_shape)
-    for spec, pw in ((z[:5], power[:5]), (y[:3], power[5:])):
-        sq = f.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
-        np.square(spec.view(np.float64), out=sq)
-        np.add(sq[..., 0::2], sq[..., 1::2], out=pw)
-    raw = power.reshape(8, m) @ _weights(g, use_dealias).T
+    sums, grid = _stepper(g, use_dealias).record_norms(state)
     # rows u, v, theta, w, div u; columns |k|^0, |k|^2, |k|^4, |k|^6, then
     # the tail band
-    sums = np.array([raw[0] + raw[1], raw[2] + raw[3], raw[4], raw[5] + raw[6], raw[7]])
     l2 = g.length / g.n**2 * np.sqrt(sums[:, :4])
     (u_l2, gu, lu, glu), (v_l2, gv), (th_l2, gth, lth), (gw, lw, glw) = l2[0], l2[1, :2], l2[2, :3], l2[3, 1:]
     if abs(th.mean) > MEAN_ZERO_RTOL * th_l2:
         raise NonZeroMean(f"theta must be mean-zero for w, |mean| = {abs(th.mean):.3e}")
-    tail = sums[2, 4] / sums[2, 0] if sums[2, 0] > 0.0 else 0.0
-
-    # the grid fields: f = (u^x, u^y, v^x, v^y, theta, flux, d_x u^x) and
-    # p = (d_y u^x, d_x u^y, d_y u^y, d_x w^x, d_y w^x, d_x w^y, d_y w^y)
-    _irfft2(z, z, f, z.shape[-1])
-    np.multiply(ik[1], u.x.spec, out=z[0])
-    np.multiply(ik, u.y.spec, out=z[1:3])
-    np.multiply(ik, y[0], out=z[3:5])
-    np.multiply(ik, y[1], out=z[5:7])
-    _irfft2(z, z, p, z.shape[-1])
-
-    # reduced in place, each in the order of operations of norm() and
-    # grad_linf()
-    area = (g.length / g.n) ** 2
-    mean_th, mean_ux, mean_uy = f[4].mean(), f[0].mean(), f[1].mean()
-    np.square(f, out=f)
-    np.square(p, out=p)
-    th_linf, phi_linf = np.sqrt(np.max(f[4])), np.sqrt(np.max(f[5]))
-    np.square(f[4], out=f[4])
-    th_l4 = (np.sum(f[4]) * area) ** 0.25
-    np.add(f[2], f[3], out=f[5])
-    v_linf = np.sqrt(np.max(f[5]))
-    f[0] += f[1]
-    u_linf = np.sqrt(np.max(f[0]))
-    f[0] += f[2]
-    f[0] += f[3]
-    uv_linf = np.sqrt(np.max(f[0]))
-    # |grad u|^2 = ((a + b) + c) + d for a, b, c, d = f[6], p[0], p[1], p[2]
-    np.add(f[6], p[0], out=f[4])
-    np.add(f[4], p[1], out=f[6])
-    f[6] += p[2]
-    np.square(f[6], out=f[6])
-    gu_l4 = (np.sum(f[6]) * area) ** 0.25
-    np.sqrt(f[4], out=f[4])
-    np.add(p[1], p[2], out=p[0])
-    np.sqrt(p[0], out=p[0])
-    f[4] += p[0]
-    gu_linf = np.max(f[4])
-    p[3] += p[4]
-    p[3] += p[5]
-    p[3] += p[6]
-    np.square(p[3], out=p[3])
-    gw_l4 = (np.sum(p[3]) * area) ** 0.25
-
     a_func, b_func = _h1_functionals(t, eps, gth, lu, lw, lth, glu, glw)
     u_h1 = np.hypot(u_l2, gu)
     div_u = g.length / g.n**2 * np.sqrt(sums[4, 0])
 
     values = dict(
+        grid,
         t=t,
         energy=0.5 * (u_l2**2 + v_l2**2 + th_l2**2),
         dissipation=gu**2 + gv**2 + eps * gth**2,
@@ -230,21 +140,9 @@ def make_record(state, use_dealias: bool) -> np.ndarray:
         lap_theta_l2=lth,
         grad_lap_u_l2=glu,
         grad_lap_w_l2=glw,
-        theta_l4=th_l4,
-        theta_linf=th_linf,
-        u_linf=u_linf,
-        v_linf=v_linf,
-        uv_linf=uv_linf,
-        grad_u_linf=gu_linf,
-        grad_u_l4=gu_l4,
-        grad_w_l4=gw_l4,
-        phi_linf=phi_linf,
         a_func=a_func,
         b_func=b_func,
-        theta_tail_frac=tail,
-        mean_theta=mean_th,
-        mean_u_x=mean_ux,
-        mean_u_y=mean_uy,
+        theta_tail_frac=sums[2, 4] / sums[2, 0] if sums[2, 0] > 0.0 else 0.0,
         div_u_rel=div_u / u_h1 if u_h1 > 0.0 else 0.0,
     )
     return np.array([values[c] for c in COLUMNS])

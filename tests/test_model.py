@@ -473,10 +473,25 @@ class TestStepCache:
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
     def test_held_inverse_equals_irfft2(self, n, fields):
-        # the step's batches: theta and the curls, u and v, all seven; the
-        # complex pass pruned to the columns each mask keeps, in place, as
-        # the stages take it, and through separate work with zeroed later
-        # columns, as the CFL check does
+        # the step's batches: theta and the curls, u and v, all seven; over
+        # every column and on any spectrum (Nyquist lines and content beyond
+        # either mask included), as a record and the CFL check of a state
+        # the mask changes take them: in place, and through separate work
+        rng = np.random.default_rng(n + fields)
+        a = np.fft.rfft2(rng.standard_normal((fields, n, n)))
+        want = np.fft.irfft2(a, s=(n, n))
+        out = np.empty((fields, n, n))
+        model._irfft2(a, np.empty_like(a), out, a.shape[-1])
+        assert np.array_equal(out, want)
+        model._irfft2(a, a, out, a.shape[-1])
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("fields", [3, 4, 7])
+    def test_pruned_inverse_equals_irfft2(self, n, fields):
+        # the complex pass pruned to the columns each mask keeps, on masked
+        # spectra: in place, as the stages take it, and through separate
+        # work with zeroed later columns, as the CFL check does
         rng = np.random.default_rng(n + fields)
         for use_dealias in (True, False):
             st = _stepper(t.Grid(n), use_dealias)
