@@ -119,7 +119,7 @@ def _window(snaps, eps):
         raise BadWindow(f"need exactly 3 snapshots, got {len(snaps)}")
     a, b, c = snaps
     h1, h2 = b.t - a.t, c.t - b.t
-    if h1 <= 0 or abs(h1 - h2) > 1e-9 * max(h1, h2):
+    if not (np.isfinite(h1) and np.isfinite(h2)) or h1 <= 0 or abs(h1 - h2) > 1e-9 * max(h1, h2):
         raise BadWindow(f"snapshots not equally spaced: spacings {h1}, {h2}")
     if eps is None:
         eps = b.eps

@@ -89,7 +89,9 @@ def q_of_t(g: GronwallSeries) -> np.ndarray:
 
 
 def a_prime(g: GronwallSeries) -> np.ndarray:
-    return np.gradient(g.A, g.times, edge_order=2)
+    """dA/dt at every sample: second-order differences, or the first-order
+    one for a series of two samples, which has no second-order stencil."""
+    return np.gradient(g.A, g.times, edge_order=2 if len(g.A) > 2 else 1)
 
 
 @dataclass(frozen=True)

@@ -36,40 +36,41 @@ products carry no aliasing error, so both forms give one discrete operator
 to roundoff; under the Nyquist-free mask they differ by their aliasing
 errors.
 
-A step works on the stacked half-plane spectra (u^x, u^y, v^x, v^y, theta),
-shape (5, n, n//2 + 1); the returned State holds views of that array. Each
-explicit stage is one batched inverse transform of seven fields (u, v,
-theta, curl(u), curl(v)), seven grid products, and one batched forward
-transform of seven fields. The CFL check transforms u and v once; the first
-stage reuses those grid velocities when the mask drops none of their
-coefficients. That makes 28 real field-transforms per step (14 forward,
-14 inverse) when the mask is a no-op on u and v, and 32 otherwise.
+Layout. Either mask keeps exactly one block of the half plane: the rows
+[0, lo) and [hi, n) of its leading cols columns (lo = 86, hi = 171,
+cols = 86 at n = 256 with dealiasing, 44.5 % of the half plane; without
+it, every row but the Nyquist row, and cols = n/2). A step gathers that
+block of the five spectra (u^x, u^y, v^x, v^y, theta) once, into held
+contiguous (5, r, cols) arrays, and does all of its spectral arithmetic
+there: curls, tendency assembly, trapezoidal factors, Leray projection.
+Each inverse transform scatters a block into the held transform buffer
+with zeros at every other mode, and each forward transform gathers the
+block back, so no mask is multiplied. The result is a fresh
+(5, n, n//2 + 1) array with the block scattered in; the returned State
+holds views of it. A state with any coefficient outside the block takes
+the same code on the whole-plane layout, with the mask applied
+explicitly: its outside modes evolve by the linear terms alone.
 
-Each transform is taken as the two passes numpy's ``irfft2`` and
-``rfft2`` are made of, a complex one along the first axis and a real one
-along the second, written into held arrays (``irfft2`` itself ignores
-``out=``). The complex pass runs only over the leading columns of the half
-plane in which the mask keeps a mode (a pruned FFT): factors and products
-are zero in the others, which hold a third of the half plane under the
-two-thirds mask (86 of 129 columns at n = 256 are kept) and one column
-without it. The results equal ``irfft2``'s and the masked ``rfft2``'s;
-only the sign of zero coefficients can differ. The corrector accumulates
-into the result, so no stage's tendency is held beside it. So no stage
-allocates a fresh array: a warm step allocates its result and small
-temporaries only.
+Each explicit stage is one batched inverse transform of seven fields (u,
+v, theta, curl(u), curl(v)), seven grid products, and one batched forward
+transform of seven fields, whose complex passes run only over the leading
+cols columns (a pruned FFT). The CFL check transforms u and v once, and on
+the block the first stage reuses them: 28 real field-transforms per step
+(14 forward, 14 inverse) on the block, 32 on the whole plane. The stage
+returns the unprojected u tendency, and the step projects the predictor
+and the corrector: one projection per stage result, the same operator in
+exact arithmetic. The corrector accumulates into the state block, so a
+warm step allocates its result and small temporaries only.
 
-What a step reuses is kept in two private caches. The stage buffers, the
-mask and -ik depend on (grid, dealias) alone and sit in a one-entry cache:
-every later step with that key writes its stages in place, and the buffers
-stay held, about 16 MB at n = 256 (1 MB at n = 64), until a step on
-another grid or mask replaces them. The merged trapezoidal factors depend
-on (grid, dt, eps) and sit in a small cache of their own (about 67 KB per
-entry at n = 64, 1 MB at n = 256), so runs that differ only in eps, such
-as the members of an eps sweep stepped in lockstep, share one set of
-buffers and each keep their factors. A record borrows the same stage
-buffers between steps (``_Stepper.record_norms``, which
-``records.make_record`` calls). Because steps and records share those
-buffers, neither ``imex_step`` nor ``make_record`` is thread-safe.
+What a step reuses sits in two private caches. The buffers and the
+gathered multipliers depend on (grid, dealias) and sit in a one-entry
+cache (about 17 MB of buffers at n = 256, of which a step on the block
+touches about 14 MB), the trapezoidal factors on (grid, dt, eps, layout)
+in a small cache of their own, so runs that differ only in eps, such as
+the members of an eps sweep stepped in lockstep, share one set of buffers.
+A record borrows the same buffers between steps
+(``_Stepper.record_norms``, which ``records.make_record`` calls), so
+neither ``imex_step`` nor ``make_record`` is thread-safe.
 """
 
 from __future__ import annotations
@@ -259,8 +260,11 @@ def make_initial(cfg: SimConfig) -> State:
     return State(u=leray_project(u), v=v, theta=theta, t=0.0, eps=cfg.eps)
 
 
-def _stack(s: State) -> np.ndarray:
-    return np.stack((s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec))
+def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
+    # the rows [0, lo) and [hi, n) of a's leading cols columns, as one
+    # contiguous array (into out if given); an axis of length 1, as in a
+    # broadcast multiplier, is kept whole
+    return np.concatenate((a[..., :lo, :cols], a[..., hi:, :cols]), axis=-2, out=out)
 
 
 def _scale(c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -290,81 +294,139 @@ def _irfft2(a: np.ndarray, work: np.ndarray, out: np.ndarray, cols: int) -> None
 
 def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
     # np.fft.rfft2(a) into out's first cols columns; the later ones take
-    # only the real pass along axis -1, for the caller's mask to zero.
-    # (fftn along one axis is fft, under the n-d name that
+    # only the real pass along axis -1, for the caller's gather or mask to
+    # drop. (fftn along one axis is fft, under the n-d name that
     # bench/trace_child.py and the transform-count tests wrap)
     np.fft.rfft(a, axis=-1, out=out)
     np.fft.fftn(out[..., :cols], axes=(-2,), out=out[..., :cols])
 
 
+class _Layout:
+    """Where a step or a record keeps the modes it works on: contiguous
+    (..., r, cols) arrays of the rows [0, lo) and [hi, n) of the leading
+    cols columns of the half plane, r = n - hi + lo, with the multipliers
+    gathered once. On a mask's block ``mask`` is None: gathers and
+    scatters drop what it would zero. The whole-plane layout (lo = hi = n)
+    carries the mask for the stage to apply. The arrays y (state), y1
+    (stage) and c (scratch) are views of the first elements of the
+    stepper's full-size buffers; q (the products' spectra) shares the grid
+    products' memory on the block and is the transform buffer z itself on
+    the whole plane.
+    """
+
+    def __init__(self, st: "_Stepper", lo: int, hi: int, cols: int, mask: np.ndarray | None = None):
+        g = st.g
+        self.g, self.use_dealias = g, st.use_dealias
+        self.key, self.cols, self.mask = (lo, hi, cols), cols, mask
+        shape = (g.n - hi + lo, cols)
+        size = shape[0] * cols
+        self.ik = self.gather(g.ik)
+        self.minus_ik = -self.ik  # the tendency is minus the terms
+        # what _project reads of a grid
+        self.kx, self.ky, self.inv_k2 = (self.gather(a) for a in (g.kx, g.ky, g.inv_k2))
+        self.y, self.y1 = (b.reshape(-1)[: 5 * size].reshape(5, *shape) for b in (st.y, st.y1))
+        self.c = st.c.reshape(-1)[: 2 * size].reshape(2, *shape)
+        self.q = st.z if mask is not None else st.p.reshape(-1)[: 14 * size].view(np.complex128).reshape(7, *shape)
+
+    def gather(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The modes of the half-plane array a that this layout keeps."""
+        return _gather(a, *self.key, out)
+
+    def scatter(self, a: np.ndarray, out: np.ndarray) -> None:
+        """The layout's array a into the half-plane array out, with zeros
+        at every mode outside the layout."""
+        lo, hi, cols = self.key
+        out[..., :lo, :cols] = a[..., :lo, :]
+        out[..., hi:, :cols] = a[..., lo:, :]
+        out[..., lo:hi, :cols] = 0
+        out[..., cols:] = 0
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The Parseval weights of a record, as the rows of one (5, r cols)
+        array: herm_weight |k|^(2j) for j = 0..3, then herm_weight on the
+        tail band, the top third of the active band (|k|_max <= n/3 with
+        dealiasing, n/2 without)."""
+        g = self.g
+        active = g.n / 3.0 if self.use_dealias else g.n / 2.0
+        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
+        rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
+        return self.gather(np.stack(rows)).reshape(5, -1)
+
+
 class _Stepper:
     """What :func:`imex_step` reuses from step to step for one (grid,
-    dealias): the product mask, the number of leading half-plane columns
-    it keeps, -ik and the stage buffers, which every step overwrites (about
-    16 MB at n = 256). A stage transforms seven fields each way, with the
-    complex passes pruned to the kept columns, and forms seven products;
-    with the buffers held, a warm step allocates nothing of grid size but
-    its result. A step writes each buffer before reading it (the later
-    columns of z included), so :meth:`record_norms`, the batched pass of a
-    diagnostics record, may work in them between steps; the record's
-    Parseval weights (:attr:`weights`) are built on its first call."""
+    dealias): the mask, its block :class:`_Layout` (and the whole-plane
+    one, built on first use), and the buffers every step overwrites: the
+    gathered state y, the stage results y1, the transform buffer z, the
+    grid factors f (u, v, theta, curl(u), curl(v)) and the grid products
+    p, whose memory then holds the block of their spectra. A step writes
+    each buffer before reading it, so :meth:`record_norms` may work in
+    them between steps.
+    """
 
     def __init__(self, g: Grid, use_dealias: bool):
         self.g = g
         self.use_dealias = use_dealias
         self.mask = g.product_mask(use_dealias)
-        # the kept modes lie in the leading cols columns of the half plane
-        # (86 of 129 at n = 256 under the two-thirds mask, 128 without it);
-        # the complex passes of every stage transform skip the rest
-        self.cols = int(self.mask.any(axis=0).sum())
-        self.minus_ik = -g.ik  # the tendency is minus the terms
-        # b n0 / 2, then the predictor, then b n1 / 2 over it
-        self.y1 = np.empty((5, *g.spec_shape), dtype=np.complex128)
-        # the masked factors, then the products' spectra
-        self.z = np.empty((7, *g.spec_shape), dtype=np.complex128)
-        # the factors u, v, theta, curl(u), curl(v) on the grid
-        self.f = np.empty((7, g.n, g.n))
-        self.p = np.empty((7, g.n, g.n))  # the products on the grid
-        self.c = np.empty((2, *g.spec_shape), dtype=np.complex128)  # scratch
-        self.outside = ~self.mask
-        # which coefficients of u and v outside the mask are nonzero
-        self.off = np.zeros((4, *g.spec_shape), dtype=bool)
+        rows = self.mask[:, 0]  # the kept rows, [0, lo) and [hi, n)
+        lo = int(np.argmin(rows))
+        # the complex passes of every stage transform skip the columns past
+        # the kept ones (86 of 129 at n = 256 under the two-thirds mask)
+        self.cols = int(np.count_nonzero(self.mask[0]))
+        # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
+        self.y, self.y1, self.z, self.c = (np.empty((k, *g.spec_shape), dtype=np.complex128) for k in (5, 5, 7, 2))
+        self.f, self.p = np.empty((7, g.n, g.n)), np.empty((7, g.n, g.n))
+        self.block = _Layout(self, lo, lo + int(np.count_nonzero(~rows)), self.cols)
 
-    def velocities(self, y: np.ndarray, cols: int) -> np.ndarray:
-        """u and v of the stacked spectra y, zero beyond their first cols
-        columns, on the grid, into f[:4], and (||u||_Linf, ||v||_Linf) as
-        norm(., "Linf") computes them."""
-        f, sq, work = self.f, self.p[:4], self.z[:4]
-        work[..., cols:] = 0
-        _irfft2(y[:4], work, f[:4], cols)
+    @functools.cached_property
+    def whole(self) -> _Layout:
+        """The whole-plane layout, for a state with modes outside the block."""
+        n, m = self.g.spec_shape
+        return _Layout(self, n, n, m, self.mask)
+
+    def gather(self, s) -> _Layout:
+        """The block layout with s's five spectra gathered into its y, or
+        the whole-plane one if s has a nonzero coefficient off the block."""
+        specs = (s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec)
+        lo, hi, cols = self.block.key
+        lay = self.whole if any(a[lo:hi].any() or a[:, cols:].any() for a in specs) else self.block
+        for a, out in zip(specs, lay.y):
+            lay.gather(a, out)
+        return lay
+
+    def velocities(self, lay: _Layout, y: np.ndarray) -> np.ndarray:
+        """u and v of the spectra y on the layout lay, on the grid, into
+        f[:4], and (||u||_Linf, ||v||_Linf) as norm(., "Linf") computes
+        them."""
+        f, sq, z = self.f, self.p[:4], self.z[:4]
+        lay.scatter(y[:4], z)
+        _irfft2(z, z, f[:4], lay.cols)
         np.square(f[0:4:2], out=sq[:2])
         np.square(f[1:4:2], out=sq[2:])
         sq[:2] += sq[2:]
         return np.sqrt(np.max(sq[:2], axis=(1, 2)))
 
-    def drops_uv(self, y: np.ndarray) -> bool:
-        """Whether the mask drops a nonzero coefficient of u or v in y;
-        copies none of them."""
-        np.not_equal(y[:4], 0, out=self.off, where=self.outside)
-        return bool(self.off.any())
-
-    def _products(self, y: np.ndarray, grid_uv: bool) -> None:
+    def _products(self, lay: _Layout, y: np.ndarray, grid_uv: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
-        # u^y theta on the grid into p, from the spectra y masked into z and,
-        # if grid_uv, the grid velocities of the masked u and v in f[:4]
-        ik, z, f, p, c = self.g.ik, self.z, self.f, self.p, self.c[0]
-        np.multiply(y, self.mask, out=z[:5])
-        np.multiply(ik[0], z[1], out=z[5])
-        np.multiply(ik[1], z[0], out=c)
-        z[5] -= c
-        np.multiply(ik[0], z[3], out=z[6])
-        np.multiply(ik[1], z[2], out=c)
-        z[6] -= c
-        if grid_uv:
-            _irfft2(z[4:], z[4:], f[4:], self.cols)
-        else:
-            _irfft2(z, z, f, self.cols)
+        # u^y theta on the grid into p, from the spectra y, scattered with
+        # their curls into z and masked there on the whole plane, and, if
+        # grid_uv, the grid velocities of u and v in f[:4]
+        ik, z, f, p, c, q = lay.ik, self.z, self.f, self.p, lay.c[0], lay.q
+        np.multiply(ik[0], y[1], out=q[5])
+        np.multiply(ik[1], y[0], out=c)
+        q[5] -= c
+        np.multiply(ik[0], y[3], out=q[6])
+        np.multiply(ik[1], y[2], out=c)
+        q[6] -= c
+        k = 4 if grid_uv else 0
+        lay.scatter(y[k:], z[k:5])
+        if q is not z:
+            lay.scatter(q[5:], z[5:])
+        if lay.mask is not None:
+            z *= lay.mask
+        _irfft2(z[k:], z[k:], f[k:], self.cols)
         ux, uy, vx, vy, th, cu, cv = f
         _mul_add(ux, ux, vx, vx, p[0], p[1])
         _mul_add(uy, uy, vy, vy, p[1], p[2])
@@ -375,12 +437,12 @@ class _Stepper:
         np.multiply(ux, th, out=p[5])
         np.multiply(uy, th, out=p[6])
 
-    def explicit(self, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
-        """Everything except the implicit Laplacians, for the stacked spectra
-        y = (u^x, u^y, v^x, v^y, theta), with P the Leray projection and
-        curl(a) = d_x a^y - d_y a^x:
+    def explicit(self, lay: _Layout, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
+        """Everything except the implicit Laplacians, for the spectra
+        y = (u^x, u^y, v^x, v^y, theta) on the layout lay, with P the Leray
+        projection and curl(a) = d_x a^y - d_y a^x:
 
-            -P div(u (x) u + v (x) v),
+            -div(u (x) u + v (x) v),  of which the step keeps -P div(...),
             -[grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u)))],
             -[div(u theta) + div v].
 
@@ -391,22 +453,26 @@ class _Stepper:
         tendency takes the trace-free part of the stress S = u (x) u + v (x) v,
         P div S = P div(S - tr(S) I / 2), which needs S_xx - S_yy and S_xy
         only: seven products in all. Under either mask the trace's product
-        is a gradient too, aliased or not. Factors and products are masked
-        once each (``Grid.product_mask``). With ``grid_uv``, f[:4] already
-        holds the grid velocities (u^x, u^y, v^x, v^y) of the masked spectra
-        (as :meth:`velocities` leaves them), which then are not transformed
-        again. The result is written into ``out``, which may be ``y``.
+        is a gradient too, aliased or not. The u tendency is returned
+        unprojected: the step projects each stage result. Factors and
+        products are masked once each, by the layout's scatter and gather
+        or explicitly. With ``grid_uv``, f[:4] already holds the grid
+        velocities of y (as :meth:`velocities` leaves them on the block).
+        The result is written into ``out``, which may be ``y``.
         """
-        self._products(y, grid_uv)
-        q, c = self.z, self.c[0]
-        _rfft2(self.p, q, self.cols)
-        q *= self.mask
+        self._products(lay, y, grid_uv)
+        q, c = lay.q, lay.c[0]
+        _rfft2(self.p, self.z, self.cols)
+        if q is self.z:
+            q *= lay.mask
+        else:
+            lay.gather(self.z, q)
         q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
         q[2] += y[4]  # u.v + theta
         q[5] += y[2]  # u^x theta + v^x
         q[6] += y[3]  # u^y theta + v^y
         # y is not read below this line, so out may be y
-        mik = self.minus_ik
+        mik = lay.minus_ik
         _mul_add(mik[0], q[0], mik[1], q[1], out[0], c)
         np.multiply(mik[0], q[1], out=out[1])
         np.multiply(mik[1], q[0], out=c)
@@ -416,87 +482,75 @@ class _Stepper:
         np.multiply(mik[1], q[2], out=out[3])
         out[3] -= q[4]
         _mul_add(mik[0], q[5], mik[1], q[6], out[4], c)
-        _project(self.g, out[:2], self.c)
         return out
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """The Parseval weights of a record, as the rows of one
-        (5, n (n//2 + 1)) array: herm_weight |k|^(2j) for j = 0..3, then
-        herm_weight on the tail band, the top third of the active band
-        (|k|_max <= n/3 with dealiasing, n/2 without)."""
-        g = self.g
-        active = g.n / 3.0 if self.use_dealias else g.n / 2.0
-        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-        rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
-        return np.stack(rows).reshape(5, -1)
 
     def record_norms(self, s) -> tuple[np.ndarray, dict]:
         """What ``records.make_record`` assembles the record of the state s
-        from, in one batched pass through the stage buffers, which sit idle
-        between steps (a step writes each buffer before reading it, the
-        later columns of z included):
+        from, in one batched pass through the buffers, which sit idle
+        between steps, on the layout a step of s would take:
 
         - the (5, 5) Parseval sums  sum herm_weight |k|^(2j) |a_k|^2  for
           j = 0..3 and over the tail band (columns), of u, v, theta, the
           pseudo baroclinic velocity w and div u (rows), from one power
-          stack (re^2 + im^2) reduced by one matmul against
-          :attr:`weights`;
+          stack (re^2 + im^2) of the layout's modes reduced by one matmul
+          against :attr:`_Layout.weights`;
         - the grid norms and means of the record, keyed by their column
-          names, from two seven-field inverse transforms over every column
-          (s may hold modes the mask drops), each reduced in place in the
-          order of operations of ``norm`` and ``grad_linf``.
+          names, from two seven-field inverse transforms pruned to the
+          layout's columns, each reduced in place in the order of
+          operations of ``norm`` and ``grad_linf``.
 
         Allocates no array of grid size and fills no ``SpectralField.phys``
         cache.
         """
-        u, v, th, eps = s.u, s.v, s.theta, s.eps
-        g = self.g
-        ik, z, y, f, p = g.ik, self.z, self.y1, self.f, self.p
-        m = th.spec.size
+        eps = s.eps
+        lay = self.gather(s)
+        g, ik, y, e, q = self.g, lay.ik, lay.y, lay.y1, lay.q
+        z, f, p = self.z, self.f, self.p
+        shape = y.shape[1:]
+        m = y[0].size
         scale = 1.0 / (1.0 - eps)
 
-        # spectra: w = v + grad((-lap)^-1 theta) / (1 - eps) and div u into
-        # y[:3]; u, v, theta, the flux div v - theta / (1 - eps) and d_x u^x
-        # into z
-        np.multiply(g.inv_k2, th.spec, out=y[2])
-        np.multiply(ik, y[2], out=y[:2])
-        y[:2] *= scale
-        y[0] += v.x.spec
-        y[1] += v.y.spec
-        np.multiply(ik[0], u.x.spec, out=y[2])
-        np.multiply(ik[1], u.y.spec, out=y[3])
-        y[2] += y[3]
-        for k, a in enumerate((u.x, u.y, v.x, v.y, th)):
-            z[k] = a.spec
-        np.multiply(ik[0], v.x.spec, out=z[5])
-        np.multiply(ik[1], v.y.spec, out=z[6])
-        z[5] += z[6]
-        np.multiply(th.spec, scale, out=z[6])
-        z[5] -= z[6]
-        np.multiply(ik[0], u.x.spec, out=z[6])
+        # w = v + grad((-lap)^-1 theta) / (1 - eps) and div u into e[:3]
+        np.multiply(lay.inv_k2, y[4], out=e[2])
+        np.multiply(ik, e[2], out=e[:2])
+        e[:2] *= scale
+        e[:2] += y[2:4]
+        np.multiply(ik[0], y[0], out=e[2])
+        np.multiply(ik[1], y[1], out=e[3])
+        e[2] += e[3]
 
         # the power stack of (u^x, u^y, v^x, v^y, theta, w^x, w^y, div u)
         # in p, the squared real and imaginary parts of five spectra at a
-        # time in f; 8 and 10 half planes of floats, which fit in 7 n^2
-        # for every n >= 8 that Grid allows
-        power = p.reshape(-1)[: 8 * m].reshape(8, *g.spec_shape)
-        for spec, pw in ((z[:5], power[:5]), (y[:3], power[5:])):
+        # time in f; 8 and 10 layouts of floats, which fit in 7 n^2 for
+        # every n >= 8 that Grid allows
+        power = p.reshape(-1)[: 8 * m].reshape(8, *shape)
+        for spec, pw in ((y, power[:5]), (e[:3], power[5:])):
             sq = f.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
             np.square(spec.view(np.float64), out=sq)
             np.add(sq[..., 0::2], sq[..., 1::2], out=pw)
-        raw = power.reshape(8, m) @ self.weights.T
+        raw = power.reshape(8, m) @ lay.weights.T
         sums = np.array([raw[0] + raw[1], raw[2] + raw[3], raw[4], raw[5] + raw[6], raw[7]])
 
-        # the grid fields: f = (u^x, u^y, v^x, v^y, theta, flux, d_x u^x) and
+        # the grid fields: f = (u^x, u^y, v^x, v^y, theta, flux, d_x u^x),
+        # with the flux div v - theta / (1 - eps) and d_x u^x in e[3:], and
         # p = (d_y u^x, d_x u^y, d_y u^y, d_x w^x, d_y w^x, d_x w^y, d_y w^y)
-        cols = z.shape[-1]
-        _irfft2(z, z, f, cols)
-        np.multiply(ik[1], u.x.spec, out=z[0])
-        np.multiply(ik, u.y.spec, out=z[1:3])
-        np.multiply(ik, y[0], out=z[3:5])
-        np.multiply(ik, y[1], out=z[5:7])
-        _irfft2(z, z, p, cols)
+        # through q
+        np.multiply(ik[0], y[2], out=e[3])
+        np.multiply(ik[1], y[3], out=e[4])
+        e[3] += e[4]
+        np.multiply(y[4], scale, out=e[4])
+        e[3] -= e[4]
+        np.multiply(ik[0], y[0], out=e[4])
+        lay.scatter(y, z[:5])
+        lay.scatter(e[3:], z[5:])
+        _irfft2(z, z, f, lay.cols)
+        np.multiply(ik[1], y[0], out=q[0])
+        np.multiply(ik, y[1], out=q[1:3])
+        np.multiply(ik, e[0], out=q[3:5])
+        np.multiply(ik, e[1], out=q[5:7])
+        if q is not z:
+            lay.scatter(q, z)
+        _irfft2(z, z, p, lay.cols)
 
         area = (g.length / g.n) ** 2
         grid = dict(mean_theta=f[4].mean(), mean_u_x=f[0].mean(), mean_u_y=f[1].mean())
@@ -540,15 +594,17 @@ def _stepper(g: Grid, use_dealias: bool) -> _Stepper:
 
 
 @functools.lru_cache(maxsize=8)
-def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _factors(g: Grid, dt: float, eps: float, key: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
     # the trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
     # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
     # y = a y0 + b rhs; returns a and b/2, the weight of each stage's rhs,
-    # in rows (u and v, theta). They take 4 n (n//2 + 1) float64 together,
-    # 67 KB at n = 64 and 1 MB at n = 256; eight entries let the members of
-    # a sweep of up to eight eps levels, stepped in lockstep, keep theirs
-    # instead of evicting one another at every step
-    h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
+    # in rows (u and v, theta), on the modes of the layout whose key is
+    # (lo, hi, cols). They take 4 r cols float64 together, 0.47 MB on the
+    # block at n = 256; eight entries let the members of a sweep of up to
+    # eight eps levels, stepped in lockstep, keep theirs instead of evicting
+    # one another at every step
+    k2 = _gather(g.k2, *key)
+    h = 0.5 * dt * np.stack((-k2, -eps * k2))
     return (1.0 + h) / (1.0 - h), 0.5 * dt / (1.0 - h)
 
 
@@ -558,60 +614,62 @@ def imex_step(
     """Advance one step of size dt; deterministic, CFL-guarded.
 
     The CFL ratio is dt * max(||u||_Linf, ||v||_Linf) / spacing, from one
-    batched transform of u and v, pruned to the mask's columns when the
-    mask drops none of their coefficients. A state whose u or v holds a NaN or an
+    batched transform of u and v. A state whose u or v holds a NaN or an
     infinity raises :class:`NonFiniteState` naming that field instead of
     stepping on.
 
     Diffusion (full Laplacian for u and v, eps-scaled for theta) is implicit
     by the trapezoidal rule; advection and coupling are explicit through a
     two-stage predictor/corrector, with the quadratic terms in divergence
-    and rotational form (see the module docstring). u is re-projected after
-    each stage. A step takes 28 real field-transforms (14 forward,
-    14 inverse) when the step's mask is a no-op on u and v, and 32
-    otherwise; the complex pass of each runs only over the columns in
-    which the mask keeps a mode. Without dealiasing that mask drops only the Nyquist lines.
-    The u of ``s`` must hold no Nyquist modes (see ``spectral._project``);
-    every state that ``make_initial`` and this function return meets that.
+    and rotational form (see the module docstring). u is projected once per
+    stage result, the predictor and the corrector.
 
-    The stage buffers are built once per (grid, use_dealias) and kept in a
-    one-entry cache, and stay held (about 16 MB at n = 256) until a step
-    with another grid or mask replaces them; the trapezoidal factors are
-    built once per (grid, dt, eps) and kept in a small cache of their own,
-    so states that differ only in eps can be stepped in turn without
-    rebuilding anything. Steps share those buffers, and records borrow them
-    between steps, so this function is not thread-safe: step or record at
-    most one state at a time per process. The returned
-    State owns its arrays, and is all that a warm step allocates beyond
-    small temporaries.
+    The step gathers the block of modes its mask keeps from the spectra of
+    ``s`` once and works on it in held arrays, with 28 real
+    field-transforms; if ``s`` has any coefficient outside the block, it
+    runs the same code on the whole half plane with the mask applied
+    explicitly (32 transforms), so the outside modes evolve by the linear
+    terms alone. The u of ``s`` must hold no Nyquist modes (see
+    ``spectral._project``); every state that ``make_initial`` and this
+    function return meets that.
+
+    Buffers and multipliers are built once per (grid, use_dealias) and held
+    in a one-entry cache until a step with another grid or mask replaces
+    them; the trapezoidal factors once per (grid, dt, eps, layout), in a
+    small cache of their own. Steps share those buffers, and records borrow
+    them between steps, so this function is not thread-safe. The returned
+    State owns its arrays, a fresh half-plane stack with the block
+    scattered in, which is all that a warm step allocates beyond small
+    temporaries.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
     st = _stepper(g, use_dealias)
-    y = _stack(s)  # fresh: becomes the result, whose views the State holds
-    # the first stage reuses the CFL check's grid velocities unless the mask
-    # changes u or v; if it changes nothing, u and v lie in the kept columns
-    grid_uv = not st.drops_uv(y)
-    linf = st.velocities(y, st.cols if grid_uv else y.shape[-1])
+    lay = st.gather(s)
+    y = lay.y
+    linf = st.velocities(lay, y)
     bad = ~np.isfinite(linf)
     if bad.any():
         raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    a, half_b = _factors(g, dt, s.eps)
+    a, half_b = _factors(g, dt, s.eps, lay.key)
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
-    # y1 = a y0 + b n0 is y + b n0 / 2 midway; u is projected in both
-    y1 = _scale(half_b, st.explicit(y, grid_uv, st.y1))  # b n0 / 2
+    # y1 = a y0 + b n0 is y + b n0 / 2 midway; the first stage reuses the
+    # CFL check's grid velocities on the block, where they are u and v's
+    y1 = _scale(half_b, st.explicit(lay, y, lay.mask is None, lay.y1))  # b n0 / 2
     _scale(a, y)
     y += y1
     y1 += y
-    _project(g, y1[:2], st.c)  # predictor
-    y += _scale(half_b, st.explicit(y1, False, y1))  # + b n1 / 2
-    _project(g, y[:2], st.c)  # corrector
-    f = [SpectralField(g, spec=c) for c in y]
+    _project(lay, y1[:2], lay.c)  # predictor
+    y += _scale(half_b, st.explicit(lay, y1, False, y1))  # + b n1 / 2
+    _project(lay, y[:2], lay.c)  # corrector
+    out = np.empty((5, *g.spec_shape), dtype=np.complex128)
+    lay.scatter(y, out)
+    f = [SpectralField(g, spec=c) for c in out]
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 

@@ -50,8 +50,8 @@ class Grid:
         n = int(n)
         if n % 2 != 0 or n < 8:
             raise BadParams(f"grid size must be even and >= 8, got {n}")
-        if not length > 0:
-            raise BadParams(f"domain length must be positive, got {length}")
+        if not (length > 0 and np.isfinite(length)):
+            raise BadParams(f"domain length must be positive and finite, got {length}")
         self.n = n
         self.length = float(length)
 
@@ -296,7 +296,9 @@ def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:
 
 def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
     """Leray projection, in place, of the stacked spectra a = (a_x, a_y),
-    with ``work`` (a's shape and dtype) as scratch.
+    with ``work`` (a's shape and dtype) as scratch. g supplies the
+    multipliers kx, ky and inv_k2 on a's modes: a Grid for half-plane
+    spectra, or a step's layout (``model._Layout``) for the modes it keeps.
 
     Requires a to hold no Nyquist modes: there the multiplier k k^T / |k|^2
     takes the stored sign of -n/2, and its output would not survive a round

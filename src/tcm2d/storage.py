@@ -281,11 +281,17 @@ def read_manifest(run_dir) -> dict:
 
 
 def verify_manifest(run_dir) -> dict:
-    """Re-hash every listed file; raises ChecksumMismatch on any deviation or
-    a manifest that read_manifest rejects."""
+    """Re-hash every listed file; raises ChecksumMismatch on any deviation,
+    an entry whose normalized path is absolute or leaves the run directory,
+    or a manifest that read_manifest rejects."""
     manifest = read_manifest(run_dir)
     for entry in manifest["files"]:
-        path = os.path.join(run_dir, entry["path"])
+        rel = os.path.normpath(entry["path"])
+        if os.path.isabs(rel) or rel.split(os.sep)[0] == os.pardir:
+            raise ChecksumMismatch(
+                f"{os.path.join(run_dir, MANIFEST_NAME)}: {entry['path']!r} lies outside the run directory"
+            )
+        path = os.path.join(run_dir, rel)
         if not os.path.exists(path):
             raise ChecksumMismatch(f"missing file {entry['path']}")
         actual = _sha256(path)

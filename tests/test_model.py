@@ -10,19 +10,24 @@ import tcm2d as t
 from tcm2d import model, storage
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
-from tcm2d.model import _stack, _stepper
-from tcm2d.spectral import derivative, multiply
+from tcm2d.model import _stepper
+from tcm2d.spectral import _project, derivative, multiply
 
 from conftest import band_state, rel_l2, with_nan
 
 
 def explicit(s, use_dealias):
-    """The fused explicit tendency of state s, as fields (nu, nv, ntheta).
-    It is written over the stacked input, as the second stage does; dt does
-    not enter the stage."""
-    y = _stack(s)
-    _stepper(s.grid, use_dealias).explicit(y, False, y)
-    f = [t.SpectralField(s.grid, spec=c) for c in y]
+    """The fused explicit tendency of state s, as fields (nu, nv, ntheta),
+    with nu projected as the step projects each stage result. It is written
+    over the gathered input, as the second stage does; dt does not enter
+    the stage."""
+    st = _stepper(s.grid, use_dealias)
+    lay = st.gather(s)
+    y = st.explicit(lay, lay.y, False, lay.y)
+    _project(lay, y[:2], lay.c)
+    out = np.empty((5, *s.grid.spec_shape), dtype=np.complex128)
+    lay.scatter(y, out)
+    f = [t.SpectralField(s.grid, spec=c) for c in out]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
 
@@ -396,6 +401,33 @@ def spectra(s):
 
 def same_state(a, b):
     return a.t == b.t and all(np.array_equal(x, y) for x, y in zip(spectra(a), spectra(b)))
+
+
+class TestLayout:
+    """A state with modes outside the block the mask keeps steps on the whole
+    half plane, where the products see only the block and the outside modes
+    evolve by the linear terms alone."""
+
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    def test_block_and_outside_modes_evolve_apart(self, use_dealias):
+        # hi = 15 > n/3 puts content outside the two-thirds block; without
+        # dealiasing a theta coefficient on the Nyquist row lies outside
+        s = band_state(n=32, seed=25, hi=15)
+        g = s.grid
+        specs = np.stack(spectra(s))
+        if not use_dealias:
+            specs[4, 16, 3] = 0.5
+        mask = g.product_mask(use_dealias)
+
+        def step(y):
+            f = [t.SpectralField(g, spec=c) for c in y]
+            state = t.State(u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4], t=0.0, eps=s.eps)
+            return np.stack(spectra(t.imex_step(state, 1e-3, use_dealias=use_dealias)))
+
+        both, inside, outside = step(specs), step(specs * mask), step(specs * ~mask)
+        for region, want in ((mask, inside), (~mask, outside)):
+            ref = want[:, region]
+            assert np.linalg.norm(both[:, region] - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestStepCache:

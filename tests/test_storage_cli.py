@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -535,7 +536,7 @@ class TestMalformedRunDir:
     exits 2 with a ConfigParseError naming the file and line."""
 
     @staticmethod
-    def check_edited(tmp_path, capsys, rel, edit):
+    def check_edited(tmp_path, capsys, rel, edit, error="ConfigParseError"):
         run = str(tmp_path / "r")
         assert main(["run", "--config", write_cfg(tmp_path), "--out", run]) == 0
         path = os.path.join(run, rel)
@@ -555,7 +556,7 @@ class TestMalformedRunDir:
         capsys.readouterr()
         assert main(["check", "--run-dir", run]) == 2
         payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
-        assert payload["error"] == "ConfigParseError"
+        assert payload["error"] == error
         return payload["detail"]
 
     @pytest.mark.parametrize(
@@ -581,6 +582,20 @@ class TestMalformedRunDir:
         rel = os.path.join("snapshots", "step_00000010.bin")
         detail = self.check_edited(tmp_path, capsys, rel, lambda data: data.replace(b" t=", b" \xe9t=", 1))
         assert "step_00000010.bin: line 1" in detail
+
+    def test_snapshot_time_not_finite(self, tmp_path, capsys):
+        # the middle snapshot of the residuals' window: a NaN time makes
+        # every spacing comparison False
+        rel = os.path.join("snapshots", "step_00000005.bin")
+        detail = self.check_edited(
+            tmp_path, capsys, rel, lambda data: re.sub(rb" t=\S+", b" t=nan", data, count=1), "BadWindow"
+        )
+        assert "spacings nan, nan" in detail
+
+    def test_snapshot_length_not_finite(self, tmp_path, capsys):
+        rel = os.path.join("snapshots", "step_00000010.bin")
+        detail = self.check_edited(tmp_path, capsys, rel, lambda data: re.sub(rb" L=\S+", b" L=inf", data, count=1))
+        assert "step_00000010.bin: line 1" in detail and "finite, got inf" in detail
 
 
 class TestUntrustedRunDir:
@@ -625,6 +640,17 @@ class TestUntrustedRunDir:
     def test_entry_without_key(self, tmp_path, capsys, key):
         detail = self.check_manifest(tmp_path, capsys, self.edit_json(lambda m: m["files"][1].pop(key)))
         assert "files[1] needs a path and a sha256" in detail
+
+    @pytest.mark.parametrize("where", ["absolute", "parent", "through_snapshots"])
+    def test_entry_outside_run_dir(self, tmp_path, capsys, where):
+        # a file beside the run directory, listed with its true checksum
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"not part of the run")
+        path = {"absolute": str(outside), "parent": "../outside.txt",
+                "through_snapshots": "snapshots/../../outside.txt"}[where]
+        entry = {"path": path, "sha256": hashlib.sha256(outside.read_bytes()).hexdigest()}
+        detail = self.check_manifest(tmp_path, capsys, self.edit_json(lambda m: m["files"].append(entry)))
+        assert "lies outside the run directory" in detail
 
     def test_old_format_run_dir(self, tmp_path, capsys):
         # a run directory written as per-field TCM1 grid samples
@@ -704,6 +730,20 @@ class TestCliSweepTwinGronwall:
         path = tmp_path / "g.csv"
         storage.write_gronwall_csv(path, ts, 0.5 * np.ones_like(ts), np.ones_like(ts), 0 * ts, 0 * ts)
         assert main(["gronwall", "--csv", str(path), "--k", "1.0"]) == 2
+
+    def test_gronwall_two_samples(self, tmp_path, capsys):
+        # two samples have no second-order stencil for A'
+        path = tmp_path / "g.csv"
+        path.write_bytes(b"time,A,B,alpha,beta\n0,1,1,0,0\n0.5,1,1,0,0\n")
+        assert main(["gronwall", "--csv", str(path), "--k", "1.0"]) in (0, 5)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_check_two_records(self, tmp_path, capsys):
+        # horizon = dt: the series holds two records
+        text = MINIMAL_CFG.replace("horizon = 0.05", "horizon = 0.005")
+        code = main(["check", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "c")])
+        assert code in (0, 5)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
