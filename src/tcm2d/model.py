@@ -422,9 +422,9 @@ class _Stepper:
         q[6] -= c
         k = 4 if grid_uv else 0
         lay.scatter(y[k:], z[k:5])
-        if q is not z:
+        if lay.mask is None:
             lay.scatter(q[5:], z[5:])
-        if lay.mask is not None:
+        else:  # q is z, which holds the curls already
             z *= lay.mask
         _irfft2(z[k:], z[k:], f[k:], self.cols)
         ux, uy, vx, vy, th, cu, cv = f
@@ -442,7 +442,7 @@ class _Stepper:
         y = (u^x, u^y, v^x, v^y, theta) on the layout lay, with P the Leray
         projection and curl(a) = d_x a^y - d_y a^x:
 
-            -div(u (x) u + v (x) v),  of which the step keeps -P div(...),
+            -div(S - tr(S) I / 2),  whose projection -P div S the step keeps,
             -[grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u)))],
             -[div(u theta) + div v].
 
@@ -463,10 +463,10 @@ class _Stepper:
         self._products(lay, y, grid_uv)
         q, c = lay.q, lay.c[0]
         _rfft2(self.p, self.z, self.cols)
-        if q is self.z:
-            q *= lay.mask
-        else:
+        if lay.mask is None:
             lay.gather(self.z, q)
+        else:  # q is z
+            q *= lay.mask
         q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
         q[2] += y[4]  # u.v + theta
         q[5] += y[2]  # u^x theta + v^x
@@ -548,7 +548,7 @@ class _Stepper:
         np.multiply(ik, y[1], out=q[1:3])
         np.multiply(ik, e[0], out=q[3:5])
         np.multiply(ik, e[1], out=q[5:7])
-        if q is not z:
+        if lay.mask is None:  # else q is z
             lay.scatter(q, z)
         _irfft2(z, z, p, lay.cols)
 

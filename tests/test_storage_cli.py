@@ -533,7 +533,8 @@ class TestCliCheck:
 
 class TestMalformedRunDir:
     """``check --run-dir`` on a run whose manifest lists a malformed file
-    exits 2 with a ConfigParseError naming the file and line."""
+    exits 2 with a ConfigParseError naming the file and line, or with the
+    typed error a header that parses but cannot hold raises."""
 
     @staticmethod
     def check_edited(tmp_path, capsys, rel, edit, error="ConfigParseError"):
