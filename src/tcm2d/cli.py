@@ -41,6 +41,9 @@ EXIT_CHECK = 5
 MAX_PRINCIPLE_RTOL = 1e-4
 MEAN_DRIFT_RTOL = 1e-10
 DIV_FREE_RTOL = 1e-10
+#: ||u||_H1 below this fraction of the initial state's L2 size is roundoff, so
+#: ||div u||_2 is measured against this floor instead
+DIV_FREE_FLOOR = 1e-4
 ENERGY_MONOTONE_RTOL = 1e-10
 
 
@@ -192,8 +195,13 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gro
     limu = MEAN_DRIFT_RTOL * (1.0 + u0_l2)
     gated.append(("mean_u_conserved", drift_u <= limu, drift_u, f"limit {_fmt(limu)}"))
 
-    div_max = np.max(series.col("div_u_rel"))
-    gated.append(("divergence_free", div_max <= DIV_FREE_RTOL, div_max, f"limit {DIV_FREE_RTOL}"))
+    # ||div u||_2 / max(||u||_H1, floor), which is div_u_rel wherever
+    # ||u||_H1 reaches the floor, a fraction of the initial state's L2 size
+    u_h1 = np.hypot(series.col("u_l2"), series.col("grad_u_l2"))
+    floor = DIV_FREE_FLOOR * np.sqrt(2.0 * series.col("energy")[0])
+    div_max = np.max(series.col("div_u_rel") * (np.minimum(1.0, u_h1 / floor) if floor > 0 else 1.0))
+    detail = f"||div u||_2 / max(||u||_H1, {DIV_FREE_FLOOR} sqrt(2 E(0))), limit {DIV_FREE_RTOL}"
+    gated.append(("divergence_free", div_max <= DIV_FREE_RTOL, div_max, detail))
 
     energy = series.col("energy")
     if cfg.eps > 0 and len(series) > 1:

@@ -117,7 +117,14 @@ class State:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run description: grid, stepping, regularization, initial data, output."""
+    """Run description: grid, stepping, regularization, initial data, output.
+
+    eps lies in [0, 1/2), inside the [0, 1) of a :class:`State` and of
+    ``derived._check_eps``, where the factor 1/(1 - eps) of w and the flux
+    is defined: eps > 0 is the regularized variant of the target system
+    eps = 0, whose limit eps -> 0 the harness studies, and below 1/2 that
+    factor stays under 2.
+    """
 
     n: int
     dt: float
@@ -499,8 +506,7 @@ class _Stepper:
           layout's columns, each reduced in place in the order of
           operations of ``norm`` and ``grad_linf``.
 
-        Allocates no array of grid size and fills no ``SpectralField.phys``
-        cache.
+        Allocates no array of grid size.
         """
         eps = s.eps
         lay = self.gather(s)

@@ -104,9 +104,9 @@ def make_record(state, use_dealias: bool) -> np.ndarray:
     fraction from one power stack of the spectra reduced against weights
     built once per grid; the 14 grid fields (u, v, theta, the effective
     viscous flux, grad u, grad w) from two batched inverse transforms. So
-    a record allocates no array of grid size and fills no
-    ``SpectralField.phys`` cache. Like ``imex_step``, whose buffers it
-    shares, it is not thread-safe. Requires mean-zero theta, as w does.
+    a record allocates no array of grid size. Like ``imex_step``, whose
+    buffers it shares, it is not thread-safe. Requires mean-zero theta, as
+    w does.
     """
     from .model import _stepper  # model imports this module
 

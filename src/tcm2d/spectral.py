@@ -1,8 +1,8 @@
 """Fourier operator algebra on the periodic square [0, L]^2.
 
-Scalar fields live on an n-by-n collocation grid. A field's value is its
-Fourier form, the ``rfft2`` half plane of shape (n, n//2 + 1); its grid
-samples are derived from it and cached on first read. In that half plane mode
+Scalar fields live on an n-by-n collocation grid. A field is its Fourier
+form, the ``rfft2`` half plane of shape (n, n//2 + 1); its grid samples are
+transformed from it on each read. In that half plane mode
 (k1, -k2 < 0) is the conjugate of the stored (-k1, k2), so Parseval sums
 weight each column by ``Grid.herm_weight`` (1 on columns 0 and n/2, which
 hold their own conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
@@ -23,8 +23,8 @@ multipliers:
 The (0,0) mode is annihilated wherever the inverse Laplacian is undefined;
 ``Grid.dealias_mask`` is the two-thirds rule on the max-norm of the integer
 wavevector. So the output of every operator here is unchanged by a round
-trip through the grid. All functions are pure; fields are treated as
-immutable values.
+trip through the grid. All functions are pure, and a field is an immutable
+(grid, spectrum) value.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ from .errors import BadParams, NonZeroMean
 
 # relative tolerance distinguishing conserved-mean roundoff from user error
 MEAN_ZERO_RTOL = 1e-10
-
-_AXES = {"x": 0, "y": 1}
 
 
 class Grid:
@@ -118,35 +116,23 @@ class Grid:
 class SpectralField:
     """Real scalar field on a :class:`Grid`, held as its ``rfft2`` half plane.
 
-    The spectrum ``spec`` is the field's value: arithmetic and the mean read
-    it alone, so a result does not depend on which grid samples happen to be
-    cached. ``phys``, the grid samples, is a cache filled on first read;
-    :meth:`from_phys` transforms the samples it was given and keeps them as
-    that cache. The mean is the (0,0) Fourier mode divided by n^2.
+    The spectrum ``spec`` is the field's value; ``phys``, the grid samples,
+    is transformed from it on each read. The mean is the (0,0) Fourier mode
+    divided by n^2.
     """
 
-    __slots__ = ("grid", "spec", "_phys")
+    __slots__ = ("grid", "spec")
 
     def __init__(self, grid: Grid, spec: np.ndarray):
         self.grid = grid
         self.spec = spec
-        self._phys = None
 
     @classmethod
     def from_phys(cls, grid: Grid, values) -> "SpectralField":
-        arr = np.array(values, dtype=np.float64)
+        arr = np.asarray(values, dtype=np.float64)
         if arr.shape != (grid.n, grid.n):
             raise BadParams(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
-        f = cls(grid, np.fft.rfft2(arr))
-        f._phys = arr
-        return f
-
-    @classmethod
-    def from_spec(cls, grid: Grid, coeffs) -> "SpectralField":
-        arr = np.array(coeffs, dtype=np.complex128)
-        if arr.shape != grid.spec_shape:
-            raise BadParams(f"expected shape {grid.spec_shape}, got {arr.shape}")
-        return cls(grid, arr)
+        return cls(grid, np.fft.rfft2(arr))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
@@ -154,9 +140,7 @@ class SpectralField:
 
     @property
     def phys(self) -> np.ndarray:
-        if self._phys is None:
-            self._phys = np.fft.irfft2(self.spec, s=(self.grid.n, self.grid.n))
-        return self._phys
+        return np.fft.irfft2(self.spec, s=(self.grid.n, self.grid.n))
 
     @property
     def mean(self) -> float:
@@ -221,15 +205,11 @@ class VectorField:
         yield self.y
 
 
-def _axis_wavenumbers(grid: Grid, axis: str) -> np.ndarray:
-    if axis not in _AXES:
-        raise BadParams(f"axis must be 'x' or 'y', got {axis!r}")
-    return grid.deriv_kx if axis == "x" else grid.deriv_ky
-
-
 def derivative(f: SpectralField, axis: str) -> SpectralField:
     """Exact spectral partial derivative along ``axis``; output has zero mean."""
-    k = _axis_wavenumbers(f.grid, axis)
+    if axis not in ("x", "y"):
+        raise BadParams(f"axis must be 'x' or 'y', got {axis!r}")
+    k = f.grid.deriv_kx if axis == "x" else f.grid.deriv_ky
     return SpectralField(f.grid, spec=1j * k * f.spec)
 
 
@@ -330,10 +310,6 @@ def leray_project(a: VectorField) -> VectorField:
     return VectorField(SpectralField(g, spec=out[0]), SpectralField(g, spec=out[1]))
 
 
-def _masked(f: SpectralField, mask: np.ndarray) -> SpectralField:
-    return SpectralField(f.grid, spec=np.where(mask, f.spec, 0.0))
-
-
 def smoothing_inverse(f):
     """Inverse of (I - lap): multiplier 1/(1 + |k|^2); an L2 contraction."""
     if isinstance(f, VectorField):
@@ -350,9 +326,10 @@ def multiply(f: SpectralField, g: SpectralField, use_dealias: bool = False) -> S
     quadratic products alias-free, or without ``use_dealias`` the mask that
     only drops the Nyquist lines.
     """
+    n = f.grid.n
     mask = f.grid.product_mask(use_dealias)
-    prod = _masked(f, mask).phys * _masked(g, mask).phys
-    return SpectralField(f.grid, np.where(mask, np.fft.rfft2(prod), 0.0))
+    fx, gx = (np.fft.irfft2(np.where(mask, h.spec, 0.0), s=(n, n)) for h in (f, g))
+    return SpectralField(f.grid, np.where(mask, np.fft.rfft2(fx * gx), 0.0))
 
 
 def advect(vel: VectorField, f, use_dealias: bool = False):
@@ -386,7 +363,7 @@ def inner(f, g) -> float:
     return float(gr.length**2 / gr.n**4 * s)
 
 
-def _stacked_phys_sq(f) -> np.ndarray:
+def _pointwise_sq(f) -> np.ndarray:
     if isinstance(f, VectorField):
         return f.x.phys**2 + f.y.phys**2
     return f.phys**2
@@ -396,25 +373,22 @@ def norm(f, kind: str = "L2") -> float:
     """Norms of scalar or vector fields.
 
     L2 is evaluated by Parseval; L4 and Linf from physical samples (Linf is
-    the max over grid points, an infimum approximation of the true sup).
-    H1 = sqrt(L2^2 + ||grad f||_2^2); H2 additionally adds ||lap f||_2^2.
-    Vector fields sum component squares (pointwise, for L4/Linf).
+    the max over grid points, an infimum approximation of the true sup);
+    H1 = sqrt(L2^2 + ||grad f||_2^2). Vector fields sum component squares
+    (pointwise, for L4/Linf).
     """
     if kind == "L2":
         if isinstance(f, VectorField):
             return float(np.hypot(norm(f.x, "L2"), norm(f.y, "L2")))
-        g = f.grid
-        return float(g.length / g.n**2 * np.sqrt(np.sum(g.herm_weight * np.abs(f.spec) ** 2)))
+        return seminorm(f, 0)
     if kind == "Linf":
-        return float(np.sqrt(np.max(_stacked_phys_sq(f))))
+        return float(np.sqrt(np.max(_pointwise_sq(f))))
     if kind == "L4":
         g = f.grid
-        q = np.sum(_stacked_phys_sq(f) ** 2) * (g.length / g.n) ** 2
+        q = np.sum(_pointwise_sq(f) ** 2) * (g.length / g.n) ** 2
         return float(q**0.25)
     if kind == "H1":
         return float(np.sqrt(norm(f, "L2") ** 2 + seminorm(f, 1) ** 2))
-    if kind == "H2":
-        return float(np.sqrt(norm(f, "L2") ** 2 + seminorm(f, 1) ** 2 + seminorm(f, 2) ** 2))
     raise BadParams(f"unknown norm kind {kind!r}")
 
 

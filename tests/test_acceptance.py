@@ -39,7 +39,7 @@ def test_c1_operator_algebra():
         s = band_state(n=n, seed=1, hi=n // 4)
         th, u = s.theta, s.u
 
-        back = t.SpectralField.from_spec(th.grid, th.spec)
+        back = t.SpectralField(th.grid, th.spec)
         worst = max(worst, rel_l2(t.SpectralField.from_phys(th.grid, back.phys), th))
 
         a = t.VectorField(s.v.x, th)

@@ -111,8 +111,6 @@ class TestRecordRow:
 
     def test_warm_record_allocates_little(self):
         # the record works in the step's held buffers: no grid-size array
-        # and no phys cache (11.85 MB while each field was transformed into
-        # fresh arrays and cached on the state)
         t.make_record(band_state(n=256, seed=35), True)
         s = band_state(n=256, seed=36)
         tracemalloc.start()
@@ -123,7 +121,6 @@ class TestRecordRow:
         finally:
             tracemalloc.stop()
         assert peak <= 1.0e6, peak
-        assert all(f._phys is None for f in (*s.u, *s.v, s.theta))
 
     def test_row_layout(self):
         s = dataclasses.replace(band_state(n=16, seed=3, hi=4), t=0.25)

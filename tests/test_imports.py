@@ -1,8 +1,8 @@
 """Static checks on the standard library's ``ast`` alone: every module of the
 package, ``__init__.py`` aside, uses each name it imports (a stand-in for a
 linter's unused-import rule); every name the package root exports, and every
-public function and class a module defines, is used outside the tests; and
-every package name a demo uses exists."""
+public function, class, method and property a module defines, is used
+outside the tests; and every package name a demo uses exists."""
 
 import ast
 import importlib
@@ -49,9 +49,10 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == ["line 1: os"]
 
 
-# Every name the package root exports, and every public function and class a
-# package module defines, is used by a package module or a demo, or is named
-# here with the reason it stays public although neither uses it.
+# Every name the package root exports, and every public function, class,
+# method and property a package module defines, is used by a package module or
+# a demo, or is named here with the reason it stays public although neither
+# uses it.
 # Tests do not count: a name only tests call is test-only public API.
 DEMOS = sorted((SRC.parent.parent / "demos").glob("*.py"))
 UNUSED_EXPORTS_ALLOWED = {
@@ -108,20 +109,45 @@ def _used_names(sources) -> set[str]:
     return used
 
 
+def _attributes(node, inside=()):
+    # attribute names read (s.grid, cfg.num_steps()), except inside the
+    # definition of the method they name
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside += (node.name,)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in inside:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _attributes(child, inside)
+
+
+def _public_methods(tree):
+    # (class, method) for the public methods and properties of public classes
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
 def unused_exports(init_source: str, sources) -> list[str]:
     return sorted(exported_names(init_source) - _used_names(sources))
 
 
 def unused_definitions(modules, demos) -> list[str]:
     """The public module-level functions and classes of ``modules`` that no
-    module or demo uses."""
+    module or demo uses, and the public methods and properties of those
+    classes (as ``Class.method``) whose name no module or demo reads as an
+    attribute."""
+    trees = [ast.parse(source) for source in modules]
     defined = {
         node.name
-        for source in modules
-        for node in ast.parse(source).body
+        for tree in trees
+        for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
-    return sorted(defined - _used_names(modules + demos))
+    read = {a for source in modules + demos for a in _attributes(ast.parse(source))}
+    methods = {f"{cls}.{name}" for tree in trees for cls, name in _public_methods(tree) if name not in read}
+    return sorted((defined - _used_names(modules + demos)) | methods)
 
 
 def _sources(paths) -> list[str]:
@@ -141,6 +167,15 @@ def test_the_check_finds_an_unused_definition():
     modules = _sources(MODULES)
     modules[0] += "\n\ndef planted_helper(x):\n    return planted_helper(x - 1) if x else 0\n"
     assert unused_definitions(modules, _sources(DEMOS)) == sorted({*UNUSED_EXPORTS_ALLOWED, "planted_helper"})
+
+
+def test_the_check_finds_an_unused_method():
+    modules = _sources(MODULES)
+    modules[0] += (
+        "\n\nclass Planted:\n    def used(self):\n        return self.used\n\n"
+        "    @property\n    def planted(self):\n        return self.planted\n\n\nPlanted().used()\n"
+    )
+    assert unused_definitions(modules, _sources(DEMOS)) == sorted({*UNUSED_EXPORTS_ALLOWED, "Planted.planted"})
 
 
 def test_the_check_finds_a_test_only_export():

@@ -693,7 +693,7 @@ class TestTransformBudget:
         low, high = band_state(n=32, seed=24, hi=4), band_state(n=32, seed=24, hi=15)
         spec = low.u.x.spec.copy()
         spec[16, 3] = 1.0  # the row |k1| = n/2
-        nyquist = replace(low, u=t.VectorField(t.SpectralField.from_spec(low.grid, spec), low.u.y))
+        nyquist = replace(low, u=t.VectorField(t.SpectralField(low.grid, spec), low.u.y))
         rows = [
             ("low", low, True, 14),
             ("low", low, False, 14),
