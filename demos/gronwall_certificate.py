@@ -21,7 +21,7 @@ from tcm2d.storage import write_gronwall_csv
 cfg = t.SimConfig(n=64, dt=2e-3, horizon=1.0, preset="random_band", eps=0.1,
                   band_lo=1, band_hi=4, seed=42, diag_stride=2, snap_stride=500)
 run = t.simulate(cfg)
-env = t.certified_envelope(run.diagnostics, eps=0.1)
+env = t.certified_envelope(run.diagnostics)
 g = env.series
 
 print(f"fitted K = {env.fit.K:.4f} (binding sample {env.fit.argmax} of {len(g.times)})")

@@ -33,7 +33,7 @@ for lev in range(3):
                     band_lo=1, band_hi=4, seed=7, diag_stride=steps, snap_stride=8)
     snaps = t.simulate(c).snapshots
     m = len(snaps) // 2
-    res = t.residual_w_equation(snaps[m - 1 : m + 2], eps=0.05).l2
+    res = t.residual_w_equation(snaps[m - 1 : m + 2]).l2
     order = "" if prev is None else f"{np.log2(prev / res):6.2f}"
     print(f"{n:5d} {dt:9.0e} {res:11.3e} {order:>6}")
     prev = res

@@ -21,7 +21,8 @@ for dt in (8e-3, 4e-3, 2e-3, 1e-3):
     cfg = t.SimConfig(n=64, dt=dt, horizon=T, preset="taylor_green",
                       snap_stride=steps, diag_stride=steps)
     s = t.simulate(cfg).snapshots[-1]
-    X, Y = s.grid.meshgrid()
+    x = np.arange(s.grid.n) * s.grid.spacing
+    X, Y = np.meshgrid(x, x, indexing="ij")
     exact = t.VectorField(
         t.SpectralField.from_phys(s.grid, np.exp(-2 * T) * np.sin(X) * np.cos(Y)),
         t.SpectralField.from_phys(s.grid, -np.exp(-2 * T) * np.cos(X) * np.sin(Y)),

@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 config error or malformed input file, 3 numerical
 guard (CFL or non-finite state), 4 I/O or an untrusted run directory (a
 missing, tampered or malformed manifest, or one of another snapshot format
 such as TCM1), 5 check failure. A package error's code is its class's
-``exit_code`` (see ``errors``). Failures print a single machine-readable
-line ``TCM-ERROR {...}`` to stderr.
+``exit_code`` (see ``errors``); a usage error (a missing or malformed
+argument) is a ``ConfigParseError``. Failures print a single
+machine-readable line ``TCM-ERROR {...}`` to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .model import SimConfig, simulate
 from .records import DiagnosticsSeries
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_IO = 4
 EXIT_CHECK = 5
 
@@ -168,8 +168,7 @@ def _gather(args):
 def _mid_window(snaps):
     if len(snaps) < 3:
         return None
-    m = len(snaps) // 2
-    m = min(max(m, 1), len(snaps) - 2)
+    m = len(snaps) // 2  # 1 <= m <= len - 2
     return snaps[m - 1 : m + 2]
 
 
@@ -220,15 +219,12 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gro
     else:
         info.append(("max_principle", None, min_margin, "observational at eps = 0"))
 
-    env = diagnostics.certified_envelope(series, cfg.eps, tol=tol)
-    gated.append(
-        (
-            "gronwall_envelope",
-            env.conclusion.outcome == "holds" and np.isfinite(env.fit.K),
-            env.fit.K,
-            f"fitted K, outcome {env.conclusion.outcome}",
-        )
-    )
+    if len(series) > 1:
+        env = diagnostics.certified_envelope(series, tol=tol)
+        ok = env.conclusion.outcome == "holds" and np.isfinite(env.fit.K)
+        gated.append(("gronwall_envelope", ok, env.fit.K, f"fitted K, outcome {env.conclusion.outcome}"))
+    else:
+        info.append(("gronwall_envelope", None, float("nan"), "need >= 2 records"))
 
     budget = diagnostics.lipschitz_budget(series)
     gated.append(("lipschitz_budget_finite", bool(np.isfinite(budget)), budget, "integral of ||grad u||_inf"))
@@ -242,7 +238,7 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gro
             ("potential_equation_residual", residual_phi_equation),
             ("flux_equation_residual", residual_flux_equation),
         ):
-            r = fn(window, eps=cfg.eps, use_dealias=cfg.dealias)
+            r = fn(window, use_dealias=cfg.dealias)
             info.append((name, None, r.l2, f"smoothed {_fmt(r.smoothed)}"))
     else:
         info.append(("equation_residuals", None, float("nan"), "need >= 3 snapshots"))
@@ -390,8 +386,17 @@ def cmd_gronwall(args) -> int:
 # driver
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and so its subparsers, whose usage errors raise
+    ConfigParseError and so exit through the ``TCM-ERROR`` contract."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="tcm2d",
         description="pseudo-spectral simulator and a-priori-estimate verification harness",
     )
@@ -438,13 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit:  # -h and --version; usage errors raise ConfigParseError
+        return EXIT_OK
     except TcmError as exc:
         _machine_error(type(exc).__name__, str(exc), **{name: getattr(exc, name) for name in exc.fields})
         return exc.exit_code

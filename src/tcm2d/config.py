@@ -20,7 +20,10 @@ on the block.
 Only [grid] n, [time] dt and [time] horizon are required; everything else
 falls back to the SimConfig defaults. Unknown sections or keys, malformed
 lines and out-of-range values raise ConfigParseError with the offending
-location.
+location. Every rule of SimConfig is checked at parse, the grid, a
+horizon that is a whole number of steps, the preset's mode or band and a
+nonnegative seed included, so a config that parses can run, and one that
+cannot fails before anything is written.
 """
 
 from __future__ import annotations

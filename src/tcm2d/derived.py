@@ -6,12 +6,13 @@ temperature gradient of the baroclinic equation: w = v + Phi/(1 - eps)
 flux = div v - theta/(1 - eps) (the effective viscous flux) satisfies a
 transport-diffusion equation with better regularity than its parts.
 
-Residual functions verify, on three equally spaced snapshots, that the
-derived evolution equations hold: the time derivative is approximated by a
-centered difference, every spatial term is computed spectrally with the
-same product-dealiasing convention the integrator used, and the residual
-norm is normalized by the sum of the term magnitudes so values are
-comparable across presets.
+Residual functions verify, on three equally spaced snapshots of one eps
+(which they take as the equations' eps), that the derived evolution
+equations hold: the time derivative is approximated by a centered
+difference, every spatial term is computed spectrally with the same
+product-dealiasing convention the integrator used, and the residual norm
+is normalized by the sum of the term magnitudes so values are comparable
+across presets.
 """
 
 from __future__ import annotations
@@ -114,18 +115,16 @@ def viscous_flux(s) -> SpectralField:
     return div(s.v) - s.theta * (1.0 / (1.0 - s.eps))
 
 
-def _window(snaps, eps):
+def _window(snaps):
     if len(snaps) != 3:
         raise BadWindow(f"need exactly 3 snapshots, got {len(snaps)}")
     a, b, c = snaps
     h1, h2 = b.t - a.t, c.t - b.t
     if not (np.isfinite(h1) and np.isfinite(h2)) or h1 <= 0 or abs(h1 - h2) > 1e-9 * max(h1, h2):
         raise BadWindow(f"snapshots not equally spaced: spacings {h1}, {h2}")
-    if eps is None:
-        eps = b.eps
-    if not all(abs(s.eps - eps) < 1e-15 for s in snaps):
-        raise BadWindow("eps does not match the trajectory")
-    return a, b, c, h1, eps
+    if not all(abs(s.eps - b.eps) < 1e-15 for s in snaps):
+        raise BadWindow("snapshots of different eps")
+    return a, b, c, h1, b.eps
 
 
 def _l2(f) -> float:
@@ -150,17 +149,16 @@ def _normalized_residual(ddt, terms) -> ResidualNorms:
     return ResidualNorms(l2=out[0], smoothed=out[1])
 
 
-def residual_w_equation(
-    snaps, eps: float | None = None, use_dealias: bool = True
-) -> ResidualNorms:
+def residual_w_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
     """Residual of the pseudo-baroclinic evolution law
 
         dt(w) + (u.grad)w - lap(w) + (v.grad)u
               + [grad((-lap)^{-1} div v) + F] / (1 - eps) = 0,
 
-    evaluated at the middle snapshot with a centered time difference.
+    evaluated at the middle snapshot with a centered time difference, with
+    the eps of the snapshots.
     """
-    a, b, c, h, eps = _window(snaps, eps)
+    a, b, c, h, eps = _window(snaps)
     _check_eps(eps)
     scale = 1.0 / (1.0 - eps)
     w_mid = pseudo_baroclinic(b)
@@ -175,15 +173,13 @@ def residual_w_equation(
     return _normalized_residual(ddt, terms)
 
 
-def residual_phi_equation(
-    snaps, eps: float | None = None, use_dealias: bool = True
-) -> ResidualNorms:
+def residual_phi_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
     """Residual of the temperature-potential evolution law
 
         dt(Phi) + (u.grad)Phi - eps*lap(Phi)
                 + grad((-lap)^{-1} div v) + F = 0.
     """
-    a, b, c, h, eps = _window(snaps, eps)
+    a, b, c, h, eps = _window(snaps)
     phi_mid = temperature_potential(b.theta)
     ddt = (temperature_potential(c.theta) - temperature_potential(a.theta)) * (0.5 / h)
     terms = [
@@ -195,15 +191,13 @@ def residual_phi_equation(
     return _normalized_residual(ddt, terms)
 
 
-def residual_flux_equation(
-    snaps, eps: float | None = None, use_dealias: bool = True
-) -> ResidualNorms:
+def residual_flux_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
     """Residual of the effective-viscous-flux evolution law
 
         dt(flux) + u.grad(flux) - lap(flux)
                  + 2 sum_ij (d_i u^j)(d_j v^i) - div v / (1 - eps) = 0.
     """
-    a, b, c, h, eps = _window(snaps, eps)
+    a, b, c, h, eps = _window(snaps)
     _check_eps(eps)
     scale = 1.0 / (1.0 - eps)
     ddt = (viscous_flux(c) - viscous_flux(a)) * (0.5 / h)

@@ -21,13 +21,14 @@ from .model import (
     SimConfig,
     State,
     _band_modes,
+    _check_band,
     _modes_field,
     _random_band_field,
     _step,
     make_initial,
     simulate,
 )
-from .records import DiagnosticsSeries, _h1_functionals
+from .records import DiagnosticsSeries
 from .spectral import (
     SpectralField,
     VectorField,
@@ -64,18 +65,16 @@ def max_principle_check(series: DiagnosticsSeries) -> np.ndarray:
     return budget - series.col("theta_linf")
 
 
-def h1_temperature_functionals(series: DiagnosticsSeries, eps: float) -> gronwall.GronwallSeries:
+def h1_temperature_functionals(series: DiagnosticsSeries) -> gronwall.GronwallSeries:
     """Assemble (A, B, alpha, beta) from a trajectory's records.
 
-    A and B are the H1-estimate functionals (recomputed from their
-    constituent norms with the given eps); alpha collects the sup-norm
-    coefficient multiplying A in the differential inequality and beta the
-    remaining integrable forcing. K defaults to 1 and is meant to be
-    replaced by a fitted value.
+    A and B are the H1-estimate functionals, read from the records'
+    ``a_func`` and ``b_func``; alpha collects the sup-norm coefficient
+    multiplying A in the differential inequality and beta the remaining
+    integrable forcing. K defaults to 1 and is meant to be replaced by a
+    fitted value.
     """
     t = series.times
-    norms = ("grad_theta_l2", "lap_u_l2", "lap_w_l2", "lap_theta_l2", "grad_lap_u_l2", "grad_lap_w_l2")
-    a_func, b_func = _h1_functionals(t, eps, *(series.col(c) for c in norms))
     alpha = (t + 1.0) * (series.col("uv_linf") ** 2 + series.col("grad_u_linf") + 1.0)
     beta = (t + 1.0) * (
         series.col("grad_u_l4") ** 4
@@ -85,7 +84,9 @@ def h1_temperature_functionals(series: DiagnosticsSeries, eps: float) -> gronwal
         + series.col("lap_u_l2") ** 2
         + series.col("lap_w_l2") ** 2
     )
-    return gronwall.GronwallSeries(times=t, A=a_func, B=b_func, alpha=alpha, beta=beta, K=1.0)
+    return gronwall.GronwallSeries(
+        times=t, A=series.col("a_func"), B=series.col("b_func"), alpha=alpha, beta=beta, K=1.0
+    )
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,9 @@ class EnvelopeReport:
     series: gronwall.GronwallSeries
 
 
-def certified_envelope(
-    series: DiagnosticsSeries, eps: float, tol: float = gronwall.DEFAULT_TOL
-) -> EnvelopeReport:
+def certified_envelope(series: DiagnosticsSeries, tol: float = gronwall.DEFAULT_TOL) -> EnvelopeReport:
     """Fit the smallest K for the run's (A, B) and check the envelope."""
-    g = h1_temperature_functionals(series, eps)
+    g = h1_temperature_functionals(series)
     fit = gronwall.fit_min_k(g.times, g.A, g.B, g.alpha, g.beta)
     g = replace(g, K=fit.K)
     return EnvelopeReport(fit=fit, conclusion=gronwall.conclusion_check(g, tol=tol), series=g)
@@ -109,7 +108,7 @@ def certified_envelope(
 
 def lipschitz_budget(series: DiagnosticsSeries) -> float:
     """Trapezoidal integral of ||grad u||_inf over the recorded horizon."""
-    return float(np.trapezoid(series.col("grad_u_linf"), series.times))
+    return float(lipschitz_budget_curve(series)[-1])
 
 
 def lipschitz_budget_curve(series: DiagnosticsSeries) -> np.ndarray:
@@ -220,7 +219,8 @@ PERTURBATION_SHAPES = ("mode", "band", "theta")
 def _perturbation(cfg: SimConfig, shape: str):
     """Unit-size perturbation triple: divergence-free u part, v, theta.
 
-    Normalized so the smoothed-H1 size of the triple is exactly one.
+    Normalized so the smoothed-H1 size of the triple is exactly one. The
+    "band" shape takes the config's band, raised to at least (1, 2).
     """
     grid = cfg.grid()
     zero = SpectralField.zeros(grid)
@@ -237,8 +237,10 @@ def _perturbation(cfg: SimConfig, shape: str):
         pv = VectorField(zero, zero)
         pth = _modes_field(grid, [((1, 1), -0.25j), ((1, -1), -0.25j)])
     else:  # "band"
+        lo, hi = max(cfg.band_lo, 1), max(cfg.band_hi, 2)
+        _check_band(lo, hi, grid.n)
         rng = np.random.default_rng(cfg.seed + 9973)
-        modes = _band_modes(max(cfg.band_lo, 1), max(cfg.band_hi, 2))
+        modes = _band_modes(lo, hi)
         pu = leray_project(perp_grad(_random_band_field(grid, modes, rng)))
         pv = VectorField(
             _random_band_field(grid, modes, rng), _random_band_field(grid, modes, rng)

@@ -86,6 +86,7 @@ from .derived import _check_eps
 from .errors import BadParams, CflViolation, NonFiniteState
 from .spectral import (
     Grid,
+    _check_grid,
     SpectralField,
     VectorField,
     _project,
@@ -124,6 +125,8 @@ class SimConfig:
     is defined: eps > 0 is the regularized variant of the target system
     eps = 0, whose limit eps -> 0 the harness studies, and below 1/2 that
     factor stays under 2.
+    Every rule is checked here, the grid's and the preset's mode or band
+    included, so a config that constructs can run.
     """
 
     n: int
@@ -159,19 +162,25 @@ class SimConfig:
             raise BadParams(f"eps must lie in [0, 1/2), got {self.eps}")
         if self.diag_stride < 1 or self.snap_stride < 1:
             raise BadParams("strides must be >= 1")
+        if self.seed < 0:
+            raise BadParams(f"seed must be nonnegative, got {self.seed}")
         if self.preset not in PRESETS:
             raise BadParams(f"unknown preset {self.preset!r}")
+        _check_grid(int(self.n), self.length)
+        if abs(self.num_steps() * self.dt - self.horizon) > 1e-8 * max(self.dt, self.horizon, 1.0):
+            raise BadParams(f"horizon {self.horizon} is not an integer number of steps of {self.dt}")
+        if self.preset == "single_mode":
+            m = (self.mode_x, self.mode_y)
+            if m == (0, 0) or max(abs(m[0]), abs(m[1])) > self.n // 2 - 1:
+                raise BadParams(f"mode {m} outside resolved modes for n={self.n}")
+        elif self.preset == "random_band":
+            _check_band(self.band_lo, self.band_hi, self.n)
 
     def grid(self) -> Grid:
         return Grid(self.n, self.length)
 
     def num_steps(self) -> int:
-        steps = int(round(self.horizon / self.dt))
-        if abs(steps * self.dt - self.horizon) > 1e-8 * max(self.dt, self.horizon, 1.0):
-            raise BadParams(
-                f"horizon {self.horizon} is not an integer number of steps of {self.dt}"
-            )
-        return steps
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass
@@ -183,6 +192,12 @@ class SimResult:
 
     snapshots: list[State] = field(default_factory=list)
     diagnostics: "records.DiagnosticsSeries" = None
+
+
+def _check_band(lo: int, hi: int, n: int) -> None:
+    # the band rule: 1 <= lo <= hi <= n/2 - 1, the modes without Nyquist lines
+    if not (1 <= lo <= hi) or hi > n // 2 - 1:
+        raise BadParams(f"band ({lo}, {hi}) outside resolved modes for n={n}")
 
 
 def _band_modes(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -243,17 +258,10 @@ def make_initial(cfg: SimConfig) -> State:
         u = perp_grad(_modes_field(grid, [((1, 1), c), ((1, -1), -c)]))
         v, theta = VectorField(zero, zero), zero
     elif cfg.preset == "single_mode":
-        m = (cfg.mode_x, cfg.mode_y)
-        if m == (0, 0) or max(abs(m[0]), abs(m[1])) > grid.n // 2 - 1:
-            raise BadParams(f"mode {m} outside resolved modes for n={grid.n}")
         # theta = A sin(a (m_x x + m_y y))
-        theta = _modes_field(grid, [(m, -0.5j * cfg.amplitude)])
+        theta = _modes_field(grid, [((cfg.mode_x, cfg.mode_y), -0.5j * cfg.amplitude)])
         u = v = VectorField(zero, zero)
     else:  # random_band
-        if not (1 <= cfg.band_lo <= cfg.band_hi) or cfg.band_hi > grid.n // 2 - 1:
-            raise BadParams(
-                f"band ({cfg.band_lo}, {cfg.band_hi}) outside resolved modes for n={grid.n}"
-            )
         rng = np.random.default_rng(cfg.seed)
         modes = _band_modes(cfg.band_lo, cfg.band_hi)
         psi = _random_band_field(grid, modes, rng)
@@ -288,15 +296,14 @@ def _mul_add(a, b, c, d, out: np.ndarray, tmp: np.ndarray) -> None:
     out += tmp
 
 
-def _irfft2(a: np.ndarray, work: np.ndarray, out: np.ndarray, cols: int) -> None:
-    # np.fft.irfft2(a, s=out.shape[-2:]) into out, through work (a's shape
-    # and dtype; may be a itself), for a zero beyond its first cols columns:
-    # irfft2 is a complex inverse along axis -2 and a real one along axis -1,
-    # but drops out=, so both passes are taken here with it, the first over
-    # those cols columns only; work's later columns must hold zeros. Equal
-    # to irfft2 (zeros may differ in sign).
-    np.fft.ifftn(a[..., :cols], axes=(-2,), out=work[..., :cols])
-    np.fft.irfft(work, out.shape[-1], axis=-1, out=out)
+def _irfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
+    # np.fft.irfft2(a, s=out.shape[-2:]) into out, for a zero beyond its
+    # first cols columns, overwriting a: irfft2 is a complex inverse along
+    # axis -2 and a real one along axis -1, but drops out=, so both passes
+    # are taken here with it, the first in place over those cols columns
+    # only. Equal to irfft2 (zeros may differ in sign).
+    np.fft.ifftn(a[..., :cols], axes=(-2,), out=a[..., :cols])
+    np.fft.irfft(a, out.shape[-1], axis=-1, out=out)
 
 
 def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
@@ -357,7 +364,7 @@ class _Layout:
         g = self.g
         active = g.n / 3.0 if self.use_dealias else g.n / 2.0
         band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-        rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
+        rows = [g.seminorm_weight(j) for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
         return self.gather(np.stack(rows)).reshape(5, -1)
 
 
@@ -408,7 +415,7 @@ class _Stepper:
         them."""
         f, sq, z = self.f, self.p[:4], self.z[:4]
         lay.scatter(y[:4], z)
-        _irfft2(z, z, f[:4], lay.cols)
+        _irfft2(z, f[:4], lay.cols)
         np.square(f[0:4:2], out=sq[:2])
         np.square(f[1:4:2], out=sq[2:])
         sq[:2] += sq[2:]
@@ -433,7 +440,7 @@ class _Stepper:
             lay.scatter(q[5:], z[5:])
         else:  # q is z, which holds the curls already
             z *= lay.mask
-        _irfft2(z[k:], z[k:], f[k:], self.cols)
+        _irfft2(z[k:], f[k:], self.cols)
         ux, uy, vx, vy, th, cu, cv = f
         _mul_add(ux, ux, vx, vx, p[0], p[1])
         _mul_add(uy, uy, vy, vy, p[1], p[2])
@@ -549,14 +556,14 @@ class _Stepper:
         np.multiply(ik[0], y[0], out=e[4])
         lay.scatter(y, z[:5])
         lay.scatter(e[3:], z[5:])
-        _irfft2(z, z, f, lay.cols)
+        _irfft2(z, f, lay.cols)
         np.multiply(ik[1], y[0], out=q[0])
         np.multiply(ik, y[1], out=q[1:3])
         np.multiply(ik, e[0], out=q[3:5])
         np.multiply(ik, e[1], out=q[5:7])
         if lay.mask is None:  # else q is z
             lay.scatter(q, z)
-        _irfft2(z, z, p, lay.cols)
+        _irfft2(z, p, lay.cols)
 
         area = (g.length / g.n) ** 2
         grid = dict(mean_theta=f[4].mean(), mean_u_x=f[0].mean(), mean_u_y=f[1].mean())

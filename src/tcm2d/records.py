@@ -85,14 +85,6 @@ class DiagnosticsSeries:
         return len(self.rows)
 
 
-def _h1_functionals(t, eps, gth, lu, lw, lth, glu, glw):
-    """(A, B) of the H1 estimate from their constituent norms; works on
-    floats and on arrays alike."""
-    a_func = gth**2 + t * (lu**2 + lw**2) + 1.0
-    b_func = a_func + t * (glu**2 + glw**2) + eps * lth**2 + np.e
-    return a_func, b_func
-
-
 def make_record(state, use_dealias: bool) -> np.ndarray:
     """Evaluate all observables of one state, as a float64 row in
     ``COLUMNS`` order.
@@ -119,7 +111,8 @@ def make_record(state, use_dealias: bool) -> np.ndarray:
     (u_l2, gu, lu, glu), (v_l2, gv), (th_l2, gth, lth), (gw, lw, glw) = l2[0], l2[1, :2], l2[2, :3], l2[3, 1:]
     if abs(th.mean) > MEAN_ZERO_RTOL * th_l2:
         raise NonZeroMean(f"theta must be mean-zero for w, |mean| = {abs(th.mean):.3e}")
-    a_func, b_func = _h1_functionals(t, eps, gth, lu, lw, lth, glu, glw)
+    a_func = gth**2 + t * (lu**2 + lw**2) + 1.0
+    b_func = a_func + t * (glu**2 + glw**2) + eps * lth**2 + np.e
     u_h1 = np.hypot(u_l2, gu)
     div_u = g.length / g.n**2 * np.sqrt(sums[4, 0])
 

@@ -37,6 +37,14 @@ from .errors import BadParams, NonZeroMean
 MEAN_ZERO_RTOL = 1e-10
 
 
+def _check_grid(n: int, length: float) -> None:
+    # the grid rule: n even and at least 8, length positive and finite
+    if n % 2 != 0 or n < 8:
+        raise BadParams(f"grid size must be even and >= 8, got {n}")
+    if not (length > 0 and np.isfinite(length)):
+        raise BadParams(f"domain length must be positive and finite, got {length}")
+
+
 class Grid:
     """Uniform n x n collocation grid on the torus [0, length]^2.
 
@@ -46,10 +54,7 @@ class Grid:
 
     def __init__(self, n: int, length: float = 2.0 * np.pi):
         n = int(n)
-        if n % 2 != 0 or n < 8:
-            raise BadParams(f"grid size must be even and >= 8, got {n}")
-        if not (length > 0 and np.isfinite(length)):
-            raise BadParams(f"domain length must be positive and finite, got {length}")
+        _check_grid(n, length)
         self.n = n
         self.length = float(length)
 
@@ -64,12 +69,12 @@ class Grid:
         nonzero = self.k2 > 0.0
         inv[nonzero] = 1.0 / self.k2[nonzero]
         self.inv_k2 = inv
-        # Nyquist column/row has no usable phase for odd-order derivatives
+        # (i d_x, i d_y) multipliers stacked on a leading axis; the Nyquist
+        # column/row has no usable phase for odd-order derivatives
         half = n // 2
-        self.deriv_kx = np.where(np.abs(self.kx_int) == half, 0.0, self.kx)
-        self.deriv_ky = np.where(np.abs(self.ky_int) == half, 0.0, self.ky)
-        # (i d_x, i d_y) multipliers stacked on a leading axis
-        self.ik = 1j * np.stack(np.broadcast_arrays(self.deriv_kx, self.deriv_ky))
+        dx = np.where(np.abs(self.kx_int) == half, 0.0, self.kx)
+        dy = np.where(np.abs(self.ky_int) == half, 0.0, self.ky)
+        self.ik = 1j * np.stack(np.broadcast_arrays(dx, dy))
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.kx_int) <= cutoff) & (np.abs(self.ky_int) <= cutoff)
         self.nyquist_free_mask = (np.abs(self.kx_int) < half) & (self.ky_int < half)
@@ -95,11 +100,6 @@ class Grid:
     @property
     def spacing(self) -> float:
         return self.length / self.n
-
-    def meshgrid(self):
-        """Physical coordinates (X, Y), indexed [ix, iy]."""
-        x = np.arange(self.n) * self.spacing
-        return np.meshgrid(x, x, indexing="ij")
 
     def __eq__(self, other):
         return (
@@ -209,8 +209,7 @@ def derivative(f: SpectralField, axis: str) -> SpectralField:
     """Exact spectral partial derivative along ``axis``; output has zero mean."""
     if axis not in ("x", "y"):
         raise BadParams(f"axis must be 'x' or 'y', got {axis!r}")
-    k = f.grid.deriv_kx if axis == "x" else f.grid.deriv_ky
-    return SpectralField(f.grid, spec=1j * k * f.spec)
+    return SpectralField(f.grid, spec=f.grid.ik["xy".index(axis)] * f.spec)
 
 
 def grad(f: SpectralField) -> VectorField:
@@ -252,11 +251,8 @@ def grad_inv_neg_laplacian(theta: SpectralField) -> VectorField:
     """
     require_mean_zero(theta, "grad_inv_neg_laplacian input")
     g = theta.grid
-    coeff = g.inv_k2 * theta.spec
-    return VectorField(
-        SpectralField(g, spec=1j * g.deriv_kx * coeff),
-        SpectralField(g, spec=1j * g.deriv_ky * coeff),
-    )
+    out = g.ik * (g.inv_k2 * theta.spec)
+    return VectorField(SpectralField(g, spec=out[0]), SpectralField(g, spec=out[1]))
 
 
 def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:

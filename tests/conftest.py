@@ -24,6 +24,12 @@ def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_am
     return t.make_initial(cfg)
 
 
+def coords(grid):
+    """Physical coordinates (X, Y) of the grid points, indexed [ix, iy]."""
+    x = np.arange(grid.n) * grid.spacing
+    return np.meshgrid(x, x, indexing="ij")
+
+
 def with_nan(s, field):
     """Copy of state s with one NaN sample in u.x, v.x or theta."""
     bad = {"u_x": s.u.x, "v_x": s.v.x, "theta": s.theta}[field].phys.copy()

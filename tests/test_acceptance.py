@@ -95,9 +95,9 @@ def test_c4_derived_equation_residuals():
         win = r.snapshots[m - 1 : m + 2]
         levels.append(
             (
-                t.residual_w_equation(win, eps=0.1).l2,
-                t.residual_phi_equation(win, eps=0.1).l2,
-                t.residual_flux_equation(win, eps=0.1).l2,
+                t.residual_w_equation(win).l2,
+                t.residual_phi_equation(win).l2,
+                t.residual_flux_equation(win).l2,
             )
         )
     orders = [
@@ -109,9 +109,9 @@ def test_c4_derived_equation_residuals():
     snaps = t.simulate(cfg).snapshots
     win = snaps[1:4]
     zeros = [
-        t.residual_w_equation(win, eps=0.0).l2,
-        t.residual_phi_equation(win, eps=0.0).l2,
-        t.residual_flux_equation(win, eps=0.0).l2,
+        t.residual_w_equation(win).l2,
+        t.residual_phi_equation(win).l2,
+        t.residual_flux_equation(win).l2,
     ]
     ok = ok and all(z <= 1e-12 for z in zeros)
     report(
@@ -172,7 +172,7 @@ def test_c6_logarithmic_gronwall():
     ode_rep = t.conclusion_check(ode)
 
     run = run_band(n=64, dt=2e-3, T=0.5, eps=0.1, seed=42, diag_stride=2)
-    env = t.certified_envelope(run.diagnostics, eps=0.1)
+    env = t.certified_envelope(run.diagnostics)
 
     ok = (
         m1 < 1e-12

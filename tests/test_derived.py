@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 import tcm2d as t
 from tcm2d.errors import BadParams, BadWindow, EpsOutOfRange, NonZeroMean
 
-from conftest import band_state, rel_l2
+from conftest import band_state, coords, rel_l2
 
 
 def state_from(u=None, v=None, theta=None, grid=None, eps=0.0, time=0.0):
@@ -23,7 +25,7 @@ class TestPseudoBaroclinic:
 
     def test_single_mode_potential(self):
         g = t.Grid(32)
-        X, _ = g.meshgrid()
+        X, _ = coords(g)
         theta = t.SpectralField.from_phys(g, np.sin(X))
         s = state_from(theta=theta, grid=g, eps=0.0)
         w = t.pseudo_baroclinic(s)
@@ -165,7 +167,7 @@ class TestResiduals:
         r = short_run(eps=0.0, preset="taylor_green")
         win = r.snapshots[1:4]
         for fn in (t.residual_w_equation, t.residual_phi_equation, t.residual_flux_equation):
-            assert fn(win, eps=0.0).l2 <= 1e-12
+            assert fn(win).l2 <= 1e-12
 
     def test_bad_windows(self):
         r = short_run()
@@ -175,7 +177,7 @@ class TestResiduals:
         with pytest.raises(BadWindow):
             t.residual_w_equation([a, b])
         with pytest.raises(BadWindow):
-            t.residual_w_equation(r.snapshots[0:3], eps=0.3)
+            t.residual_w_equation([*r.snapshots[0:2], replace(r.snapshots[2], eps=0.3)])
 
     def test_refinement_order(self):
         levels = []
@@ -187,9 +189,9 @@ class TestResiduals:
             win = r.snapshots[m - 1 : m + 2]
             levels.append(
                 (
-                    t.residual_w_equation(win, eps=0.1).l2,
-                    t.residual_phi_equation(win, eps=0.1).l2,
-                    t.residual_flux_equation(win, eps=0.1).l2,
+                    t.residual_w_equation(win).l2,
+                    t.residual_phi_equation(win).l2,
+                    t.residual_flux_equation(win).l2,
                 )
             )
         for j in range(3):

@@ -164,19 +164,19 @@ class TestMaxPrinciple:
 class TestH1Functionals:
     def test_zero_run_values(self):
         r = zero_run()
-        g = t.h1_temperature_functionals(r.diagnostics, eps=0.1)
+        g = t.h1_temperature_functionals(r.diagnostics)
         assert np.allclose(g.A, 1.0, atol=1e-14)
         assert np.allclose(g.B, 1.0 + np.e, atol=1e-14)
 
     def test_initial_sample_drops_weighted_terms(self, std_run):
-        g = t.h1_temperature_functionals(std_run.diagnostics, eps=0.1)
+        g = t.h1_temperature_functionals(std_run.diagnostics)
         gth0 = std_run.diagnostics.col("grad_theta_l2")[0]
         assert abs(g.A[0] - (gth0**2 + 1.0)) < 1e-12
         assert np.all(g.A >= 1.0)
         assert np.all(g.B >= np.e)
 
     def test_certified_envelope_on_run(self, std_run):
-        env = t.certified_envelope(std_run.diagnostics, eps=0.1)
+        env = t.certified_envelope(std_run.diagnostics)
         assert np.isfinite(env.fit.K)
         assert env.conclusion.outcome == "holds"
 

@@ -7,11 +7,11 @@ import tcm2d as t
 from tcm2d.errors import BadParams, NonZeroMean
 from tcm2d.spectral import multiply
 
-from conftest import band_state, rel_l2
+from conftest import band_state, coords, rel_l2
 
 
 def sin_field(grid, kx=1, ky=0):
-    X, Y = grid.meshgrid()
+    X, Y = coords(grid)
     a = 2.0 * np.pi / grid.length
     return t.SpectralField.from_phys(grid, np.sin(a * (kx * X + ky * Y)))
 
@@ -62,7 +62,7 @@ class TestDerivative:
         for L in (2.0 * np.pi, 3.0):
             g = t.Grid(32, length=L)
             f = sin_field(g)
-            X, _ = g.meshgrid()
+            X, _ = coords(g)
             expected = (2 * np.pi / L) * np.cos(2 * np.pi * X / L)
             assert_allclose(t.derivative(f, "x").phys, expected, atol=1e-12)
             assert abs(t.derivative(f, "x").mean) < 1e-14
@@ -127,7 +127,7 @@ class TestGradInvNegLaplacian:
         g = t.Grid(32, length=L)
         theta = sin_field(g)
         phi = t.grad_inv_neg_laplacian(theta)
-        X, _ = g.meshgrid()
+        X, _ = coords(g)
         assert_allclose(phi.x.phys, np.cos(X), atol=1e-12)
         assert t.norm(phi.y, "L2") < 1e-13
 

@@ -13,7 +13,9 @@ import tcm2d as t
 from tcm2d import cli, storage
 from tcm2d.cli import main
 from tcm2d.config import parse_config_file, parse_config_text, render_config
+from tcm2d.diagnostics import PERTURBATION_SHAPES
 from tcm2d.errors import BadSeries, CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
+from tcm2d.model import PRESETS
 
 from conftest import band_state, with_nan
 
@@ -765,3 +767,102 @@ class TestCliSweepTwinGronwall:
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+def guard_cfg(preset="taylor_green", dealias="true", steps=2, diag_stride=1, snap_stride=1, edit=()):
+    text = f"""
+[grid]
+n = 16
+
+[time]
+dt = 0.002
+horizon = {steps * 0.002!r}
+
+[model]
+eps = 0.0
+dealias = {dealias}
+
+[init]
+preset = {preset}
+
+[output]
+diag_stride = {diag_stride}
+snap_stride = {snap_stride}
+"""
+    for old, new in edit:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+def run_cli(capsys, argv):
+    """(exit code, stdout, error name or None) of one in-process command; a
+    non-zero exit must print exactly one TCM-ERROR line, which names the
+    error."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    lines = [line for line in err.splitlines() if line.startswith("TCM-ERROR ")]
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert len(lines) == (code != 0), (argv, err)
+    error = json.loads(lines[0].split(" ", 1)[1])["error"] if lines else None
+    return code, out, error
+
+
+class TestGuardMatrix:
+    """Every command on legitimate edge inputs at n = 16 exits with a
+    documented code, one TCM-ERROR line per failure, and check passes."""
+
+    @pytest.mark.parametrize("strides", [(1, 1), (50, 1), (1, 50)], ids=lambda s: f"strides{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    @pytest.mark.parametrize("dealias", ["true", "false"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_commands(self, tmp_path, capsys, preset, dealias, steps, strides):
+        cfg = write_cfg(tmp_path, guard_cfg(preset, dealias, steps, *strides))
+        run, chk = str(tmp_path / "run"), str(tmp_path / "chk")
+        records = 1 + steps // strides[0]
+        assert run_cli(capsys, ["run", "--config", cfg, "--out", run])[0] == 0
+        for argv in (["check", "--run-dir", run], ["check", "--config", cfg, "--out", chk]):
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0, out
+            assert ("INFO gronwall_envelope value=nan (need >= 2 records)" in out) == (records < 2)
+        run_cli(capsys, ["sweep-eps", "--config", cfg, "--levels", "0.1,0", "--out", str(tmp_path / "sw")])
+        for shape in PERTURBATION_SHAPES:
+            run_cli(capsys, ["twin", "--config", cfg, "--shape", shape, "--out", str(tmp_path / "tw")])
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            (("preset = taylor_green", "preset = random_band\nband_hi = 9"),),
+            (("horizon = 0.004", "horizon = 0.021"),),
+            (("n = 16", "n = 15"),),
+            (("preset = taylor_green", "preset = random_band\nseed = -1"),),
+        ],
+        ids=["band", "horizon", "grid", "seed"],
+    )
+    def test_config_that_cannot_run_keeps_previous_run(self, tmp_path, capsys, command, edit):
+        out = str(tmp_path / "o")
+        assert run_cli(capsys, ["run", "--config", write_cfg(tmp_path, guard_cfg()), "--out", out])[0] == 0
+        bad = write_cfg(tmp_path, guard_cfg(edit=edit), "bad.cfg")
+        assert run_cli(capsys, [command, "--config", bad, "--out", out])[::2] == (2, "ConfigParseError")
+        assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = random_band"),)))
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed-override", "-1"]
+        assert run_cli(capsys, argv)[::2] == (2, "BadParams")
+
+    def test_twin_band_beyond_grid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, guard_cfg(edit=(("[output]", "band_hi = 20\n\n[output]"),)))
+        argv = ["twin", "--config", cfg, "--shape", "band", "--out", str(tmp_path / "tw")]
+        assert run_cli(capsys, argv)[::2] == (2, "BadParams")
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["run"], ["twin", "--config", "x.cfg", "--delta", "abc"], ["check", "--tol", "1"]]
+    )
+    def test_usage_error(self, capsys, argv):
+        assert run_cli(capsys, argv)[::2] == (2, "ConfigParseError")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--version"], ["run", "-h"]])
+    def test_help_and_version(self, capsys, argv):
+        assert run_cli(capsys, argv)[0] == 0
