@@ -172,8 +172,13 @@ def _mid_window(snaps):
     return snaps[m - 1 : m + 2]
 
 
-def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gronwall.DEFAULT_TOL) -> tuple[list, list]:
-    """Returns (gated, observational) rows: (name, passed/None, value, detail).
+def run_checks(
+    cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gronwall.DEFAULT_TOL
+) -> tuple[list, list, tuple]:
+    """Returns (gated, observational) rows: (name, passed/None, value, detail),
+    and the curves they are read from, each one value per record: the
+    energy-identity residual, the max-principle margin and the Lipschitz
+    budget.
 
     ``window`` holds three consecutive snapshots for the equation residuals
     (or is None), ``final`` the last snapshot (or None).
@@ -221,7 +226,7 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gro
 
     if len(series) > 1:
         env = diagnostics.certified_envelope(series, tol=tol)
-        ok = env.conclusion.outcome == "holds" and np.isfinite(env.fit.K)
+        ok = env.conclusion.outcome == "holds"
         gated.append(("gronwall_envelope", ok, env.fit.K, f"fitted K, outcome {env.conclusion.outcome}"))
     else:
         info.append(("gronwall_envelope", None, float("nan"), "need >= 2 records"))
@@ -251,7 +256,7 @@ def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gro
     info.append(
         ("lipschitz_sqrt_t_slope", None, diagnostics.loglog_slope(t[1:], cum[1:]), "log-log slope of the budget curve")
     )
-    return gated, info
+    return gated, info, (resid, margins, cum)
 
 
 def _render_report(gated, info) -> tuple[str, bool]:
@@ -266,7 +271,7 @@ def _render_report(gated, info) -> tuple[str, bool]:
     return "".join(line + "\n" for line in lines), overall
 
 
-def _write_check_report(out_dir, report: str, series):
+def _write_check_report(out_dir, report: str, times, curves):
     summary = os.path.join(out_dir, "check_summary.txt")
     with open(summary, "w", encoding="utf-8") as fh:
         fh.write(report)
@@ -275,21 +280,16 @@ def _write_check_report(out_dir, report: str, series):
     storage.write_csv(
         series_path,
         ("t", "energy_residual", "max_principle_margin", "lipschitz_budget"),
-        zip(
-            series.times,
-            diagnostics.energy_identity_residual(series),
-            diagnostics.max_principle_check(series),
-            diagnostics.lipschitz_budget_curve(series),
-        ),
+        zip(times, *curves),
     )
     return summary, series_path
 
 
 def cmd_check(args) -> int:
     cfg, series, window, final, out = _gather(args)
-    gated, info = run_checks(cfg, series, window, final, tol=args.tol)
+    gated, info, curves = run_checks(cfg, series, window, final, tol=args.tol)
     report, overall = _render_report(gated, info)
-    _write_check_report(out, report, series)
+    _write_check_report(out, report, series.times, curves)
     print(report, end="")
     if not overall:
         _machine_error("CheckFailure", "one or more gated checks failed")
@@ -362,14 +362,11 @@ def cmd_twin(args) -> int:
 
 def cmd_gronwall(args) -> int:
     times, A, B, alpha, beta = storage.read_gronwall_csv(args.csv)
+    k = args.k
     if args.fit_k:
         fit = gronwall.fit_min_k(times, A, B, alpha, beta)
         k = fit.K
         print(f"fitted K = {k!r} (binding sample {fit.argmax})")
-    elif args.k is not None:
-        k = args.k
-    else:
-        raise ConfigParseError("provide --fit-k or --k VALUE")
     g = gronwall.GronwallSeries(times=times, A=A, B=B, alpha=alpha, beta=beta, K=k)
     rep = gronwall.conclusion_check(g, tol=args.tol)
     hyp = rep.hypothesis
@@ -435,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gw = sub.add_parser("gronwall", help="hypothesis/conclusion check on a CSV series")
     gw.add_argument("--csv", required=True)
-    gw.add_argument("--fit-k", action="store_true")
-    gw.add_argument("--k", type=float, default=None)
+    k = gw.add_mutually_exclusive_group(required=True)
+    k.add_argument("--fit-k", action="store_true")
+    k.add_argument("--k", type=float)
     gw.add_argument("--tol", type=float, default=gronwall.DEFAULT_TOL)
     gw.set_defaults(fn=cmd_gronwall)
     return p

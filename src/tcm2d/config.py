@@ -21,9 +21,9 @@ Only [grid] n, [time] dt and [time] horizon are required; everything else
 falls back to the SimConfig defaults. Unknown sections or keys, malformed
 lines and out-of-range values raise ConfigParseError with the offending
 location. Every rule of SimConfig is checked at parse, the grid, a
-horizon that is a whole number of steps, the preset's mode or band and a
-nonnegative seed included, so a config that parses can run, and one that
-cannot fails before anything is written.
+horizon that is a whole number of steps, a positive cfl_max, the preset's
+mode or band and a nonnegative seed included, so a config that parses can
+run, and one that cannot fails before anything is written.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import dataclasses
 
 from .errors import BadParams, ConfigParseError
 from .model import SimConfig
+from .storage import _read_text
 
 # (section, key, SimConfig field, kind), in the order render_config writes them
 _TABLE = (
@@ -111,14 +112,7 @@ def parse_config_text(text: str) -> SimConfig:
 def parse_config_file(path) -> tuple[SimConfig, str]:
     """Parse a UTF-8 config file; returns the config and the raw text echo.
     A byte that is not UTF-8 raises ConfigParseError naming its line."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        column = exc.start - raw.rfind(b"\n", 0, exc.start)
-        raise ConfigParseError(f"{path}: line {line}: byte not UTF-8 at column {column}") from exc
+    text = _read_text(path, "UTF-8")
     # the universal newlines that reading in text mode gives
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_config_text(text), text

@@ -20,10 +20,9 @@ from .gronwall import _cumtrapz
 from .model import (
     SimConfig,
     State,
-    _band_modes,
+    _band_fields,
     _check_band,
     _modes_field,
-    _random_band_field,
     _step,
     make_initial,
     simulate,
@@ -239,13 +238,8 @@ def _perturbation(cfg: SimConfig, shape: str):
     else:  # "band"
         lo, hi = max(cfg.band_lo, 1), max(cfg.band_hi, 2)
         _check_band(lo, hi, grid.n)
-        rng = np.random.default_rng(cfg.seed + 9973)
-        modes = _band_modes(lo, hi)
-        pu = leray_project(perp_grad(_random_band_field(grid, modes, rng)))
-        pv = VectorField(
-            _random_band_field(grid, modes, rng), _random_band_field(grid, modes, rng)
-        )
-        pth = _random_band_field(grid, modes, rng)
+        pu, pv, pth = _band_fields(grid, lo, hi, cfg.seed + 9973)
+        pu = leray_project(pu)
     size = _smoothed_h1(pu, pv, pth)
     return pu * (1.0 / size), pv * (1.0 / size), pth * (1.0 / size)
 

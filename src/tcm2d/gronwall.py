@@ -1,8 +1,8 @@
 """Logarithmic Gronwall machinery on sampled series.
 
-Given sampled functions A >= 1, B > 0 and nonnegative weights alpha, beta
-on an increasing time grid, with a constant K > 0, the differential
-hypothesis is
+Given finite sampled functions A >= 1, B > 0 and nonnegative weights alpha,
+beta on an increasing time grid, with a finite constant K > 0, the
+differential hypothesis is
 
     (H)  A'(t) + B(t) <= K * (alpha(t) + log B(t)) * A(t) + beta(t),
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadSeries, Infeasible
+from .errors import BadParams, BadSeries, Infeasible
 
 #: default relative tolerance for hypothesis margins and the conclusion
 DEFAULT_TOL = 1e-6
@@ -34,7 +34,9 @@ K_MIN = 1e-6
 
 @dataclass(frozen=True)
 class GronwallSeries:
-    """Sampled (A, B, alpha, beta) with the constant K."""
+    """Sampled (A, B, alpha, beta) with the constant K. A sample that is
+    not finite or breaks its rule raises BadSeries with its index, and so
+    does a K that is not finite and positive."""
 
     times: np.ndarray
     A: np.ndarray
@@ -52,13 +54,15 @@ class GronwallSeries:
                 raise BadSeries(f"{name} has {getattr(self, name).size} samples, times has {n}")
         if n < 2:
             raise BadSeries("need at least two samples")
+        for name in ("times", "A", "B", "alpha", "beta"):
+            self._first_bad(np.isfinite(getattr(self, name)), f"{name} not finite")
         self._first_bad(np.diff(self.times) > 0, "times not strictly increasing", offset=1)
         self._first_bad(self.A >= 1.0, "A < 1")
         self._first_bad(self.B > 0.0, "B <= 0")
         self._first_bad(self.alpha >= 0.0, "alpha < 0")
         self._first_bad(self.beta >= 0.0, "beta < 0")
-        if not self.K > 0.0:
-            raise BadSeries(f"K must be positive, got {self.K}")
+        if not 0.0 < self.K < np.inf:
+            raise BadSeries(f"K must be finite and positive, got {self.K}")
 
     @staticmethod
     def _first_bad(ok: np.ndarray, message: str, offset: int = 0) -> None:
@@ -79,11 +83,13 @@ def _cumtrapz(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 def q_of_t(g: GronwallSeries) -> np.ndarray:
     """The envelope exponent Q at every sample; nondecreasing."""
     t = g.elapsed
+    # K t before the second K: a K whose square overflows gives Q = inf
+    # after t = 0, and Q(0) = log A(0) instead of inf * 0
     base = (
         np.log(g.A[0])
         + g.K * _cumtrapz(g.alpha, t)
         + _cumtrapz(g.beta, t)
-        + 2.0 * g.K**2 * t
+        + 2.0 * g.K * (g.K * t)
     )
     return base * np.exp(g.K * t)
 
@@ -105,8 +111,11 @@ def verify_hypothesis(g: GronwallSeries, tol: float = DEFAULT_TOL) -> Hypothesis
     """Per-sample margin of (H): K(alpha + log B)A + beta - (A' + B).
 
     The hypothesis holds where margin >= -tol * scale, with a scale built
-    from the magnitudes of every term so the tolerance is relative.
+    from the magnitudes of every term so the tolerance is relative. A tol
+    that is not finite and nonnegative raises BadParams.
     """
+    if not 0.0 <= tol < np.inf:
+        raise BadParams(f"tol must be finite and nonnegative, got {tol}")
     dA = a_prime(g)
     logB = np.log(g.B)
     margins = g.K * (g.alpha + logB) * g.A + g.beta - (dA + g.B)

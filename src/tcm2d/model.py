@@ -64,10 +64,11 @@ warm step allocates its result and small temporaries only.
 
 What a step reuses sits in two private caches. The buffers and the
 gathered multipliers depend on (grid, dealias) and sit in a one-entry
-cache (about 17 MB of buffers at n = 256, of which a step on the block
-touches about 14 MB), the trapezoidal factors on (grid, dt, eps, layout)
-in a small cache of their own, so runs that differ only in eps, such as
-the members of an eps sweep stepped in lockstep, share one set of buffers.
+cache (about 14 MB of buffers at n = 256, the block layout's arrays
+included; a state off the block adds the whole-plane layout's 6.3 MB),
+the trapezoidal factors on (grid, dt, eps, layout) in a small cache of
+their own, so runs that differ only in eps, such as the members of an eps
+sweep stepped in lockstep, share one set of buffers.
 A record borrows the same buffers between steps
 (``_Stepper.record_norms``, which ``records.make_record`` calls), so
 neither ``imex_step`` nor ``make_record`` is thread-safe.
@@ -156,6 +157,8 @@ class SimConfig:
                 raise BadParams(f"{name} must be finite, got {value}")
         if self.dt <= 0:
             raise BadParams(f"dt must be positive, got {self.dt}")
+        if self.cfl_max <= 0:
+            raise BadParams(f"cfl_max must be positive, got {self.cfl_max}")
         if self.horizon < 0:
             raise BadParams(f"horizon must be nonnegative, got {self.horizon}")
         if not (0.0 <= self.eps < 0.5):
@@ -227,10 +230,17 @@ def _modes_field(grid: Grid, coeffs) -> SpectralField:
     return SpectralField(grid, spec)
 
 
-def _random_band_field(grid: Grid, modes, rng) -> SpectralField:
-    return _modes_field(
-        grid, [(m, complex(rng.standard_normal(), rng.standard_normal())) for m in modes]
+def _band_fields(grid: Grid, lo: int, hi: int, seed: int) -> tuple[VectorField, VectorField, SpectralField]:
+    # (perp_grad(psi), v, theta), each of psi, v^x, v^y and theta drawn in
+    # that order from the seeded generator, with a standard normal real and
+    # imaginary part at every mode of the band
+    rng = np.random.default_rng(seed)
+    modes = _band_modes(lo, hi)
+    psi, vx, vy, theta = (
+        _modes_field(grid, [(m, complex(rng.standard_normal(), rng.standard_normal())) for m in modes])
+        for _ in range(4)
     )
+    return perp_grad(psi), VectorField(vx, vy), theta
 
 
 def _normalized(f, target: float):
@@ -262,15 +272,10 @@ def make_initial(cfg: SimConfig) -> State:
         theta = _modes_field(grid, [((cfg.mode_x, cfg.mode_y), -0.5j * cfg.amplitude)])
         u = v = VectorField(zero, zero)
     else:  # random_band
-        rng = np.random.default_rng(cfg.seed)
-        modes = _band_modes(cfg.band_lo, cfg.band_hi)
-        psi = _random_band_field(grid, modes, rng)
-        vx = _random_band_field(grid, modes, rng)
-        vy = _random_band_field(grid, modes, rng)
-        th = _random_band_field(grid, modes, rng)
-        u = _normalized(perp_grad(psi), cfg.u_amp)
-        v = _normalized(VectorField(vx, vy), cfg.v_amp)
-        theta = _normalized(th, cfg.theta_amp)
+        u, v, theta = _band_fields(grid, cfg.band_lo, cfg.band_hi, cfg.seed)
+        u = _normalized(u, cfg.u_amp)
+        v = _normalized(v, cfg.v_amp)
+        theta = _normalized(theta, cfg.theta_amp)
 
     return State(u=leray_project(u), v=v, theta=theta, t=0.0, eps=cfg.eps)
 
@@ -321,11 +326,11 @@ class _Layout:
     cols columns of the half plane, r = n - hi + lo, with the multipliers
     gathered once. On a mask's block ``mask`` is None: gathers and
     scatters drop what it would zero. The whole-plane layout (lo = hi = n)
-    carries the mask for the stage to apply. The arrays y (state), y1
-    (stage) and c (scratch) are views of the first elements of the
-    stepper's full-size buffers; q (the products' spectra) shares the grid
-    products' memory on the block and is the transform buffer z itself on
-    the whole plane.
+    carries the mask for the stage to apply. The layout owns the arrays y
+    (the gathered state), y1 (the stage results) and c (scratch), (5, r,
+    cols), (5, r, cols) and (2, r, cols) complex: 2.8 MB on the block at
+    n = 256. q (the products' spectra) shares the stepper's grid products'
+    memory on the block and is its transform buffer z on the whole plane.
     """
 
     def __init__(self, st: "_Stepper", lo: int, hi: int, cols: int, mask: np.ndarray | None = None):
@@ -338,8 +343,8 @@ class _Layout:
         self.minus_ik = -self.ik  # the tendency is minus the terms
         # what _project reads of a grid
         self.kx, self.ky, self.inv_k2 = (self.gather(a) for a in (g.kx, g.ky, g.inv_k2))
-        self.y, self.y1 = (b.reshape(-1)[: 5 * size].reshape(5, *shape) for b in (st.y, st.y1))
-        self.c = st.c.reshape(-1)[: 2 * size].reshape(2, *shape)
+        # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
+        self.y, self.y1, self.c = (np.empty((k, *shape), dtype=np.complex128) for k in (5, 5, 2))
         self.q = st.z if mask is not None else st.p.reshape(-1)[: 14 * size].view(np.complex128).reshape(7, *shape)
 
     def gather(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -372,11 +377,10 @@ class _Stepper:
     """What :func:`imex_step` reuses from step to step for one (grid,
     dealias): the mask, its block :class:`_Layout` (and the whole-plane
     one, built on first use), and the buffers every step overwrites: the
-    gathered state y, the stage results y1, the transform buffer z, the
-    grid factors f (u, v, theta, curl(u), curl(v)) and the grid products
-    p, whose memory then holds the block of their spectra. A step writes
-    each buffer before reading it, so :meth:`record_norms` may work in
-    them between steps.
+    transform buffer z, the grid factors f (u, v, theta, curl(u), curl(v))
+    and the grid products p, whose memory then holds the block of their
+    spectra. A step writes each buffer before reading it, its layout's
+    included, so :meth:`record_norms` may work in them between steps.
     """
 
     def __init__(self, g: Grid, use_dealias: bool):
@@ -388,8 +392,7 @@ class _Stepper:
         # the complex passes of every stage transform skip the columns past
         # the kept ones (86 of 129 at n = 256 under the two-thirds mask)
         self.cols = int(np.count_nonzero(self.mask[0]))
-        # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
-        self.y, self.y1, self.z, self.c = (np.empty((k, *g.spec_shape), dtype=np.complex128) for k in (5, 5, 7, 2))
+        self.z = np.empty((7, *g.spec_shape), dtype=np.complex128)
         self.f, self.p = np.empty((7, g.n, g.n)), np.empty((7, g.n, g.n))
         self.block = _Layout(self, lo, lo + int(np.count_nonzero(~rows)), self.cols)
 

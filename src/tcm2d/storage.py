@@ -157,34 +157,47 @@ def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
     write_csv(path, COLUMNS, series.rows)
 
 
-def _ascii_lines(fh, path):
-    """(line number, text) for each line of the binary file ``fh``; a
-    non-ASCII byte raises ConfigParseError naming its line."""
-    for lineno, raw in enumerate(fh, start=1):
+def _read_text(path, encoding: str) -> str:
+    """The text of the file ``path`` in ``encoding``; a byte that does not
+    decode raises ConfigParseError naming its line and column."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise ConfigParseError(f"{path}: line {line}: byte not {encoding} at column {column}") from exc
+
+
+def _read_table(path, columns) -> np.ndarray:
+    """The data rows of the ASCII CSV file ``path``, whose header cells
+    (stripped) must be ``columns``, as one (rows, len(columns)) float array.
+    Blank lines are skipped; a malformed header, row or cell raises
+    ConfigParseError naming its line."""
+    header, *lines = _read_text(path, "ASCII").split("\n")
+    if tuple(cell.strip() for cell in header.split(",")) != columns:
+        raise ConfigParseError(f"{path}: line 1: expected columns {','.join(columns)}")
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ConfigParseError(f"{path}: line {lineno}: expected {len(columns)} cells, found {len(cells)}")
         try:
-            yield lineno, raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise ConfigParseError(f"{path}: line {lineno}: non-ASCII byte at column {exc.start + 1}") from exc
+            rows.append([float(x) for x in cells])
+        except ValueError as exc:
+            raise ConfigParseError(f"{path}: line {lineno}: {exc}") from exc
+    return np.array(rows, dtype=float).reshape(-1, len(columns))
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
     """The series of a diagnostics CSV; a malformed row raises
     ConfigParseError naming its line."""
-    with open(path, "rb") as fh:
-        lines = _ascii_lines(fh, path)
-        _, header = next(lines, (1, ""))
-        if tuple(header.strip().split(",")) != COLUMNS:
-            raise ConfigParseError(f"{path}: unexpected diagnostics columns")
-        series = DiagnosticsSeries()
-        for lineno, line in lines:
-            cells = line.strip().split(",")
-            if len(cells) != len(COLUMNS):
-                raise ConfigParseError(f"{path}: line {lineno}: expected {len(COLUMNS)} cells, found {len(cells)}")
-            try:
-                row = np.array([float(x) for x in cells])
-            except ValueError as exc:
-                raise ConfigParseError(f"{path}: line {lineno}: {exc}") from exc
-            series.append(row)
+    series = DiagnosticsSeries()
+    for row in _read_table(path, COLUMNS):
+        series.append(row)
     return series
 
 
@@ -199,28 +212,12 @@ def write_gronwall_csv(path, times, A, B, alpha, beta) -> None:
 
 
 def read_gronwall_csv(path):
-    """Returns (times, A, B, alpha, beta) arrays; errors carry row numbers,
-    and a non-ASCII byte raises ConfigParseError naming its line."""
-    rows = []
-    with open(path, "rb") as fh:
-        lines = _ascii_lines(fh, path)
-        _, header = next(lines, (1, ""))
-        if tuple(h.strip() for h in header.strip().split(",")) != GRONWALL_COLUMNS:
-            raise BadSeries(f"{path}: expected columns {','.join(GRONWALL_COLUMNS)}")
-        for lineno, line in lines:
-            if not line.strip():
-                continue
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                raise BadSeries(f"{path}: row {lineno}: expected 5 columns")
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError as exc:
-                raise BadSeries(f"{path}: row {lineno}: {exc}") from exc
-    if len(rows) < 2:
+    """Returns (times, A, B, alpha, beta) arrays. A malformed row raises
+    ConfigParseError naming its line, fewer than two data rows BadSeries."""
+    table = _read_table(path, GRONWALL_COLUMNS)
+    if len(table) < 2:
         raise BadSeries(f"{path}: need at least two data rows")
-    arr = np.array(rows)
-    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4]
+    return tuple(table.T)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,21 @@ class TestSeriesValidation:
         with pytest.raises(BadSeries):
             t.GronwallSeries(times=ts, A=good, B=good, alpha=good, beta=good, K=0.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["times", "A", "B", "alpha", "beta"])
+    def test_rejects_non_finite_sample(self, name, bad):
+        cols = {"times": np.array([0.0, 1.0, 2.0]), "A": np.ones(3), "B": np.ones(3), "alpha": np.ones(3),
+                "beta": np.ones(3)}
+        cols[name] = np.where(cols["times"] == 1.0, bad, cols[name])
+        with pytest.raises(BadSeries, match=f"{name} not finite") as info:
+            t.GronwallSeries(**cols, K=1.0)
+        assert info.value.index == 1
+
+    @pytest.mark.parametrize("K", [np.inf, np.nan])
+    def test_rejects_k_not_finite_and_positive(self, K):
+        with pytest.raises(BadSeries, match="K must be finite and positive"):
+            const_series(K=K)
+
     def test_requires_two_samples(self):
         with pytest.raises(BadSeries):
             t.GronwallSeries(times=[0.0], A=[1.0], B=[1.0], alpha=[0.0], beta=[0.0], K=1.0)
@@ -82,6 +97,13 @@ class TestQOfT:
             K=1.3,
         )
         assert np.all(np.diff(t.q_of_t(g)) >= -1e-12)
+
+    def test_k_whose_square_overflows(self):
+        # Q(0) = log A(0), and an infinite Q after it: the envelope holds
+        g = const_series(A=2.0, B=np.e, K=1e200)
+        q = t.q_of_t(g)
+        assert q[0] == np.log(2.0) and np.all(np.isposinf(q[1:]))
+        assert t.conclusion_check(g).outcome == "holds"
 
     def test_quadrature_refinement(self):
         # alpha = t^2 has exact integral t^3/3; trapezoid error is O(dt^2)

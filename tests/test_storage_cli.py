@@ -1,20 +1,25 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tcm2d as t
 from tcm2d import cli, storage
 from tcm2d.cli import main
 from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.diagnostics import PERTURBATION_SHAPES
-from tcm2d.errors import BadSeries, CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
+from tcm2d.errors import CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
 from tcm2d.model import PRESETS
 
 from conftest import band_state, with_nan
@@ -240,7 +245,7 @@ class TestGronwallCsv:
         path = tmp_path / "g.csv"
         with open(path, "w") as fh:
             fh.write("time,A,B,alpha,beta\n0,1,1,0,0\n0.5,1,oops,0,0\n")
-        with pytest.raises(BadSeries, match="row 3"):
+        with pytest.raises(ConfigParseError, match="g.csv: line 3"):
             storage.read_gronwall_csv(path)
 
 
@@ -837,8 +842,9 @@ class TestGuardMatrix:
             (("horizon = 0.004", "horizon = 0.021"),),
             (("n = 16", "n = 15"),),
             (("preset = taylor_green", "preset = random_band\nseed = -1"),),
+            (("dealias = true", "dealias = true\ncfl_max = -1"),),
         ],
-        ids=["band", "horizon", "grid", "seed"],
+        ids=["band", "horizon", "grid", "seed", "cfl_max"],
     )
     def test_config_that_cannot_run_keeps_previous_run(self, tmp_path, capsys, command, edit):
         out = str(tmp_path / "o")
@@ -858,11 +864,154 @@ class TestGuardMatrix:
         assert run_cli(capsys, argv)[::2] == (2, "BadParams")
 
     @pytest.mark.parametrize(
-        "argv", [[], ["run"], ["twin", "--config", "x.cfg", "--delta", "abc"], ["check", "--tol", "1"]]
+        "argv",
+        [[], ["run"], ["twin", "--config", "x.cfg", "--delta", "abc"], ["check", "--tol", "1"],
+         ["gronwall", "--csv", "g.csv", "--fit-k", "--k", "5"], ["gronwall", "--csv", "g.csv"]],
     )
     def test_usage_error(self, capsys, argv):
         assert run_cli(capsys, argv)[::2] == (2, "ConfigParseError")
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_not_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        # an infinite tol would pass every margin and envelope sample, and a
+        # NaN or negative one fail every margin
+        path = tmp_path / "g.csv"
+        ts = np.linspace(0, 1, 5)
+        storage.write_gronwall_csv(path, ts, np.ones_like(ts), np.ones_like(ts), 0 * ts, np.ones_like(ts))
+        cfg = write_cfg(tmp_path, guard_cfg())
+        for argv in (["check", "--config", cfg, "--out", str(tmp_path / "c"), "--tol", tol],
+                     ["gronwall", "--csv", str(path), "--k", "1", "--tol", tol]):
+            assert run_cli(capsys, argv)[::2] == (2, "BadParams")
+
+    @pytest.mark.parametrize(
+        "column, k", [(3, "1"), (1, "1"), (None, "inf")], ids=["alpha_inf", "A_inf", "k_inf"]
+    )
+    def test_gronwall_non_finite_series(self, tmp_path, capsys, column, k):
+        # an infinite alpha would make the envelope infinite, an infinite A
+        # the hypothesis fail, and an infinite K make Q(0) = inf * 0
+        ts = np.linspace(0, 1, 5)
+        cols = [ts, np.ones_like(ts), np.ones_like(ts), 0 * ts, np.ones_like(ts)]
+        if column is not None:
+            cols[column] = np.where(ts == 0.5, np.inf, cols[column])
+        path = tmp_path / "g.csv"
+        storage.write_gronwall_csv(path, *cols)
+        assert run_cli(capsys, ["gronwall", "--csv", str(path), "--k", k])[::2] == (2, "BadSeries")
+
     @pytest.mark.parametrize("argv", [["-h"], ["--version"], ["run", "-h"]])
     def test_help_and_version(self, capsys, argv):
         assert run_cli(capsys, argv)[0] == 0
+
+
+# Values a mutated header key or diagnostics cell takes: non-finite,
+# negative, zero, subnormal, huge, empty and non-numeric.
+MUTATED_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "", "x", "3"])
+RUN_DIR_EDITS = st.lists(
+    st.one_of(
+        # (snapshot index, header key, new value or None to drop the key)
+        st.tuples(st.just("header"), st.integers(0, 4), st.sampled_from(["TCM2", "n", "L", "t", "eps", "fields"]),
+                  st.one_of(st.none(), MUTATED_VALUES)),
+        # (data row, column, new cell)
+        st.tuples(st.just("cell"), st.integers(1, 5), st.integers(0, len(t.COLUMNS) - 1), MUTATED_VALUES),
+        # (what to change in the manifest, which entry)
+        st.tuples(st.just("manifest"), st.sampled_from(["drop", "path", "sha256", "format", "extra"]),
+                  st.integers(0, 7)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _edit_header(data: bytes, key: str, value) -> bytes:
+    # the key's token replaced or dropped; a key an earlier edit dropped is
+    # appended again
+    header, rest = data.split(b"\n", 1)
+    tokens = header.split(b" ")
+    new = [] if value is None else [value.encode() if key == "TCM2" else key.encode() + b"=" + value.encode()]
+    found = [j for j, tok in enumerate(tokens) if tok.startswith(key.encode() + b"=")]
+    i = 0 if key == "TCM2" else found[0] if found else len(tokens)
+    tokens[i : i + 1] = new
+    return b" ".join(tokens) + b"\n" + rest
+
+
+def _mutate_run_dir(run: str, edits) -> None:
+    """Apply the header and cell edits, list every file's new checksum, then
+    apply the manifest edits."""
+    snapshots = os.path.join(run, storage.SNAPSHOT_DIR)
+    for kind, *args in edits:
+        if kind == "header":
+            index, key, value = args
+            path = os.path.join(snapshots, f"step_{index:08d}.bin")
+            with open(path, "rb") as fh:
+                data = _edit_header(fh.read(), key, value)
+            with open(path, "wb") as fh:
+                fh.write(data)
+        elif kind == "cell":
+            row, column, value = args
+            path = os.path.join(run, "diagnostics.csv")
+            with open(path) as fh:
+                lines = fh.read().split("\n")
+            cells = lines[row].split(",")
+            cells[column] = value
+            lines[row] = ",".join(cells)
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines))
+    manifest_path = os.path.join(run, storage.MANIFEST_NAME)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    files = manifest["files"]
+    for entry in files:
+        with open(os.path.join(run, entry["path"]), "rb") as fh:
+            entry["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    for kind, *args in edits:
+        if kind != "manifest":
+            continue
+        change, i = args
+        if change == "drop" and files:
+            del files[i % len(files)]
+        elif change == "path" and files:
+            files[i % len(files)]["path"] = ["snapshots/step_00000099.bin", 7, "/nonexistent", "../x"][i % 4]
+        elif change == "sha256" and files:
+            files[i % len(files)]["sha256"] = "0" * 64
+        elif change == "format":
+            manifest["format"] = "TCM1"
+        elif change == "extra":
+            # another step's snapshot, listed with its true checksum
+            with open(os.path.join(snapshots, f"step_{i % 5:08d}.bin"), "rb") as fh:
+                data = fh.read()
+            with open(os.path.join(snapshots, "step_00000009.bin"), "wb") as fh:
+                fh.write(data)
+            files.append({"path": "snapshots/step_00000009.bin", "sha256": hashlib.sha256(data).hexdigest()})
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+@pytest.fixture(scope="module")
+def mutation_base(tmp_path_factory):
+    """A regularized n = 16 run of four steps, a record and a snapshot each."""
+    base = tmp_path_factory.mktemp("mutation_base")
+    edit = (("preset = taylor_green", "preset = random_band"), ("eps = 0.0", "eps = 0.1"))
+    cfg = write_cfg(base, guard_cfg(steps=4, edit=edit))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", cfg, "--out", str(base / "run")]) == 0
+    return str(base / "run")
+
+
+class TestMutatedRunDir:
+    """``check --run-dir`` on a run directory whose snapshot headers,
+    diagnostics cells and manifest entries are edited, with the edited files'
+    checksums listed, exits with a documented code and one TCM-ERROR line
+    per failure, and prints no traceback."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(edits=RUN_DIR_EDITS)
+    def test_check_exits_with_a_documented_code(self, mutation_base, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            run = os.path.join(tmp, "run")
+            shutil.copytree(mutation_base, run)
+            _mutate_run_dir(run, edits)
+            with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["check", "--run-dir", run])
+        err = err.getvalue()
+        assert code in (0, 2, 3, 4, 5), (edits, code, err)
+        assert sum(line.startswith("TCM-ERROR ") for line in err.splitlines()) == (code != 0), (edits, err)
+        assert "Traceback" not in out.getvalue() + err, edits
