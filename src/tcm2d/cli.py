@@ -45,6 +45,8 @@ DIV_FREE_RTOL = 1e-10
 #: ||div u||_2 is measured against this floor instead
 DIV_FREE_FLOOR = 1e-4
 ENERGY_MONOTONE_RTOL = 1e-10
+#: a snapshot's t is a running sum of dt, off step * dt by about step ulps
+SNAPSHOT_T_RTOL = 1e-9
 
 
 def _machine_error(kind: str, detail: str, **extra) -> None:
@@ -139,8 +141,9 @@ def _gather(args):
     window is the three snapshots around the middle of the run that the
     equation residuals use (None with fewer than three snapshots). Only the
     window and the last snapshot are read, out of the snapshots the run's
-    manifest lists. The report goes to ``--out`` if given, else into the run
-    directory.
+    manifest lists, and each header must agree with the run's config.cfg
+    (see :func:`_read_snapshot`). The report goes to ``--out`` if given,
+    else into the run directory.
     """
     if args.config:
         cfg, text = _load_config(args)
@@ -157,12 +160,26 @@ def _gather(args):
     steps = storage.manifest_snapshot_steps(manifest)
     window = _mid_window(steps)
     wanted = set(window or ()) | set(steps[-1:])
-    states = {step: storage.read_state_snapshot(snap_dir, step) for step in sorted(wanted)}
+    states = {step: _read_snapshot(snap_dir, step, cfg) for step in sorted(wanted)}
     window = None if window is None else [states[step] for step in window]
     final = states[steps[-1]] if steps else None
     out = args.out or run_dir
     os.makedirs(out, exist_ok=True)
     return cfg, series, window, final, out
+
+
+def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
+    """The run's snapshot of ``step``. Its header must hold the config's n, L
+    and eps, and t = step * dt within SNAPSHOT_T_RTOL; else ConfigParseError
+    names the file and the key."""
+    s = storage.read_state_snapshot(snap_dir, step)
+    path = storage._snapshot_path(snap_dir, step)
+    for key, got, want in (("n", s.grid.n, cfg.n), ("L", s.grid.length, cfg.length), ("eps", s.eps, cfg.eps)):
+        if got != want:
+            raise ConfigParseError(f"{path}: line 1: {key}={got!r} disagrees with config.cfg ({want!r})")
+    if not abs(s.t - step * cfg.dt) <= SNAPSHOT_T_RTOL * step * cfg.dt:
+        raise ConfigParseError(f"{path}: line 1: t={s.t!r} is not step {step} times dt={cfg.dt!r}")
+    return s
 
 
 def _mid_window(snaps):

@@ -9,13 +9,11 @@ Sections and keys:
               u_amp, v_amp, theta_amp, seed
     [output]  diag_stride, snap_stride, dir
 
-With dealias = true, a random_band band_hi or a single_mode mode above n/3
-puts initial modes off the block of the half plane that the two-thirds
-mask keeps. Those modes evolve by the linear terms alone and never decay to
-exactly zero, so the whole run steps on the whole-plane layout: 32 field
-transforms per step instead of 28, and a slower record (2-4 % at n <= 128,
-about 24 % at n = 256, on one 2-core machine). band_hi <= n/3 keeps a run
-on the block.
+A random_band band_hi and a single_mode |mode_x|, |mode_y| may be at most
+n // 3 with dealias = true and n // 2 - 1 with dealias = false: the
+largest |k| the product mask keeps. So every initial mode lies on the
+block of the half plane that a step works on; a mode past it would evolve
+by the linear terms alone and carry nothing the harness checks.
 
 Only [grid] n, [time] dt and [time] horizon are required; everything else
 falls back to the SimConfig defaults. Unknown sections or keys, malformed

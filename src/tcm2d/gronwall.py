@@ -84,14 +84,16 @@ def q_of_t(g: GronwallSeries) -> np.ndarray:
     """The envelope exponent Q at every sample; nondecreasing."""
     t = g.elapsed
     # K t before the second K: a K whose square overflows gives Q = inf
-    # after t = 0, and Q(0) = log A(0) instead of inf * 0
-    base = (
-        np.log(g.A[0])
-        + g.K * _cumtrapz(g.alpha, t)
-        + _cumtrapz(g.beta, t)
-        + 2.0 * g.K * (g.K * t)
-    )
-    return base * np.exp(g.K * t)
+    # after t = 0, the documented result, and Q(0) = log A(0) instead of
+    # inf * 0
+    with np.errstate(over="ignore"):
+        base = (
+            np.log(g.A[0])
+            + g.K * _cumtrapz(g.alpha, t)
+            + _cumtrapz(g.beta, t)
+            + 2.0 * g.K * (g.K * t)
+        )
+        return base * np.exp(g.K * t)
 
 
 def a_prime(g: GronwallSeries) -> np.ndarray:

@@ -39,36 +39,36 @@ errors.
 Layout. Either mask keeps exactly one block of the half plane: the rows
 [0, lo) and [hi, n) of its leading cols columns (lo = 86, hi = 171,
 cols = 86 at n = 256 with dealiasing, 44.5 % of the half plane; without
-it, every row but the Nyquist row, and cols = n/2). A step gathers that
-block of the five spectra (u^x, u^y, v^x, v^y, theta) once, into held
-contiguous (5, r, cols) arrays, and does all of its spectral arithmetic
-there: curls, tendency assembly, trapezoidal factors, Leray projection.
-Each inverse transform scatters a block into the held transform buffer
-with zeros at every other mode, and each forward transform gathers the
-block back, so no mask is multiplied. The result is a fresh
-(5, n, n//2 + 1) array with the block scattered in; the returned State
-holds views of it. A state with any coefficient outside the block takes
-the same code on the whole-plane layout, with the mask applied
-explicitly: its outside modes evolve by the linear terms alone.
+it, every row but the Nyquist row, and cols = n/2). Every state the
+system makes lies on that block, since ``SimConfig`` rejects a band or a
+mode past it. A step gathers that block of the five spectra (u^x, u^y,
+v^x, v^y, theta) once, into held contiguous (5, r, cols) arrays, and does
+all of its spectral arithmetic there: curls, tendency assembly,
+trapezoidal factors, Leray projection. Each inverse transform scatters a
+block into the held transform buffer with zeros at every other mode, and
+each forward transform gathers the block back, so no mask is multiplied.
+A mode off the block, which only a state built by hand can hold, is
+dropped by the gather, as the mask drops it from every product. The
+result is a fresh (5, n, n//2 + 1) array with the block scattered in;
+the returned State holds views of it.
 
 Each explicit stage is one batched inverse transform of seven fields (u,
 v, theta, curl(u), curl(v)), seven grid products, and one batched forward
 transform of seven fields, whose complex passes run only over the leading
-cols columns (a pruned FFT). The CFL check transforms u and v once, and on
-the block the first stage reuses them: 28 real field-transforms per step
-(14 forward, 14 inverse) on the block, 32 on the whole plane. The stage
-returns the unprojected u tendency, and the step projects the predictor
-and the corrector: one projection per stage result, the same operator in
-exact arithmetic. The corrector accumulates into the state block, so a
-warm step allocates its result and small temporaries only.
+cols columns (a pruned FFT). The CFL check transforms u and v once, and
+the first stage reuses them: 28 real field-transforms per step (14
+forward, 14 inverse). The stage returns the unprojected u tendency, and
+the step projects the predictor and the corrector: one projection per
+stage result, the same operator in exact arithmetic. The corrector
+accumulates into the state block, so a warm step allocates its result and
+small temporaries only.
 
 What a step reuses sits in two private caches. The buffers and the
 gathered multipliers depend on (grid, dealias) and sit in a one-entry
-cache (about 14 MB of buffers at n = 256, the block layout's arrays
-included; a state off the block adds the whole-plane layout's 6.3 MB),
-the trapezoidal factors on (grid, dt, eps, layout) in a small cache of
-their own, so runs that differ only in eps, such as the members of an eps
-sweep stepped in lockstep, share one set of buffers.
+cache (about 14 MB of buffers at n = 256), the trapezoidal factors on
+(grid, dt, eps, block) in a small cache of their own, so runs that differ
+only in eps, such as the members of an eps sweep stepped in lockstep,
+share one set of buffers.
 A record borrows the same buffers between steps
 (``_Stepper.record_norms``, which ``records.make_record`` calls), so
 neither ``imex_step`` nor ``make_record`` is thread-safe.
@@ -127,7 +127,10 @@ class SimConfig:
     eps = 0, whose limit eps -> 0 the harness studies, and below 1/2 that
     factor stays under 2.
     Every rule is checked here, the grid's and the preset's mode or band
-    included, so a config that constructs can run.
+    included, so a config that constructs can run. A mode or band must lie
+    within the modes the product mask keeps, |k1|, |k2| <= n // 3 with
+    dealiasing and n // 2 - 1 without it, so every state a run makes lies
+    on the block a step works on.
     """
 
     n: int
@@ -174,10 +177,10 @@ class SimConfig:
             raise BadParams(f"horizon {self.horizon} is not an integer number of steps of {self.dt}")
         if self.preset == "single_mode":
             m = (self.mode_x, self.mode_y)
-            if m == (0, 0) or max(abs(m[0]), abs(m[1])) > self.n // 2 - 1:
-                raise BadParams(f"mode {m} outside resolved modes for n={self.n}")
+            if m == (0, 0) or max(map(abs, m)) > _kept_max(self.n, self.dealias):
+                raise BadParams(f"mode {m} outside the kept modes for n={self.n}, dealias={self.dealias}")
         elif self.preset == "random_band":
-            _check_band(self.band_lo, self.band_hi, self.n)
+            _check_band(self.band_lo, self.band_hi, self.n, self.dealias)
 
     def grid(self) -> Grid:
         return Grid(self.n, self.length)
@@ -197,10 +200,17 @@ class SimResult:
     diagnostics: "records.DiagnosticsSeries" = None
 
 
-def _check_band(lo: int, hi: int, n: int) -> None:
-    # the band rule: 1 <= lo <= hi <= n/2 - 1, the modes without Nyquist lines
-    if not (1 <= lo <= hi) or hi > n // 2 - 1:
-        raise BadParams(f"band ({lo}, {hi}) outside resolved modes for n={n}")
+def _kept_max(n: int, dealias: bool) -> int:
+    # the largest |k1|, |k2| that Grid.product_mask keeps: |k| <= n/3 under
+    # the two-thirds rule, |k| < n/2 on the Nyquist-free mask
+    return n // 3 if dealias else n // 2 - 1
+
+
+def _check_band(lo: int, hi: int, n: int, dealias: bool) -> None:
+    # the band rule: 1 <= lo <= hi <= _kept_max, so a band state lies on the
+    # block that the product mask keeps
+    if not (1 <= lo <= hi) or hi > _kept_max(n, dealias):
+        raise BadParams(f"band ({lo}, {hi}) outside the kept modes for n={n}, dealias={dealias}")
 
 
 def _band_modes(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -283,7 +293,7 @@ def make_initial(cfg: SimConfig) -> State:
 def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
     # the rows [0, lo) and [hi, n) of a's leading cols columns, as one
     # contiguous array (into out if given); an axis of length 1, as in a
-    # broadcast multiplier, is kept whole
+    # broadcast multiplier, is kept as it is
     return np.concatenate((a[..., :lo, :cols], a[..., hi:, :cols]), axis=-2, out=out)
 
 
@@ -320,45 +330,60 @@ def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
     np.fft.fftn(out[..., :cols], axes=(-2,), out=out[..., :cols])
 
 
-class _Layout:
-    """Where a step or a record keeps the modes it works on: contiguous
-    (..., r, cols) arrays of the rows [0, lo) and [hi, n) of the leading
-    cols columns of the half plane, r = n - hi + lo, with the multipliers
-    gathered once. On a mask's block ``mask`` is None: gathers and
-    scatters drop what it would zero. The whole-plane layout (lo = hi = n)
-    carries the mask for the stage to apply. The layout owns the arrays y
-    (the gathered state), y1 (the stage results) and c (scratch), (5, r,
-    cols), (5, r, cols) and (2, r, cols) complex: 2.8 MB on the block at
-    n = 256. q (the products' spectra) shares the stepper's grid products'
-    memory on the block and is its transform buffer z on the whole plane.
+class _Stepper:
+    """What :func:`imex_step` reuses from step to step for one (grid,
+    dealias). The product mask keeps one block of the half plane, the rows
+    [0, lo) and [hi, n) of its leading cols columns (``key`` = (lo, hi,
+    cols)), and the stepper holds the multipliers gathered onto that block
+    and the arrays a step works in: on the block, contiguous (..., r, cols)
+    arrays with r = n - hi + lo, the gathered state y, the stage results y1
+    and the scratch c, (5, r, cols), (5, r, cols) and (2, r, cols) complex,
+    2.8 MB at n = 256; on the grid, the transform buffer z, the grid factors
+    f (u, v, theta, curl(u), curl(v)) and the grid products p, whose memory
+    q then holds the block of their spectra. A step writes each buffer
+    before reading it, so :meth:`record_norms` may work in them between
+    steps.
     """
 
-    def __init__(self, st: "_Stepper", lo: int, hi: int, cols: int, mask: np.ndarray | None = None):
-        g = st.g
-        self.g, self.use_dealias = g, st.use_dealias
-        self.key, self.cols, self.mask = (lo, hi, cols), cols, mask
-        shape = (g.n - hi + lo, cols)
-        size = shape[0] * cols
+    def __init__(self, g: Grid, use_dealias: bool):
+        self.g, self.use_dealias = g, use_dealias
+        mask = g.product_mask(use_dealias)
+        rows = mask[:, 0]  # the kept rows, [0, lo) and [hi, n)
+        lo = int(np.argmin(rows))
+        # the complex passes of every stage transform skip the columns past
+        # the kept ones (86 of 129 at n = 256 under the two-thirds mask)
+        self.cols = int(np.count_nonzero(mask[0]))
+        self.key = (lo, lo + int(np.count_nonzero(~rows)), self.cols)
+        shape = (g.n - self.key[1] + lo, self.cols)
         self.ik = self.gather(g.ik)
         self.minus_ik = -self.ik  # the tendency is minus the terms
         # what _project reads of a grid
         self.kx, self.ky, self.inv_k2 = (self.gather(a) for a in (g.kx, g.ky, g.inv_k2))
+        self.z = np.empty((7, *g.spec_shape), dtype=np.complex128)
+        self.f, self.p = np.empty((7, g.n, g.n)), np.empty((7, g.n, g.n))
         # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
         self.y, self.y1, self.c = (np.empty((k, *shape), dtype=np.complex128) for k in (5, 5, 2))
-        self.q = st.z if mask is not None else st.p.reshape(-1)[: 14 * size].view(np.complex128).reshape(7, *shape)
+        self.q = self.p.reshape(-1)[: 14 * shape[0] * shape[1]].view(np.complex128).reshape(7, *shape)
 
     def gather(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The modes of the half-plane array a that this layout keeps."""
+        """The modes of the half-plane array a on the block."""
         return _gather(a, *self.key, out)
 
     def scatter(self, a: np.ndarray, out: np.ndarray) -> None:
-        """The layout's array a into the half-plane array out, with zeros
-        at every mode outside the layout."""
+        """The block array a into the half-plane array out, with zeros at
+        every mode off the block."""
         lo, hi, cols = self.key
         out[..., :lo, :cols] = a[..., :lo, :]
         out[..., hi:, :cols] = a[..., lo:, :]
         out[..., lo:hi, :cols] = 0
         out[..., cols:] = 0
+
+    def load(self, s) -> np.ndarray:
+        """y, with the block of s's five spectra gathered into it. A mode off
+        the block is dropped, as the mask drops it from every product."""
+        for a, out in zip((s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec), self.y):
+            self.gather(a, out)
+        return self.y
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -372,65 +397,24 @@ class _Layout:
         rows = [g.seminorm_weight(j) for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
         return self.gather(np.stack(rows)).reshape(5, -1)
 
-
-class _Stepper:
-    """What :func:`imex_step` reuses from step to step for one (grid,
-    dealias): the mask, its block :class:`_Layout` (and the whole-plane
-    one, built on first use), and the buffers every step overwrites: the
-    transform buffer z, the grid factors f (u, v, theta, curl(u), curl(v))
-    and the grid products p, whose memory then holds the block of their
-    spectra. A step writes each buffer before reading it, its layout's
-    included, so :meth:`record_norms` may work in them between steps.
-    """
-
-    def __init__(self, g: Grid, use_dealias: bool):
-        self.g = g
-        self.use_dealias = use_dealias
-        self.mask = g.product_mask(use_dealias)
-        rows = self.mask[:, 0]  # the kept rows, [0, lo) and [hi, n)
-        lo = int(np.argmin(rows))
-        # the complex passes of every stage transform skip the columns past
-        # the kept ones (86 of 129 at n = 256 under the two-thirds mask)
-        self.cols = int(np.count_nonzero(self.mask[0]))
-        self.z = np.empty((7, *g.spec_shape), dtype=np.complex128)
-        self.f, self.p = np.empty((7, g.n, g.n)), np.empty((7, g.n, g.n))
-        self.block = _Layout(self, lo, lo + int(np.count_nonzero(~rows)), self.cols)
-
-    @functools.cached_property
-    def whole(self) -> _Layout:
-        """The whole-plane layout, for a state with modes outside the block."""
-        n, m = self.g.spec_shape
-        return _Layout(self, n, n, m, self.mask)
-
-    def gather(self, s) -> _Layout:
-        """The block layout with s's five spectra gathered into its y, or
-        the whole-plane one if s has a nonzero coefficient off the block."""
-        specs = (s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec)
-        lo, hi, cols = self.block.key
-        lay = self.whole if any(a[lo:hi].any() or a[:, cols:].any() for a in specs) else self.block
-        for a, out in zip(specs, lay.y):
-            lay.gather(a, out)
-        return lay
-
-    def velocities(self, lay: _Layout, y: np.ndarray) -> np.ndarray:
-        """u and v of the spectra y on the layout lay, on the grid, into
-        f[:4], and (||u||_Linf, ||v||_Linf) as norm(., "Linf") computes
-        them."""
+    def velocities(self, y: np.ndarray) -> np.ndarray:
+        """u and v of the block spectra y, on the grid, into f[:4], and
+        (||u||_Linf, ||v||_Linf) as norm(., "Linf") computes them."""
         f, sq, z = self.f, self.p[:4], self.z[:4]
-        lay.scatter(y[:4], z)
-        _irfft2(z, f[:4], lay.cols)
+        self.scatter(y[:4], z)
+        _irfft2(z, f[:4], self.cols)
         np.square(f[0:4:2], out=sq[:2])
         np.square(f[1:4:2], out=sq[2:])
         sq[:2] += sq[2:]
         return np.sqrt(np.max(sq[:2], axis=(1, 2)))
 
-    def _products(self, lay: _Layout, y: np.ndarray, grid_uv: bool) -> None:
+    def _products(self, y: np.ndarray, grid_uv: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
         # u^y theta on the grid into p, from the spectra y, scattered with
-        # their curls into z and masked there on the whole plane, and, if
-        # grid_uv, the grid velocities of u and v in f[:4]
-        ik, z, f, p, c, q = lay.ik, self.z, self.f, self.p, lay.c[0], lay.q
+        # their curls into z, and, if grid_uv, the grid velocities of u and v
+        # in f[:4]
+        ik, z, f, p, c, q = self.ik, self.z, self.f, self.p, self.c[0], self.q
         np.multiply(ik[0], y[1], out=q[5])
         np.multiply(ik[1], y[0], out=c)
         q[5] -= c
@@ -438,11 +422,8 @@ class _Stepper:
         np.multiply(ik[1], y[2], out=c)
         q[6] -= c
         k = 4 if grid_uv else 0
-        lay.scatter(y[k:], z[k:5])
-        if lay.mask is None:
-            lay.scatter(q[5:], z[5:])
-        else:  # q is z, which holds the curls already
-            z *= lay.mask
+        self.scatter(y[k:], z[k:5])
+        self.scatter(q[5:], z[5:])
         _irfft2(z[k:], f[k:], self.cols)
         ux, uy, vx, vy, th, cu, cv = f
         _mul_add(ux, ux, vx, vx, p[0], p[1])
@@ -454,9 +435,9 @@ class _Stepper:
         np.multiply(ux, th, out=p[5])
         np.multiply(uy, th, out=p[6])
 
-    def explicit(self, lay: _Layout, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
+    def explicit(self, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
         """Everything except the implicit Laplacians, for the spectra
-        y = (u^x, u^y, v^x, v^y, theta) on the layout lay, with P the Leray
+        y = (u^x, u^y, v^x, v^y, theta) on the block, with P the Leray
         projection and curl(a) = d_x a^y - d_y a^x:
 
             -div(S - tr(S) I / 2),  whose projection -P div S the step keeps,
@@ -472,24 +453,21 @@ class _Stepper:
         only: seven products in all. Under either mask the trace's product
         is a gradient too, aliased or not. The u tendency is returned
         unprojected: the step projects each stage result. Factors and
-        products are masked once each, by the layout's scatter and gather
-        or explicitly. With ``grid_uv``, f[:4] already holds the grid
-        velocities of y (as :meth:`velocities` leaves them on the block).
-        The result is written into ``out``, which may be ``y``.
+        products are masked once each, by the block's scatter and gather.
+        With ``grid_uv``, f[:4] already holds the grid velocities of y (as
+        :meth:`velocities` leaves them). The result is written into
+        ``out``, which may be ``y``.
         """
-        self._products(lay, y, grid_uv)
-        q, c = lay.q, lay.c[0]
+        self._products(y, grid_uv)
+        q, c = self.q, self.c[0]
         _rfft2(self.p, self.z, self.cols)
-        if lay.mask is None:
-            lay.gather(self.z, q)
-        else:  # q is z
-            q *= lay.mask
+        self.gather(self.z, q)
         q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
         q[2] += y[4]  # u.v + theta
         q[5] += y[2]  # u^x theta + v^x
         q[6] += y[3]  # u^y theta + v^y
         # y is not read below this line, so out may be y
-        mik = lay.minus_ik
+        mik = self.minus_ik
         _mul_add(mik[0], q[0], mik[1], q[1], out[0], c)
         np.multiply(mik[0], q[1], out=out[1])
         np.multiply(mik[1], q[0], out=c)
@@ -504,30 +482,29 @@ class _Stepper:
     def record_norms(self, s) -> tuple[np.ndarray, dict]:
         """What ``records.make_record`` assembles the record of the state s
         from, in one batched pass through the buffers, which sit idle
-        between steps, on the layout a step of s would take:
+        between steps, on the block a step of s works on:
 
         - the (5, 5) Parseval sums  sum herm_weight |k|^(2j) |a_k|^2  for
           j = 0..3 and over the tail band (columns), of u, v, theta, the
           pseudo baroclinic velocity w and div u (rows), from one power
-          stack (re^2 + im^2) of the layout's modes reduced by one matmul
-          against :attr:`_Layout.weights`;
+          stack (re^2 + im^2) of the block's modes reduced by one matmul
+          against :attr:`weights`;
         - the grid norms and means of the record, keyed by their column
           names, from two seven-field inverse transforms pruned to the
-          layout's columns, each reduced in place in the order of
+          block's columns, each reduced in place in the order of
           operations of ``norm`` and ``grad_linf``.
 
         Allocates no array of grid size.
         """
         eps = s.eps
-        lay = self.gather(s)
-        g, ik, y, e, q = self.g, lay.ik, lay.y, lay.y1, lay.q
+        g, ik, y, e, q = self.g, self.ik, self.load(s), self.y1, self.q
         z, f, p = self.z, self.f, self.p
         shape = y.shape[1:]
         m = y[0].size
         scale = 1.0 / (1.0 - eps)
 
         # w = v + grad((-lap)^-1 theta) / (1 - eps) and div u into e[:3]
-        np.multiply(lay.inv_k2, y[4], out=e[2])
+        np.multiply(self.inv_k2, y[4], out=e[2])
         np.multiply(ik, e[2], out=e[:2])
         e[:2] *= scale
         e[:2] += y[2:4]
@@ -537,14 +514,14 @@ class _Stepper:
 
         # the power stack of (u^x, u^y, v^x, v^y, theta, w^x, w^y, div u)
         # in p, the squared real and imaginary parts of five spectra at a
-        # time in f; 8 and 10 layouts of floats, which fit in 7 n^2 for
+        # time in f; 8 and 10 blocks of floats, which fit in 7 n^2 for
         # every n >= 8 that Grid allows
         power = p.reshape(-1)[: 8 * m].reshape(8, *shape)
         for spec, pw in ((y, power[:5]), (e[:3], power[5:])):
             sq = f.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
             np.square(spec.view(np.float64), out=sq)
             np.add(sq[..., 0::2], sq[..., 1::2], out=pw)
-        raw = power.reshape(8, m) @ lay.weights.T
+        raw = power.reshape(8, m) @ self.weights.T
         sums = np.array([raw[0] + raw[1], raw[2] + raw[3], raw[4], raw[5] + raw[6], raw[7]])
 
         # the grid fields: f = (u^x, u^y, v^x, v^y, theta, flux, d_x u^x),
@@ -557,16 +534,15 @@ class _Stepper:
         np.multiply(y[4], scale, out=e[4])
         e[3] -= e[4]
         np.multiply(ik[0], y[0], out=e[4])
-        lay.scatter(y, z[:5])
-        lay.scatter(e[3:], z[5:])
-        _irfft2(z, f, lay.cols)
+        self.scatter(y, z[:5])
+        self.scatter(e[3:], z[5:])
+        _irfft2(z, f, self.cols)
         np.multiply(ik[1], y[0], out=q[0])
         np.multiply(ik, y[1], out=q[1:3])
         np.multiply(ik, e[0], out=q[3:5])
         np.multiply(ik, e[1], out=q[5:7])
-        if lay.mask is None:  # else q is z
-            lay.scatter(q, z)
-        _irfft2(z, p, lay.cols)
+        self.scatter(q, z)
+        _irfft2(z, p, self.cols)
 
         area = (g.length / g.n) ** 2
         grid = dict(mean_theta=f[4].mean(), mean_u_x=f[0].mean(), mean_u_y=f[1].mean())
@@ -614,7 +590,7 @@ def _factors(g: Grid, dt: float, eps: float, key: tuple[int, int, int]) -> tuple
     # the trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
     # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
     # y = a y0 + b rhs; returns a and b/2, the weight of each stage's rhs,
-    # in rows (u and v, theta), on the modes of the layout whose key is
+    # in rows (u and v, theta), on the modes of the block whose key is
     # (lo, hi, cols). They take 4 r cols float64 together, 0.47 MB on the
     # block at n = 256; eight entries let the members of a sweep of up to
     # eight eps levels, stepped in lockstep, keep theirs instead of evicting
@@ -642,16 +618,15 @@ def imex_step(
 
     The step gathers the block of modes its mask keeps from the spectra of
     ``s`` once and works on it in held arrays, with 28 real
-    field-transforms; if ``s`` has any coefficient outside the block, it
-    runs the same code on the whole half plane with the mask applied
-    explicitly (32 transforms), so the outside modes evolve by the linear
-    terms alone. The u of ``s`` must hold no Nyquist modes (see
-    ``spectral._project``); every state that ``make_initial`` and this
-    function return meets that.
+    field-transforms. Every state the system makes lies on that block; a
+    mode of ``s`` off it, which only a state built by hand can hold, is
+    dropped, as the mask drops it from every product. The block holds no
+    Nyquist mode under either mask, so the projection's precondition (see
+    ``spectral._project``) holds by construction.
 
     Buffers and multipliers are built once per (grid, use_dealias) and held
     in a one-entry cache until a step with another grid or mask replaces
-    them; the trapezoidal factors once per (grid, dt, eps, layout), in a
+    them; the trapezoidal factors once per (grid, dt, eps, block), in a
     small cache of their own. Steps share those buffers, and records borrow
     them between steps, so this function is not thread-safe. The returned
     State owns its arrays, a fresh half-plane stack with the block
@@ -662,29 +637,28 @@ def imex_step(
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
     st = _stepper(g, use_dealias)
-    lay = st.gather(s)
-    y = lay.y
-    linf = st.velocities(lay, y)
+    y = st.load(s)
+    linf = st.velocities(y)
     bad = ~np.isfinite(linf)
     if bad.any():
         raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    a, half_b = _factors(g, dt, s.eps, lay.key)
+    a, half_b = _factors(g, dt, s.eps, st.key)
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
     # y1 = a y0 + b n0 is y + b n0 / 2 midway; the first stage reuses the
     # CFL check's grid velocities on the block, where they are u and v's
-    y1 = _scale(half_b, st.explicit(lay, y, lay.mask is None, lay.y1))  # b n0 / 2
+    y1 = _scale(half_b, st.explicit(y, True, st.y1))  # b n0 / 2
     _scale(a, y)
     y += y1
     y1 += y
-    _project(lay, y1[:2], lay.c)  # predictor
-    y += _scale(half_b, st.explicit(lay, y1, False, y1))  # + b n1 / 2
-    _project(lay, y[:2], lay.c)  # corrector
+    _project(st, y1[:2], st.c)  # predictor
+    y += _scale(half_b, st.explicit(y1, False, y1))  # + b n1 / 2
+    _project(st, y[:2], st.c)  # corrector
     out = np.empty((5, *g.spec_shape), dtype=np.complex128)
-    lay.scatter(y, out)
+    st.scatter(y, out)
     f = [SpectralField(g, spec=c) for c in out]
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 

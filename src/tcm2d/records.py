@@ -97,8 +97,10 @@ def make_record(state, use_dealias: bool) -> np.ndarray:
     built once per grid; the 14 grid fields (u, v, theta, the effective
     viscous flux, grad u, grad w) from two batched inverse transforms. So
     a record allocates no array of grid size. Like ``imex_step``, whose
-    buffers it shares, it is not thread-safe. Requires mean-zero theta, as
-    w does.
+    buffers it shares, it reads only the block of modes the product mask
+    keeps: a mode off it, which only a state built by hand can hold, is
+    dropped, as the step drops it. It is not thread-safe. Requires
+    mean-zero theta, as w does.
     """
     from .model import _stepper  # model imports this module
 

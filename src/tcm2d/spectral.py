@@ -274,13 +274,13 @@ def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
     """Leray projection, in place, of the stacked spectra a = (a_x, a_y),
     with ``work`` (a's shape and dtype) as scratch. g supplies the
     multipliers kx, ky and inv_k2 on a's modes: a Grid for half-plane
-    spectra, or a step's layout (``model._Layout``) for the modes it keeps.
+    spectra, or a step's stepper (``model._Stepper``) for the block of
+    modes the product mask keeps.
 
     Requires a to hold no Nyquist modes: there the multiplier k k^T / |k|^2
     takes the stored sign of -n/2, and its output would not survive a round
-    trip through the grid. Every stage of a step meets this, since u starts
-    Nyquist-free (``leray_project`` zeroes those lines) and its tendency is
-    built from masked products.
+    trip through the grid. A step meets this by construction, since the
+    block holds no Nyquist mode under either mask.
     """
     q, t = work
     np.multiply(g.kx, a[0], out=q)

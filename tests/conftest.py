@@ -6,7 +6,7 @@ import pytest
 import tcm2d as t
 
 
-def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_amp=0.5):
+def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_amp=0.5, dealias=True):
     """Random band-limited state through the public preset path."""
     cfg = t.SimConfig(
         n=n,
@@ -20,6 +20,7 @@ def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_am
         v_amp=v_amp,
         theta_amp=theta_amp,
         seed=seed,
+        dealias=dealias,
     )
     return t.make_initial(cfg)
 

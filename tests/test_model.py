@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
-from tcm2d import model, storage
+from tcm2d import model
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
 from tcm2d.model import _stepper
@@ -22,11 +22,11 @@ def explicit(s, use_dealias):
     over the gathered input, as the second stage does; dt does not enter
     the stage."""
     st = _stepper(s.grid, use_dealias)
-    lay = st.gather(s)
-    y = st.explicit(lay, lay.y, False, lay.y)
-    _project(lay, y[:2], lay.c)
+    y = st.load(s)
+    y = st.explicit(y, False, y)
+    _project(st, y[:2], st.c)
     out = np.empty((5, *s.grid.spec_shape), dtype=np.complex128)
-    lay.scatter(y, out)
+    st.scatter(y, out)
     f = [t.SpectralField(s.grid, spec=c) for c in out]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
@@ -133,15 +133,28 @@ class TestMakeInitial:
     @pytest.mark.parametrize("preset", ["taylor_green", "single_mode", "random_band"])
     def test_presets_hold_no_modes_outside_the_mask(self, preset):
         # built in the half plane, so no transform roundoff reaches the
-        # modes the two-thirds mask drops
-        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, mode_x=3, mode_y=2)
-        s = t.make_initial(cfg)
-        for f in (s.u.x, s.u.y, s.v.x, s.v.y, s.theta):
-            assert not np.any(f.spec[~s.grid.dealias_mask])
+        # modes the mask drops, up to the largest band or mode the config
+        # rule lets through under either mask; nor does a step or a twin's
+        # perturbation put any there
+        for dealias, kmax in ((True, 10), (False, 15)):
+            cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, eps=0.1, mode_x=kmax, mode_y=-kmax,
+                              band_hi=kmax, dealias=dealias)
+            s = t.make_initial(cfg)
+            states = [s, t.imex_step(s, 1e-3, use_dealias=dealias)]
+            for shape in PERTURBATION_SHAPES:
+                pu, pv, pth = _perturbation(cfg, shape)
+                states.append(replace(s, u=t.leray_project(s.u + pu), v=s.v + pv, theta=s.theta + pth))
+            mask = s.grid.product_mask(dealias)
+            for state in states:
+                assert not any(np.any(a[~mask]) for a in spectra(state)), (dealias, state.t)
 
     def test_single_mode_rejects_unresolved(self):
         with pytest.raises(BadParams):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=8, mode_y=0)
+        # past 16 // 3, off the two-thirds block, but on the Nyquist-free one
+        with pytest.raises(BadParams, match="dealias=True"):
+            t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=0, mode_y=-6)
+        t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=0, mode_y=-6, dealias=False)
 
     def test_random_band_deterministic(self):
         a = band_state(n=32, seed=5)
@@ -161,6 +174,9 @@ class TestMakeInitial:
     def test_random_band_rejects_bad_band(self):
         with pytest.raises(BadParams):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=8)
+        with pytest.raises(BadParams, match="dealias=True"):
+            t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=6)
+        t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=6, dealias=False)
 
     def test_random_band_grid_independent_function(self):
         # same seed yields the same continuum function at any resolution
@@ -316,8 +332,8 @@ class TestRhs:
 
     @pytest.mark.parametrize("use_dealias", [False, True])
     def test_fused_stage_matches_public_operators(self, use_dealias):
-        # the band runs past the n/3 mask edge, so both masks act
-        s = band_state(n=32, seed=22, hi=15)
+        # the band's products run past the n/3 mask edge, so both masks act
+        s = band_state(n=32, seed=22, hi=10)
         want = reference_tendency(use_dealias)(s, use_dealias)
         for got, ref in zip(explicit(s, use_dealias), want):
             assert rel_l2(got, ref) < 1e-12
@@ -370,7 +386,7 @@ class TestImexStep:
 
     @pytest.mark.parametrize("use_dealias", [False, True])
     def test_multi_step_matches_public_operators(self, use_dealias):
-        s = ref = band_state(n=32, seed=23, hi=15)
+        s = ref = band_state(n=32, seed=23, hi=10)
         for _ in range(5):
             s = t.imex_step(s, 1e-3, use_dealias=use_dealias)
             ref = reference_step(ref, 1e-3, use_dealias)
@@ -402,19 +418,17 @@ def same_state(a, b):
 
 
 class TestLayout:
-    """A state with modes outside the block the mask keeps steps on the whole
-    half plane, where the products see only the block and the outside modes
-    evolve by the linear terms alone."""
+    """A step works on the block the mask keeps: a mode of a hand-built state
+    off the block is dropped, as the mask drops it from every product."""
 
     @pytest.mark.parametrize("use_dealias", [True, False])
-    def test_block_and_outside_modes_evolve_apart(self, use_dealias):
-        # hi = 15 > n/3 puts content outside the two-thirds block; without
-        # dealiasing a theta coefficient on the Nyquist row lies outside
-        s = band_state(n=32, seed=25, hi=15)
+    def test_off_block_modes_are_dropped(self, use_dealias):
+        # hi = 15 > n/3 puts content outside the two-thirds block, and a
+        # theta coefficient on the Nyquist row lies outside either block
+        s = band_state(n=32, seed=25, hi=15, dealias=False)
         g = s.grid
         specs = np.stack(spectra(s))
-        if not use_dealias:
-            specs[4, 16, 3] = 0.5
+        specs[4, 16, 3] = 0.5
         mask = g.product_mask(use_dealias)
 
         def step(y):
@@ -422,10 +436,7 @@ class TestLayout:
             state = t.State(u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4], t=0.0, eps=s.eps)
             return np.stack(spectra(t.imex_step(state, 1e-3, use_dealias=use_dealias)))
 
-        both, inside, outside = step(specs), step(specs * mask), step(specs * ~mask)
-        for region, want in ((mask, inside), (~mask, outside)):
-            ref = want[:, region]
-            assert np.linalg.norm(both[:, region] - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(step(specs), step(specs * mask))
 
 
 class TestStepCache:
@@ -450,7 +461,7 @@ class TestStepCache:
 
     def test_interleaved_keys_match_separate_runs(self):
         # every pair of runs differs in one key: eps, dt, dealias or grid
-        runs = [(band_state(n=32, seed=32, eps=eps, hi=12), dt, dealias)
+        runs = [(band_state(n=32, seed=32, eps=eps, hi=10), dt, dealias)
                 for eps, dt, dealias in ((0.1, 1e-3, True), (0.0, 1e-3, True), (0.1, 2e-3, True), (0.1, 1e-3, False))]
         runs.append((band_state(n=16, seed=32), 1e-3, True))
         evict = band_state(n=8, seed=32, hi=2)
@@ -505,8 +516,7 @@ class TestStepCache:
     def test_held_inverse_equals_irfft2(self, n, fields):
         # the step's batches: theta and the curls, u and v, all seven; over
         # every column and on any spectrum (Nyquist lines and content beyond
-        # either mask included), as a record and the CFL check of a state
-        # the mask changes take them, in place
+        # either mask included), in place
         rng = np.random.default_rng(n + fields)
         a = np.fft.rfft2(rng.standard_normal((fields, n, n)))
         want = np.fft.irfft2(a, s=(n, n))
@@ -522,7 +532,7 @@ class TestStepCache:
         rng = np.random.default_rng(n + fields)
         for use_dealias in (True, False):
             st = _stepper(t.Grid(n), use_dealias)
-            a = np.fft.rfft2(rng.standard_normal((fields, n, n))) * st.mask
+            a = np.fft.rfft2(rng.standard_normal((fields, n, n))) * st.g.product_mask(use_dealias)
             want = np.fft.irfft2(a, s=(n, n))
             out = np.empty((fields, n, n))
             model._irfft2(a, out, st.cols)
@@ -535,10 +545,11 @@ class TestStepCache:
         x = rng.standard_normal((fields, n, n))
         for use_dealias in (True, False):
             st = _stepper(t.Grid(n), use_dealias)
+            mask = st.g.product_mask(use_dealias)
             q = np.empty((fields, *st.g.spec_shape), dtype=np.complex128)
             model._rfft2(x, q, st.cols)
-            q *= st.mask
-            assert np.array_equal(q, np.fft.rfft2(x) * st.mask)
+            q *= mask
+            assert np.array_equal(q, np.fft.rfft2(x) * mask)
 
 
 class TestSimulate:
@@ -679,47 +690,21 @@ class TestTransformBudget:
         monkeypatch.undo()
         return counts
 
-    def test_step(self, monkeypatch, tmp_path):
-        # the first stage reuses the CFL check's grid velocities unless the
-        # mask drops some of their coefficients: the two-thirds mask for
-        # hi = 15 > n/3, the Nyquist-free mask for content on a Nyquist line
-        low, high = band_state(n=32, seed=24, hi=4), band_state(n=32, seed=24, hi=15)
+    def test_step(self, monkeypatch):
+        # the first stage reuses the CFL check's grid velocities, even for a
+        # hand-built state with content on a Nyquist line, which the step
+        # drops with every other mode off the block
+        low = band_state(n=32, seed=24, hi=4)
         spec = low.u.x.spec.copy()
         spec[16, 3] = 1.0  # the row |k1| = n/2
         nyquist = replace(low, u=t.VectorField(t.SpectralField(low.grid, spec), low.u.y))
-        rows = [
-            ("low", low, True, 14),
-            ("low", low, False, 14),
-            ("high", high, True, 18),
-            ("nyquist", nyquist, False, 18),
-        ]
-        # the second step of each preset: none leaves content outside the
-        # mask for the first step to carry into u or v
-        for preset in model.PRESETS:
-            cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, mode_x=3, mode_y=2)
-            for use_dealias in (True, False):
-                s1 = t.imex_step(t.make_initial(cfg), 1e-3, use_dealias=use_dealias)
-                rows.append((preset, s1, use_dealias, 14))
-        # the second step of a twin's perturbed member, for each shape
-        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset="random_band", eps=0.1, seed=33)
-        base = t.make_initial(cfg)
-        for shape in PERTURBATION_SHAPES:
-            pu, pv, pth = _perturbation(cfg, shape)
-            pert = replace(base, u=t.leray_project(base.u + pu * 1e-8), v=base.v + pv * 1e-8,
-                           theta=base.theta + pth * 1e-8)
-            rows.append((shape, t.imex_step(pert, 1e-3), True, 14))
-        # a stepped state read back from a snapshot holds the stepped spectra,
-        # so nothing outside the mask either
-        for use_dealias in (True, False):
-            snap_dir = tmp_path / str(use_dealias)
-            storage.write_state_snapshot(snap_dir, t.imex_step(low, 1e-3, use_dealias=use_dealias), 1)
-            rows.append(("read back", storage.read_state_snapshot(snap_dir, 1), use_dealias, 14))
+        rows = [("low", low, True), ("low", low, False), ("nyquist", nyquist, False)]
         # the step takes each inverse transform as ifftn along axis -2 and
         # then irfft along axis -1, and each forward one as rfft along axis
         # -1 and then fftn along axis -2, so each field counts once
-        for name, s, use_dealias, inverse in rows:
+        for name, s, use_dealias in rows:
             counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
-            assert counts == {"fftn": 14, "ifftn": inverse}, (name, use_dealias)
+            assert counts == {"fftn": 14, "ifftn": 14}, (name, use_dealias)
 
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)

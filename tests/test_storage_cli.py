@@ -169,9 +169,9 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("dealias", [True, False])
     def test_read_back_state_steps_bit_for_bit(self, tmp_path, dealias):
-        # band_hi = 15 > n/3 puts content outside the two-thirds mask
+        # band_hi = 10 = n // 3, the largest band on the two-thirds block
         cfg = t.SimConfig(
-            n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=15, dealias=dealias, snap_stride=10
+            n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=10, dealias=dealias, snap_stride=10
         )
         stepped = t.simulate(cfg).snapshots[-1]
         storage.write_state_snapshot(str(tmp_path), stepped, 20)
@@ -609,13 +609,12 @@ class TestMalformedRunDir:
         assert "step_00000010.bin: line 1" in detail
 
     def test_snapshot_time_not_finite(self, tmp_path, capsys):
-        # the middle snapshot of the residuals' window: a NaN time makes
-        # every spacing comparison False
+        # the middle snapshot of the residuals' window: a NaN time is not
+        # step * dt, so the header check rejects it before the window's
+        # spacing comparisons, which it would make all False
         rel = os.path.join("snapshots", "step_00000005.bin")
-        detail = self.check_edited(
-            tmp_path, capsys, rel, lambda data: re.sub(rb" t=\S+", b" t=nan", data, count=1), "BadWindow"
-        )
-        assert "spacings nan, nan" in detail
+        detail = self.check_edited(tmp_path, capsys, rel, lambda data: re.sub(rb" t=\S+", b" t=nan", data, count=1))
+        assert "step_00000005.bin: line 1: t=nan" in detail
 
     def test_snapshot_length_not_finite(self, tmp_path, capsys):
         rel = os.path.join("snapshots", "step_00000010.bin")
@@ -839,18 +838,30 @@ class TestGuardMatrix:
         "edit",
         [
             (("preset = taylor_green", "preset = random_band\nband_hi = 9"),),
+            # past 16 // 3 = 5, the largest |k| the two-thirds mask keeps
+            (("preset = taylor_green", "preset = random_band\nband_hi = 6"),),
+            (("preset = taylor_green", "preset = single_mode\nmode_x = 6"),),
             (("horizon = 0.004", "horizon = 0.021"),),
             (("n = 16", "n = 15"),),
             (("preset = taylor_green", "preset = random_band\nseed = -1"),),
             (("dealias = true", "dealias = true\ncfl_max = -1"),),
         ],
-        ids=["band", "horizon", "grid", "seed", "cfl_max"],
+        ids=["band", "band_past_mask", "mode_past_mask", "horizon", "grid", "seed", "cfl_max"],
     )
     def test_config_that_cannot_run_keeps_previous_run(self, tmp_path, capsys, command, edit):
         out = str(tmp_path / "o")
         assert run_cli(capsys, ["run", "--config", write_cfg(tmp_path, guard_cfg()), "--out", out])[0] == 0
         bad = write_cfg(tmp_path, guard_cfg(edit=edit), "bad.cfg")
         assert run_cli(capsys, [command, "--config", bad, "--out", out])[::2] == (2, "ConfigParseError")
+        assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
+
+    @pytest.mark.parametrize("init", ["preset = random_band\nband_hi = 6", "preset = single_mode\nmode_x = 6"])
+    def test_past_two_thirds_runs_without_dealias(self, tmp_path, capsys, init):
+        # |k| = 6 lies past the two-thirds mask at n = 16 but inside the
+        # Nyquist-free one, up to 16 // 2 - 1 = 7
+        cfg = write_cfg(tmp_path, guard_cfg(dealias="false", edit=(("preset = taylor_green", init),)))
+        out = str(tmp_path / "o")
+        assert run_cli(capsys, ["run", "--config", cfg, "--out", out])[0] == 0
         assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
 
     def test_negative_seed_override(self, tmp_path, capsys):
@@ -1015,3 +1026,25 @@ class TestMutatedRunDir:
         assert code in (0, 2, 3, 4, 5), (edits, code, err)
         assert sum(line.startswith("TCM-ERROR ") for line in err.splitlines()) == (code != 0), (edits, err)
         assert "Traceback" not in out.getvalue() + err, edits
+
+    @pytest.mark.parametrize("index, key, value", [(4, "eps", "0.3"), (2, "L", "3"), (3, "t", "0.0061"), (4, "n", None)])
+    def test_header_that_disagrees_with_config(self, mutation_base, tmp_path, index, key, value):
+        # a header that parses, of a snapshot that check reads (the window
+        # is steps 1-3, the last step 4), but does not describe the run
+        run = str(tmp_path / "run")
+        shutil.copytree(mutation_base, run)
+        edits = [("header", index, key, value)]
+        if key == "n":
+            # a whole n = 8 snapshot in its place, so its payload fits its header
+            zero = t.SpectralField.zeros(t.Grid(8))
+            state = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=0.008, eps=0.1)
+            storage.write_state_snapshot(os.path.join(run, storage.SNAPSHOT_DIR), state, index)
+            edits = []
+        _mutate_run_dir(run, edits)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["check", "--run-dir", run])
+        lines = err.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("TCM-ERROR "), lines
+        error = json.loads(lines[0].split(" ", 1)[1])
+        assert error["error"] == "ConfigParseError"
+        assert f"step_{index:08d}.bin: line 1: {key}=" in error["detail"], error
