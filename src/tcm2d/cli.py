@@ -45,8 +45,10 @@ DIV_FREE_RTOL = 1e-10
 #: ||div u||_2 is measured against this floor instead
 DIV_FREE_FLOOR = 1e-4
 ENERGY_MONOTONE_RTOL = 1e-10
-#: a snapshot's t is a running sum of dt, off step * dt by about step ulps
+#: a snapshot's or record's t is a running sum of dt, off step * dt by about step ulps
 SNAPSHOT_T_RTOL = 1e-9
+#: a record's energy is (u_l2^2 + v_l2^2 + theta_l2^2) / 2, the same float from its 17-digit cells
+ENERGY_ROW_RTOL = 1e-12
 
 
 def _machine_error(kind: str, detail: str, **extra) -> None:
@@ -139,11 +141,11 @@ def _gather(args):
 
     Returns (config, diagnostics, window, final state, report directory): the
     window is the three snapshots around the middle of the run that the
-    equation residuals use (None with fewer than three snapshots). Only the
-    window and the last snapshot are read, out of the snapshots the run's
-    manifest lists, and each header must agree with the run's config.cfg
-    (see :func:`_read_snapshot`). The report goes to ``--out`` if given,
-    else into the run directory.
+    equation residuals use (None with fewer than three snapshots). The
+    manifest must list the snapshots of steps 0, snap_stride, ... up to
+    num_steps, and the diagnostics the run's records (:func:`_check_series`);
+    only the window and the last snapshot are read (:func:`_read_snapshot`).
+    The report goes to ``--out`` if given, else into the run directory.
     """
     if args.config:
         cfg, text = _load_config(args)
@@ -155,14 +157,18 @@ def _gather(args):
         run_dir = args.run_dir
     manifest = storage.verify_manifest(run_dir)
     cfg, _ = config_mod.parse_config_file(os.path.join(run_dir, "config.cfg"))
-    series = storage.read_diagnostics_csv(os.path.join(run_dir, "diagnostics.csv"))
+    diag_path = os.path.join(run_dir, "diagnostics.csv")
+    series = storage.read_diagnostics_csv(diag_path)
+    _check_series(diag_path, series, cfg)
     snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
     steps = storage.manifest_snapshot_steps(manifest)
+    if steps != list(range(0, cfg.num_steps() + 1, cfg.snap_stride)):
+        raise ConfigParseError(f"{os.path.join(run_dir, storage.MANIFEST_NAME)}: the listed snapshot steps are "
+                               f"not 0, {cfg.snap_stride}, ... up to {cfg.num_steps()}, as config.cfg makes them")
     window = _mid_window(steps)
-    wanted = set(window or ()) | set(steps[-1:])
-    states = {step: _read_snapshot(snap_dir, step, cfg) for step in sorted(wanted)}
+    states = {step: _read_snapshot(snap_dir, step, cfg) for step in sorted({*(window or ()), steps[-1]})}
     window = None if window is None else [states[step] for step in window]
-    final = states[steps[-1]] if steps else None
+    final = states[steps[-1]]
     out = args.out or run_dir
     os.makedirs(out, exist_ok=True)
     return cfg, series, window, final, out
@@ -180,6 +186,25 @@ def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
     if not abs(s.t - step * cfg.dt) <= SNAPSHOT_T_RTOL * step * cfg.dt:
         raise ConfigParseError(f"{path}: line 1: t={s.t!r} is not step {step} times dt={cfg.dt!r}")
     return s
+
+
+def _check_series(path, series: DiagnosticsSeries, cfg: SimConfig) -> None:
+    """A run of ``cfg`` records num_steps // diag_stride + 1 rows, row k at
+    t = k * diag_stride * dt within SNAPSHOT_T_RTOL, each with the energy of
+    its norms within ENERGY_ROW_RTOL; else ConfigParseError names the row."""
+    rows = cfg.num_steps() // cfg.diag_stride + 1
+    if len(series) != rows:
+        raise ConfigParseError(f"{path}: {len(series)} data rows, but config.cfg makes {rows} records")
+    t, energy, want_t = series.times, series.col("energy"), np.arange(rows) * cfg.diag_stride * cfg.dt
+    # a huge or infinite norm gives an infinite or NaN energy, which no record has
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_e = 0.5 * (series.col("u_l2") ** 2 + series.col("v_l2") ** 2 + series.col("theta_l2") ** 2)
+        ok = np.isfinite(want_e) & (np.abs(energy - want_e) <= ENERGY_ROW_RTOL * want_e)
+    ok &= np.abs(t - want_t) <= SNAPSHOT_T_RTOL * want_t
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ConfigParseError(f"{path}: data row {k + 1}: t={t[k]:.17g}, energy={energy[k]:.17g}, but the run has "
+                               f"t={want_t[k]:.17g} and energy (u_l2^2 + v_l2^2 + theta_l2^2) / 2 = {want_e[k]:.17g}")
 
 
 def _mid_window(snaps):
@@ -218,8 +243,9 @@ def run_checks(
 
     # ||div u||_2 / max(||u||_H1, floor), which is div_u_rel wherever
     # ||u||_H1 reaches the floor, a fraction of the initial state's L2 size
+    # sqrt(2 E(0)), taken as 2 sqrt(E(0) / 2): the same float, and no overflow
     u_h1 = np.hypot(series.col("u_l2"), series.col("grad_u_l2"))
-    floor = DIV_FREE_FLOOR * np.sqrt(2.0 * series.col("energy")[0])
+    floor = DIV_FREE_FLOOR * (2.0 * np.sqrt(0.5 * series.col("energy")[0]))
     div_max = np.max(series.col("div_u_rel") * (np.minimum(1.0, u_h1 / floor) if floor > 0 else 1.0))
     detail = f"||div u||_2 / max(||u||_H1, {DIV_FREE_FLOOR} sqrt(2 E(0))), limit {DIV_FREE_RTOL}"
     gated.append(("divergence_free", div_max <= DIV_FREE_RTOL, div_max, detail))
@@ -260,7 +286,7 @@ def run_checks(
             ("potential_equation_residual", residual_phi_equation),
             ("flux_equation_residual", residual_flux_equation),
         ):
-            r = fn(window, use_dealias=cfg.dealias)
+            r = fn(window)
             info.append((name, None, r.l2, f"smoothed {_fmt(r.smoothed)}"))
     else:
         info.append(("equation_residuals", None, float("nan"), "need >= 3 snapshots"))

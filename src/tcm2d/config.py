@@ -10,10 +10,10 @@ Sections and keys:
     [output]  diag_stride, snap_stride, dir
 
 A random_band band_hi and a single_mode |mode_x|, |mode_y| may be at most
-n // 3 with dealias = true and n // 2 - 1 with dealias = false: the
-largest |k| the product mask keeps. So every initial mode lies on the
-block of the half plane that a step works on; a mode past it would evolve
-by the linear terms alone and carry nothing the harness checks.
+n // 3, the largest |k| the two-thirds mask keeps, so every initial mode
+lies on the block that a step works on; a mode past it would evolve by
+the linear terms alone. Products are always two-thirds dealiased, so
+dealias must be true; the key stays so that every earlier config parses.
 
 Only [grid] n, [time] dt and [time] horizon are required; everything else
 falls back to the SimConfig defaults. Unknown sections or keys, malformed

@@ -9,8 +9,8 @@ transport-diffusion equation with better regularity than its parts.
 Residual functions verify, on three equally spaced snapshots of one eps
 (which they take as the equations' eps), that the derived evolution
 equations hold: the time derivative is approximated by a centered
-difference, every spatial term is computed spectrally with the same
-product-dealiasing convention the integrator used, and the residual norm
+difference, every spatial term is computed spectrally, with products
+under the integrator's two-thirds mask, and the residual norm
 is normalized by the sum of the term magnitudes so values are comparable
 across presets.
 """
@@ -69,7 +69,7 @@ def pseudo_baroclinic(s) -> VectorField:
     return s.v + temperature_potential(s.theta) * (1.0 / (1.0 - s.eps))
 
 
-def commutator_f(u: VectorField, theta: SpectralField, use_dealias: bool = False) -> VectorField:
+def commutator_f(u: VectorField, theta: SpectralField) -> VectorField:
     """Commutator of the double Riesz transform with multiplication by u:
 
         F_i = sum_j [ R_i R_j (u^j theta) - u^j R_i R_j theta ].
@@ -83,17 +83,13 @@ def commutator_f(u: VectorField, theta: SpectralField, use_dealias: bool = False
     for i in "xy":
         acc = None
         for j, uj in zip("xy", u):
-            term = riesz_double(i, j, multiply(uj, theta, use_dealias)) - multiply(
-                uj, riesz_double(i, j, theta), use_dealias
-            )
+            term = riesz_double(i, j, multiply(uj, theta)) - multiply(uj, riesz_double(i, j, theta))
             acc = term if acc is None else acc + term
         comps.append(acc)
     return VectorField(*comps)
 
 
-def commutator_f_gradform(
-    u: VectorField, theta: SpectralField, use_dealias: bool = False
-) -> VectorField:
+def commutator_f_gradform(u: VectorField, theta: SpectralField) -> VectorField:
     """Equivalent form grad((-lap)^{-1}(u.grad theta)) - (u.grad)Phi.
 
     Agrees with :func:`commutator_f` when div u = 0; computed independently
@@ -102,11 +98,11 @@ def commutator_f_gradform(
     to roundoff).
     """
     require_mean_zero(theta, "commutator input theta")
-    adv = advect(u, theta, use_dealias)
+    adv = advect(u, theta)
     spec = adv.spec.copy()
     spec[0, 0] = 0.0
     lead = grad_inv_neg_laplacian(SpectralField(adv.grid, spec=spec))
-    return lead - advect(u, temperature_potential(theta), use_dealias)
+    return lead - advect(u, temperature_potential(theta))
 
 
 def viscous_flux(s) -> SpectralField:
@@ -149,7 +145,7 @@ def _normalized_residual(ddt, terms) -> ResidualNorms:
     return ResidualNorms(l2=out[0], smoothed=out[1])
 
 
-def residual_w_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
+def residual_w_equation(snaps) -> ResidualNorms:
     """Residual of the pseudo-baroclinic evolution law
 
         dt(w) + (u.grad)w - lap(w) + (v.grad)u
@@ -163,17 +159,17 @@ def residual_w_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
     scale = 1.0 / (1.0 - eps)
     w_mid = pseudo_baroclinic(b)
     ddt = (pseudo_baroclinic(c) - pseudo_baroclinic(a)) * (0.5 / h)
-    f_comm = commutator_f_gradform(b.u, b.theta, use_dealias)
+    f_comm = commutator_f_gradform(b.u, b.theta)
     terms = [
-        advect(b.u, w_mid, use_dealias),
+        advect(b.u, w_mid),
         -1.0 * laplacian(w_mid),
-        advect(b.v, b.u, use_dealias),
+        advect(b.v, b.u),
         (grad_inv_neg_laplacian(div(b.v)) + f_comm) * scale,
     ]
     return _normalized_residual(ddt, terms)
 
 
-def residual_phi_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
+def residual_phi_equation(snaps) -> ResidualNorms:
     """Residual of the temperature-potential evolution law
 
         dt(Phi) + (u.grad)Phi - eps*lap(Phi)
@@ -183,15 +179,15 @@ def residual_phi_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
     phi_mid = temperature_potential(b.theta)
     ddt = (temperature_potential(c.theta) - temperature_potential(a.theta)) * (0.5 / h)
     terms = [
-        advect(b.u, phi_mid, use_dealias),
+        advect(b.u, phi_mid),
         (-eps) * laplacian(phi_mid),
         grad_inv_neg_laplacian(div(b.v)),
-        commutator_f_gradform(b.u, b.theta, use_dealias),
+        commutator_f_gradform(b.u, b.theta),
     ]
     return _normalized_residual(ddt, terms)
 
 
-def residual_flux_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
+def residual_flux_equation(snaps) -> ResidualNorms:
     """Residual of the effective-viscous-flux evolution law
 
         dt(flux) + u.grad(flux) - lap(flux)
@@ -207,12 +203,12 @@ def residual_flux_equation(snaps, use_dealias: bool = True) -> ResidualNorms:
     for i in "xy":
         for uj, vj_name in zip(b.u, "xy"):
             vi = b.v.x if i == "x" else b.v.y
-            term = multiply(derivative(uj, i), derivative(vi, vj_name), use_dealias)
+            term = multiply(derivative(uj, i), derivative(vi, vj_name))
             cross = term if cross is None else cross + term
     cross = cross * 2.0
 
     terms = [
-        advect(b.u, f_mid, use_dealias),
+        advect(b.u, f_mid),
         -1.0 * laplacian(f_mid),
         cross,
         (-scale) * div(b.v),

@@ -240,7 +240,7 @@ def _perturbation(cfg: SimConfig, shape: str):
         pth = _modes_field(grid, [((1, 1), -0.25j), ((1, -1), -0.25j)])
     else:  # "band"
         lo, hi = max(cfg.band_lo, 1), max(cfg.band_hi, 2)
-        _check_band(lo, hi, grid.n, cfg.dealias)
+        _check_band(lo, hi, grid.n)
         pu, pv, pth = _band_fields(grid, lo, hi, cfg.seed + 9973)
         pu = leray_project(pu)
     size = _smoothed_h1(pu, pv, pth)

@@ -24,26 +24,21 @@ S = u (x) u + v (x) v,
 
     P div S  =  P div(S - tr(S) I / 2),
 
-which needs the two products S_xx - S_yy and S_xy instead of three. This
-holds under either mask below: the masked product of the trace is still a
-gradient, aliased or not.
+which needs the two products S_xx - S_yy and S_xy instead of three: the
+masked product of the trace is still a gradient.
 
-Every factor and product is masked: by the two-thirds rule with
-dealiasing, and otherwise by the mask that only drops the Nyquist lines
-(``Grid.product_mask``). So neither setting carries Nyquist modes, and u
-stays in the range of the Leray projection. Under the two-thirds mask the
-products carry no aliasing error, so both forms give one discrete operator
-to roundoff; under the Nyquist-free mask they differ by their aliasing
-errors.
+Every factor and product is masked by the two-thirds rule
+(``Grid.dealias_mask``). So no state carries Nyquist modes, u stays in
+the range of the Leray projection, and the products carry no aliasing
+error, so both forms give one discrete operator to roundoff.
 
-Layout. Either mask keeps exactly one block of the half plane: the rows
+Layout. The mask keeps exactly one block of the half plane: the rows
 [0, lo) and [hi, n) of its leading cols columns (lo = 86, hi = 171,
-cols = 86 at n = 256 with dealiasing, 44.5 % of the half plane; without
-it, every row but the Nyquist row, and cols = n/2). Every state the
-system makes lies on that block, since ``SimConfig`` rejects a band or a
-mode past it. A step gathers that block of the five spectra (u^x, u^y,
-v^x, v^y, theta) once, into held contiguous (5, r, cols) arrays, and does
-all of its spectral arithmetic there: curls, tendency assembly,
+cols = 86 at n = 256, 44.5 % of the half plane). Every state the system
+makes lies on that block, since ``SimConfig`` rejects a band or a mode
+past it. A step gathers that block of the five spectra (u^x, u^y, v^x,
+v^y, theta) once, into held contiguous (5, r, cols) arrays, and does all
+of its spectral arithmetic there: curls, tendency assembly,
 trapezoidal factors, Leray projection. Each inverse transform scatters a
 block into the held transform buffer with zeros at every other mode, and
 each forward transform gathers the block back, so no mask is multiplied.
@@ -64,12 +59,11 @@ accumulates into the state block, so a warm step allocates its result and
 small temporaries only.
 
 What a step reuses sits in two private caches. The buffers and the
-gathered multipliers depend on (grid, dealias) and sit in a one-entry
-cache (about 14 MB of buffers at n = 256), the trapezoidal factors on
-(grid, dt, eps, block) in a small cache of their own, so runs that differ
-only in eps, such as the members of an eps sweep stepped in lockstep,
-share one set of buffers.
-A record borrows the same buffers between steps
+gathered multipliers depend on the grid and sit in a one-entry cache
+(about 14 MB of buffers at n = 256), the trapezoidal factors on (grid,
+dt, eps, block) in a small cache of their own, so runs that differ only
+in eps, such as the members of an eps sweep stepped in lockstep, share
+one set of buffers. A record borrows the same buffers between steps
 (``_Stepper.record_norms``, which ``records.make_record`` calls), so
 neither ``imex_step`` nor ``make_record`` is thread-safe.
 """
@@ -128,9 +122,9 @@ class SimConfig:
     factor stays under 2.
     Every rule is checked here, the grid's and the preset's mode or band
     included, so a config that constructs can run. A mode or band must lie
-    within the modes the product mask keeps, |k1|, |k2| <= n // 3 with
-    dealiasing and n // 2 - 1 without it, so every state a run makes lies
-    on the block a step works on.
+    within the modes the two-thirds mask keeps, |k1|, |k2| <= n // 3, so
+    every state a run makes lies on the block a step works on. ``dealias``
+    must be True: products are always two-thirds dealiased.
     """
 
     n: int
@@ -170,6 +164,8 @@ class SimConfig:
             raise BadParams("strides must be >= 1")
         if self.seed < 0:
             raise BadParams(f"seed must be nonnegative, got {self.seed}")
+        if self.dealias is not True:
+            raise BadParams(f"dealias = {self.dealias!r}: products are always two-thirds dealiased")
         if self.preset not in PRESETS:
             raise BadParams(f"unknown preset {self.preset!r}")
         _check_grid(int(self.n), self.length)
@@ -177,10 +173,10 @@ class SimConfig:
             raise BadParams(f"horizon {self.horizon} is not an integer number of steps of {self.dt}")
         if self.preset == "single_mode":
             m = (self.mode_x, self.mode_y)
-            if m == (0, 0) or max(map(abs, m)) > _kept_max(self.n, self.dealias):
-                raise BadParams(f"mode {m} outside the kept modes for n={self.n}, dealias={self.dealias}")
+            if m == (0, 0) or max(map(abs, m)) > _kept_max(self.n):
+                raise BadParams(f"mode {m} outside the kept modes |k| <= {_kept_max(self.n)} for n={self.n}")
         elif self.preset == "random_band":
-            _check_band(self.band_lo, self.band_hi, self.n, self.dealias)
+            _check_band(self.band_lo, self.band_hi, self.n)
 
     def grid(self) -> Grid:
         return Grid(self.n, self.length)
@@ -200,17 +196,16 @@ class SimResult:
     diagnostics: "records.DiagnosticsSeries" = None
 
 
-def _kept_max(n: int, dealias: bool) -> int:
-    # the largest |k1|, |k2| that Grid.product_mask keeps: |k| <= n/3 under
-    # the two-thirds rule, |k| < n/2 on the Nyquist-free mask
-    return n // 3 if dealias else n // 2 - 1
+def _kept_max(n: int) -> int:
+    # the largest |k1|, |k2| that Grid.dealias_mask keeps: |k| <= n/3
+    return n // 3
 
 
-def _check_band(lo: int, hi: int, n: int, dealias: bool) -> None:
+def _check_band(lo: int, hi: int, n: int) -> None:
     # the band rule: 1 <= lo <= hi <= _kept_max, so a band state lies on the
-    # block that the product mask keeps
-    if not (1 <= lo <= hi) or hi > _kept_max(n, dealias):
-        raise BadParams(f"band ({lo}, {hi}) outside the kept modes for n={n}, dealias={dealias}")
+    # block that the two-thirds mask keeps
+    if not (1 <= lo <= hi) or hi > _kept_max(n):
+        raise BadParams(f"band ({lo}, {hi}) outside the kept modes |k| <= {_kept_max(n)} for n={n}")
 
 
 def _band_modes(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -331,8 +326,8 @@ def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
 
 
 class _Stepper:
-    """What :func:`imex_step` reuses from step to step for one (grid,
-    dealias). The product mask keeps one block of the half plane, the rows
+    """What :func:`imex_step` reuses from step to step for one grid. The
+    two-thirds mask keeps one block of the half plane, the rows
     [0, lo) and [hi, n) of its leading cols columns (``key`` = (lo, hi,
     cols)), and the stepper holds the multipliers gathered onto that block
     and the arrays a step works in: on the block, contiguous (..., r, cols)
@@ -345,16 +340,14 @@ class _Stepper:
     steps.
     """
 
-    def __init__(self, g: Grid, use_dealias: bool):
-        self.g, self.use_dealias = g, use_dealias
-        mask = g.product_mask(use_dealias)
-        rows = mask[:, 0]  # the kept rows, [0, lo) and [hi, n)
-        lo = int(np.argmin(rows))
-        # the complex passes of every stage transform skip the columns past
-        # the kept ones (86 of 129 at n = 256 under the two-thirds mask)
-        self.cols = int(np.count_nonzero(mask[0]))
-        self.key = (lo, lo + int(np.count_nonzero(~rows)), self.cols)
-        shape = (g.n - self.key[1] + lo, self.cols)
+    def __init__(self, g: Grid):
+        self.g = g
+        # Grid.dealias_mask keeps the rows [0, k] and [n - k, n) of the columns
+        # [0, k], the only ones a stage transform's complex pass takes (86 of 129 at n = 256)
+        k = _kept_max(g.n)
+        self.cols = k + 1
+        self.key = (k + 1, g.n - k, self.cols)
+        shape = (2 * k + 1, self.cols)
         self.ik = self.gather(g.ik)
         self.minus_ik = -self.ik  # the tendency is minus the terms
         # what _project reads of a grid
@@ -389,12 +382,10 @@ class _Stepper:
     def weights(self) -> np.ndarray:
         """The Parseval weights of a record, as the rows of one (5, r cols)
         array: herm_weight |k|^(2j) for j = 0..3, then herm_weight on the
-        tail band, the top third of the active band (|k|_max <= n/3 with
-        dealiasing, n/2 without)."""
+        tail band, the top third of the kept band |k|_max <= n/3."""
         g = self.g
-        active = g.n / 3.0 if self.use_dealias else g.n / 2.0
         band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-        rows = [g.seminorm_weight(j) for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * active)]
+        rows = [g.seminorm_weight(j) for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * (g.n / 3.0))]
         return self.gather(np.stack(rows)).reshape(5, -1)
 
     def velocities(self, y: np.ndarray) -> np.ndarray:
@@ -450,8 +441,7 @@ class _Stepper:
         products carry no aliasing error. P kills gradients, so the u
         tendency takes the trace-free part of the stress S = u (x) u + v (x) v,
         P div S = P div(S - tr(S) I / 2), which needs S_xx - S_yy and S_xy
-        only: seven products in all. Under either mask the trace's product
-        is a gradient too, aliased or not. The u tendency is returned
+        only: seven products in all. The u tendency is returned
         unprojected: the step projects each stage result. Factors and
         products are masked once each, by the block's scatter and gather.
         With ``grid_uv``, f[:4] already holds the grid velocities of y (as
@@ -578,11 +568,10 @@ class _Stepper:
 
 
 @functools.lru_cache(maxsize=1)
-def _stepper(g: Grid, use_dealias: bool) -> _Stepper:
-    # one entry: every run, twin pair and eps sweep steps on one grid with
-    # one mask, and buffers held for an earlier key would only add to peak
-    # memory
-    return _Stepper(g, use_dealias)
+def _stepper(g: Grid) -> _Stepper:
+    # one entry: every run, twin pair and eps sweep steps on one grid, and
+    # buffers held for an earlier grid would only add to peak memory
+    return _Stepper(g)
 
 
 @functools.lru_cache(maxsize=8)
@@ -600,9 +589,7 @@ def _factors(g: Grid, dt: float, eps: float, key: tuple[int, int, int]) -> tuple
     return (1.0 + h) / (1.0 - h), 0.5 * dt / (1.0 - h)
 
 
-def imex_step(
-    s: State, dt: float, use_dealias: bool = True, cfl_max: float = 0.5
-) -> State:
+def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     """Advance one step of size dt; deterministic, CFL-guarded.
 
     The CFL ratio is dt * max(||u||_Linf, ||v||_Linf) / spacing, from one
@@ -616,27 +603,26 @@ def imex_step(
     and rotational form (see the module docstring). u is projected once per
     stage result, the predictor and the corrector.
 
-    The step gathers the block of modes its mask keeps from the spectra of
-    ``s`` once and works on it in held arrays, with 28 real
+    The step gathers the block of modes the two-thirds mask keeps from the
+    spectra of ``s`` once and works on it in held arrays, with 28 real
     field-transforms. Every state the system makes lies on that block; a
     mode of ``s`` off it, which only a state built by hand can hold, is
     dropped, as the mask drops it from every product. The block holds no
-    Nyquist mode under either mask, so the projection's precondition (see
+    Nyquist mode, so the projection's precondition (see
     ``spectral._project``) holds by construction.
 
-    Buffers and multipliers are built once per (grid, use_dealias) and held
-    in a one-entry cache until a step with another grid or mask replaces
-    them; the trapezoidal factors once per (grid, dt, eps, block), in a
-    small cache of their own. Steps share those buffers, and records borrow
-    them between steps, so this function is not thread-safe. The returned
-    State owns its arrays, a fresh half-plane stack with the block
-    scattered in, which is all that a warm step allocates beyond small
-    temporaries.
+    Buffers and multipliers are built once per grid and held in a one-entry
+    cache until a step on another grid replaces them; the trapezoidal
+    factors once per (grid, dt, eps, block), in a small cache of their own.
+    Steps share those buffers, and records borrow them between steps, so
+    this function is not thread-safe. The returned State owns its arrays, a
+    fresh half-plane stack with the block scattered in, which is all that a
+    warm step allocates beyond small temporaries.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
-    st = _stepper(g, use_dealias)
+    st = _stepper(g)
     y = st.load(s)
     linf = st.velocities(y)
     bad = ~np.isfinite(linf)
@@ -667,7 +653,7 @@ def _step(k: int, s: State, cfg: SimConfig) -> State:
     # step k of a run of cfg: imex_step with cfg's settings, whose guard
     # errors carry k
     try:
-        return imex_step(s, cfg.dt, use_dealias=cfg.dealias, cfl_max=cfg.cfl_max)
+        return imex_step(s, cfg.dt, cfl_max=cfg.cfl_max)
     except (CflViolation, NonFiniteState) as exc:
         exc.step = k
         raise
@@ -696,12 +682,12 @@ def simulate(
             result.snapshots.append(s)
 
     if record:
-        series.append(records.make_record(state, cfg.dealias))
+        series.append(records.make_record(state))
     on_snapshot(0, state)
     for k in range(1, nsteps + 1):
         state = _step(k, state, cfg)
         if record and k % cfg.diag_stride == 0:
-            series.append(records.make_record(state, cfg.dealias))
+            series.append(records.make_record(state))
         if k % cfg.snap_stride == 0:
             on_snapshot(k, state)
     return result

@@ -9,10 +9,10 @@ the effective viscous flux, the H1-estimate functionals
     B(t) = A(t) + t ||(grad lap u, grad lap w)||_2^2 + eps ||lap theta||_2^2 + e,
 
 mean/divergence bookkeeping, and the fraction of temperature variance in
-the top third of the active spectral band (an under-resolution flag).
+the top third of the kept band |k|_max <= n/3 (an under-resolution flag).
 
 A record is one batched pass, taken by ``model._Stepper.record_norms`` in
-the stage buffers of the step for the same grid and mask, which sit idle
+the stage buffers of the step for the same grid, which sit idle
 between steps: every L2 norm, seminorm and the tail fraction is a Parseval
 sum, read off one stack of spectral powers reduced against weights built
 once per grid, and every grid norm comes from two batched inverse
@@ -85,20 +85,20 @@ class DiagnosticsSeries:
         return len(self.rows)
 
 
-def make_record(state, use_dealias: bool) -> np.ndarray:
+def make_record(state) -> np.ndarray:
     """Evaluate all observables of one state, as a float64 row in
     ``COLUMNS`` order.
 
     The norms come from one batched pass through the stage buffers of the
-    step for (grid, use_dealias), which sit idle between steps
+    step for the state's grid, which sit idle between steps
     (``model._Stepper.record_norms``): every L2 norm and seminorm, of u, v,
     theta, the pseudo baroclinic velocity w and div u, and the tail
     fraction from one power stack of the spectra reduced against weights
     built once per grid; the 14 grid fields (u, v, theta, the effective
     viscous flux, grad u, grad w) from two batched inverse transforms. So
     a record allocates no array of grid size. Like ``imex_step``, whose
-    buffers it shares, it reads only the block of modes the product mask
-    keeps: a mode off it, which only a state built by hand can hold, is
+    buffers it shares, it reads only the block of modes the two-thirds
+    mask keeps: a mode off it, which only a state built by hand can hold, is
     dropped, as the step drops it. It is not thread-safe. Requires
     mean-zero theta, as w does.
     """
@@ -106,7 +106,7 @@ def make_record(state, use_dealias: bool) -> np.ndarray:
 
     th, t, eps = state.theta, state.t, state.eps
     g = th.grid
-    sums, grid = _stepper(g, use_dealias).record_norms(state)
+    sums, grid = _stepper(g).record_norms(state)
     # rows u, v, theta, w, div u; columns |k|^0, |k|^2, |k|^4, |k|^6, then
     # the tail band
     l2 = g.length / g.n**2 * np.sqrt(sums[:, :4])

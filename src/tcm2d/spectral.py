@@ -9,10 +9,9 @@ hold their own conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
 or k2 = n/2) the sign of a wavenumber is ambiguous, so a multiplier odd in
 it has no grid-consistent value there. The solver carries no Nyquist modes
 (the usual even-n collocation convention): every quadratic product is
-masked, by the two-thirds rule with dealiasing and by
-``Grid.nyquist_free_mask`` without it, and the operators with a multiplier
-odd on those lines (derivatives, ``riesz_double``, ``leray_project``) zero
-them. Differential and singular-integral operators are exact Fourier
+masked by the two-thirds rule, and the operators with a multiplier odd on
+those lines (derivatives, ``riesz_double``, ``leray_project``) zero them.
+Differential and singular-integral operators are exact Fourier
 multipliers:
 
     derivative               i * 2*pi*k/L          (Nyquist lines zeroed)
@@ -77,17 +76,12 @@ class Grid:
         self.ik = 1j * np.stack(np.broadcast_arrays(dx, dy))
         cutoff = n / 3.0
         self.dealias_mask = (np.abs(self.kx_int) <= cutoff) & (np.abs(self.ky_int) <= cutoff)
+        # the modes riesz_double and leray_project keep: all off the Nyquist lines
         self.nyquist_free_mask = (np.abs(self.kx_int) < half) & (self.ky_int < half)
         # Parseval weight of each stored column (see the module docstring)
         self.herm_weight = np.where((self.ky_int == 0) | (self.ky_int == half), 1.0, 2.0)
         self.spec_shape = (n, half + 1)
         self._seminorm_weights = {}
-
-    def product_mask(self, use_dealias: bool) -> np.ndarray:
-        """The mask every quadratic product applies to its factors and to
-        itself: the two-thirds rule with dealiasing, else the Nyquist-free
-        mask. Both zero the Nyquist lines."""
-        return self.dealias_mask if use_dealias else self.nyquist_free_mask
 
     def seminorm_weight(self, order: int) -> np.ndarray:
         """herm_weight * |k|^(2*order), the Parseval weight of the order-th
@@ -275,12 +269,12 @@ def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
     with ``work`` (a's shape and dtype) as scratch. g supplies the
     multipliers kx, ky and inv_k2 on a's modes: a Grid for half-plane
     spectra, or a step's stepper (``model._Stepper``) for the block of
-    modes the product mask keeps.
+    modes the two-thirds mask keeps.
 
     Requires a to hold no Nyquist modes: there the multiplier k k^T / |k|^2
     takes the stored sign of -n/2, and its output would not survive a round
     trip through the grid. A step meets this by construction, since the
-    block holds no Nyquist mode under either mask.
+    block holds no Nyquist mode.
     """
     q, t = work
     np.multiply(g.kx, a[0], out=q)
@@ -314,31 +308,27 @@ def smoothing_inverse(f):
     return SpectralField(g, spec=f.spec / (1.0 + g.k2))
 
 
-def multiply(f: SpectralField, g: SpectralField, use_dealias: bool = False) -> SpectralField:
+def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product in physical space.
 
-    Both factors and the product are passed through
-    ``Grid.product_mask(use_dealias)``: the two-thirds mask, which makes
-    quadratic products alias-free, or without ``use_dealias`` the mask that
-    only drops the Nyquist lines.
+    Both factors and the product are passed through ``Grid.dealias_mask``,
+    the two-thirds rule, which makes quadratic products alias-free.
     """
     n = f.grid.n
-    mask = f.grid.product_mask(use_dealias)
+    mask = f.grid.dealias_mask
     fx, gx = (np.fft.irfft2(np.where(mask, h.spec, 0.0), s=(n, n)) for h in (f, g))
     return SpectralField(f.grid, np.where(mask, np.fft.rfft2(fx * gx), 0.0))
 
 
-def advect(vel: VectorField, f, use_dealias: bool = False):
+def advect(vel: VectorField, f):
     """Advective derivative vel.grad(f) for scalar or vector f.
 
     Quadratic products are formed pointwise in physical space by
     :func:`multiply`, on masked factors, and masked again.
     """
     if isinstance(f, VectorField):
-        return VectorField(advect(vel, f.x, use_dealias), advect(vel, f.y, use_dealias))
-    return multiply(vel.x, derivative(f, "x"), use_dealias) + multiply(
-        vel.y, derivative(f, "y"), use_dealias
-    )
+        return VectorField(advect(vel, f.x), advect(vel, f.y))
+    return multiply(vel.x, derivative(f, "x")) + multiply(vel.y, derivative(f, "y"))
 
 
 def seminorm(f, order: int) -> float:

@@ -6,7 +6,7 @@ import pytest
 import tcm2d as t
 
 
-def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_amp=0.5, dealias=True):
+def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_amp=0.5):
     """Random band-limited state through the public preset path."""
     cfg = t.SimConfig(
         n=n,
@@ -20,7 +20,6 @@ def band_state(n=64, seed=0, lo=1, hi=4, eps=0.1, u_amp=1.0, v_amp=0.5, theta_am
         v_amp=v_amp,
         theta_amp=theta_amp,
         seed=seed,
-        dealias=dealias,
     )
     return t.make_initial(cfg)
 
@@ -41,6 +40,17 @@ def with_nan(s, field):
     if field == "v_x":
         return replace(s, v=t.VectorField(f, s.v.y))
     return replace(s, theta=f)
+
+
+def with_off_block_modes(s, seed):
+    """Copy of state s given, by hand, a coefficient at every mode past n/3
+    of each spectrum, the Nyquist lines included: modes that a step and a
+    record drop."""
+    off = ~s.grid.dealias_mask
+    specs = np.stack([a.spec for a in (*s.u, *s.v, s.theta)])
+    specs[:, off] = np.random.default_rng(seed).standard_normal((5, np.count_nonzero(off))) * (0.1 + 0.1j)
+    f = [t.SpectralField(s.grid, a) for a in specs]
+    return replace(s, u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4])
 
 
 def rel_l2(a, b):

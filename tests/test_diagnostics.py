@@ -8,7 +8,7 @@ import tcm2d as t
 from tcm2d.errors import BadParams, EmptyTrajectory, NonFiniteState
 from tcm2d.spectral import grad_linf
 
-from conftest import band_state, with_nan
+from conftest import band_state, with_nan, with_off_block_modes
 
 
 def zero_run(eps=0.1, T=0.1):
@@ -36,7 +36,7 @@ class TestEnergyIdentity:
         assert abs(res[-1]) < 1e-3
 
 
-def oracle_record(s, use_dealias):
+def oracle_record(s):
     """Every column of a record, field by field from the public operators."""
     g, u, v, th = s.grid, s.u, s.v, s.theta
     w, flux = t.pseudo_baroclinic(s), t.viscous_flux(s)
@@ -47,9 +47,8 @@ def oracle_record(s, use_dealias):
         frob = sum(t.derivative(c, axis).phys ** 2 for c in a for axis in "xy")
         return (np.sum(frob**2) * (g.length / g.n) ** 2) ** 0.25
 
-    active = g.n / 3.0 if use_dealias else g.n / 2.0
     band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-    tail = t.SpectralField(g, np.where(band > 2.0 / 3.0 * active, th.spec, 0.0))
+    tail = t.SpectralField(g, np.where(band > 2.0 / 3.0 * (g.n / 3.0), th.spec, 0.0))
     th_l2 = t.norm(th)
     a_func = sem(th, 1) ** 2 + s.t * (sem(u, 2) ** 2 + sem(w, 2) ** 2) + 1.0
     return dict(
@@ -87,32 +86,30 @@ def oracle_record(s, use_dealias):
     )
 
 
-def masked(s, use_dealias):
-    """Copy of state s with the product mask applied to each spectrum."""
-    mask = s.grid.product_mask(use_dealias)
+def masked(s):
+    """Copy of state s with the two-thirds mask applied to each spectrum."""
+    mask = s.grid.dealias_mask
     f = [t.SpectralField(s.grid, a.spec * mask) for a in (*s.u, *s.v, s.theta)]
     return dataclasses.replace(s, u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4])
 
 
 RECORD_STATES = {
     "band": lambda: band_state(n=32, seed=3),
-    # hi = 15 > n/3: modes off the two-thirds block, which the record drops
-    "beyond_mask": lambda: band_state(n=32, seed=3, hi=15, dealias=False),
+    "beyond_mask": lambda: with_off_block_modes(band_state(n=32, seed=3, hi=10), 3),
     "zero": lambda: band_state(n=32, u_amp=0.0, v_amp=0.0, theta_amp=0.0),
     "eps_at_t": lambda: dataclasses.replace(band_state(n=32, seed=5, eps=0.2), t=0.3),
 }
 
 
 class TestRecordRow:
-    @pytest.mark.parametrize("use_dealias", [True, False])
     @pytest.mark.parametrize("name", sorted(RECORD_STATES))
-    def test_columns_match_public_operators(self, name, use_dealias):
+    def test_columns_match_public_operators(self, name):
         # the record's batched pass against a field-by-field evaluation of
         # the block the mask keeps; each sum may take another order, so
         # roundoff may differ
         s = RECORD_STATES[name]()
-        got = dict(zip(t.COLUMNS, t.make_record(s, use_dealias)))
-        want = oracle_record(masked(s, use_dealias), use_dealias)
+        got = dict(zip(t.COLUMNS, t.make_record(s)))
+        want = oracle_record(masked(s))
         assert set(want) == set(t.COLUMNS)
         for c in t.COLUMNS:
             tol = 1e-13 * abs(want[c]) if abs(want[c]) > 1e-10 else 1e-15
@@ -120,12 +117,12 @@ class TestRecordRow:
 
     def test_warm_record_allocates_little(self):
         # the record works in the step's held buffers: no grid-size array
-        t.make_record(band_state(n=256, seed=35), True)
+        t.make_record(band_state(n=256, seed=35))
         s = band_state(n=256, seed=36)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            t.make_record(s, True)
+            t.make_record(s)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -133,7 +130,7 @@ class TestRecordRow:
 
     def test_row_layout(self):
         s = dataclasses.replace(band_state(n=16, seed=3, hi=4), t=0.25)
-        row = t.make_record(s, True)
+        row = t.make_record(s)
         assert row.dtype == np.float64 and row.shape == (len(t.COLUMNS),)
         assert t.COLUMNS[0] == "t" and row[0] == 0.25
         at = dict(zip(t.COLUMNS, row))
@@ -143,13 +140,13 @@ class TestRecordRow:
         # a float64 row of 31 values and its list slot take about 0.37 KB;
         # an object per record with one attribute per column takes 2.4 KB
         s = band_state(n=8, seed=3, hi=2)
-        t.make_record(s, True)  # build the grid's cached weights outside the measurement
+        t.make_record(s)  # build the grid's cached weights outside the measurement
         series = t.DiagnosticsSeries()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(1000):
-                series.append(t.make_record(s, True))
+                series.append(t.make_record(s))
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

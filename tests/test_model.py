@@ -11,17 +11,17 @@ from tcm2d import model
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.errors import BadParams, CflViolation, NonFiniteState
 from tcm2d.model import _stepper
-from tcm2d.spectral import _project, derivative, multiply
+from tcm2d.spectral import _project, multiply
 
-from conftest import band_state, coords, rel_l2, with_nan
+from conftest import band_state, coords, rel_l2, with_nan, with_off_block_modes
 
 
-def explicit(s, use_dealias):
+def explicit(s):
     """The fused explicit tendency of state s, as fields (nu, nv, ntheta),
     with nu projected as the step projects each stage result. It is written
     over the gathered input, as the second stage does; dt does not enter
     the stage."""
-    st = _stepper(s.grid, use_dealias)
+    st = _stepper(s.grid)
     y = st.load(s)
     y = st.explicit(y, False, y)
     _project(st, y[:2], st.c)
@@ -31,53 +31,24 @@ def explicit(s, use_dealias):
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
 
-def public_tendency(s, use_dealias):
+def public_tendency(s):
     """The same tendency in advective form, term by term from the public
-    operators."""
-    v, dl = s.v, use_dealias
-    vxx, vxy, vyy = multiply(v.x, v.x, dl), multiply(v.x, v.y, dl), multiply(v.y, v.y, dl)
+    operators. Under the two-thirds mask the products carry no aliasing
+    error, so the step's divergence and rotational form must match it to
+    roundoff."""
+    v = s.v
+    vxx, vxy, vyy = multiply(v.x, v.x), multiply(v.x, v.y), multiply(v.y, v.y)
     div_vv = t.VectorField(t.div(t.VectorField(vxx, vxy)), t.div(t.VectorField(vxy, vyy)))
     return (
-        t.leray_project(-1.0 * (t.advect(s.u, s.u, dl) + div_vv)),
-        -1.0 * (t.advect(s.u, v, dl) + t.grad(s.theta) + t.advect(v, s.u, dl)),
-        -1.0 * (t.advect(s.u, s.theta, dl) + t.div(v)),
+        t.leray_project(-1.0 * (t.advect(s.u, s.u) + div_vv)),
+        -1.0 * (t.advect(s.u, v) + t.grad(s.theta) + t.advect(v, s.u)),
+        -1.0 * (t.advect(s.u, s.theta) + t.div(v)),
     )
 
 
-def rotational_tendency(s, use_dealias):
-    """The same tendency in the divergence and rotational form the step
-    evaluates, term by term from the public operators, with
-    curl(a) = d_x a^y - d_y a^x."""
-    u, v, th = s.u, s.v, s.theta
-
-    def mul(a, b):
-        return multiply(a, b, use_dealias)
-
-    def curl(a):
-        return derivative(a.y, "x") - derivative(a.x, "y")
-
-    sxx = mul(u.x, u.x) + mul(v.x, v.x)
-    sxy = mul(u.x, u.y) + mul(v.x, v.y)
-    syy = mul(u.y, u.y) + mul(v.y, v.y)
-    uv = mul(u.x, v.x) + mul(u.y, v.y)
-    rot = t.VectorField(mul(u.y, curl(v)) + mul(v.y, curl(u)), -1.0 * (mul(u.x, curl(v)) + mul(v.x, curl(u))))
-    return (
-        t.leray_project(-1.0 * t.VectorField(t.div(t.VectorField(sxx, sxy)), t.div(t.VectorField(sxy, syy)))),
-        -1.0 * (t.grad(uv + th) - rot),
-        -1.0 * (t.div(t.VectorField(mul(u.x, th), mul(u.y, th))) + t.div(v)),
-    )
-
-
-def reference_tendency(use_dealias):
-    """The reference the fused stage must match to roundoff: under the mask
-    both forms are one alias-free operator; without it their aliasing errors
-    differ, and the step's own form is the reference."""
-    return public_tendency if use_dealias else rotational_tendency
-
-
-def reference_step(s, dt, use_dealias):
+def reference_step(s, dt):
     """The IMEX predictor/corrector rebuilt field by field from the public
-    operators and the reference tendency."""
+    operators and the advective tendency."""
     g = s.grid
 
     def trapezoid(x, n, lam):
@@ -89,9 +60,8 @@ def reference_step(s, dt, use_dealias):
         theta = trapezoid(s.theta, n[2], -s.eps * g.k2)
         return t.State(u=t.leray_project(u), v=v, theta=theta, t=s.t + dt, eps=s.eps)
 
-    tendency = reference_tendency(use_dealias)
-    n0 = tendency(s, use_dealias)
-    n1 = tendency(update(n0), use_dealias)
+    n0 = public_tendency(s)
+    n1 = public_tendency(update(n0))
     return update([0.5 * (a + b) for a, b in zip(n0, n1)])
 
 
@@ -134,27 +104,25 @@ class TestMakeInitial:
     def test_presets_hold_no_modes_outside_the_mask(self, preset):
         # built in the half plane, so no transform roundoff reaches the
         # modes the mask drops, up to the largest band or mode the config
-        # rule lets through under either mask; nor does a step or a twin's
+        # rule lets through, 32 // 3; nor does a step or a twin's
         # perturbation put any there
-        for dealias, kmax in ((True, 10), (False, 15)):
-            cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, eps=0.1, mode_x=kmax, mode_y=-kmax,
-                              band_hi=kmax, dealias=dealias)
-            s = t.make_initial(cfg)
-            states = [s, t.imex_step(s, 1e-3, use_dealias=dealias)]
-            for shape in PERTURBATION_SHAPES:
-                pu, pv, pth = _perturbation(cfg, shape)
-                states.append(replace(s, u=t.leray_project(s.u + pu), v=s.v + pv, theta=s.theta + pth))
-            mask = s.grid.product_mask(dealias)
-            for state in states:
-                assert not any(np.any(a[~mask]) for a in spectra(state)), (dealias, state.t)
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, eps=0.1, mode_x=10, mode_y=-10, band_hi=10)
+        s = t.make_initial(cfg)
+        states = [s, t.imex_step(s, 1e-3)]
+        for shape in PERTURBATION_SHAPES:
+            pu, pv, pth = _perturbation(cfg, shape)
+            states.append(replace(s, u=t.leray_project(s.u + pu), v=s.v + pv, theta=s.theta + pth))
+        mask = s.grid.dealias_mask
+        for state in states:
+            assert not any(np.any(a[~mask]) for a in spectra(state)), state.t
 
     def test_single_mode_rejects_unresolved(self):
         with pytest.raises(BadParams):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=8, mode_y=0)
-        # past 16 // 3, off the two-thirds block, but on the Nyquist-free one
-        with pytest.raises(BadParams, match="dealias=True"):
+        # past 16 // 3, off the two-thirds block
+        with pytest.raises(BadParams, match=r"\|k\| <= 5 for n=16"):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=0, mode_y=-6)
-        t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=0, mode_y=-6, dealias=False)
+        t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="single_mode", mode_x=0, mode_y=-5)
 
     def test_random_band_deterministic(self):
         a = band_state(n=32, seed=5)
@@ -174,9 +142,9 @@ class TestMakeInitial:
     def test_random_band_rejects_bad_band(self):
         with pytest.raises(BadParams):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=8)
-        with pytest.raises(BadParams, match="dealias=True"):
+        with pytest.raises(BadParams, match=r"\|k\| <= 5 for n=16"):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=6)
-        t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=6, dealias=False)
+        t.SimConfig(n=16, dt=1e-3, horizon=0.0, preset="random_band", band_lo=1, band_hi=5)
 
     def test_random_band_grid_independent_function(self):
         # same seed yields the same continuum function at any resolution
@@ -211,6 +179,11 @@ class TestConfigValidation:
         with pytest.raises(BadParams):
             t.SimConfig(n=16, dt=1e-3, horizon=0.0501)
 
+    def test_dealias_must_be_true(self):
+        # the key stays so that every earlier config parses
+        with pytest.raises(BadParams, match="products are always two-thirds dealiased"):
+            t.SimConfig(n=16, dt=1e-3, horizon=0.1, dealias=False)
+
     @pytest.mark.parametrize("field", ["horizon", "u_amp", "dt"])
     def test_non_finite_values(self, field):
         value = np.inf if field == "dt" else np.nan
@@ -226,7 +199,7 @@ class TestRhs:
         g = t.Grid(16)
         zero = t.SpectralField.zeros(g)
         s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=0.0, eps=0.1)
-        nu, nv, nth = explicit(s, True)
+        nu, nv, nth = explicit(s)
         assert t.norm(nu, "L2") == 0.0
         assert t.norm(nv, "L2") == 0.0
         assert t.norm(nth, "L2") == 0.0
@@ -237,7 +210,7 @@ class TestRhs:
         zero = t.SpectralField.zeros(g)
         theta = t.SpectralField.from_phys(g, np.sin(X))
         s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=theta, t=0.0, eps=0.3)
-        nu, nv, nth = explicit(s, True)
+        nu, nv, nth = explicit(s)
         assert_allclose(nv.x.phys, -np.cos(X), atol=1e-12)
         assert t.norm(nv.y, "L2") < 1e-13
         # eps * lap(theta) is implicit, so no explicit temperature tendency
@@ -246,7 +219,7 @@ class TestRhs:
 
     def test_tendency_divergence_free(self):
         s = band_state(n=32, seed=8)
-        nu, _, _ = explicit(s, True)
+        nu, _, _ = explicit(s)
         assert t.norm(t.div(nu), "L2") < 1e-12 * max(t.norm(nu, "L2"), 1.0)
 
     def test_direct_summation_oracle(self):
@@ -302,48 +275,39 @@ class TestRhs:
         u = t.VectorField(t.SpectralField.from_phys(g, u1f(X, Y)), t.SpectralField.from_phys(g, u2f(X, Y)))
         v = t.VectorField(t.SpectralField.from_phys(g, v1f(X, Y)), t.SpectralField.from_phys(g, v2f(X, Y)))
 
-        for use_dealias in (False, True):  # bands are far inside the mask
-            got = t.advect(u, u, use_dealias)
-            assert np.max(np.abs(got.x.phys - adv_uu[:, :, 0])) < 1e-8
-            assert np.max(np.abs(got.y.phys - adv_uu[:, :, 1])) < 1e-8
-            got = t.advect(u, v, use_dealias)
-            assert np.max(np.abs(got.x.phys - adv_uv[:, :, 0])) < 1e-8
-            assert np.max(np.abs(got.y.phys - adv_uv[:, :, 1])) < 1e-8
-            got = t.advect(v, u, use_dealias)
-            assert np.max(np.abs(got.x.phys - adv_vu[:, :, 0])) < 1e-8
-            assert np.max(np.abs(got.y.phys - adv_vu[:, :, 1])) < 1e-8
-            th = t.SpectralField.from_phys(g, thf(X, Y))
-            got = t.advect(u, th, use_dealias)
-            assert np.max(np.abs(got.phys - adv_uth)) < 1e-8
+        # the bands are far inside the mask
+        got = t.advect(u, u)
+        assert np.max(np.abs(got.x.phys - adv_uu[:, :, 0])) < 1e-8
+        assert np.max(np.abs(got.y.phys - adv_uu[:, :, 1])) < 1e-8
+        got = t.advect(u, v)
+        assert np.max(np.abs(got.x.phys - adv_uv[:, :, 0])) < 1e-8
+        assert np.max(np.abs(got.y.phys - adv_uv[:, :, 1])) < 1e-8
+        got = t.advect(v, u)
+        assert np.max(np.abs(got.x.phys - adv_vu[:, :, 0])) < 1e-8
+        assert np.max(np.abs(got.y.phys - adv_vu[:, :, 1])) < 1e-8
+        th = t.SpectralField.from_phys(g, thf(X, Y))
+        got = t.advect(u, th)
+        assert np.max(np.abs(got.phys - adv_uth)) < 1e-8
 
-            # the fused stage: div(v (x) v) through the projected u tendency
-            s = t.State(u=u, v=v, theta=th, t=0.0, eps=0.1)
-            nu, nv, nth = explicit(s, use_dealias)
-            rhs_u = t.VectorField(*(t.SpectralField.from_phys(g, -adv_uu[:, :, i] - div_vv[:, :, i]) for i in (0, 1)))
-            want = t.leray_project(rhs_u)
-            assert np.max(np.abs(nu.x.phys - want.x.phys)) < 1e-8
-            assert np.max(np.abs(nu.y.phys - want.y.phys)) < 1e-8
-            grad_th = (d["thx"](X, Y), d["thy"](X, Y))
-            for i in (0, 1):
-                want = -(adv_uv[:, :, i] + grad_th[i] + adv_vu[:, :, i])
-                assert np.max(np.abs((nv.x, nv.y)[i].phys - want)) < 1e-8
-            div_v = d["v1x"](X, Y) + d["v2y"](X, Y)
-            assert np.max(np.abs(nth.phys + adv_uth + div_v)) < 1e-8
+        # the fused stage: div(v (x) v) through the projected u tendency
+        s = t.State(u=u, v=v, theta=th, t=0.0, eps=0.1)
+        nu, nv, nth = explicit(s)
+        rhs_u = t.VectorField(*(t.SpectralField.from_phys(g, -adv_uu[:, :, i] - div_vv[:, :, i]) for i in (0, 1)))
+        want = t.leray_project(rhs_u)
+        assert np.max(np.abs(nu.x.phys - want.x.phys)) < 1e-8
+        assert np.max(np.abs(nu.y.phys - want.y.phys)) < 1e-8
+        grad_th = (d["thx"](X, Y), d["thy"](X, Y))
+        for i in (0, 1):
+            want = -(adv_uv[:, :, i] + grad_th[i] + adv_vu[:, :, i])
+            assert np.max(np.abs((nv.x, nv.y)[i].phys - want)) < 1e-8
+        div_v = d["v1x"](X, Y) + d["v2y"](X, Y)
+        assert np.max(np.abs(nth.phys + adv_uth + div_v)) < 1e-8
 
-    @pytest.mark.parametrize("use_dealias", [False, True])
-    def test_fused_stage_matches_public_operators(self, use_dealias):
-        # the band's products run past the n/3 mask edge, so both masks act
+    def test_fused_stage_matches_public_operators(self):
+        # the band's products run past the n/3 mask edge, so the mask acts
         s = band_state(n=32, seed=22, hi=10)
-        want = reference_tendency(use_dealias)(s, use_dealias)
-        for got, ref in zip(explicit(s, use_dealias), want):
+        for got, ref in zip(explicit(s), public_tendency(s)):
             assert rel_l2(got, ref) < 1e-12
-
-    def test_unaliased_stage_matches_advective_form(self):
-        # modes up to 7 at n = 32: no product reaches the Nyquist line, so
-        # without the mask the two forms still agree to roundoff
-        s = band_state(n=32, seed=22, hi=7)
-        for got, want in zip(explicit(s, False), public_tendency(s, False)):
-            assert rel_l2(got, want) < 1e-12
 
 
 class TestImexStep:
@@ -384,12 +348,11 @@ class TestImexStep:
                 s = t.imex_step(s, 1e-3)
         assert info.value.t <= 1e-3
 
-    @pytest.mark.parametrize("use_dealias", [False, True])
-    def test_multi_step_matches_public_operators(self, use_dealias):
+    def test_multi_step_matches_public_operators(self):
         s = ref = band_state(n=32, seed=23, hi=10)
         for _ in range(5):
-            s = t.imex_step(s, 1e-3, use_dealias=use_dealias)
-            ref = reference_step(ref, 1e-3, use_dealias)
+            s = t.imex_step(s, 1e-3)
+            ref = reference_step(ref, 1e-3)
         for got, want in ((s.u, ref.u), (s.v, ref.v), (s.theta, ref.theta)):
             assert rel_l2(got, want) < 1e-12
 
@@ -421,22 +384,17 @@ class TestLayout:
     """A step works on the block the mask keeps: a mode of a hand-built state
     off the block is dropped, as the mask drops it from every product."""
 
-    @pytest.mark.parametrize("use_dealias", [True, False])
-    def test_off_block_modes_are_dropped(self, use_dealias):
-        # hi = 15 > n/3 puts content outside the two-thirds block, and a
-        # theta coefficient on the Nyquist row lies outside either block
-        s = band_state(n=32, seed=25, hi=15, dealias=False)
+    def test_off_block_modes_are_dropped(self):
+        s = with_off_block_modes(band_state(n=32, seed=25, hi=10), 25)
         g = s.grid
         specs = np.stack(spectra(s))
-        specs[4, 16, 3] = 0.5
-        mask = g.product_mask(use_dealias)
 
         def step(y):
             f = [t.SpectralField(g, spec=c) for c in y]
             state = t.State(u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4], t=0.0, eps=s.eps)
-            return np.stack(spectra(t.imex_step(state, 1e-3, use_dealias=use_dealias)))
+            return np.stack(spectra(t.imex_step(state, 1e-3)))
 
-        assert np.array_equal(step(specs), step(specs * mask))
+        assert np.array_equal(step(specs), step(specs * g.dealias_mask))
 
 
 class TestStepCache:
@@ -460,20 +418,19 @@ class TestStepCache:
             assert all(np.array_equal(x, y) for x, y in zip(want, spectra(b)))
 
     def test_interleaved_keys_match_separate_runs(self):
-        # every pair of runs differs in one key: eps, dt, dealias or grid
-        runs = [(band_state(n=32, seed=32, eps=eps, hi=10), dt, dealias)
-                for eps, dt, dealias in ((0.1, 1e-3, True), (0.0, 1e-3, True), (0.1, 2e-3, True), (0.1, 1e-3, False))]
-        runs.append((band_state(n=16, seed=32), 1e-3, True))
+        # every pair of runs differs in one key: eps, dt or grid
+        runs = [(band_state(n=32, seed=32, eps=eps, hi=10), dt) for eps, dt in ((0.1, 1e-3), (0.0, 1e-3), (0.1, 2e-3))]
+        runs.append((band_state(n=16, seed=32), 1e-3))
         evict = band_state(n=8, seed=32, hi=2)
         separate = []
-        for s, dt, dealias in runs:
+        for s, dt in runs:
             t.imex_step(evict, 1e-3)  # each run starts with no cached stepper of its own
             for _ in range(3):
-                s = t.imex_step(s, dt, use_dealias=dealias)
+                s = t.imex_step(s, dt)
             separate.append(s)
-        states = [s for s, _, _ in runs]
+        states = [s for s, _ in runs]
         for _ in range(3):
-            states = [t.imex_step(s, dt, use_dealias=dealias) for s, (_, dt, dealias) in zip(states, runs)]
+            states = [t.imex_step(s, dt) for s, (_, dt) in zip(states, runs)]
         for a, b in zip(states, separate):
             assert same_state(a, b)
 
@@ -516,7 +473,7 @@ class TestStepCache:
     def test_held_inverse_equals_irfft2(self, n, fields):
         # the step's batches: theta and the curls, u and v, all seven; over
         # every column and on any spectrum (Nyquist lines and content beyond
-        # either mask included), in place
+        # the mask included), in place
         rng = np.random.default_rng(n + fields)
         a = np.fft.rfft2(rng.standard_normal((fields, n, n)))
         want = np.fft.irfft2(a, s=(n, n))
@@ -527,29 +484,27 @@ class TestStepCache:
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
     def test_pruned_inverse_equals_irfft2(self, n, fields):
-        # the complex pass pruned to the columns each mask keeps, on masked
+        # the complex pass pruned to the columns the mask keeps, on masked
         # spectra, in place, as the stages and the CFL check take it
         rng = np.random.default_rng(n + fields)
-        for use_dealias in (True, False):
-            st = _stepper(t.Grid(n), use_dealias)
-            a = np.fft.rfft2(rng.standard_normal((fields, n, n))) * st.g.product_mask(use_dealias)
-            want = np.fft.irfft2(a, s=(n, n))
-            out = np.empty((fields, n, n))
-            model._irfft2(a, out, st.cols)
-            assert np.array_equal(out, want)
+        st = _stepper(t.Grid(n))
+        a = np.fft.rfft2(rng.standard_normal((fields, n, n))) * st.g.dealias_mask
+        want = np.fft.irfft2(a, s=(n, n))
+        out = np.empty((fields, n, n))
+        model._irfft2(a, out, st.cols)
+        assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
     def test_pruned_forward_equals_masked_rfft2(self, n, fields):
         rng = np.random.default_rng(n + fields)
         x = rng.standard_normal((fields, n, n))
-        for use_dealias in (True, False):
-            st = _stepper(t.Grid(n), use_dealias)
-            mask = st.g.product_mask(use_dealias)
-            q = np.empty((fields, *st.g.spec_shape), dtype=np.complex128)
-            model._rfft2(x, q, st.cols)
-            q *= mask
-            assert np.array_equal(q, np.fft.rfft2(x) * mask)
+        st = _stepper(t.Grid(n))
+        mask = st.g.dealias_mask
+        q = np.empty((fields, *st.g.spec_shape), dtype=np.complex128)
+        model._rfft2(x, q, st.cols)
+        q *= mask
+        assert np.array_equal(q, np.fft.rfft2(x) * mask)
 
 
 class TestSimulate:
@@ -698,15 +653,14 @@ class TestTransformBudget:
         spec = low.u.x.spec.copy()
         spec[16, 3] = 1.0  # the row |k1| = n/2
         nyquist = replace(low, u=t.VectorField(t.SpectralField(low.grid, spec), low.u.y))
-        rows = [("low", low, True), ("low", low, False), ("nyquist", nyquist, False)]
         # the step takes each inverse transform as ifftn along axis -2 and
         # then irfft along axis -1, and each forward one as rfft along axis
         # -1 and then fftn along axis -2, so each field counts once
-        for name, s, use_dealias in rows:
-            counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3, use_dealias=use_dealias))
-            assert counts == {"fftn": 14, "ifftn": 14}, (name, use_dealias)
+        for name, s in (("low", low), ("nyquist", nyquist)):
+            counts = self.count(monkeypatch, lambda: t.imex_step(s, 1e-3))
+            assert counts == {"fftn": 14, "ifftn": 14}, name
 
     def test_record(self, monkeypatch):
         s = t.imex_step(band_state(n=32, seed=24), 1e-3)
-        counts = self.count(monkeypatch, lambda: t.make_record(s, True))
+        counts = self.count(monkeypatch, lambda: t.make_record(s))
         assert counts == {"ifftn": 14}

@@ -156,28 +156,14 @@ class TestSnapshots:
         spec = np.frombuffer(raw, dtype="<c16").reshape(5, 16, 9)
         assert np.array_equal(np.fft.irfft2(spec[4], s=(16, 16)), s.theta.phys)
 
-    def test_undealiased_run_roundtrips(self, tmp_path):
-        # without dealiasing the state still carries no Nyquist modes; the
-        # snapshot holds its spectra, so it reads back exactly
-        cfg = t.SimConfig(
-            n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=15, dealias=False, snap_stride=20
-        )
-        final = t.simulate(cfg).snapshots[-1]
-        storage.write_state_snapshot(str(tmp_path), final, 20)
-        back = storage.read_state_snapshot(str(tmp_path), 20)
-        assert same_spectra(back, final)
-
-    @pytest.mark.parametrize("dealias", [True, False])
-    def test_read_back_state_steps_bit_for_bit(self, tmp_path, dealias):
+    def test_read_back_state_steps_bit_for_bit(self, tmp_path):
         # band_hi = 10 = n // 3, the largest band on the two-thirds block
-        cfg = t.SimConfig(
-            n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=10, dealias=dealias, snap_stride=10
-        )
+        cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.02, preset="random_band", eps=0.1, band_hi=10, snap_stride=10)
         stepped = t.simulate(cfg).snapshots[-1]
         storage.write_state_snapshot(str(tmp_path), stepped, 20)
         back = storage.read_state_snapshot(str(tmp_path), 20)
         assert same_spectra(back, stepped) and back.t == stepped.t and back.eps == stepped.eps
-        assert same_spectra(t.imex_step(back, cfg.dt, use_dealias=dealias), t.imex_step(stepped, cfg.dt, use_dealias=dealias))
+        assert same_spectra(t.imex_step(back, cfg.dt), t.imex_step(stepped, cfg.dt))
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -527,25 +513,13 @@ class TestCliCheck:
                         on_disk.add(rel)
             assert listed == on_disk, out
 
-    def test_undealiased_run_passes_divergence_free(self, tmp_path, capsys):
-        # band_hi = 20 puts product content on the Nyquist lines
-        text = open(SAMPLE_CFG).read()
-        for old, new in (("dealias = true", "dealias = false"), ("band_hi = 4", "band_hi = 20"), ("horizon = 1.0", "horizon = 0.2")):
-            assert old in text
-            text = text.replace(old, new)
-        cfg = write_cfg(tmp_path, text)
-        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert "PASS divergence_free" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("dealias", ["true", "false"])
     @pytest.mark.parametrize("n, horizon, amplitude", [(32, "0.1", "1.0"), (64, "0.3", "1.0"), (32, "0.1", "0.0")])
-    def test_single_mode_passes_divergence_free(self, tmp_path, capsys, n, horizon, amplitude, dealias):
+    def test_single_mode_passes_divergence_free(self, tmp_path, capsys, n, horizon, amplitude):
         # u stays at roundoff size, so ||div u||_2 / ||u||_H1 is a ratio of
         # two roundoff residues (about 0.99); the gate measures div u against
         # the initial state's size there, and an all-zero state passes
         text = open(SAMPLE_CFG).read()
         for old, new in (("n = 64", f"n = {n}"), ("horizon = 1.0", f"horizon = {horizon}"),
-                         ("dealias = true", f"dealias = {dealias}"),
                          ("preset = random_band", f"preset = single_mode\namplitude = {amplitude}"),
                          ("diag_stride = 2", "diag_stride = 1")):
             assert old in text
@@ -818,7 +792,7 @@ class TestGuardMatrix:
 
     @pytest.mark.parametrize("strides", [(1, 1), (50, 1), (1, 50)], ids=lambda s: f"strides{s[0]}-{s[1]}")
     @pytest.mark.parametrize("steps", [0, 1, 2])
-    @pytest.mark.parametrize("dealias", ["true", "false"])
+    @pytest.mark.parametrize("dealias", ["true"])
     @pytest.mark.parametrize("preset", PRESETS)
     def test_commands(self, tmp_path, capsys, preset, dealias, steps, strides):
         cfg = write_cfg(tmp_path, guard_cfg(preset, dealias, steps, *strides))
@@ -855,14 +829,18 @@ class TestGuardMatrix:
         assert run_cli(capsys, [command, "--config", bad, "--out", out])[::2] == (2, "ConfigParseError")
         assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
 
-    @pytest.mark.parametrize("init", ["preset = random_band\nband_hi = 6", "preset = single_mode\nmode_x = 6"])
-    def test_past_two_thirds_runs_without_dealias(self, tmp_path, capsys, init):
-        # |k| = 6 lies past the two-thirds mask at n = 16 but inside the
-        # Nyquist-free one, up to 16 // 2 - 1 = 7
-        cfg = write_cfg(tmp_path, guard_cfg(dealias="false", edit=(("preset = taylor_green", init),)))
-        out = str(tmp_path / "o")
-        assert run_cli(capsys, ["run", "--config", cfg, "--out", out])[0] == 0
-        assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
+    def test_dealias_false_is_refused(self, tmp_path, capsys):
+        # products are always two-thirds dealiased; the key stays so that
+        # every earlier config parses
+        cfg = write_cfg(tmp_path, guard_cfg(dealias="false"))
+        for argv in (["run", "--config", cfg], ["check", "--config", cfg], ["sweep-eps", "--config", cfg, "--levels", "0.1"],
+                     ["twin", "--config", cfg]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("TCM-ERROR "), (argv, lines)
+            error = json.loads(lines[0].split(" ", 1)[1])
+            assert error["error"] == "ConfigParseError" and "always two-thirds dealiased" in error["detail"], argv
+        assert not os.path.exists(tmp_path / "o")
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = random_band"),)))
@@ -926,6 +904,9 @@ RUN_DIR_EDITS = st.lists(
         # (what to change in the manifest, which entry)
         st.tuples(st.just("manifest"), st.sampled_from(["drop", "path", "sha256", "format", "extra"]),
                   st.integers(0, 7)),
+        # a diagnostics row dropped, a row's energy scaled up to 1e308, a
+        # snapshot removed from the directory and the manifest
+        st.tuples(st.sampled_from(["drop_row", "huge_energy", "drop_snapshot"]), st.integers(0, 4)),
     ),
     min_size=1,
     max_size=3,
@@ -945,9 +926,10 @@ def _edit_header(data: bytes, key: str, value) -> bytes:
 
 
 def _mutate_run_dir(run: str, edits) -> None:
-    """Apply the header and cell edits, list every file's new checksum, then
-    apply the manifest edits."""
+    """Apply the header, cell and row edits, drop the snapshots to drop,
+    list every remaining file's new checksum, then apply the manifest edits."""
     snapshots = os.path.join(run, storage.SNAPSHOT_DIR)
+    diagnostics = os.path.join(run, "diagnostics.csv")
     for kind, *args in edits:
         if kind == "header":
             index, key, value = args
@@ -956,20 +938,30 @@ def _mutate_run_dir(run: str, edits) -> None:
                 data = _edit_header(fh.read(), key, value)
             with open(path, "wb") as fh:
                 fh.write(data)
-        elif kind == "cell":
-            row, column, value = args
-            path = os.path.join(run, "diagnostics.csv")
-            with open(path) as fh:
+        elif kind in ("cell", "drop_row", "huge_energy"):
+            with open(diagnostics) as fh:
                 lines = fh.read().split("\n")
-            cells = lines[row].split(",")
-            cells[column] = value
-            lines[row] = ",".join(cells)
-            with open(path, "w") as fh:
+            if kind == "cell":
+                row, column, value = args
+            else:  # a data row, if any is left
+                row, column, value = 1 + args[0] % max(len(lines) - 2, 1), t.COLUMNS.index("energy"), "1e308"
+            if kind == "drop_row":
+                del lines[row]
+            elif row < len(lines) - 1:  # a row that no edit dropped
+                cells = lines[row].split(",")
+                cells[column] = value
+                lines[row] = ",".join(cells)
+            with open(diagnostics, "w") as fh:
                 fh.write("\n".join(lines))
+    for kind, *args in edits:
+        if kind == "drop_snapshot":
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(snapshots, f"step_{args[0]:08d}.bin"))
     manifest_path = os.path.join(run, storage.MANIFEST_NAME)
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     files = manifest["files"]
+    files[:] = [entry for entry in files if os.path.exists(os.path.join(run, entry["path"]))]
     for entry in files:
         with open(os.path.join(run, entry["path"]), "rb") as fh:
             entry["sha256"] = hashlib.sha256(fh.read()).hexdigest()
@@ -985,9 +977,9 @@ def _mutate_run_dir(run: str, edits) -> None:
             files[i % len(files)]["sha256"] = "0" * 64
         elif change == "format":
             manifest["format"] = "TCM1"
-        elif change == "extra":
-            # another step's snapshot, listed with its true checksum
-            with open(os.path.join(snapshots, f"step_{i % 5:08d}.bin"), "rb") as fh:
+        elif change == "extra" and os.path.exists(source := os.path.join(snapshots, f"step_{i % 5:08d}.bin")):
+            # another step's snapshot, one no edit dropped, listed with its true checksum
+            with open(source, "rb") as fh:
                 data = fh.read()
             with open(os.path.join(snapshots, "step_00000009.bin"), "wb") as fh:
                 fh.write(data)
@@ -1022,10 +1014,32 @@ class TestMutatedRunDir:
             _mutate_run_dir(run, edits)
             with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main(["check", "--run-dir", run])
-        err = err.getvalue()
-        assert code in (0, 2, 3, 4, 5), (edits, code, err)
-        assert sum(line.startswith("TCM-ERROR ") for line in err.splitlines()) == (code != 0), (edits, err)
-        assert "Traceback" not in out.getvalue() + err, edits
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4, 5), (edits, code, lines)
+        assert len(lines) == (code != 0) and all(line.startswith("TCM-ERROR ") for line in lines), (edits, lines)
+        assert "Traceback" not in out.getvalue(), edits
+        kinds = {kind for kind, *_ in edits}
+        if kinds & {"drop_row", "huge_energy", "drop_snapshot"}:
+            # the directory no longer holds what its config.cfg makes; only a
+            # manifest that fails its own check stops check earlier
+            assert code == 2 or (code == 4 and "manifest" in kinds), (edits, code, lines)
+
+    @pytest.mark.parametrize("edit, file", [(("huge_energy", 0), "diagnostics.csv"),
+                                            (("drop_row", 4), "diagnostics.csv"),
+                                            (("drop_snapshot", 4), "manifest.json")],
+                             ids=["first_energy_1e308", "last_row_dropped", "final_snapshot_dropped"])
+    def test_run_dir_that_disagrees_with_config(self, mutation_base, tmp_path, edit, file):
+        # each a directory whose files agree with the manifest, but not with
+        # the run that config.cfg makes
+        run = str(tmp_path / "run")
+        shutil.copytree(mutation_base, run)
+        _mutate_run_dir(run, [edit])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["check", "--run-dir", run])
+        lines = err.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("TCM-ERROR "), lines
+        error = json.loads(lines[0].split(" ", 1)[1])
+        assert error["error"] == "ConfigParseError" and os.path.join(run, file) in error["detail"], error
 
     @pytest.mark.parametrize("index, key, value", [(4, "eps", "0.3"), (2, "L", "3"), (3, "t", "0.0061"), (4, "n", None)])
     def test_header_that_disagrees_with_config(self, mutation_base, tmp_path, index, key, value):
