@@ -792,20 +792,33 @@ class TestGuardMatrix:
 
     @pytest.mark.parametrize("strides", [(1, 1), (50, 1), (1, 50)], ids=lambda s: f"strides{s[0]}-{s[1]}")
     @pytest.mark.parametrize("steps", [0, 1, 2])
-    @pytest.mark.parametrize("dealias", ["true"])
+    @pytest.mark.parametrize("dealias", ["true", "false"])
     @pytest.mark.parametrize("preset", PRESETS)
     def test_commands(self, tmp_path, capsys, preset, dealias, steps, strides):
         cfg = write_cfg(tmp_path, guard_cfg(preset, dealias, steps, *strides))
         run, chk = str(tmp_path / "run"), str(tmp_path / "chk")
         records = 1 + steps // strides[0]
+        later = [["sweep-eps", "--config", cfg, "--levels", "0.1,0", "--out", str(tmp_path / "sw")]]
+        later += [["twin", "--config", cfg, "--shape", shape, "--out", str(tmp_path / "tw")] for shape in PERTURBATION_SHAPES]
+        if dealias == "false":
+            # products are always two-thirds dealiased; the key stays so that
+            # every earlier config parses, and every command refuses false
+            # before it writes anything
+            for argv in (["run", "--config", cfg, "--out", run], ["check", "--config", cfg, "--out", chk], *later):
+                assert main(argv) == 2
+                lines = capsys.readouterr().err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("TCM-ERROR "), (argv, lines)
+                error = json.loads(lines[0].split(" ", 1)[1])
+                assert error["error"] == "ConfigParseError" and "always two-thirds dealiased" in error["detail"], argv
+            assert os.listdir(tmp_path) == ["run.cfg"]
+            return
         assert run_cli(capsys, ["run", "--config", cfg, "--out", run])[0] == 0
         for argv in (["check", "--run-dir", run], ["check", "--config", cfg, "--out", chk]):
             code, out, _ = run_cli(capsys, argv)
             assert code == 0, out
             assert ("INFO gronwall_envelope value=nan (need >= 2 records)" in out) == (records < 2)
-        run_cli(capsys, ["sweep-eps", "--config", cfg, "--levels", "0.1,0", "--out", str(tmp_path / "sw")])
-        for shape in PERTURBATION_SHAPES:
-            run_cli(capsys, ["twin", "--config", cfg, "--shape", shape, "--out", str(tmp_path / "tw")])
+        for argv in later:
+            run_cli(capsys, argv)
 
     @pytest.mark.parametrize("command", ["run", "check"])
     @pytest.mark.parametrize(
@@ -828,19 +841,6 @@ class TestGuardMatrix:
         bad = write_cfg(tmp_path, guard_cfg(edit=edit), "bad.cfg")
         assert run_cli(capsys, [command, "--config", bad, "--out", out])[::2] == (2, "ConfigParseError")
         assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
-
-    def test_dealias_false_is_refused(self, tmp_path, capsys):
-        # products are always two-thirds dealiased; the key stays so that
-        # every earlier config parses
-        cfg = write_cfg(tmp_path, guard_cfg(dealias="false"))
-        for argv in (["run", "--config", cfg], ["check", "--config", cfg], ["sweep-eps", "--config", cfg, "--levels", "0.1"],
-                     ["twin", "--config", cfg]):
-            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
-            lines = capsys.readouterr().err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("TCM-ERROR "), (argv, lines)
-            error = json.loads(lines[0].split(" ", 1)[1])
-            assert error["error"] == "ConfigParseError" and "always two-thirds dealiased" in error["detail"], argv
-        assert not os.path.exists(tmp_path / "o")
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = random_band"),)))
