@@ -9,7 +9,7 @@
 Exit codes: 0 success, 2 config error or malformed input file, 3 numerical
 guard (CFL or non-finite state), 4 I/O or an untrusted run directory (a
 missing, tampered or malformed manifest, or one of another snapshot format
-such as TCM1), 5 check failure. A package error's code is its class's
+such as TCM2 or TCM1), 5 check failure. A package error's code is its class's
 ``exit_code`` (see ``errors``); a usage error (a missing or malformed
 argument) is a ``ConfigParseError``. Failures print a single
 machine-readable line ``TCM-ERROR {...}`` to stderr.
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -31,7 +32,7 @@ from . import __version__, config as config_mod, diagnostics, gronwall, storage
 from .errors import ConfigParseError, TcmError
 from .derived import residual_flux_equation, residual_phi_equation, residual_w_equation
 from .model import SimConfig, simulate
-from .records import DiagnosticsSeries
+from .records import COLUMNS, DiagnosticsSeries
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -49,6 +50,8 @@ ENERGY_MONOTONE_RTOL = 1e-10
 SNAPSHOT_T_RTOL = 1e-9
 #: a record's energy is (u_l2^2 + v_l2^2 + theta_l2^2) / 2, the same float from its 17-digit cells
 ENERGY_ROW_RTOL = 1e-12
+#: a record's A and B are make_record's sums of its norms, t and eps, the same floats from its 17-digit cells
+FUNCTIONAL_ROW_RTOL = 1e-12
 
 
 def _machine_error(kind: str, detail: str, **extra) -> None:
@@ -82,9 +85,10 @@ def _resolve_outdir(args, cfg: SimConfig, default: str) -> str:
 def _run_to_dir(cfg: SimConfig, text: str, run_dir: str):
     """Simulate the run into ``run_dir``: each snapshot is written as it is
     produced and then dropped; the config, the diagnostics and the manifest
-    follow. An earlier manifest is removed first, so a run that fails
-    part-way leaves none, and snapshot files this run did not write are
-    removed before the new one is written.
+    follow, the manifest listing the checksum each writer returned. An
+    earlier manifest is removed first, so a run that fails part-way leaves
+    none, and snapshot files this run did not write are removed before the
+    new one is written.
 
     Returns (result, number of snapshots written).
     """
@@ -92,22 +96,19 @@ def _run_to_dir(cfg: SimConfig, text: str, run_dir: str):
         os.remove(os.path.join(run_dir, storage.MANIFEST_NAME))
     started = time.time()
     snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
-    files = []
+    files = {}  # path -> the SHA-256 of the bytes its writer wrote
 
     def write(step, state):
-        files.append(storage.write_state_snapshot(snap_dir, state, step))
+        path, digest = storage.write_state_snapshot(snap_dir, state, step)
+        files[path] = digest
 
     result = simulate(cfg, on_snapshot=write)
     storage.remove_stale_snapshots(snap_dir, files)
     count = len(files)
     cfg_path = os.path.join(run_dir, "config.cfg")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    files.append(cfg_path)
-
+    files[cfg_path] = storage.write_text(cfg_path, text)
     diag_path = os.path.join(run_dir, "diagnostics.csv")
-    storage.write_diagnostics_csv(diag_path, result.diagnostics)
-    files.append(diag_path)
+    files[diag_path] = storage.write_diagnostics_csv(diag_path, result.diagnostics)
     storage.write_manifest(run_dir, text, __version__, started, files)
     return result, count
 
@@ -189,22 +190,41 @@ def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
 
 
 def _check_series(path, series: DiagnosticsSeries, cfg: SimConfig) -> None:
-    """A run of ``cfg`` records num_steps // diag_stride + 1 rows, row k at
-    t = k * diag_stride * dt within SNAPSHOT_T_RTOL, each with the energy of
-    its norms within ENERGY_ROW_RTOL; else ConfigParseError names the row."""
+    """A run of ``cfg`` records num_steps // diag_stride + 1 rows of finite
+    cells, row k at t = k * diag_stride * dt within SNAPSHOT_T_RTOL, each
+    with the energy of its norms within ENERGY_ROW_RTOL and the functionals
+    A and B of its norms, t and cfg.eps within FUNCTIONAL_ROW_RTOL; else
+    ConfigParseError names the row."""
     rows = cfg.num_steps() // cfg.diag_stride + 1
     if len(series) != rows:
         raise ConfigParseError(f"{path}: {len(series)} data rows, but config.cfg makes {rows} records")
-    t, energy, want_t = series.times, series.col("energy"), np.arange(rows) * cfg.diag_stride * cfg.dt
-    # a huge or infinite norm gives an infinite or NaN energy, which no record has
+    table = np.array(series.rows)
+    if not np.isfinite(table).all():
+        k, c = np.argwhere(~np.isfinite(table))[0]
+        raise ConfigParseError(f"{path}: data row {k + 1}: {COLUMNS[c]}={table[k, c]:.17g}, "
+                               "but every cell of a record is finite")
+    col = dict(zip(COLUMNS, table.T))
+    t = col["t"]
+    # the run's t, and records.make_record's formulas in its order of
+    # operations; a huge norm gives an infinite or NaN value, which no
+    # record has
     with np.errstate(over="ignore", invalid="ignore"):
-        want_e = 0.5 * (series.col("u_l2") ** 2 + series.col("v_l2") ** 2 + series.col("theta_l2") ** 2)
-        ok = np.isfinite(want_e) & (np.abs(energy - want_e) <= ENERGY_ROW_RTOL * want_e)
-    ok &= np.abs(t - want_t) <= SNAPSHOT_T_RTOL * want_t
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ConfigParseError(f"{path}: data row {k + 1}: t={t[k]:.17g}, energy={energy[k]:.17g}, but the run has "
-                               f"t={want_t[k]:.17g} and energy (u_l2^2 + v_l2^2 + theta_l2^2) / 2 = {want_e[k]:.17g}")
+        wants = (
+            ("t", np.arange(rows) * cfg.diag_stride * cfg.dt, SNAPSHOT_T_RTOL, "step * dt"),
+            ("energy", 0.5 * (col["u_l2"] ** 2 + col["v_l2"] ** 2 + col["theta_l2"] ** 2), ENERGY_ROW_RTOL,
+             "(u_l2^2 + v_l2^2 + theta_l2^2) / 2"),
+            ("a_func", col["grad_theta_l2"] ** 2 + t * (col["lap_u_l2"] ** 2 + col["lap_w_l2"] ** 2) + 1.0,
+             FUNCTIONAL_ROW_RTOL, "grad_theta_l2^2 + t (lap_u_l2^2 + lap_w_l2^2) + 1"),
+            ("b_func", col["a_func"] + t * (col["grad_lap_u_l2"] ** 2 + col["grad_lap_w_l2"] ** 2)
+             + cfg.eps * col["lap_theta_l2"] ** 2 + np.e, FUNCTIONAL_ROW_RTOL,
+             "a_func + t (grad_lap_u_l2^2 + grad_lap_w_l2^2) + eps lap_theta_l2^2 + e"),
+        )
+        for name, want, rtol, formula in wants:
+            ok = np.isfinite(want) & (np.abs(col[name] - want) <= rtol * np.abs(want))
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise ConfigParseError(f"{path}: data row {k + 1}: {name}={col[name][k]:.17g}, but the run has "
+                                       f"{formula} = {want[k]:.17g}")
 
 
 def _mid_window(snaps):
@@ -243,10 +263,12 @@ def run_checks(
 
     # ||div u||_2 / max(||u||_H1, floor), which is div_u_rel wherever
     # ||u||_H1 reaches the floor, a fraction of the initial state's L2 size
-    # sqrt(2 E(0)), taken as 2 sqrt(E(0) / 2): the same float, and no overflow
+    # sqrt(2 E(0)), taken as 2 sqrt(E(0) / 2): the same float, and no
+    # overflow; a ratio to the floor that overflows is past 1
     u_h1 = np.hypot(series.col("u_l2"), series.col("grad_u_l2"))
     floor = DIV_FREE_FLOOR * (2.0 * np.sqrt(0.5 * series.col("energy")[0]))
-    div_max = np.max(series.col("div_u_rel") * (np.minimum(1.0, u_h1 / floor) if floor > 0 else 1.0))
+    with np.errstate(over="ignore"):
+        div_max = np.max(series.col("div_u_rel") * (np.minimum(1.0, u_h1 / floor) if floor > 0 else 1.0))
     detail = f"||div u||_2 / max(||u||_H1, {DIV_FREE_FLOOR} sqrt(2 E(0))), limit {DIV_FREE_RTOL}"
     gated.append(("divergence_free", div_max <= DIV_FREE_RTOL, div_max, detail))
 
@@ -498,4 +520,8 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    # every object now alive, the import graph included, goes to the
+    # permanent generation, so interpreter shutdown does not collect it
+    gc.freeze()
+    raise SystemExit(code)

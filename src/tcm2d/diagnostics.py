@@ -77,15 +77,17 @@ def h1_temperature_functionals(series: DiagnosticsSeries) -> gronwall.GronwallSe
     fitted value.
     """
     t = series.times
-    alpha = (t + 1.0) * (series.col("uv_linf") ** 2 + series.col("grad_u_linf") + 1.0)
-    beta = (t + 1.0) * (
-        series.col("grad_u_l4") ** 4
-        + series.col("grad_w_l4") ** 4
-        + series.col("theta_l4") ** 4
-        + series.col("grad_v_l2") ** 2
-        + series.col("lap_u_l2") ** 2
-        + series.col("lap_w_l2") ** 2
-    )
+    # a huge norm gives an infinite alpha or beta, which GronwallSeries rejects
+    with np.errstate(over="ignore"):
+        alpha = (t + 1.0) * (series.col("uv_linf") ** 2 + series.col("grad_u_linf") + 1.0)
+        beta = (t + 1.0) * (
+            series.col("grad_u_l4") ** 4
+            + series.col("grad_w_l4") ** 4
+            + series.col("theta_l4") ** 4
+            + series.col("grad_v_l2") ** 2
+            + series.col("lap_u_l2") ** 2
+            + series.col("lap_w_l2") ** 2
+        )
     return gronwall.GronwallSeries(
         times=t, A=series.col("a_func"), B=series.col("b_func"), alpha=alpha, beta=beta, K=1.0
     )

@@ -121,7 +121,9 @@ def verify_hypothesis(g: GronwallSeries, tol: float = DEFAULT_TOL) -> Hypothesis
     dA = a_prime(g)
     logB = np.log(g.B)
     margins = g.K * (g.alpha + logB) * g.A + g.beta - (dA + g.B)
-    scale = g.K * (1.0 + g.alpha) * (g.A + np.abs(logB) * g.A) + g.beta + np.abs(dA) + g.B
+    # a scale that overflows is infinite: every margin at that sample passes
+    with np.errstate(over="ignore"):
+        scale = g.K * (1.0 + g.alpha) * (g.A + np.abs(logB) * g.A) + g.beta + np.abs(dA) + g.B
     return HypothesisReport(margins=margins, scale=scale, holds=bool(np.all(margins >= -tol * scale)))
 
 
@@ -174,7 +176,9 @@ def fit_min_k(times, A, B, alpha, beta) -> FitResult:
     """
     g = GronwallSeries(times=times, A=A, B=B, alpha=alpha, beta=beta, K=1.0)
     num = a_prime(g) + g.B - g.beta
-    den = (g.alpha + np.log(g.B)) * g.A
+    # a denominator that overflows is infinite, and its sample needs no K
+    with np.errstate(over="ignore"):
+        den = (g.alpha + np.log(g.B)) * g.A
     need = num > 0.0
     if np.any(need & (den <= 0.0)):
         idx = int(np.flatnonzero(need & (den <= 0.0))[0])

@@ -32,14 +32,15 @@ Every factor and product is masked by the two-thirds rule
 the range of the Leray projection, and the products carry no aliasing
 error, so both forms give one discrete operator to roundoff.
 
-Layout. The mask keeps exactly one block of the half plane: the rows
-[0, lo) and [hi, n) of its leading cols columns (lo = 86, hi = 171,
-cols = 86 at n = 256, 44.5 % of the half plane). Every state the system
-makes lies on that block, since ``SimConfig`` rejects a band or a mode
-past it. A step gathers that block of the five spectra (u^x, u^y, v^x,
-v^y, theta) once, into held contiguous (5, r, cols) arrays, and does all
-of its spectral arithmetic there: curls, tendency assembly,
-trapezoidal factors, Leray projection. Each inverse transform scatters a
+Layout. The mask keeps exactly one block of the half plane
+(:func:`kept_block`): the rows [0, lo) and [hi, n) of its leading cols
+columns (lo = 86, hi = 171, cols = 86 at n = 256, 44.5 % of the half
+plane). Every state the system makes lies on that block, since
+``SimConfig`` rejects a band or a mode past it, and a snapshot stores only
+the block (``storage``). A step gathers that block of the five spectra
+(u^x, u^y, v^x, v^y, theta) once, into held contiguous (5, r, cols)
+arrays, and does all of its spectral arithmetic there: curls, tendency
+assembly, trapezoidal factors, Leray projection. Each inverse transform scatters a
 block into the held transform buffer with zeros at every other mode, and
 each forward transform gathers the block back, so no mask is multiplied.
 A mode off the block, which only a state built by hand can hold, is
@@ -201,6 +202,16 @@ def _kept_max(n: int) -> int:
     return n // 3
 
 
+def kept_block(n: int) -> tuple[int, int, int]:
+    """(lo, hi, cols) of the block of the n-point rfft2 half plane that the
+    two-thirds mask keeps: the rows [0, lo) and [hi, n) of the columns
+    [0, cols), with k = n // 3 the rows [0, k] and [n - k, n) of the columns
+    [0, k]. It holds (2k + 1)(k + 1) modes, 171 x 86 at n = 256. The step
+    and the snapshot format both read the block from here."""
+    k = _kept_max(n)
+    return k + 1, n - k, k + 1
+
+
 def _check_band(lo: int, hi: int, n: int) -> None:
     # the band rule: 1 <= lo <= hi <= _kept_max, so a band state lies on the
     # block that the two-thirds mask keeps
@@ -292,6 +303,15 @@ def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None =
     return np.concatenate((a[..., :lo, :cols], a[..., hi:, :cols]), axis=-2, out=out)
 
 
+def _scatter(a: np.ndarray, out: np.ndarray, lo: int, hi: int, cols: int) -> None:
+    # the inverse of _gather: the block array a into the half-plane array
+    # out, with zeros at every mode off the block
+    out[..., :lo, :cols] = a[..., :lo, :]
+    out[..., hi:, :cols] = a[..., lo:, :]
+    out[..., lo:hi, :cols] = 0
+    out[..., cols:] = 0
+
+
 def _scale(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     # y *= c in place, for c with the rows (u and v, theta)
     y[:4] *= c[0]
@@ -342,12 +362,11 @@ class _Stepper:
 
     def __init__(self, g: Grid):
         self.g = g
-        # Grid.dealias_mask keeps the rows [0, k] and [n - k, n) of the columns
-        # [0, k], the only ones a stage transform's complex pass takes (86 of 129 at n = 256)
-        k = _kept_max(g.n)
-        self.cols = k + 1
-        self.key = (k + 1, g.n - k, self.cols)
-        shape = (2 * k + 1, self.cols)
+        # the columns of the block are the only ones a stage transform's
+        # complex pass takes (86 of 129 at n = 256)
+        self.key = kept_block(g.n)
+        lo, hi, self.cols = self.key
+        shape = (g.n - hi + lo, self.cols)
         self.ik = self.gather(g.ik)
         self.minus_ik = -self.ik  # the tendency is minus the terms
         # what _project reads of a grid
@@ -365,11 +384,7 @@ class _Stepper:
     def scatter(self, a: np.ndarray, out: np.ndarray) -> None:
         """The block array a into the half-plane array out, with zeros at
         every mode off the block."""
-        lo, hi, cols = self.key
-        out[..., :lo, :cols] = a[..., :lo, :]
-        out[..., hi:, :cols] = a[..., lo:, :]
-        out[..., lo:hi, :cols] = 0
-        out[..., cols:] = 0
+        _scatter(a, out, *self.key)
 
     def load(self, s) -> np.ndarray:
         """y, with the block of s's five spectra gathered into it. A mode off

@@ -4,22 +4,32 @@ Gronwall series and the check, sweep and twin series) and the run manifest.
 A snapshot is one file per state, ``step_NNNNNNNN.bin``: a one-line ASCII
 header
 
-    TCM2 n=<n> L=<length> t=<time> eps=<eps> fields=u_x,u_y,v_x,v_y,theta
+    TCM3 n=<n> L=<length> t=<time> eps=<eps> fields=u_x,u_y,v_x,v_y,theta
 
-followed by each field's ``rfft2`` half-plane spectrum, n x (n/2 + 1)
-little-endian complex128, row-major, in the order the header names. The
-spectrum is a field's value, so a snapshot read back is the state that was
-stepped, bit for bit, and writing one takes no transform; grid samples are
-``numpy.fft.irfft2(spec, s=(n, n))``. CSVs carry a fixed header row and
-17-significant-digit decimal floats, so identical runs produce
-byte-identical files. The manifest lists every artifact with its SHA-256
-checksum and names the snapshot format; a run directory of another format
-(the per-field ``TCM1`` files of grid samples) is rejected, not read.
+followed by the block of each field's ``rfft2`` half-plane spectrum that
+the two-thirds mask keeps (``model.kept_block``), in the order the header
+names: with k = n // 3, the rows [0, k] and then [n - k, n) of the columns
+[0, k], (2k + 1) x (k + 1) little-endian complex128, row-major (43 x 22 at
+n = 64). Every state the system makes lies on that block, so the file
+holds the whole state: read back and scattered into the half plane with
+zeros at every other mode, it is the state that was stepped, bit for bit,
+and writing one takes no transform. A state with a nonzero mode off the
+block is refused, not truncated. Grid samples are
+``numpy.fft.irfft2(spec, s=(n, n))`` of the scattered spectrum.
+
+CSVs carry a fixed header row and 17-significant-digit decimal floats, so
+identical runs produce byte-identical files. Each writer returns the
+SHA-256 of the bytes it wrote, and the manifest lists every artifact with
+that checksum, so writing it re-reads nothing, and names the snapshot
+format. A run directory of another format (the whole-half-plane ``TCM2``
+files, the per-field ``TCM1`` files of grid samples) is rejected, not
+read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,11 +39,11 @@ import time
 import numpy as np
 
 from .errors import BadParams, BadSeries, ChecksumMismatch, ConfigParseError
-from .model import State
+from .model import State, _gather, _scatter, kept_block
 from .records import COLUMNS, DiagnosticsSeries
 from .spectral import Grid, SpectralField, VectorField
 
-SNAPSHOT_MAGIC = "TCM2"
+SNAPSHOT_MAGIC = "TCM3"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
 MANIFEST_NAME = "manifest.json"
 SNAPSHOT_DIR = "snapshots"  # a run directory's snapshot subdirectory
@@ -52,23 +62,37 @@ def _fmt(x: float) -> str:
 # snapshots
 
 
-def write_field_snapshot(path, state: State) -> None:
-    """Write ``state`` to ``path`` as one TCM2 file, from its spectra alone."""
+def write_field_snapshot(path, state: State) -> str:
+    """Write ``state`` to ``path`` as one TCM3 file, from the kept block of
+    its spectra alone; returns the SHA-256 of the bytes written. A finite
+    field with a nonzero mode off the block raises BadParams naming it,
+    before the file is opened. A non-finite field is written as its block
+    holds it: the step's guard reports it (NonFiniteState), not this one."""
     g = state.grid
+    lo, hi, cols = kept_block(g.n)
+    specs = [f.spec for f in (state.u.x, state.u.y, state.v.x, state.v.y, state.theta)]  # FIELD_NAMES order
+    for name, spec in zip(FIELD_NAMES, specs):
+        if (spec[lo:hi, :cols].any() or spec[:, cols:].any()) and np.isfinite(spec).all():
+            raise BadParams(f"{path}: {name} has a nonzero mode off the kept block |k| <= {lo - 1}")
     header = (
         f"{SNAPSHOT_MAGIC} n={g.n} L={g.length!r} t={state.t!r} "
         f"eps={state.eps!r} fields={','.join(FIELD_NAMES)}\n"
-    )
+    ).encode("ascii")
+    digest = hashlib.sha256(header)
+    # one field's block at a time, never the whole state
+    block = np.empty((g.n - hi + lo, cols), dtype=_SPEC_DTYPE)
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        # one field at a time: stacking the five would copy the whole state
-        for field in (state.u.x, state.u.y, state.v.x, state.v.y, state.theta):  # FIELD_NAMES order
-            fh.write(np.ascontiguousarray(field.spec, dtype=_SPEC_DTYPE))
+        fh.write(header)
+        for spec in specs:
+            _gather(spec, lo, hi, cols, out=block)
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
 
 
 def read_field_snapshot(path) -> State:
-    """The state a TCM2 file holds, its fields views of one spectrum array.
-    A malformed file raises ConfigParseError naming it."""
+    """The state a TCM3 file holds, its fields views of one half-plane
+    spectrum array. A malformed file raises ConfigParseError naming it."""
     with open(path, "rb") as fh:
         try:
             parts = fh.readline().decode("ascii").split()
@@ -81,18 +105,21 @@ def read_field_snapshot(path) -> State:
             if meta["fields"] != ",".join(FIELD_NAMES):
                 raise ValueError(f"fields={meta['fields']}, expected {','.join(FIELD_NAMES)}")
             n = int(meta["n"])
-            shape = (len(FIELD_NAMES), n, n // 2 + 1)
+            lo, hi, cols = kept_block(n)
+            shape = (len(FIELD_NAMES), n - hi + lo, cols)
             # checked before the grid is built, so a corrupt n allocates nothing
             payload = os.fstat(fh.fileno()).st_size - fh.tell()
             if payload != math.prod(shape) * _SPEC_DTYPE.itemsize:
-                raise ValueError(f"{payload} payload bytes do not hold five {n} x {n // 2 + 1} spectra")
+                raise ValueError(f"{payload} payload bytes do not hold five {shape[1]} x {cols} blocks")
             grid = Grid(n, float(meta["L"]))
             t, eps = float(meta["t"]), float(meta["eps"])
         except (KeyError, ValueError, BadParams) as exc:
             raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc!r}") from exc
-        spectra = np.empty(shape, dtype=_SPEC_DTYPE)
-        if fh.readinto(spectra) != spectra.nbytes:
+        block = np.empty(shape, dtype=_SPEC_DTYPE)
+        if fh.readinto(block) != block.nbytes:
             raise ConfigParseError(f"{path}: truncated while reading")
+    spectra = np.empty((len(FIELD_NAMES), *grid.spec_shape), dtype=np.complex128)
+    _scatter(block, spectra, lo, hi, cols)
     u_x, u_y, v_x, v_y, theta = (SpectralField(grid, spec) for spec in spectra)
     try:
         return State(u=VectorField(u_x, u_y), v=VectorField(v_x, v_y), theta=theta, t=t, eps=eps)
@@ -104,12 +131,12 @@ def _snapshot_path(directory, step: int) -> str:
     return os.path.join(directory, f"step_{step:08d}.bin")
 
 
-def write_state_snapshot(directory, state: State, step: int) -> str:
-    """Write the snapshot of ``step`` into ``directory``; returns its path."""
+def write_state_snapshot(directory, state: State, step: int) -> tuple[str, str]:
+    """Write the snapshot of ``step`` into ``directory``; returns its path
+    and the SHA-256 of its bytes."""
     os.makedirs(directory, exist_ok=True)
     path = _snapshot_path(directory, step)
-    write_field_snapshot(path, state)
-    return path
+    return path, write_field_snapshot(path, state)
 
 
 def read_state_snapshot(directory, step: int) -> State:
@@ -144,17 +171,30 @@ def manifest_snapshot_steps(manifest: dict) -> list[int]:
 # CSV tables
 
 
-def write_csv(path, columns, rows) -> None:
+def write_text(path, text: str) -> str:
+    """Write ``text`` to ``path`` as UTF-8, line ends as they are; returns
+    the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_csv(path, columns, rows) -> str:
     """Write a header row of ``columns`` and one line per row of ``rows``,
-    every cell a 17-significant-digit float."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    every cell a 17-significant-digit float; returns the SHA-256 of the
+    bytes written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for cells in itertools.chain([columns], ([_fmt(x) for x in row] for row in rows)):
+            line = (",".join(cells) + "\n").encode("ascii")
+            digest.update(line)
+            fh.write(line)
+    return digest.hexdigest()
 
 
-def write_diagnostics_csv(path, series: DiagnosticsSeries) -> None:
-    write_csv(path, COLUMNS, series.rows)
+def write_diagnostics_csv(path, series: DiagnosticsSeries) -> str:
+    return write_csv(path, COLUMNS, series.rows)
 
 
 def _read_text(path, encoding: str) -> str:
@@ -232,12 +272,11 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(run_dir, config_text: str, version: str, started: float, files) -> str:
-    """Inventory every artifact (paths relative to run_dir) with checksums."""
-    entries = []
-    for path in sorted(files):
-        rel = os.path.relpath(path, run_dir)
-        entries.append({"path": rel, "sha256": _sha256(path)})
+def write_manifest(run_dir, config_text: str, version: str, started: float, files: dict) -> str:
+    """Inventory every artifact, paths relative to run_dir, with the checksum
+    its writer returned: ``files`` maps each path to the SHA-256 of the bytes
+    written there. Opens no file but the manifest; returns its path."""
+    entries = [{"path": os.path.relpath(path, run_dir), "sha256": digest} for path, digest in sorted(files.items())]
     manifest = {
         "format": SNAPSHOT_MAGIC,
         "version": version,

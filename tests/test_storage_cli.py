@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tcm2d as t
-from tcm2d import cli, storage
+from tcm2d import cli, model, storage
 from tcm2d.cli import main
 from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.diagnostics import PERTURBATION_SHAPES
@@ -135,8 +137,10 @@ def same_spectra(a, b):
 class TestSnapshots:
     def test_bit_exact_roundtrip(self, tmp_path):
         s = band_state(n=32, seed=1, eps=0.25)
-        path = storage.write_state_snapshot(tmp_path / "snaps", s, 7)
+        path, digest = storage.write_state_snapshot(tmp_path / "snaps", s, 7)
         assert os.listdir(tmp_path / "snaps") == ["step_00000007.bin"] == [os.path.basename(path)]
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
         back = storage.read_state_snapshot(tmp_path / "snaps", 7)
         assert same_spectra(back, s)
         assert np.array_equal(back.theta.phys, s.theta.phys)
@@ -151,9 +155,14 @@ class TestSnapshots:
         with open(path, "rb") as fh:
             header = fh.readline()
             raw = fh.read()
-        assert header == b"TCM2 n=16 L=6.283185307179586 t=1.5 eps=0.1 fields=u_x,u_y,v_x,v_y,theta\n"
-        # the documented layout, read without the package
-        spec = np.frombuffer(raw, dtype="<c16").reshape(5, 16, 9)
+        assert header == b"TCM3 n=16 L=6.283185307179586 t=1.5 eps=0.1 fields=u_x,u_y,v_x,v_y,theta\n"
+        # the documented layout, read without the package: with k = n // 3 =
+        # 5, rows [0, 5] then [11, 16) of columns [0, 5], scattered into the
+        # half plane
+        assert len(raw) == 5 * (2 * 5 + 1) * (5 + 1) * 16
+        block = np.frombuffer(raw, dtype="<c16").reshape(5, 11, 6)
+        spec = np.zeros((5, 16, 9), dtype=complex)
+        spec[:, :6, :6], spec[:, 11:, :6] = block[:, :6], block[:, 6:]
         assert np.array_equal(np.fft.irfft2(spec[4], s=(16, 16)), s.theta.phys)
 
     def test_read_back_state_steps_bit_for_bit(self, tmp_path):
@@ -171,7 +180,7 @@ class TestSnapshots:
             (lambda data: data[:-1], "payload bytes"),
             (lambda data: data.replace(b",theta", b",p", 1), "fields="),
             (lambda data: data.replace(b"eps=0.1", b"eps=1.5", 1), "eps"),
-            (lambda data: data.replace(b"TCM2", b"TCM1", 1), "not a TCM2 snapshot"),
+            (lambda data: data.replace(b"TCM3", b"TCM2", 1), "not a TCM3 snapshot"),
         ],
         ids=["truncated", "fields", "eps", "magic"],
     )
@@ -185,8 +194,8 @@ class TestSnapshots:
 
     def test_stale_snapshot_removal_keeps_other_files(self, tmp_path):
         snap_dir = str(tmp_path)
-        kept = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 0)]
-        stale = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 1)]
+        kept = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 0)[0]]
+        stale = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 1)[0]]
         # the per-field files of a TCM1 run in the same directory
         for name in ("step_00000000.theta.bin", "step_00000001.u_x.bin"):
             stale.append(os.path.join(snap_dir, name))
@@ -197,6 +206,55 @@ class TestSnapshots:
         storage.remove_stale_snapshots(snap_dir, kept)
         assert sorted(os.listdir(snap_dir)) == sorted(other + [os.path.basename(p) for p in kept])
         assert not any(os.path.exists(p) for p in stale)
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    def test_payload_is_the_kept_block(self, tmp_path, n):
+        path = tmp_path / "f.bin"
+        cfg = t.SimConfig(n=n, dt=1e-3, horizon=0.0, preset="random_band", band_hi=n // 3, seed=n)
+        s = t.make_initial(cfg)
+        storage.write_field_snapshot(path, s)
+        with open(path, "rb") as fh:
+            fh.readline()
+            payload = len(fh.read())
+        k = n // 3
+        assert payload == 5 * (2 * k + 1) * (k + 1) * 16
+        assert same_spectra(storage.read_field_snapshot(path), s)
+
+    @pytest.mark.parametrize("index, name", list(enumerate(storage.FIELD_NAMES)))
+    def test_mode_off_the_block_is_refused(self, tmp_path, index, name):
+        # a hand-built state whose field has one mode just past n // 3 = 5
+        s = band_state(n=16, seed=3, hi=3)
+        specs = spectra(s)
+        specs[index][6, 1] = 1e-3
+        f = [t.SpectralField(s.grid, a) for a in specs]
+        bad = dataclasses.replace(s, u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4])
+        path = tmp_path / "f.bin"
+        with pytest.raises(t.BadParams, match=f"{name} has a nonzero mode off the kept block"):
+            storage.write_field_snapshot(path, bad)
+        assert not path.exists()
+
+    def test_block_geometry_is_stated_once(self):
+        # k = n // 3 is one expression of the package, in the function the
+        # step and the snapshot format both read the block from
+        src = os.path.dirname(t.__file__)
+        thirds = []
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                thirds += [
+                    (name, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                    and isinstance(node.right, ast.Constant) and node.right.value == 3
+                ]
+        assert [name for name, _ in thirds] == ["model.py"]
+        for n in (8, 16, 64, 256):
+            g, key = t.Grid(n), model.kept_block(n)
+            assert model._stepper(g).key == key
+            # the block is exactly what the two-thirds mask keeps
+            kept = np.zeros(g.spec_shape, dtype=bool)
+            model._scatter(np.ones_like(model._gather(kept, *key)), kept, *key)
+            assert np.array_equal(kept, g.dealias_mask)
 
 
 class TestDiagnosticsCsv:
@@ -239,16 +297,29 @@ class TestManifest:
     def test_verify_and_tamper(self, tmp_path):
         f = tmp_path / "data.txt"
         f.write_text("payload")
-        storage.write_manifest(tmp_path, "cfg", "0.0", 0.0, [str(f)])
+        storage.write_manifest(tmp_path, "cfg", "0.0", 0.0, {str(f): hashlib.sha256(b"payload").hexdigest()})
         storage.verify_manifest(tmp_path)
         f.write_text("tampered")
         with pytest.raises(ChecksumMismatch):
             storage.verify_manifest(tmp_path)
 
+    def test_opens_no_file_but_the_manifest(self, tmp_path, monkeypatch):
+        # the listed files need not exist: their checksums come from the writers
+        opened = []
+        real_open = open
+        monkeypatch.setattr("builtins.open", lambda path, *a, **k: opened.append(str(path)) or real_open(path, *a, **k))
+        files = {str(tmp_path / "snapshots" / "step_00000000.bin"): "0" * 64, str(tmp_path / "config.cfg"): "1" * 64}
+        path = storage.write_manifest(tmp_path, "cfg", "0.0", 0.0, files)
+        monkeypatch.undo()
+        assert opened == [path] == [str(tmp_path / "manifest.json")]
+        with open(path) as fh:
+            assert json.load(fh)["files"] == [{"path": "config.cfg", "sha256": "1" * 64},
+                                              {"path": os.path.join("snapshots", "step_00000000.bin"), "sha256": "0" * 64}]
+
     def test_missing_file(self, tmp_path):
         f = tmp_path / "data.txt"
         f.write_text("payload")
-        storage.write_manifest(tmp_path, "cfg", "0.0", 0.0, [str(f)])
+        storage.write_manifest(tmp_path, "cfg", "0.0", 0.0, {str(f): hashlib.sha256(b"payload").hexdigest()})
         os.remove(f)
         with pytest.raises(ChecksumMismatch, match="missing"):
             storage.verify_manifest(tmp_path)
@@ -258,6 +329,23 @@ def write_cfg(tmp_path, text=MINIMAL_CFG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    assert main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_entry_freezes_the_collector_before_exit(tmp_path):
+    # the console script exits with main's code, every object frozen so that
+    # interpreter shutdown does not collect them
+    code = (
+        "import gc, sys\nfrom tcm2d import cli\nsys.argv = ['tcm2d', '--version']\n"
+        "try:\n    cli.entry()\nexcept SystemExit as exc:\n    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(t.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True).stdout
+    assert out.splitlines()[-1] == "0 True"
 
 
 def test_cli_import_loads_no_scipy():
@@ -287,7 +375,7 @@ class TestCliRun:
         assert sorted(os.listdir(os.path.join(out, "snapshots"))) == names
         assert "11 snapshots" in capsys.readouterr().out
         manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["format"] == "TCM2"
+        assert manifest["format"] == "TCM3"
         assert sorted(e["path"] for e in manifest["files"] if e["path"].startswith("snapshots")) == [
             os.path.join("snapshots", name) for name in names
         ]
@@ -653,7 +741,35 @@ class TestUntrustedRunDir:
     def test_old_format_run_dir(self, tmp_path, capsys):
         # a run directory written as per-field TCM1 grid samples
         detail = self.check_manifest(tmp_path, capsys, self.edit_json(lambda m: m.update(format="TCM1")))
-        assert "'TCM1'" in detail and "TCM2" in detail
+        assert "'TCM1'" in detail and "TCM3" in detail
+
+    def test_tcm2_run_dir(self, tmp_path, capsys):
+        # a run directory of the TCM2 format: each snapshot the whole half
+        # plane of the five spectra, listed with its true checksum
+        run = str(tmp_path / "r")
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", run]) == 0
+        manifest_path = os.path.join(run, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        for entry in manifest["files"]:
+            path = os.path.join(run, entry["path"])
+            if entry["path"].startswith("snapshots"):
+                with open(path, "rb") as fh:
+                    header = fh.readline().replace(b"TCM3", b"TCM2", 1)
+                data = header + np.stack(spectra(storage.read_field_snapshot(path))).astype("<c16").tobytes()
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                entry["sha256"] = hashlib.sha256(data).hexdigest()
+        manifest["format"] = "TCM2"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+        capsys.readouterr()
+        assert main(["check", "--run-dir", run]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("TCM-ERROR ")
+        payload = json.loads(lines[0].split(" ", 1)[1])
+        assert payload["error"] == "ChecksumMismatch"
+        assert "'TCM2'" in payload["detail"] and "TCM3" in payload["detail"] and "rerun the config" in payload["detail"]
 
 
 class TestCliSweepTwinGronwall:
@@ -894,13 +1010,18 @@ class TestGuardMatrix:
 # Values a mutated header key or diagnostics cell takes: non-finite,
 # negative, zero, subnormal, huge, empty and non-numeric.
 MUTATED_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "", "x", "3"])
+OVERFLOW_COLUMNS = ("mean_theta", "theta_linf", "uv_linf", "grad_u_linf", "lap_w_l2", "a_func", "b_func", "grad_u_l2")
 RUN_DIR_EDITS = st.lists(
     st.one_of(
         # (snapshot index, header key, new value or None to drop the key)
-        st.tuples(st.just("header"), st.integers(0, 4), st.sampled_from(["TCM2", "n", "L", "t", "eps", "fields"]),
+        st.tuples(st.just("header"), st.integers(0, 4), st.sampled_from(["TCM3", "n", "L", "t", "eps", "fields"]),
                   st.one_of(st.none(), MUTATED_VALUES)),
         # (data row, column, new cell)
         st.tuples(st.just("cell"), st.integers(1, 5), st.integers(0, len(t.COLUMNS) - 1), MUTATED_VALUES),
+        # a cell of a column that the Gronwall functionals square or sum, or
+        # that a gated check subtracts, made infinite or huge
+        st.tuples(st.just("cell"), st.integers(1, 5), st.sampled_from([t.COLUMNS.index(c) for c in OVERFLOW_COLUMNS]),
+                  st.sampled_from(["inf", "1e308"])),
         # (what to change in the manifest, which entry)
         st.tuples(st.just("manifest"), st.sampled_from(["drop", "path", "sha256", "format", "extra"]),
                   st.integers(0, 7)),
@@ -918,9 +1039,9 @@ def _edit_header(data: bytes, key: str, value) -> bytes:
     # appended again
     header, rest = data.split(b"\n", 1)
     tokens = header.split(b" ")
-    new = [] if value is None else [value.encode() if key == "TCM2" else key.encode() + b"=" + value.encode()]
+    new = [] if value is None else [value.encode() if key == "TCM3" else key.encode() + b"=" + value.encode()]
     found = [j for j, tok in enumerate(tokens) if tok.startswith(key.encode() + b"=")]
-    i = 0 if key == "TCM2" else found[0] if found else len(tokens)
+    i = 0 if key == "TCM3" else found[0] if found else len(tokens)
     tokens[i : i + 1] = new
     return b" ".join(tokens) + b"\n" + rest
 
@@ -1062,3 +1183,94 @@ class TestMutatedRunDir:
         error = json.loads(lines[0].split(" ", 1)[1])
         assert error["error"] == "ConfigParseError"
         assert f"step_{index:08d}.bin: line 1: {key}=" in error["detail"], error
+
+    @pytest.mark.parametrize(
+        "column, value, code, error, detail",
+        [
+            ("mean_theta", "inf", 2, "ConfigParseError", "data row 1: mean_theta=inf"),
+            ("theta_linf", "inf", 2, "ConfigParseError", "data row 1: theta_linf=inf"),
+            ("uv_linf", "1e308", 2, "BadSeries", "alpha not finite"),
+            ("lap_w_l2", "1e308", 2, "ConfigParseError", "data row 1: a_func="),
+            ("grad_u_linf", "1e308", 0, None, None),
+            ("b_func", "1e308", 2, "ConfigParseError", "data row 1: b_func=1e+308"),
+            ("a_func", "1e308", 2, "ConfigParseError", "data row 1: a_func=1e+308"),
+            ("grad_u_l2", "1e308", 0, None, None),
+            ("u_l2", "1e308", 2, "ConfigParseError", "data row 1: energy="),
+        ],
+    )
+    def test_first_row_cell_that_overflows(self, mutation_base, tmp_path, column, value, code, error, detail):
+        # one edited first-row cell, checksums re-listed: an infinite cell, or
+        # an energy, A or B that its norms do not make, is refused; a huge
+        # alpha or beta fails the Gronwall series' finiteness check; a huge
+        # grad_u_linf only loosens the envelope, and a huge grad_u_l2 only
+        # the divergence floor. No numpy warning reaches stderr (pytest
+        # makes a RuntimeWarning an error).
+        run = str(tmp_path / "run")
+        shutil.copytree(mutation_base, run)
+        _mutate_run_dir(run, [("cell", 1, t.COLUMNS.index(column), value)])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            got = main(["check", "--run-dir", run])
+        lines = err.getvalue().splitlines()
+        assert got == code and len(lines) == (code != 0), lines
+        if error:
+            payload = json.loads(lines[0].split(" ", 1)[1])
+            assert payload["error"] == error and detail in payload["detail"], payload
+
+
+# Valid configs at n = 16 (whose run may still stop at the CFL guard): every
+# preset, eps across [0, 1/2), amplitudes from zero up, bands and modes up to
+# n // 3 = 5, and strides that do and do not divide the steps.
+_EXTENT = st.integers(1, 5)
+RUN_CONFIGS = st.builds(
+    lambda preset, eps, amps, band, mode, seed, dt, steps, strides: t.SimConfig(
+        n=16, dt=dt, horizon=steps * dt, eps=eps, preset=preset, amplitude=amps[0], u_amp=amps[1], v_amp=amps[2],
+        theta_amp=amps[3], band_lo=min(band), band_hi=max(band), mode_x=mode[0], mode_y=mode[1], seed=seed,
+        diag_stride=strides[0], snap_stride=strides[1]),
+    preset=st.sampled_from(PRESETS),
+    eps=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
+    amps=st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 4.0)) for _ in range(4)]),
+    band=st.tuples(_EXTENT, _EXTENT),
+    mode=st.sampled_from([(x, y) for x in range(-5, 6) for y in range(-5, 6) if (x, y) != (0, 0)]),
+    seed=st.integers(0, 2**31),
+    dt=st.sampled_from([0.002, 0.01, 0.1]),
+    steps=st.integers(0, 8),
+    strides=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+def run_then_check(cfg: t.SimConfig, tmp: str):
+    """(run's exit code, check --run-dir's exit code, stderr lines, run
+    directory) of one config, both commands in process."""
+    path = os.path.join(tmp, "run.cfg")
+    with open(path, "w") as fh:
+        fh.write(render_config(cfg))
+    run = os.path.join(tmp, "run")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code_run = main(["run", "--config", path, "--out", run])
+        code_check = main(["check", "--run-dir", run])
+    return code_run, code_check, err.getvalue().splitlines(), run
+
+
+class TestRandomConfigs:
+    """``run`` and then ``check --run-dir`` on valid configs exit with a
+    documented code and one TCM-ERROR line per failure, and every snapshot
+    written reads back as the state a rerun makes."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=RUN_CONFIGS)
+    def test_run_then_check(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            code_run, code_check, lines, run = run_then_check(cfg, tmp)
+            assert code_run in (0, 3), (cfg, lines)
+            # a run stopped by its guard leaves no manifest
+            assert code_check in (0, 5) if code_run == 0 else code_check == 4, (cfg, code_check, lines)
+            assert len(lines) == (code_run != 0) + (code_check != 0), (cfg, lines)
+            assert all(line.startswith("TCM-ERROR ") for line in lines), (cfg, lines)
+            states = {}
+            with contextlib.suppress(CflViolation):
+                t.simulate(cfg, on_snapshot=states.__setitem__, record=False)
+            snap_dir = os.path.join(run, storage.SNAPSHOT_DIR)
+            assert sorted(os.listdir(snap_dir)) == [f"step_{step:08d}.bin" for step in sorted(states)], cfg
+            for step, state in states.items():
+                back = storage.read_state_snapshot(snap_dir, step)
+                assert same_spectra(back, state) and (back.t, back.eps) == (state.t, state.eps), (cfg, step)
