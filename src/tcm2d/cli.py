@@ -32,7 +32,7 @@ from . import __version__, config as config_mod, diagnostics, gronwall, storage
 from .errors import ConfigParseError, TcmError
 from .derived import residual_flux_equation, residual_phi_equation, residual_w_equation
 from .model import SimConfig, simulate
-from .records import COLUMNS, DiagnosticsSeries
+from .records import COLUMNS, DiagnosticsSeries, derived_columns
 
 EXIT_OK = 0
 EXIT_IO = 4
@@ -48,10 +48,8 @@ DIV_FREE_FLOOR = 1e-4
 ENERGY_MONOTONE_RTOL = 1e-10
 #: a snapshot's or record's t is a running sum of dt, off step * dt by about step ulps
 SNAPSHOT_T_RTOL = 1e-9
-#: a record's energy is (u_l2^2 + v_l2^2 + theta_l2^2) / 2, the same float from its 17-digit cells
-ENERGY_ROW_RTOL = 1e-12
-#: a record's A and B are make_record's sums of its norms, t and eps, the same floats from its 17-digit cells
-FUNCTIONAL_ROW_RTOL = 1e-12
+#: a row's energy, dissipation, A and B are derived_columns of its 17-digit cells, the same floats
+ROW_RTOL = 1e-12
 
 
 def _machine_error(kind: str, detail: str, **extra) -> None:
@@ -192,39 +190,27 @@ def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
 def _check_series(path, series: DiagnosticsSeries, cfg: SimConfig) -> None:
     """A run of ``cfg`` records num_steps // diag_stride + 1 rows of finite
     cells, row k at t = k * diag_stride * dt within SNAPSHOT_T_RTOL, each
-    with the energy of its norms within ENERGY_ROW_RTOL and the functionals
-    A and B of its norms, t and cfg.eps within FUNCTIONAL_ROW_RTOL; else
+    with the energy, dissipation, A and B that ``records.derived_columns``
+    makes of its norms, t and cfg.eps within ROW_RTOL; else
     ConfigParseError names the row."""
     rows = cfg.num_steps() // cfg.diag_stride + 1
     if len(series) != rows:
         raise ConfigParseError(f"{path}: {len(series)} data rows, but config.cfg makes {rows} records")
-    table = np.array(series.rows)
+    table = series.table
     if not np.isfinite(table).all():
         k, c = np.argwhere(~np.isfinite(table))[0]
         raise ConfigParseError(f"{path}: data row {k + 1}: {COLUMNS[c]}={table[k, c]:.17g}, "
                                "but every cell of a record is finite")
     col = dict(zip(COLUMNS, table.T))
-    t = col["t"]
-    # the run's t, and records.make_record's formulas in its order of
-    # operations; a huge norm gives an infinite or NaN value, which no
-    # record has
+    # a huge norm gives an infinite or NaN value, which no record has
     with np.errstate(over="ignore", invalid="ignore"):
-        wants = (
-            ("t", np.arange(rows) * cfg.diag_stride * cfg.dt, SNAPSHOT_T_RTOL, "step * dt"),
-            ("energy", 0.5 * (col["u_l2"] ** 2 + col["v_l2"] ** 2 + col["theta_l2"] ** 2), ENERGY_ROW_RTOL,
-             "(u_l2^2 + v_l2^2 + theta_l2^2) / 2"),
-            ("a_func", col["grad_theta_l2"] ** 2 + t * (col["lap_u_l2"] ** 2 + col["lap_w_l2"] ** 2) + 1.0,
-             FUNCTIONAL_ROW_RTOL, "grad_theta_l2^2 + t (lap_u_l2^2 + lap_w_l2^2) + 1"),
-            ("b_func", col["a_func"] + t * (col["grad_lap_u_l2"] ** 2 + col["grad_lap_w_l2"] ** 2)
-             + cfg.eps * col["lap_theta_l2"] ** 2 + np.e, FUNCTIONAL_ROW_RTOL,
-             "a_func + t (grad_lap_u_l2^2 + grad_lap_w_l2^2) + eps lap_theta_l2^2 + e"),
-        )
-        for name, want, rtol, formula in wants:
+        wants = {"t": np.arange(rows) * cfg.diag_stride * cfg.dt, **derived_columns(col, cfg.eps)}
+        for name, want in wants.items():
+            rtol, source = (SNAPSHOT_T_RTOL, "step * dt =") if name == "t" else (ROW_RTOL, "its norms make")
             ok = np.isfinite(want) & (np.abs(col[name] - want) <= rtol * np.abs(want))
             if not ok.all():
                 k = int(np.argmin(ok))
-                raise ConfigParseError(f"{path}: data row {k + 1}: {name}={col[name][k]:.17g}, but the run has "
-                                       f"{formula} = {want[k]:.17g}")
+                raise ConfigParseError(f"{path}: data row {k + 1}: {name}={col[name][k]:.17g}, but {source} {want[k]:.17g}")
 
 
 def _mid_window(snaps):

@@ -62,7 +62,7 @@ small temporaries only.
 What a step reuses sits in two private caches. The buffers and the
 gathered multipliers depend on the grid and sit in a one-entry cache
 (about 14 MB of buffers at n = 256), the trapezoidal factors on (grid,
-dt, eps, block) in a small cache of their own, so runs that differ only
+dt, eps) in a small cache of their own, so runs that differ only
 in eps, such as the members of an eps sweep stepped in lockstep, share
 one set of buffers. A record borrows the same buffers between steps
 (``_Stepper.record_norms``, which ``records.make_record`` calls), so
@@ -590,16 +590,15 @@ def _stepper(g: Grid) -> _Stepper:
 
 
 @functools.lru_cache(maxsize=8)
-def _factors(g: Grid, dt: float, eps: float, key: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # the trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
     # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
     # y = a y0 + b rhs; returns a and b/2, the weight of each stage's rhs,
-    # in rows (u and v, theta), on the modes of the block whose key is
-    # (lo, hi, cols). They take 4 r cols float64 together, 0.47 MB on the
-    # block at n = 256; eight entries let the members of a sweep of up to
-    # eight eps levels, stepped in lockstep, keep theirs instead of evicting
-    # one another at every step
-    k2 = _gather(g.k2, *key)
+    # in rows (u and v, theta), on the modes of the kept block. They take
+    # 4 r cols float64 together, 0.47 MB at n = 256; eight entries let the
+    # members of a sweep of up to eight eps levels, stepped in lockstep, keep
+    # theirs instead of evicting one another at every step
+    k2 = _gather(g.k2, *kept_block(g.n))
     h = 0.5 * dt * np.stack((-k2, -eps * k2))
     return (1.0 + h) / (1.0 - h), 0.5 * dt / (1.0 - h)
 
@@ -628,7 +627,7 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
 
     Buffers and multipliers are built once per grid and held in a one-entry
     cache until a step on another grid replaces them; the trapezoidal
-    factors once per (grid, dt, eps, block), in a small cache of their own.
+    factors once per (grid, dt, eps), in a small cache of their own.
     Steps share those buffers, and records borrow them between steps, so
     this function is not thread-safe. The returned State owns its arrays, a
     fresh half-plane stack with the block scattered in, which is all that a
@@ -646,7 +645,7 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     ratio = dt * float(np.max(linf)) / g.spacing
     if not ratio <= cfl_max:
         raise CflViolation(ratio, cfl_max, s.t)
-    a, half_b = _factors(g, dt, s.eps, st.key)
+    a, half_b = _factors(g, dt, s.eps)
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
     # y1 = a y0 + b n0 is y + b n0 / 2 midway; the first stage reuses the
@@ -679,10 +678,10 @@ def simulate(
 ) -> SimResult:
     """Advance from the configured initial data to the horizon.
 
-    Diagnostics are recorded every ``diag_stride`` steps and snapshots taken
-    every ``snap_stride`` steps, both including step 0; a step's snapshot is
-    taken after its record. With ``record=False`` no record is made and
-    ``result.diagnostics`` stays empty. Without ``on_snapshot`` the
+    Diagnostics are recorded every ``diag_stride`` steps, into a table
+    allocated up front, and snapshots taken every ``snap_stride`` steps,
+    both including step 0; a step's snapshot is taken after its record.
+    With ``record=False`` the table has 0 rows. Without ``on_snapshot`` the
     snapshots are kept in ``result.snapshots``, so memory grows with the
     horizon. With it, ``on_snapshot(step, state)`` receives each one instead
     and ``result.snapshots`` stays empty: the run holds O(1) states unless
@@ -690,19 +689,19 @@ def simulate(
     """
     state = make_initial(cfg)
     nsteps = cfg.num_steps()
-    series = records.DiagnosticsSeries()
-    result = SimResult(diagnostics=series)
+    table = np.empty((nsteps // cfg.diag_stride + 1 if record else 0, len(records.COLUMNS)))
+    result = SimResult(diagnostics=records.DiagnosticsSeries(table))
     if on_snapshot is None:
         def on_snapshot(step, s):
             result.snapshots.append(s)
 
     if record:
-        series.append(records.make_record(state))
+        table[0] = records.make_record(state)
     on_snapshot(0, state)
     for k in range(1, nsteps + 1):
         state = _step(k, state, cfg)
         if record and k % cfg.diag_stride == 0:
-            series.append(records.make_record(state))
+            table[k // cfg.diag_stride] = records.make_record(state)
         if k % cfg.snap_stride == 0:
             on_snapshot(k, state)
     return result

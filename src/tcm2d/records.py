@@ -17,13 +17,16 @@ between steps: every L2 norm, seminorm and the tail fraction is a Parseval
 sum, read off one stack of spectral powers reduced against weights built
 once per grid, and every grid norm comes from two batched inverse
 transforms. This module assembles the row from those sums and norms.
+
+Energy, dissipation, A and B are defined once, in :func:`derived_columns`,
+which ``make_record`` and ``check`` share. A series is one read-only table.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyTrajectory, NonZeroMean
+from .errors import BadParams, EmptyTrajectory, NonZeroMean
 from .spectral import MEAN_ZERO_RTOL
 
 # CSV column order; "t" must stay first
@@ -63,26 +66,39 @@ COLUMNS = (
 
 
 class DiagnosticsSeries:
-    """Append-only list of records, each a float64 row in ``COLUMNS`` order,
-    with array-style column access."""
+    """A run's records: one read-only float64 table, a row per record in
+    ``COLUMNS`` order; ``col`` returns a read-only view of a column."""
 
-    def __init__(self):
-        self.rows: list[np.ndarray] = []
-
-    def append(self, row: np.ndarray) -> None:
-        self.rows.append(row)
+    def __init__(self, table: np.ndarray):
+        if table.dtype != np.float64 or table.shape[1:] != (len(COLUMNS),):
+            raise BadParams(f"a series table is float64 (records, {len(COLUMNS)}), got {table.dtype} {table.shape}")
+        self.table = table.view()
+        self.table.flags.writeable = False
 
     def col(self, name: str) -> np.ndarray:
-        if not self.rows:
+        if not len(self.table):
             raise EmptyTrajectory("diagnostics series is empty")
-        return np.array(self.rows)[:, COLUMNS.index(name)]
+        return self.table[:, COLUMNS.index(name)]
 
     @property
     def times(self) -> np.ndarray:
         return self.col("t")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.table)
+
+
+def derived_columns(c, eps: float) -> dict:
+    """energy, dissipation, a_func and b_func from the columns ``c`` (scalars
+    of one record, or arrays of a table's) and eps: the one definition, which
+    ``make_record`` and ``check`` share, so both use one order of operations."""
+    a_func = c["grad_theta_l2"] ** 2 + c["t"] * (c["lap_u_l2"] ** 2 + c["lap_w_l2"] ** 2) + 1.0
+    return dict(
+        energy=0.5 * (c["u_l2"] ** 2 + c["v_l2"] ** 2 + c["theta_l2"] ** 2),
+        dissipation=c["grad_u_l2"] ** 2 + c["grad_v_l2"] ** 2 + eps * c["grad_theta_l2"] ** 2,
+        a_func=a_func,
+        b_func=a_func + c["t"] * (c["grad_lap_u_l2"] ** 2 + c["grad_lap_w_l2"] ** 2) + eps * c["lap_theta_l2"] ** 2 + np.e,
+    )
 
 
 def make_record(state) -> np.ndarray:
@@ -113,16 +129,12 @@ def make_record(state) -> np.ndarray:
     (u_l2, gu, lu, glu), (v_l2, gv), (th_l2, gth, lth), (gw, lw, glw) = l2[0], l2[1, :2], l2[2, :3], l2[3, 1:]
     if abs(th.mean) > MEAN_ZERO_RTOL * th_l2:
         raise NonZeroMean(f"theta must be mean-zero for w, |mean| = {abs(th.mean):.3e}")
-    a_func = gth**2 + t * (lu**2 + lw**2) + 1.0
-    b_func = a_func + t * (glu**2 + glw**2) + eps * lth**2 + np.e
     u_h1 = np.hypot(u_l2, gu)
     div_u = g.length / g.n**2 * np.sqrt(sums[4, 0])
 
     values = dict(
         grid,
         t=t,
-        energy=0.5 * (u_l2**2 + v_l2**2 + th_l2**2),
-        dissipation=gu**2 + gv**2 + eps * gth**2,
         u_l2=u_l2,
         v_l2=v_l2,
         theta_l2=th_l2,
@@ -135,9 +147,8 @@ def make_record(state) -> np.ndarray:
         lap_theta_l2=lth,
         grad_lap_u_l2=glu,
         grad_lap_w_l2=glw,
-        a_func=a_func,
-        b_func=b_func,
         theta_tail_frac=sums[2, 4] / sums[2, 0] if sums[2, 0] > 0.0 else 0.0,
         div_u_rel=div_u / u_h1 if u_h1 > 0.0 else 0.0,
     )
+    values.update(derived_columns(values, eps))
     return np.array([values[c] for c in COLUMNS])

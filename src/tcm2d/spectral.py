@@ -28,6 +28,8 @@ trip through the grid. All functions are pure, and a field is an immutable
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import BadParams, NonZeroMean
@@ -37,11 +39,14 @@ MEAN_ZERO_RTOL = 1e-10
 
 
 def _check_grid(n: int, length: float) -> None:
-    # the grid rule: n even and at least 8, length positive and finite
+    # the grid rule: n even and at least 8, length positive and finite, and
+    # every multiplier Grid builds finite: the largest, seminorm_weight(3), is
+    # at most 16 (pi n / L)^6, here in Python floats, which overflow silently
     if n % 2 != 0 or n < 8:
         raise BadParams(f"grid size must be even and >= 8, got {n}")
-    if not (length > 0 and np.isfinite(length)):
-        raise BadParams(f"domain length must be positive and finite, got {length}")
+    w = math.pi * n / length if length > 0 else math.inf
+    if not (math.isfinite(length) and math.isfinite(16.0 * (w * w) * (w * w) * (w * w))):
+        raise BadParams(f"domain length must be positive and finite, and 16 (pi n / L)^6 finite, got {length!r}")
 
 
 class Grid:

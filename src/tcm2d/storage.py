@@ -194,7 +194,7 @@ def write_csv(path, columns, rows) -> str:
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries) -> str:
-    return write_csv(path, COLUMNS, series.rows)
+    return write_csv(path, COLUMNS, series.table)
 
 
 def _read_text(path, encoding: str) -> str:
@@ -233,12 +233,9 @@ def _read_table(path, columns) -> np.ndarray:
 
 
 def read_diagnostics_csv(path) -> DiagnosticsSeries:
-    """The series of a diagnostics CSV; a malformed row raises
-    ConfigParseError naming its line."""
-    series = DiagnosticsSeries()
-    for row in _read_table(path, COLUMNS):
-        series.append(row)
-    return series
+    """The series of a diagnostics CSV, its table as read; a malformed row
+    raises ConfigParseError naming its line."""
+    return DiagnosticsSeries(_read_table(path, COLUMNS))
 
 
 # ---------------------------------------------------------------------------

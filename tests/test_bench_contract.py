@@ -4,7 +4,9 @@ The benchmark's tracer binds to library functions by name: every span a
 workload expects must name a public function defined in its module, or the
 traced benchmark run fails. This catches a rename or deletion here instead.
 That check runs in a subprocess because installing the tracer patches
-``numpy.fft`` and ``scipy.fft`` for the rest of the process.
+``numpy.fft`` and ``scipy.fft`` for the rest of the process. So does one
+traced ``run``, which checks what the tracer's hooks read of the arguments
+and results of the functions they wrap.
 
 The benchmark's correctness gate compares every run's final diagnostics
 record and every eps sweep's distances and flags with ``bench/reference.json``,
@@ -50,6 +52,24 @@ def test_expected_spans_name_traced_functions():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["checked"] > 20
     assert result["bad"] == []
+
+
+def test_traced_run_counts_what_it_wrote(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn = 16\n\n[time]\ndt = 0.002\nhorizon = 0.01\n\n[init]\npreset = random_band\n\n"
+                   "[output]\ndiag_stride = 2\nsnap_stride = 1\n")
+    summary, out = tmp_path / "summary.json", tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "bench", "trace_child.py"), str(summary), "run", "--config", str(cfg),
+         "--out", str(out)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(summary.read_text())
+    rows = len((out / "diagnostics.csv").read_text().splitlines()) - 1
+    assert rows == 5 // 2 + 1
+    assert traced["exit_code"] == 0 and traced["counters"]["storage.bytes_written"] > 0
+    assert traced["funcs"]["records.make_record"]["calls"] == rows
 
 
 @pytest.mark.parametrize("workload", ["run_n256", "session_n64"])

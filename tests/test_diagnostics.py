@@ -27,7 +27,7 @@ class TestEnergyIdentity:
 
     def test_empty_series(self):
         with pytest.raises(EmptyTrajectory):
-            t.energy_identity_residual(t.DiagnosticsSeries())
+            t.energy_identity_residual(t.DiagnosticsSeries(np.empty((0, len(t.COLUMNS)))))
 
     def test_small_on_resolved_run(self, std_run):
         # magnitude scales with dt^2 and record spacing^2; refinement is
@@ -137,21 +137,19 @@ class TestRecordRow:
         assert at["energy"] == 0.5 * (at["u_l2"] ** 2 + at["v_l2"] ** 2 + at["theta_l2"] ** 2)
 
     def test_held_records_are_small(self):
-        # a float64 row of 31 values and its list slot take about 0.37 KB;
-        # an object per record with one attribute per column takes 2.4 KB
-        s = band_state(n=8, seed=3, hi=2)
-        t.make_record(s)  # build the grid's cached weights outside the measurement
-        series = t.DiagnosticsSeries()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            for _ in range(1000):
-                series.append(t.make_record(s))
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert len(series) == 1000
-        assert held / 1000 <= 600
+        # a run holds its records as one float64 table, 8 bytes a cell and no
+        # object per record, and a column is a view of it that refuses writes
+        cfg = t.SimConfig(n=16, dt=1e-2, horizon=0.1, preset="taylor_green", diag_stride=3, snap_stride=10)
+        series = t.simulate(cfg).diagnostics
+        assert series.table.dtype == np.float64 and series.table.shape == (10 // 3 + 1, 31) == (len(series), 31)
+        energy = series.col("energy")
+        assert np.shares_memory(energy, series.table)
+        assert np.array_equal(series.table[:, t.COLUMNS.index("energy")], energy)
+        with pytest.raises(ValueError, match="read-only"):
+            energy[0] = 0.0
+        for bad in (np.zeros(31), np.zeros((2, 30)), np.zeros((2, 31, 1)), np.zeros((2, 31), dtype=np.float32)):
+            with pytest.raises(BadParams):
+                t.DiagnosticsSeries(bad)
 
 
 class TestMaxPrinciple:

@@ -2,7 +2,8 @@
 package, ``__init__.py`` aside, uses each name it imports (a stand-in for a
 linter's unused-import rule); every name the package root exports, and every
 public function, class, method and property a module defines, is used
-outside the tests; and every package name a demo uses exists."""
+outside the tests; every package name a demo uses exists; and the record's
+formulas are written in one module."""
 
 import ast
 import importlib
@@ -189,6 +190,19 @@ def test_the_check_finds_a_test_only_export():
     demo = "import tcm2d as t\nt.helper(t.Grid())\n"
     assert unused_exports(init, [module]) == ["helper", "planted"]
     assert unused_exports(init, [module, demo]) == ["planted"]
+
+
+def test_record_formulas_are_stated_once():
+    # only B reads these norms, so a module that names one restates a formula
+    # of records.derived_columns, as check once did
+    names = ("grad_lap_u_l2", "grad_lap_w_l2", "lap_theta_l2")
+    naming = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and any(n in node.value for n in names)
+    }
+    assert naming == {"records.py"}
 
 
 def unresolved_package_names(source: str) -> list[str]:

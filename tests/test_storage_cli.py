@@ -948,8 +948,12 @@ class TestGuardMatrix:
             (("n = 16", "n = 15"),),
             (("preset = taylor_green", "preset = random_band\nseed = -1"),),
             (("dealias = true", "dealias = true\ncfl_max = -1"),),
+            # so small that the grid's wavenumbers overflow
+            (("n = 16", "n = 16\nlength = 1e-200"),),
+            (("n = 16", "n = 16\nlength = 1e-320"),),
         ],
-        ids=["band", "band_past_mask", "mode_past_mask", "horizon", "grid", "seed", "cfl_max"],
+        ids=["band", "band_past_mask", "mode_past_mask", "horizon", "grid", "seed", "cfl_max", "length_1e-200",
+             "length_1e-320"],
     )
     def test_config_that_cannot_run_keeps_previous_run(self, tmp_path, capsys, command, edit):
         out = str(tmp_path / "o")
@@ -1010,7 +1014,8 @@ class TestGuardMatrix:
 # Values a mutated header key or diagnostics cell takes: non-finite,
 # negative, zero, subnormal, huge, empty and non-numeric.
 MUTATED_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1e308", "", "x", "3"])
-OVERFLOW_COLUMNS = ("mean_theta", "theta_linf", "uv_linf", "grad_u_linf", "lap_w_l2", "a_func", "b_func", "grad_u_l2")
+OVERFLOW_COLUMNS = ("mean_theta", "theta_linf", "uv_linf", "grad_u_linf", "lap_w_l2", "a_func", "b_func", "grad_u_l2",
+                    "dissipation")
 RUN_DIR_EDITS = st.lists(
     st.one_of(
         # (snapshot index, header key, new value or None to drop the key)
@@ -1126,6 +1131,13 @@ class TestMutatedRunDir:
     checksums listed, exits with a documented code and one TCM-ERROR line
     per failure, and prints no traceback."""
 
+    @staticmethod
+    def check(run):
+        """(exit code, stderr lines) of ``check --run-dir run``."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["check", "--run-dir", run])
+        return code, err.getvalue().splitlines()
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(edits=RUN_DIR_EDITS)
     def test_check_exits_with_a_documented_code(self, mutation_base, edits):
@@ -1155,9 +1167,7 @@ class TestMutatedRunDir:
         run = str(tmp_path / "run")
         shutil.copytree(mutation_base, run)
         _mutate_run_dir(run, [edit])
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(["check", "--run-dir", run])
-        lines = err.getvalue().splitlines()
+        code, lines = self.check(run)
         assert code == 2 and len(lines) == 1 and lines[0].startswith("TCM-ERROR "), lines
         error = json.loads(lines[0].split(" ", 1)[1])
         assert error["error"] == "ConfigParseError" and os.path.join(run, file) in error["detail"], error
@@ -1176,13 +1186,25 @@ class TestMutatedRunDir:
             storage.write_state_snapshot(os.path.join(run, storage.SNAPSHOT_DIR), state, index)
             edits = []
         _mutate_run_dir(run, edits)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            code = main(["check", "--run-dir", run])
-        lines = err.getvalue().splitlines()
+        code, lines = self.check(run)
         assert code == 2 and len(lines) == 1 and lines[0].startswith("TCM-ERROR "), lines
         error = json.loads(lines[0].split(" ", 1)[1])
         assert error["error"] == "ConfigParseError"
         assert f"step_{index:08d}.bin: line 1: {key}=" in error["detail"], error
+
+    @pytest.mark.parametrize("index", [2, 4])
+    def test_header_length_whose_grid_overflows(self, mutation_base, tmp_path, index):
+        # L = 1e-320 parses as a float, but no grid of it has finite
+        # wavenumbers: refused in a snapshot that check reads (steps 1-4),
+        # before any grid is built
+        run = str(tmp_path / "run")
+        shutil.copytree(mutation_base, run)
+        _mutate_run_dir(run, [("header", index, "L", "1e-320")])
+        code, lines = self.check(run)
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("TCM-ERROR "), lines
+        error = json.loads(lines[0].split(" ", 1)[1])
+        assert error["error"] == "ConfigParseError"
+        assert f"step_{index:08d}.bin: line 1: bad TCM3 header" in error["detail"] and "1e-320" in error["detail"]
 
     @pytest.mark.parametrize(
         "column, value, code, error, detail",
@@ -1194,27 +1216,37 @@ class TestMutatedRunDir:
             ("grad_u_linf", "1e308", 0, None, None),
             ("b_func", "1e308", 2, "ConfigParseError", "data row 1: b_func=1e+308"),
             ("a_func", "1e308", 2, "ConfigParseError", "data row 1: a_func=1e+308"),
-            ("grad_u_l2", "1e308", 0, None, None),
+            ("grad_u_l2", "1e308", 2, "ConfigParseError", "data row 1: dissipation="),
+            ("dissipation", "1e308", 2, "ConfigParseError", "data row 1: dissipation=1e+308"),
             ("u_l2", "1e308", 2, "ConfigParseError", "data row 1: energy="),
         ],
     )
     def test_first_row_cell_that_overflows(self, mutation_base, tmp_path, column, value, code, error, detail):
         # one edited first-row cell, checksums re-listed: an infinite cell, or
-        # an energy, A or B that its norms do not make, is refused; a huge
-        # alpha or beta fails the Gronwall series' finiteness check; a huge
-        # grad_u_linf only loosens the envelope, and a huge grad_u_l2 only
-        # the divergence floor. No numpy warning reaches stderr (pytest
-        # makes a RuntimeWarning an error).
+        # an energy, dissipation, A or B that its norms do not make, is
+        # refused; a huge alpha or beta fails the Gronwall series' finiteness
+        # check; a huge grad_u_linf only loosens the envelope. No numpy
+        # warning reaches stderr (pytest makes a RuntimeWarning an error).
         run = str(tmp_path / "run")
         shutil.copytree(mutation_base, run)
         _mutate_run_dir(run, [("cell", 1, t.COLUMNS.index(column), value)])
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
-            got = main(["check", "--run-dir", run])
-        lines = err.getvalue().splitlines()
+        got, lines = self.check(run)
         assert got == code and len(lines) == (code != 0), lines
         if error:
             payload = json.loads(lines[0].split(" ", 1)[1])
             assert payload["error"] == error and detail in payload["detail"], payload
+
+    @pytest.mark.parametrize("column", ["grad_u_l2", "dissipation"])
+    def test_second_row_dissipation_off_its_norms(self, mutation_base, tmp_path, column):
+        # the first row past t = 0, whose dissipation the energy identity
+        # integrates
+        run = str(tmp_path / "run")
+        shutil.copytree(mutation_base, run)
+        _mutate_run_dir(run, [("cell", 2, t.COLUMNS.index(column), "1e308")])
+        code, lines = self.check(run)
+        assert code == 2 and len(lines) == 1, lines
+        payload = json.loads(lines[0].split(" ", 1)[1])
+        assert payload["error"] == "ConfigParseError" and "data row 2: dissipation=" in payload["detail"], payload
 
 
 # Valid configs at n = 16 (whose run may still stop at the CFL guard): every
