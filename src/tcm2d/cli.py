@@ -18,13 +18,11 @@ machine-readable line ``TCM-ERROR {...}`` to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import gc
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -80,51 +78,25 @@ def _resolve_outdir(args, cfg: SimConfig, default: str) -> str:
     return out
 
 
-def _run_to_dir(cfg: SimConfig, text: str, run_dir: str):
-    """Simulate the run into ``run_dir``: each snapshot is written as it is
-    produced and then dropped; the config, the diagnostics and the manifest
-    follow, the manifest listing the checksum each writer returned. An
-    earlier manifest is removed first, so a run that fails part-way leaves
-    none, and snapshot files this run did not write are removed before the
-    new one is written.
-
-    Returns (result, number of snapshots written).
-    """
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(run_dir, storage.MANIFEST_NAME))
-    started = time.time()
-    snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
-    files = {}  # path -> the SHA-256 of the bytes its writer wrote
-
-    def write(step, state):
-        path, digest = storage.write_state_snapshot(snap_dir, state, step)
-        files[path] = digest
-
-    result = simulate(cfg, on_snapshot=write)
-    storage.remove_stale_snapshots(snap_dir, files)
-    count = len(files)
-    cfg_path = os.path.join(run_dir, "config.cfg")
-    files[cfg_path] = storage.write_text(cfg_path, text)
-    diag_path = os.path.join(run_dir, "diagnostics.csv")
-    files[diag_path] = storage.write_diagnostics_csv(diag_path, result.diagnostics)
-    storage.write_manifest(run_dir, text, __version__, started, files)
-    return result, count
-
-
 def cmd_run(args) -> int:
     cfg, text = _load_config(args)
     run_dir = _resolve_outdir(args, cfg, "run_out")
-    result, count = _run_to_dir(cfg, text, run_dir)
-    print(
-        f"run complete: {len(result.diagnostics)} diagnostic records, "
-        f"{count} snapshots -> {run_dir}"
-    )
-    tail = result.diagnostics.col("theta_tail_frac")
-    flagged = int(np.sum(tail > 0.01))
+    tail = COLUMNS.index("theta_tail_frac")
+    flagged, largest = 0, -np.inf
+    with storage.RunWriter(run_dir, text, __version__) as out:
+
+        def record(row):
+            nonlocal flagged, largest
+            out.record(row)
+            flagged += bool(row[tail] > 0.01)
+            largest = np.maximum(largest, row[tail])
+
+        simulate(cfg, out.snapshot, record)
+    print(f"run complete: {out.rows} diagnostic records, {out.snapshots} snapshots -> {run_dir}")
     if flagged:
         print(
             f"warning: {flagged} record(s) hold > 1% of the temperature "
-            f"variance in the top spectral shell (max {np.max(tail):.2%}); "
+            f"variance in the top spectral shell (max {largest:.2%}); "
             "the run may be under-resolved"
         )
     return EXIT_OK
@@ -149,14 +121,15 @@ def _gather(args):
     if args.config:
         cfg, text = _load_config(args)
         run_dir = _resolve_outdir(args, cfg, "check_out")
-        _run_to_dir(cfg, text, run_dir)
+        with storage.RunWriter(run_dir, text, __version__) as out:
+            simulate(cfg, out.snapshot, out.record)
     elif args.seed_override is not None:
         raise ConfigParseError("--seed-override needs --config: a run directory has its seed")
     else:
         run_dir = args.run_dir
     manifest = storage.verify_manifest(run_dir)
-    cfg, _ = config_mod.parse_config_file(os.path.join(run_dir, "config.cfg"))
-    diag_path = os.path.join(run_dir, "diagnostics.csv")
+    cfg, _ = config_mod.parse_config_file(os.path.join(run_dir, storage.CONFIG_NAME))
+    diag_path = os.path.join(run_dir, storage.DIAGNOSTICS_NAME)
     series = storage.read_diagnostics_csv(diag_path)
     _check_series(diag_path, series, cfg)
     snap_dir = os.path.join(run_dir, storage.SNAPSHOT_DIR)
@@ -178,7 +151,7 @@ def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
     and eps, and t = step * dt within SNAPSHOT_T_RTOL; else ConfigParseError
     names the file and the key."""
     s = storage.read_state_snapshot(snap_dir, step)
-    path = storage._snapshot_path(snap_dir, step)
+    path = storage.snapshot_path(snap_dir, step)
     for key, got, want in (("n", s.grid.n, cfg.n), ("L", s.grid.length, cfg.length), ("eps", s.eps, cfg.eps)):
         if got != want:
             raise ConfigParseError(f"{path}: line 1: {key}={got!r} disagrees with config.cfg ({want!r})")

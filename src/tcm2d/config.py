@@ -40,7 +40,7 @@ _TABLE = (
     ("time", "dt", "dt", float),
     ("time", "horizon", "horizon", float),
     ("model", "eps", "eps", float),
-    ("model", "dealias", "dealias", bool),
+    ("model", "dealias", None, bool),  # no field: always true
     ("model", "cfl_max", "cfl_max", float),
     ("init", "preset", "preset", str),
     ("init", "amplitude", "amplitude", float),
@@ -96,6 +96,8 @@ def parse_config_text(text: str) -> SimConfig:
                 raise ConfigParseError(f"unknown key [{section}] {key}")
             name, kind = _ROWS[(section, key)]
             values[name] = _coerce(section, key, kind, raw)
+    if values.pop(None, True) is not True:  # dealias
+        raise ConfigParseError("dealias = False: products are always two-thirds dealiased")
 
     for section, key, name, _ in _TABLE:
         if name in _REQUIRED and name not in values:
@@ -129,7 +131,7 @@ def render_config(cfg: SimConfig) -> str:
     """
     lines, current = [], None
     for section, key, name, kind in _TABLE:
-        value = getattr(cfg, name)
+        value = True if name is None else getattr(cfg, name)
         if name == "outdir" and not value:
             continue
         if section != current:

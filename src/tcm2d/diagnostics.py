@@ -275,6 +275,8 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
             eps=cfg.eps,
         )
 
+    for s in (base, pert):  # step 1's guard, before either state is measured
+        _step(1, s, cfg, guard_only=True)
     nsteps = cfg.num_steps()
     times = [0.0]
     seps = [_separation(base, pert)]

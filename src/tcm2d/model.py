@@ -124,8 +124,7 @@ class SimConfig:
     Every rule is checked here, the grid's and the preset's mode or band
     included, so a config that constructs can run. A mode or band must lie
     within the modes the two-thirds mask keeps, |k1|, |k2| <= n // 3, so
-    every state a run makes lies on the block a step works on. ``dealias``
-    must be True: products are always two-thirds dealiased.
+    every state a run makes lies on the block a step works on.
     """
 
     n: int
@@ -143,7 +142,6 @@ class SimConfig:
     v_amp: float = 0.5
     theta_amp: float = 0.5
     seed: int = 0
-    dealias: bool = True
     cfl_max: float = 0.5
     diag_stride: int = 1
     snap_stride: int = 1
@@ -165,8 +163,6 @@ class SimConfig:
             raise BadParams("strides must be >= 1")
         if self.seed < 0:
             raise BadParams(f"seed must be nonnegative, got {self.seed}")
-        if self.dealias is not True:
-            raise BadParams(f"dealias = {self.dealias!r}: products are always two-thirds dealiased")
         if self.preset not in PRESETS:
             raise BadParams(f"unknown preset {self.preset!r}")
         _check_grid(int(self.n), self.length)
@@ -190,7 +186,8 @@ class SimConfig:
 class SimResult:
     """Trajectory handle: snapshot states plus the diagnostics series.
 
-    ``snapshots`` is empty when :func:`simulate` handed them to a sink.
+    ``snapshots`` is empty when :func:`simulate` handed them to a sink, and
+    ``diagnostics`` holds no rows when it handed those to one.
     """
 
     snapshots: list[State] = field(default_factory=list)
@@ -403,16 +400,27 @@ class _Stepper:
         rows = [g.seminorm_weight(j) for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * (g.n / 3.0))]
         return self.gather(np.stack(rows)).reshape(5, -1)
 
-    def velocities(self, y: np.ndarray) -> np.ndarray:
-        """u and v of the block spectra y, on the grid, into f[:4], and
-        (||u||_Linf, ||v||_Linf) as norm(., "Linf") computes them."""
-        f, sq, z = self.f, self.p[:4], self.z[:4]
+    def guard(self, s, dt: float, cfl_max: float) -> np.ndarray:
+        """The guard of :func:`imex_step` from s, norms as norm(., "Linf")
+        computes them; returns y, s loaded, with the grid velocities of u
+        and v in f[:4]."""
+        y, f, sq, z = self.load(s), self.f, self.p[:4], self.z[:4]
         self.scatter(y[:4], z)
         _irfft2(z, f[:4], self.cols)
-        np.square(f[0:4:2], out=sq[:2])
-        np.square(f[1:4:2], out=sq[2:])
-        sq[:2] += sq[2:]
-        return np.sqrt(np.max(sq[:2], axis=(1, 2)))
+        with np.errstate(over="ignore"):  # the squares of a finite field past 1e154 overflow
+            np.square(f[0:4:2], out=sq[:2])
+            np.square(f[1:4:2], out=sq[2:])
+            sq[:2] += sq[2:]
+            linf = np.sqrt(np.max(sq[:2], axis=(1, 2)))
+            if not np.isfinite(linf).all():  # again without overflow, so only a NaN or an infinity stays
+                linf = np.max(np.hypot(f[0:4:2], f[1:4:2]), axis=(1, 2))
+        bad = ~np.isfinite(linf)
+        if bad.any():
+            raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
+        ratio = dt * float(np.max(linf)) / self.g.spacing
+        if not ratio <= cfl_max:
+            raise CflViolation(ratio, cfl_max, s.t)
+        return y
 
     def _products(self, y: np.ndarray, grid_uv: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
@@ -460,7 +468,7 @@ class _Stepper:
         unprojected: the step projects each stage result. Factors and
         products are masked once each, by the block's scatter and gather.
         With ``grid_uv``, f[:4] already holds the grid velocities of y (as
-        :meth:`velocities` leaves them). The result is written into
+        :meth:`guard` leaves them). The result is written into
         ``out``, which may be ``y``.
         """
         self._products(y, grid_uv)
@@ -637,14 +645,7 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
     st = _stepper(g)
-    y = st.load(s)
-    linf = st.velocities(y)
-    bad = ~np.isfinite(linf)
-    if bad.any():
-        raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
-    ratio = dt * float(np.max(linf)) / g.spacing
-    if not ratio <= cfl_max:
-        raise CflViolation(ratio, cfl_max, s.t)
+    y = st.guard(s, dt, cfl_max)
     a, half_b = _factors(g, dt, s.eps)
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
@@ -663,10 +664,13 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
-def _step(k: int, s: State, cfg: SimConfig) -> State:
-    # step k of a run of cfg: imex_step with cfg's settings, whose guard
-    # errors carry k
+def _step(k: int, s: State, cfg: SimConfig, guard_only: bool = False) -> State:
+    # step k of a run of cfg, or with guard_only its guard alone (s is
+    # returned); guard errors carry k
     try:
+        if guard_only:
+            _stepper(s.grid).guard(s, cfg.dt, cfg.cfl_max)
+            return s
         return imex_step(s, cfg.dt, cfl_max=cfg.cfl_max)
     except (CflViolation, NonFiniteState) as exc:
         exc.step = k
@@ -674,34 +678,34 @@ def _step(k: int, s: State, cfg: SimConfig) -> State:
 
 
 def simulate(
-    cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = None, *, record: bool = True
+    cfg: SimConfig, on_snapshot: Callable[[int, State], None] | None = None,
+    on_record: Callable[[np.ndarray], None] | None = None, *, record: bool = True,
 ) -> SimResult:
     """Advance from the configured initial data to the horizon.
 
-    Diagnostics are recorded every ``diag_stride`` steps, into a table
-    allocated up front, and snapshots taken every ``snap_stride`` steps,
-    both including step 0; a step's snapshot is taken after its record.
-    With ``record=False`` the table has 0 rows. Without ``on_snapshot`` the
-    snapshots are kept in ``result.snapshots``, so memory grows with the
-    horizon. With it, ``on_snapshot(step, state)`` receives each one instead
-    and ``result.snapshots`` stays empty: the run holds O(1) states unless
-    the sink keeps them.
+    The initial state must first pass step 1's guard (a NaN, an infinity or
+    a CFL ratio past ``cfl_max`` raises, with step 1). Diagnostics are
+    recorded every ``diag_stride`` steps (none with ``record=False``) and
+    snapshots taken every ``snap_stride`` steps, both including step 0; a
+    step's snapshot is taken after its record. ``on_record(row)`` receives
+    each record, a float64 row in ``records.COLUMNS`` order, as it is made,
+    and ``on_snapshot(step, state)`` each snapshot. Without a sink, rows and
+    snapshots are kept in ``result``, so memory grows with the horizon; with
+    both, the run holds O(1) states and no row unless the sinks keep them.
     """
     state = make_initial(cfg)
-    nsteps = cfg.num_steps()
-    table = np.empty((nsteps // cfg.diag_stride + 1 if record else 0, len(records.COLUMNS)))
-    result = SimResult(diagnostics=records.DiagnosticsSeries(table))
-    if on_snapshot is None:
-        def on_snapshot(step, s):
-            result.snapshots.append(s)
-
+    result, rows = SimResult(), []
+    on_snapshot = on_snapshot or (lambda step, s: result.snapshots.append(s))
+    on_record = on_record or rows.append
+    _step(1, state, cfg, guard_only=True)
     if record:
-        table[0] = records.make_record(state)
+        on_record(records.make_record(state))
     on_snapshot(0, state)
-    for k in range(1, nsteps + 1):
+    for k in range(1, cfg.num_steps() + 1):
         state = _step(k, state, cfg)
         if record and k % cfg.diag_stride == 0:
-            table[k // cfg.diag_stride] = records.make_record(state)
+            on_record(records.make_record(state))
         if k % cfg.snap_stride == 0:
             on_snapshot(k, state)
+    result.diagnostics = records.DiagnosticsSeries(np.array(rows).reshape(-1, len(records.COLUMNS)))
     return result

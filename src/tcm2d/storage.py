@@ -24,10 +24,14 @@ that checksum, so writing it re-reads nothing, and names the snapshot
 format. A run directory of another format (the whole-half-plane ``TCM2``
 files, the per-field ``TCM1`` files of grid samples) is rejected, not
 read.
+
+A run directory's layout is stated here alone, and :class:`RunWriter` is
+its one writer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -45,9 +49,12 @@ from .spectral import Grid, SpectralField, VectorField
 
 SNAPSHOT_MAGIC = "TCM3"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
+# the files of a run directory
+CONFIG_NAME = "config.cfg"
+DIAGNOSTICS_NAME = "diagnostics.csv"
 MANIFEST_NAME = "manifest.json"
 SNAPSHOT_DIR = "snapshots"  # a run directory's snapshot subdirectory
-# the file name _snapshot_path makes; group 1 is the step
+# the file name snapshot_path makes; group 1 is the step
 _SNAPSHOT_NAME = re.compile(r"step_(\d{8,})\.bin")
 # the per-field files of the TCM1 format, cleared with stale snapshots
 _TCM1_NAME = re.compile(r"step_\d{8,}\.(?:%s)\.bin" % "|".join(FIELD_NAMES))
@@ -127,7 +134,8 @@ def read_field_snapshot(path) -> State:
         raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc}") from exc
 
 
-def _snapshot_path(directory, step: int) -> str:
+def snapshot_path(directory, step: int) -> str:
+    """The path of the snapshot of ``step`` in the snapshot directory."""
     return os.path.join(directory, f"step_{step:08d}.bin")
 
 
@@ -135,23 +143,12 @@ def write_state_snapshot(directory, state: State, step: int) -> tuple[str, str]:
     """Write the snapshot of ``step`` into ``directory``; returns its path
     and the SHA-256 of its bytes."""
     os.makedirs(directory, exist_ok=True)
-    path = _snapshot_path(directory, step)
+    path = snapshot_path(directory, step)
     return path, write_field_snapshot(path, state)
 
 
 def read_state_snapshot(directory, step: int) -> State:
-    return read_field_snapshot(_snapshot_path(directory, step))
-
-
-def remove_stale_snapshots(directory, written) -> None:
-    """Delete the files in ``directory`` that are named like this module's
-    snapshots, or like the per-field files of the TCM1 format, but are not in
-    ``written``: the later steps a longer earlier run left behind, or a whole
-    TCM1 run. Other files are kept."""
-    keep = {os.path.basename(path) for path in written}
-    for name in os.listdir(directory):
-        if name not in keep and (_SNAPSHOT_NAME.fullmatch(name) or _TCM1_NAME.fullmatch(name)):
-            os.remove(os.path.join(directory, name))
+    return read_field_snapshot(snapshot_path(directory, step))
 
 
 def manifest_snapshot_steps(manifest: dict) -> list[int]:
@@ -171,13 +168,11 @@ def manifest_snapshot_steps(manifest: dict) -> list[int]:
 # CSV tables
 
 
-def write_text(path, text: str) -> str:
-    """Write ``text`` to ``path`` as UTF-8, line ends as they are; returns
-    the SHA-256 of the bytes written."""
-    data = text.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+def _write_line(fh, digest, cells) -> None:
+    # one CSV line of the string cells, into fh and the running SHA-256
+    line = (",".join(cells) + "\n").encode("ascii")
+    digest.update(line)
+    fh.write(line)
 
 
 def write_csv(path, columns, rows) -> str:
@@ -186,15 +181,18 @@ def write_csv(path, columns, rows) -> str:
     bytes written."""
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for cells in itertools.chain([columns], ([_fmt(x) for x in row] for row in rows)):
-            line = (",".join(cells) + "\n").encode("ascii")
-            digest.update(line)
-            fh.write(line)
+        for cells in itertools.chain([columns], (map(_fmt, row) for row in rows)):
+            _write_line(fh, digest, cells)
     return digest.hexdigest()
 
 
-def write_diagnostics_csv(path, series: DiagnosticsSeries) -> str:
-    return write_csv(path, COLUMNS, series.table)
+def write_diagnostics_csv(path):
+    """Open the diagnostics CSV ``path`` with its header row written, for a
+    run's rows to follow (:meth:`RunWriter.record`); returns the open file
+    and the running SHA-256 of its bytes."""
+    fh, digest = open(path, "wb"), hashlib.sha256()
+    _write_line(fh, digest, COLUMNS)
+    return fh, digest
 
 
 def _read_text(path, encoding: str) -> str:
@@ -334,3 +332,56 @@ def verify_manifest(run_dir) -> dict:
                 f"expected {entry['sha256'][:12]}..., got {actual[:12]}..."
             )
     return manifest
+
+
+# ---------------------------------------------------------------------------
+# run directory
+
+
+class RunWriter(contextlib.AbstractContextManager):
+    """The one writer of a run directory, as a ``with`` block around a run.
+
+    Opening it removes an earlier manifest and writes ``config.cfg`` and the
+    header of ``diagnostics.csv``; :meth:`snapshot` and :meth:`record` write
+    each snapshot and each row (flushed at once) as ``model.simulate`` hands
+    them over. Leaving the block closes the CSV and removes the snapshot
+    files this run did not write (a longer earlier run's, a TCM1 run's);
+    left normally, it writes the manifest from the checksums its own writes
+    returned. A run stopped by an exception keeps its config, rows and
+    snapshots so far but no manifest, so ``check --run-dir`` refuses it.
+    """
+
+    def __init__(self, run_dir, config_text: str, version: str):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(run_dir, MANIFEST_NAME))
+        self.run_dir, self.config_text, self.version = run_dir, config_text, version
+        self.started = time.time()
+        self.snap_dir = os.path.join(run_dir, SNAPSHOT_DIR)
+        os.makedirs(self.snap_dir, exist_ok=True)
+        self.rows = self.snapshots = 0
+        path, data = os.path.join(run_dir, CONFIG_NAME), config_text.encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        self.files = {path: hashlib.sha256(data).hexdigest()}  # path -> the SHA-256 of its bytes
+        self.csv_path = os.path.join(run_dir, DIAGNOSTICS_NAME)
+        self.csv, self.digest = write_diagnostics_csv(self.csv_path)
+
+    def snapshot(self, step: int, state: State) -> None:
+        path, digest = write_state_snapshot(self.snap_dir, state, step)
+        self.files[path] = digest
+        self.snapshots += 1
+
+    def record(self, row) -> None:
+        _write_line(self.csv, self.digest, map(_fmt, row))
+        self.csv.flush()
+        self.rows += 1
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.csv.close()
+        keep = {os.path.basename(path) for path in self.files}
+        for name in os.listdir(self.snap_dir):
+            if name not in keep and (_SNAPSHOT_NAME.fullmatch(name) or _TCM1_NAME.fullmatch(name)):
+                os.remove(os.path.join(self.snap_dir, name))
+        if exc_type is None:
+            self.files[self.csv_path] = self.digest.hexdigest()
+            write_manifest(self.run_dir, self.config_text, self.version, self.started, self.files)

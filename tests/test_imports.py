@@ -246,3 +246,18 @@ def test_the_check_finds_a_removed_name():
         "g = t.Grid(8)\nt.SpectralField.from_phys(g, 0)\nt.SpectralField.from_grid(g)\nt.removed_operator(g)\n"
     )
     assert unresolved_package_names(source) == ["t.SpectralField.from_grid", "t.removed_operator", "tcm2d.storage.write_rows"]
+
+
+def test_run_dir_layout_is_stated_once():
+    # the file names of a run directory are string constants of storage
+    # alone, and only storage makes a snapshot's path
+    names = {"config.cfg", "diagnostics.csv", "manifest.json", "snapshots"}
+    holding, naming = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in names:
+                holding.add(path.name)
+            if "_snapshot_path" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                naming.add(path.name)
+    assert holding == {"storage.py"}
+    assert naming <= {"storage.py"}

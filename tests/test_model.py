@@ -1,6 +1,6 @@
 import collections
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 import tcm2d as t
 from tcm2d import model
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
-from tcm2d.errors import BadParams, CflViolation, NonFiniteState
+from tcm2d.config import parse_config_text
+from tcm2d.errors import BadParams, CflViolation, ConfigParseError, NonFiniteState
 from tcm2d.model import _stepper
 from tcm2d.spectral import _project, multiply
 
@@ -180,9 +181,13 @@ class TestConfigValidation:
             t.SimConfig(n=16, dt=1e-3, horizon=0.0501)
 
     def test_dealias_must_be_true(self):
-        # the key stays so that every earlier config parses
-        with pytest.raises(BadParams, match="products are always two-thirds dealiased"):
-            t.SimConfig(n=16, dt=1e-3, horizon=0.1, dealias=False)
+        # the key stays so that every earlier config parses, but no SimConfig
+        # field holds it
+        text = "[grid]\nn = 16\n\n[time]\ndt = 0.001\nhorizon = 0.1\n\n[model]\ndealias = {}\n"
+        assert parse_config_text(text.format("true")) == t.SimConfig(n=16, dt=1e-3, horizon=0.1)
+        with pytest.raises(ConfigParseError, match="dealias = False: products are always two-thirds dealiased"):
+            parse_config_text(text.format("false"))
+        assert "dealias" not in {f.name for f in fields(t.SimConfig)}
 
     @pytest.mark.parametrize("field", ["horizon", "u_amp", "dt"])
     def test_non_finite_values(self, field):
@@ -533,14 +538,16 @@ class TestSimulate:
 
     def test_streamed_run_memory_does_not_grow_with_horizon(self):
         # a snapshot every step and a record every 50, so that held
-        # snapshots (45 KB each at n = 32) dominate what a run allocates
-        def peak(horizon, sink):
-            cfg = t.SimConfig(n=32, dt=2e-3, horizon=horizon, preset="random_band", eps=0.1, seed=36, diag_stride=50)
+        # snapshots (45 KB each at n = 32) dominate what a run allocates;
+        # then a record every step too, into a sink that keeps nothing
+        def peak(horizon, sink, on_record=None, diag_stride=50):
+            cfg = t.SimConfig(n=32, dt=2e-3, horizon=horizon, preset="random_band", eps=0.1, seed=36,
+                              diag_stride=diag_stride)
             t.imex_step(t.make_initial(cfg), cfg.dt)  # build the step cache outside the measurement
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                t.simulate(cfg, on_snapshot=sink)
+                t.simulate(cfg, on_snapshot=sink, on_record=on_record)
                 return tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -548,8 +555,38 @@ class TestSimulate:
         # measured: streamed 0.283 and 0.289 MB, listed 2.56 and 9.42 MB
         streamed = [peak(h, lambda step, s: None) for h in (0.1, 0.4)]
         listed = [peak(h, None) for h in (0.1, 0.4)]
+        recorded = [peak(h, lambda step, s: None, lambda row: None, 1) for h in (0.1, 0.4)]
         assert streamed[1] - streamed[0] <= 0.025e6
         assert listed[1] - listed[0] >= 5e6
+        assert recorded[1] - recorded[0] <= 0.025e6, recorded
+
+    def test_sinks_stop_a_run_of_any_length(self):
+        # 10^12 steps, whose records would take 226 TiB as one table: the
+        # run allocates nothing in proportion to its length before a sink
+        # stops it
+        cfg = t.SimConfig(n=16, dt=1e-12, horizon=1.0, preset="taylor_green")
+        assert cfg.num_steps() == 10**12
+
+        class Enough(Exception):
+            pass
+
+        rows, steps = [], []
+
+        def on_record(row):
+            rows.append(row)
+            if len(rows) == 3:
+                raise Enough
+
+        t.imex_step(t.make_initial(cfg), cfg.dt)  # build the step cache outside the measurement
+        tracemalloc.start()
+        try:
+            with pytest.raises(Enough):
+                t.simulate(cfg, lambda step, s: steps.append(step), on_record)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert steps == [0, 1] and len(rows) == 3
+        assert peak < 0.5e6, peak
 
     def test_energy_nonincreasing_regularized(self):
         cfg = t.SimConfig(

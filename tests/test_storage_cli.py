@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,18 +194,18 @@ class TestSnapshots:
         assert f"{path}: line 1" in str(info.value)
 
     def test_stale_snapshot_removal_keeps_other_files(self, tmp_path):
-        snap_dir = str(tmp_path)
-        kept = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 0)[0]]
-        stale = [storage.write_state_snapshot(snap_dir, band_state(n=16, seed=1, hi=3), 1)[0]]
-        # the per-field files of a TCM1 run in the same directory
-        for name in ("step_00000000.theta.bin", "step_00000001.u_x.bin"):
-            stale.append(os.path.join(snap_dir, name))
-            open(stale[-1], "w").close()
+        # a run that writes step 0 into a directory that holds step 1 of a
+        # longer earlier run, the per-field files of a TCM1 run and others
+        snap_dir = os.path.join(tmp_path, storage.SNAPSHOT_DIR)
+        state = band_state(n=16, seed=1, hi=3)
+        stale = [storage.write_state_snapshot(snap_dir, state, 1)[0]]
+        stale += [os.path.join(snap_dir, name) for name in ("step_00000000.theta.bin", "step_00000001.u_x.bin")]
         other = ["notes.txt", "step_1.theta.bin", "step_00000001.p.bin", "step_00000001.theta.bin.bak"]
-        for name in other:
-            open(os.path.join(snap_dir, name), "w").close()
-        storage.remove_stale_snapshots(snap_dir, kept)
-        assert sorted(os.listdir(snap_dir)) == sorted(other + [os.path.basename(p) for p in kept])
+        for path in stale[1:] + [os.path.join(snap_dir, name) for name in other]:
+            Path(path).touch()
+        with storage.RunWriter(str(tmp_path), "", "0.0") as out:
+            out.snapshot(0, state)
+        assert sorted(os.listdir(snap_dir)) == sorted(other + ["step_00000000.bin"])
         assert not any(os.path.exists(p) for p in stale)
 
     @pytest.mark.parametrize("n", [8, 16, 64, 256])
@@ -257,21 +258,25 @@ class TestSnapshots:
             assert np.array_equal(kept, g.dealias_mask)
 
 
+def write_run(run_dir, cfg: t.SimConfig):
+    """Run ``cfg`` into ``run_dir`` through the run-directory writer."""
+    with storage.RunWriter(str(run_dir), render_config(cfg), t.__version__) as out:
+        t.simulate(cfg, out.snapshot, out.record)
+
+
 class TestDiagnosticsCsv:
     def test_roundtrip_exact(self, tmp_path):
         cfg = t.SimConfig(n=16, dt=1e-2, horizon=0.05, preset="taylor_green", diag_stride=1)
+        write_run(tmp_path, cfg)
+        back = storage.read_diagnostics_csv(tmp_path / "diagnostics.csv")
         series = t.simulate(cfg).diagnostics
-        path = tmp_path / "d.csv"
-        storage.write_diagnostics_csv(path, series)
-        back = storage.read_diagnostics_csv(path)
         for col in t.COLUMNS:
             assert np.array_equal(back.col(col), series.col(col))
 
     def test_header_row(self, tmp_path):
         cfg = t.SimConfig(n=16, dt=1e-2, horizon=0.0, preset="taylor_green")
-        path = tmp_path / "d.csv"
-        storage.write_diagnostics_csv(path, t.simulate(cfg).diagnostics)
-        first = open(path).readline().strip()
+        write_run(tmp_path, cfg)
+        first = (tmp_path / "diagnostics.csv").read_text().splitlines()[0]
         assert first == ",".join(t.COLUMNS)
         assert first == DIAGNOSTICS_HEADER
 
@@ -362,7 +367,7 @@ class TestCliRun:
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "out")
         assert main(["run", "--config", cfg, "--out", out]) == 0
-        lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+        lines = Path(out, "diagnostics.csv").read_text().splitlines()
         assert lines[0].startswith("t,")
         assert len(lines) >= 3  # header + at least two records
         assert os.path.exists(os.path.join(out, "manifest.json"))
@@ -374,7 +379,7 @@ class TestCliRun:
         names = [f"step_{step:08d}.bin" for step in range(11)]
         assert sorted(os.listdir(os.path.join(out, "snapshots"))) == names
         assert "11 snapshots" in capsys.readouterr().out
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["format"] == "TCM3"
         assert sorted(e["path"] for e in manifest["files"] if e["path"].startswith("snapshots")) == [
             os.path.join("snapshots", name) for name in names
@@ -386,7 +391,7 @@ class TestCliRun:
         for name in ("a", "b"):
             out = str(tmp_path / name)
             assert main(["run", "--config", cfg, "--out", out]) == 0
-            outs.append(open(os.path.join(out, "diagnostics.csv"), "rb").read())
+            outs.append(Path(out, "diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
 
     def test_seed_override_changes_output(self, tmp_path):
@@ -398,7 +403,7 @@ class TestCliRun:
         for seed, name in ((1, "a"), (2, "b")):
             out = str(tmp_path / name)
             assert main(["run", "--config", cfg, "--out", out, "--seed-override", str(seed)]) == 0
-            blobs.append(open(os.path.join(out, "diagnostics.csv"), "rb").read())
+            blobs.append(Path(out, "diagnostics.csv").read_bytes())
         assert blobs[0] != blobs[1]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
@@ -440,6 +445,35 @@ class TestCliRun:
         payload = json.loads(err.split(" ", 1)[1])
         assert payload["error"] == "NonFiniteState" and payload["t"] == 0.0 and payload["field"] == "u"
         assert payload["step"] == 1
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_stopped_run_keeps_its_rows(self, tmp_path, capsys, monkeypatch, k):
+        # the state goes non-finite at step k: the directory keeps its own
+        # config and the rows and snapshots of steps 0..k-1, byte for byte
+        # as an unpatched run writes them, and has no manifest
+        cfg = write_cfg(tmp_path, MINIMAL_CFG.replace("snap_stride = 5", "snap_stride = 1"))
+        full, stopped = tmp_path / "full", tmp_path / "stopped"
+        assert main(["run", "--config", cfg, "--out", str(full)]) == 0
+        imex_step, steps = model.imex_step, []
+
+        def faulty(s, dt, cfl_max):
+            steps.append(s)
+            return imex_step(with_nan(s, "v_x") if len(steps) == k else s, dt, cfl_max)
+
+        monkeypatch.setattr(model, "imex_step", faulty)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(stopped)]) == 3
+        payload = json.loads(capsys.readouterr().err.split(" ", 1)[1])
+        assert payload["error"] == "NonFiniteState" and payload["step"] == k and payload["field"] == "v"
+        assert sorted(os.listdir(stopped)) == ["config.cfg", "diagnostics.csv", "snapshots"]
+        assert (stopped / "config.cfg").read_bytes() == Path(cfg).read_bytes()
+        rows = (full / "diagnostics.csv").read_bytes().splitlines(keepends=True)
+        assert (stopped / "diagnostics.csv").read_bytes() == b"".join(rows[: k + 1])
+        names = [f"step_{step:08d}.bin" for step in range(k)]
+        assert sorted(os.listdir(stopped / "snapshots")) == names
+        for name in names:
+            assert (stopped / "snapshots" / name).read_bytes() == (full / "snapshots" / name).read_bytes()
+        assert main(["check", "--run-dir", str(stopped)]) == 4
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 4
@@ -530,7 +564,7 @@ class TestCliCheck:
         assert not any(os.path.exists(os.path.join(run, name)) for name in names)
         assert main(["check", "--run-dir", run]) == 0
         for name in names:
-            assert open(os.path.join(out, name), "rb").read() == open(os.path.join(run, name), "rb").read()
+            assert Path(out, name).read_bytes() == Path(run, name).read_bytes()
 
     def test_run_dir_rejects_seed_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)
@@ -550,7 +584,7 @@ class TestCliCheck:
         assert main(["check", "--config", cfg, "--out", fresh]) == 0
         assert main(["check", "--run-dir", fresh, "--out", reread]) == 0
         for name in ("check_summary.txt", "check_series.csv"):
-            assert open(os.path.join(fresh, name), "rb").read() == open(os.path.join(reread, name), "rb").read()
+            assert Path(fresh, name).read_bytes() == Path(reread, name).read_bytes()
 
     def test_run_dir_ignores_stale_snapshots(self, tmp_path, monkeypatch):
         text = MINIMAL_CFG.replace("snap_stride = 5", "snap_stride = 1")
@@ -568,7 +602,7 @@ class TestCliCheck:
         assert main(["check", "--run-dir", fresh]) == 0
         # 6 listed snapshots: the window around the middle, then the last
         assert read == [2, 3, 4, 5] * 2
-        summaries = [open(os.path.join(d, "check_summary.txt"), "rb").read() for d in (run, fresh)]
+        summaries = [Path(d, "check_summary.txt").read_bytes() for d in (run, fresh)]
         assert summaries[0] == summaries[1]
 
     @pytest.mark.parametrize("command", ["run", "check"])
@@ -591,7 +625,7 @@ class TestCliCheck:
         assert main(["run", "--config", longer, "--out", reused]) == 0  # leaves later snapshots there
         for out in (fresh, reused):
             assert main(["run", "--config", cfg, "--out", out]) == 0
-            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            manifest = json.loads(Path(out, "manifest.json").read_text())
             listed = {e["path"] for e in manifest["files"]}
             on_disk = set()
             for root, _, names in os.walk(out):
@@ -606,7 +640,7 @@ class TestCliCheck:
         # u stays at roundoff size, so ||div u||_2 / ||u||_H1 is a ratio of
         # two roundoff residues (about 0.99); the gate measures div u against
         # the initial state's size there, and an all-zero state passes
-        text = open(SAMPLE_CFG).read()
+        text = Path(SAMPLE_CFG).read_text()
         for old, new in (("n = 64", f"n = {n}"), ("horizon = 1.0", f"horizon = {horizon}"),
                          ("preset = random_band", f"preset = single_mode\namplitude = {amplitude}"),
                          ("diag_stride = 2", "diag_stride = 1")):
@@ -785,7 +819,7 @@ class TestCliSweepTwinGronwall:
         levels = (0.2, 0.1, 0.0)
         assert main(["sweep-eps", "--config", cfg, "--levels", ",".join(map(str, levels)), "--out", out]) == 0
         rep = t.epsilon_sweep(parse_config_file(cfg)[0], levels)
-        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        rows = Path(out, "sweep.csv").read_text().splitlines()
         assert rows[0] == "eps,dist_velocity_l2h1,dist_theta_l2l2"
         want = zip(rep.eps_levels, rep.dist_velocity, rep.dist_theta)
         assert [[float(x) for x in row.split(",")] for row in rows[1:]] == [list(map(float, w)) for w in want]
@@ -798,7 +832,7 @@ class TestCliSweepTwinGronwall:
         cfg = write_cfg(tmp_path)
         out = str(tmp_path / "tw")
         assert main(["twin", "--config", cfg, "--delta", "0", "--out", out]) == 0
-        rows = open(os.path.join(out, "twin.csv")).read().splitlines()[1:]
+        rows = Path(out, "twin.csv").read_text().splitlines()[1:]
         assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
     def test_twin_negative_delta(self, tmp_path):
@@ -961,6 +995,22 @@ class TestGuardMatrix:
         bad = write_cfg(tmp_path, guard_cfg(edit=edit), "bad.cfg")
         assert run_cli(capsys, [command, "--config", bad, "--out", out])[::2] == (2, "ConfigParseError")
         assert run_cli(capsys, ["check", "--run-dir", out])[0] == 0
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-eps", "twin"])
+    def test_huge_finite_amplitude_stops_at_the_cfl_guard(self, tmp_path, capsys, command):
+        # a finite initial state whose velocity squares overflow: step 1's
+        # guard runs on it before anything is recorded or measured, and
+        # stops every command with a finite ratio and no numpy warning
+        cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = taylor_green\namplitude = 1e200"),)))
+        out = str(tmp_path / "o")
+        argv = {"run": ["run", "--config", cfg, "--out", out], "check": ["check", "--config", cfg, "--out", out],
+                "sweep-eps": ["sweep-eps", "--config", cfg, "--levels", "0.1,0", "--out", out],
+                "twin": ["twin", "--config", cfg, "--out", out]}[command]
+        assert main(argv) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload["error"] == "CflViolation" and payload["step"] == 1 and payload["t"] == 0.0
+        assert 0.5 == payload["limit"] < payload["ratio"] < float("inf")
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = random_band"),)))
