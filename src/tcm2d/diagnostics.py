@@ -23,7 +23,7 @@ from .model import (
     _band_fields,
     _check_band,
     _modes_field,
-    _step,
+    _trajectory,
     make_initial,
     simulate,
 )
@@ -275,19 +275,14 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
             eps=cfg.eps,
         )
 
-    for s in (base, pert):  # step 1's guard, before either state is measured
-        _step(1, s, cfg, guard_only=True)
-    nsteps = cfg.num_steps()
-    times = [0.0]
-    seps = [_separation(base, pert)]
-    coeffs = [_growth_coefficient(base, pert)]
-    for k in range(1, nsteps + 1):
-        base = _step(k, base, cfg)
-        pert = _step(k, pert, cfg)
+    times, seps, coeffs = [], [], []
+    runs = zip(_trajectory(cfg, base), _trajectory(cfg, pert))
+    del base, pert  # so that each run holds its initial state only until its first step
+    for (k, b), (_, p) in runs:
         if k % cfg.diag_stride == 0:
-            times.append(base.t)
-            seps.append(_separation(base, pert))
-            coeffs.append(_growth_coefficient(base, pert))
+            times.append(b.t)
+            seps.append(_separation(b, p))
+            coeffs.append(_growth_coefficient(b, p))
 
     times = np.array(times)
     coeffs = np.array(coeffs)
@@ -337,12 +332,14 @@ def epsilon_sweep(base: SimConfig, levels) -> SweepReport:
     each member to the smallest-eps member, in the two sweep metrics.
 
     The members run in lockstep with the reference member: at each of the
-    reference's snapshots, every other member is stepped from where it
-    stands to the same step and compared with it. The sweep holds one state
-    per member whatever the horizon, and makes no diagnostics records. The
-    members share the step's buffers and each keep their own trapezoidal
-    factors (see ``model._factors``), so stepping them in turn rebuilds
-    nothing. Members are not stepped past the reference's last snapshot.
+    reference's snapshots, every other member's run is advanced to the same
+    step and compared with it. Like every run, a member's initial state
+    passes step 1's guard before its step-0 distance is taken. The sweep
+    holds one state per member whatever the horizon, and makes no
+    diagnostics records. The members share the step's buffers and each keep
+    their own trapezoidal factors (see ``model._factors``), so stepping them
+    in turn rebuilds nothing. Members are not stepped past the reference's
+    last snapshot.
 
     An empty ``levels`` raises BadParams, and so does a level that
     SimConfig rejects. Repeated levels are allowed and give zero distance.
@@ -353,21 +350,16 @@ def epsilon_sweep(base: SimConfig, levels) -> SweepReport:
     eps_levels = np.array([c.eps for c in configs])
     ref = int(np.argmin(eps_levels))
     cfg = configs[ref]
-    members = {i: make_initial(c) for i, c in enumerate(configs) if i != ref}
-    done = 0  # the step every member stands at
+    members = {i: _trajectory(c, make_initial(c)) for i, c in enumerate(configs) if i != ref}
     ts = []
     vel_sq = {i: [] for i in members}
     th_sq = {i: [] for i in members}
 
     def follow(step: int, r: State) -> None:
-        nonlocal done
-        for i, s in members.items():
-            for k in range(done + 1, step + 1):
-                s = _step(k, s, cfg)
-            members[i] = s
+        for i, states in members.items():
+            s = next(s for k, s in states if k == step)
             vel_sq[i].append(norm(s.u - r.u, "H1") ** 2 + norm(s.v - r.v, "H1") ** 2)
             th_sq[i].append(norm(s.theta - r.theta, "L2") ** 2)
-        done = step
         ts.append(r.t)
 
     simulate(cfg, on_snapshot=follow, record=False)

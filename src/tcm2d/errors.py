@@ -34,8 +34,8 @@ class CflViolation(TcmError):
     """Advective CFL guard tripped; the step from time ``t`` was rejected.
 
     ``step`` is the index of that step in the run that raised it (set by
-    ``model._step`` for runs, twins and sweep members), or None outside a
-    run.
+    ``model._trajectory``, which steps runs, twins and sweep members), or
+    None outside a run.
     """
 
     exit_code = 3
@@ -54,8 +54,8 @@ class CflViolation(TcmError):
 class NonFiniteState(TcmError):
     """The state holds a NaN or infinity; the step was rejected.
 
-    ``field`` names the offending field ("u" or "v"); ``t`` and ``step``
-    are as for :class:`CflViolation`.
+    ``field`` names the offending field ("u", "v" or "theta"); ``t`` and
+    ``step`` are as for :class:`CflViolation`.
     """
 
     exit_code = 3

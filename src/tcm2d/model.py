@@ -51,7 +51,7 @@ the returned State holds views of it.
 Each explicit stage is one batched inverse transform of seven fields (u,
 v, theta, curl(u), curl(v)), seven grid products, and one batched forward
 transform of seven fields, whose complex passes run only over the leading
-cols columns (a pruned FFT). The CFL check transforms u and v once, and
+cols columns (a pruned FFT). The guard transforms u, v and theta once, and
 the first stage reuses them: 28 real field-transforms per step (14
 forward, 14 inverse). The stage returns the unprojected u tendency, and
 the step projects the predictor and the corrector: one projection per
@@ -67,12 +67,17 @@ in eps, such as the members of an eps sweep stepped in lockstep, share
 one set of buffers. A record borrows the same buffers between steps
 (``_Stepper.record_norms``, which ``records.make_record`` calls), so
 neither ``imex_step`` nor ``make_record`` is thread-safe.
+
+A run's states come from one private generator, ``_trajectory``, which
+``simulate``, the twin and the eps sweep consume: it yields the initial
+state as step 0 once it passes step 1's guard, then each step's result,
+and a guard error carries the index of the step it rejected.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,6 +97,16 @@ from .spectral import (
 )
 
 PRESETS = ("taylor_green", "single_mode", "random_band")
+
+#: the fields a guard error names, in the order the guard checks them
+_GUARD_FIELDS = ("u", "v", "theta")
+
+#: the largest sup norm of u, v or theta that a step takes. A record takes
+#: fourth powers of a field (its L4 norms), and a step squares it (its
+#: products), so the record of the next state holds about its eighth power:
+#: 1e30 keeps that near 1e240, with room below the float range (1.8e308) for
+#: the sums over the grid and the wavenumber weights
+FIELD_MAX = 1e30
 
 
 @dataclass(frozen=True)
@@ -125,6 +140,11 @@ class SimConfig:
     included, so a config that constructs can run. A mode or band must lie
     within the modes the two-thirds mask keeps, |k1|, |k2| <= n // 3, so
     every state a run makes lies on the block a step works on.
+    The size of the initial data is checked by step 1's guard instead
+    (:func:`imex_step`), before anything is recorded: a CFL ratio past
+    ``cfl_max`` raises CflViolation, and a sup norm of u, v or theta past
+    :data:`FIELD_MAX` raises BadParams. The sup norm of a ``random_band``
+    state is known only once it is drawn.
     """
 
     n: int
@@ -402,11 +422,11 @@ class _Stepper:
 
     def guard(self, s, dt: float, cfl_max: float) -> np.ndarray:
         """The guard of :func:`imex_step` from s, norms as norm(., "Linf")
-        computes them; returns y, s loaded, with the grid velocities of u
-        and v in f[:4]."""
-        y, f, sq, z = self.load(s), self.f, self.p[:4], self.z[:4]
-        self.scatter(y[:4], z)
-        _irfft2(z, f[:4], self.cols)
+        computes them; returns y, s loaded, with the grid fields of u, v and
+        theta in f[:5]."""
+        y, f, sq, z = self.load(s), self.f, self.p[:4], self.z[:5]
+        self.scatter(y, z)
+        _irfft2(z, f[:5], self.cols)
         with np.errstate(over="ignore"):  # the squares of a finite field past 1e154 overflow
             np.square(f[0:4:2], out=sq[:2])
             np.square(f[1:4:2], out=sq[2:])
@@ -414,20 +434,25 @@ class _Stepper:
             linf = np.sqrt(np.max(sq[:2], axis=(1, 2)))
             if not np.isfinite(linf).all():  # again without overflow, so only a NaN or an infinity stays
                 linf = np.max(np.hypot(f[0:4:2], f[1:4:2]), axis=(1, 2))
+        linf = np.append(linf, np.max(np.abs(f[4], out=sq[0])))  # u, v, theta
         bad = ~np.isfinite(linf)
         if bad.any():
-            raise NonFiniteState(s.t, "uv"[int(np.argmax(bad))])
-        ratio = dt * float(np.max(linf)) / self.g.spacing
+            raise NonFiniteState(s.t, _GUARD_FIELDS[int(np.argmax(bad))])
+        ratio = dt * float(np.max(linf[:2])) / self.g.spacing
         if not ratio <= cfl_max:
             raise CflViolation(ratio, cfl_max, s.t)
+        if np.max(linf) > FIELD_MAX:
+            i = int(np.argmax(linf))
+            raise BadParams(f"the sup norm of {_GUARD_FIELDS[i]} at t = {s.t!r} is {linf[i]:.6g}, past FIELD_MAX = "
+                            f"{FIELD_MAX:g}, beyond which the powers that a step and a record take overflow")
         return y
 
-    def _products(self, y: np.ndarray, grid_uv: bool) -> None:
+    def _products(self, y: np.ndarray, on_grid: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
         # u^y theta on the grid into p, from the spectra y, scattered with
-        # their curls into z, and, if grid_uv, the grid velocities of u and v
-        # in f[:4]
+        # their curls into z, and, if on_grid, the grid fields of u, v and
+        # theta in f[:5]
         ik, z, f, p, c, q = self.ik, self.z, self.f, self.p, self.c[0], self.q
         np.multiply(ik[0], y[1], out=q[5])
         np.multiply(ik[1], y[0], out=c)
@@ -435,7 +460,7 @@ class _Stepper:
         np.multiply(ik[0], y[3], out=q[6])
         np.multiply(ik[1], y[2], out=c)
         q[6] -= c
-        k = 4 if grid_uv else 0
+        k = 5 if on_grid else 0
         self.scatter(y[k:], z[k:5])
         self.scatter(q[5:], z[5:])
         _irfft2(z[k:], f[k:], self.cols)
@@ -449,7 +474,7 @@ class _Stepper:
         np.multiply(ux, th, out=p[5])
         np.multiply(uy, th, out=p[6])
 
-    def explicit(self, y: np.ndarray, grid_uv: bool, out: np.ndarray) -> np.ndarray:
+    def explicit(self, y: np.ndarray, on_grid: bool, out: np.ndarray) -> np.ndarray:
         """Everything except the implicit Laplacians, for the spectra
         y = (u^x, u^y, v^x, v^y, theta) on the block, with P the Leray
         projection and curl(a) = d_x a^y - d_y a^x:
@@ -467,11 +492,11 @@ class _Stepper:
         only: seven products in all. The u tendency is returned
         unprojected: the step projects each stage result. Factors and
         products are masked once each, by the block's scatter and gather.
-        With ``grid_uv``, f[:4] already holds the grid velocities of y (as
-        :meth:`guard` leaves them). The result is written into
+        With ``on_grid``, f[:5] already holds the grid fields u, v and theta
+        of y (as :meth:`guard` leaves them). The result is written into
         ``out``, which may be ``y``.
         """
-        self._products(y, grid_uv)
+        self._products(y, on_grid)
         q, c = self.q, self.c[0]
         _rfft2(self.p, self.z, self.cols)
         self.gather(self.z, q)
@@ -614,10 +639,12 @@ def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
 def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     """Advance one step of size dt; deterministic, CFL-guarded.
 
-    The CFL ratio is dt * max(||u||_Linf, ||v||_Linf) / spacing, from one
-    batched transform of u and v. A state whose u or v holds a NaN or an
-    infinity raises :class:`NonFiniteState` naming that field instead of
-    stepping on.
+    The guard takes one batched transform of u, v and theta. A state whose
+    u, v or theta holds a NaN or an infinity raises :class:`NonFiniteState`
+    naming that field; then a CFL ratio dt * max(||u||_Linf, ||v||_Linf) /
+    spacing past ``cfl_max`` raises :class:`CflViolation`; then a sup norm of
+    u, v or theta past :data:`FIELD_MAX` raises BadParams. Only a state
+    that passes all three is stepped.
 
     Diffusion (full Laplacian for u and v, eps-scaled for theta) is implicit
     by the trapezoidal rule; advection and coupling are explicit through a
@@ -650,7 +677,7 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
     # y1 = a y0 + b n0 is y + b n0 / 2 midway; the first stage reuses the
-    # CFL check's grid velocities on the block, where they are u and v's
+    # grid fields of u, v and theta that the guard transformed from the block
     y1 = _scale(half_b, st.explicit(y, True, st.y1))  # b n0 / 2
     _scale(a, y)
     y += y1
@@ -664,14 +691,17 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
 
 
-def _step(k: int, s: State, cfg: SimConfig, guard_only: bool = False) -> State:
-    # step k of a run of cfg, or with guard_only its guard alone (s is
-    # returned); guard errors carry k
+def _trajectory(cfg: SimConfig, s: State) -> Iterator[tuple[int, State]]:
+    # the run of cfg from s, as (k, state) for k = 0 .. num_steps: s once it
+    # passes step 1's guard, then each step's result; a guard error carries
+    # the index k of the step it rejected
+    k = 1
     try:
-        if guard_only:
-            _stepper(s.grid).guard(s, cfg.dt, cfg.cfl_max)
-            return s
-        return imex_step(s, cfg.dt, cfl_max=cfg.cfl_max)
+        _stepper(s.grid).guard(s, cfg.dt, cfg.cfl_max)
+        yield 0, s
+        for k in range(1, cfg.num_steps() + 1):
+            s = imex_step(s, cfg.dt, cfl_max=cfg.cfl_max)
+            yield k, s
     except (CflViolation, NonFiniteState) as exc:
         exc.step = k
         raise
@@ -683,8 +713,8 @@ def simulate(
 ) -> SimResult:
     """Advance from the configured initial data to the horizon.
 
-    The initial state must first pass step 1's guard (a NaN, an infinity or
-    a CFL ratio past ``cfl_max`` raises, with step 1). Diagnostics are
+    The initial state must first pass step 1's guard (:func:`imex_step`;
+    its error carries step 1), as in a twin and an eps sweep. Diagnostics are
     recorded every ``diag_stride`` steps (none with ``record=False``) and
     snapshots taken every ``snap_stride`` steps, both including step 0; a
     step's snapshot is taken after its record. ``on_record(row)`` receives
@@ -693,16 +723,10 @@ def simulate(
     snapshots are kept in ``result``, so memory grows with the horizon; with
     both, the run holds O(1) states and no row unless the sinks keep them.
     """
-    state = make_initial(cfg)
     result, rows = SimResult(), []
     on_snapshot = on_snapshot or (lambda step, s: result.snapshots.append(s))
     on_record = on_record or rows.append
-    _step(1, state, cfg, guard_only=True)
-    if record:
-        on_record(records.make_record(state))
-    on_snapshot(0, state)
-    for k in range(1, cfg.num_steps() + 1):
-        state = _step(k, state, cfg)
+    for k, state in _trajectory(cfg, make_initial(cfg)):
         if record and k % cfg.diag_stride == 0:
             on_record(records.make_record(state))
         if k % cfg.snap_stride == 0:

@@ -37,13 +37,18 @@ from .errors import BadParams, NonZeroMean
 # relative tolerance distinguishing conserved-mean roundoff from user error
 MEAN_ZERO_RTOL = 1e-10
 
+#: the largest grid size: a Grid and the step's buffers (``model._Stepper``)
+#: hold about 280 n^2 bytes (17 MB at n = 256), so 1.2 GB at n = 2048
+N_MAX = 2048
+
 
 def _check_grid(n: int, length: float) -> None:
-    # the grid rule: n even and at least 8, length positive and finite, and
-    # every multiplier Grid builds finite: the largest, seminorm_weight(3), is
-    # at most 16 (pi n / L)^6, here in Python floats, which overflow silently
-    if n % 2 != 0 or n < 8:
-        raise BadParams(f"grid size must be even and >= 8, got {n}")
+    # the grid rule: n even and in [8, N_MAX], length positive and finite,
+    # and every multiplier Grid builds finite: the largest, seminorm_weight(3),
+    # is at most 16 (pi n / L)^6, here in Python floats, which overflow
+    # silently
+    if n % 2 != 0 or not 8 <= n <= N_MAX:
+        raise BadParams(f"grid size must be even and in [8, {N_MAX}], got {n}")
     w = math.pi * n / length if length > 0 else math.inf
     if not (math.isfinite(length) and math.isfinite(16.0 * (w * w) * (w * w) * (w * w))):
         raise BadParams(f"domain length must be positive and finite, and 16 (pi n / L)^6 finite, got {length!r}")
@@ -52,7 +57,7 @@ def _check_grid(n: int, length: float) -> None:
 class Grid:
     """Uniform n x n collocation grid on the torus [0, length]^2.
 
-    n must be even and at least 8. Mode (0,0) carries wavenumber exactly
+    n must be even and in [8, N_MAX]. Mode (0,0) carries wavenumber exactly
     zero; physical wavenumbers are 2*pi*k/length for integer k.
     """
 

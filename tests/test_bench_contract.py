@@ -6,7 +6,9 @@ traced benchmark run fails. This catches a rename or deletion here instead.
 That check runs in a subprocess because installing the tracer patches
 ``numpy.fft`` and ``scipy.fft`` for the rest of the process. So does one
 traced ``run``, which checks what the tracer's hooks read of the arguments
-and results of the functions they wrap.
+and results of the functions they wrap, and so does every command of each
+workload at n = 16, whose summaries must hold every span the workload
+expects, each under the parent it names (``run.check_spans``).
 
 The benchmark's correctness gate compares every run's final diagnostics
 record and every eps sweep's distances and flags with ``bench/reference.json``,
@@ -14,8 +16,10 @@ and checks the verdict lines that ``check`` and ``twin`` print; the same gate
 runs here, in-process, on every command of each workload at seed 0.
 """
 
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -87,3 +91,41 @@ def test_outputs_match_reference(workload, tmp_path, monkeypatch, capsys):
         out = capsys.readouterr()
         child = run.Child(code=code, wall_s=0.0, cpu_s=0.0, maxrss_mb=0.0, stdout=out.out, stderr=out.err)
         assert run.gate(args, child, tmp_path, reference) is None, args
+
+
+@pytest.mark.parametrize("workload", ["run_n256", "session_n64"])
+def test_traced_workload_has_every_expected_span(workload, tmp_path, monkeypatch):
+    # every command of the workload under the tracer, at a small n: every
+    # span the workload expects, with its parent where it names one, is
+    # recorded; and each parent relation is checked, so that moving its calls
+    # under another parent (the twin's steps under model.simulate, say)
+    # fails the check
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "bench"))
+    import run
+
+    wl = run.WORKLOADS[workload]
+    cfgs = run.write_configs(wl, tmp_path)
+    for path in cfgs.values():  # the configs' band, |k| <= 4, lies within the modes n = 16 keeps
+        text, subs = re.subn(r"(?m)^n = \d+$", "n = 16", path.read_text())
+        assert subs == 1
+        path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    traces = []
+    for i, (cfg_name, cmd) in enumerate(wl.commands):
+        summary = tmp_path / f"trace{i}.json"
+        argv = [sys.executable, os.path.join(ROOT, "bench", "trace_child.py"), str(summary),
+                *run.fill(cmd, cfgs[cfg_name], tmp_path, 0)]
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        traces.append(json.loads(summary.read_text()))
+    run.check_spans(wl, traces)
+
+    for spec in (spec for spec in wl.expect_spans if "<" in spec):
+        name, _, parent = spec.partition("<")
+        other = "model.simulate" if parent != "model.simulate" else "cli.main"
+        planted = copy.deepcopy(traces)
+        for trace in planted:
+            parents = trace["funcs"].get(name, {}).get("parents", {})
+            parents[other] = parents.get(other, 0) + parents.pop(parent, 0)
+        with pytest.raises(RuntimeError, match=re.escape(spec)):
+            run.check_spans(wl, planted)

@@ -273,14 +273,26 @@ class TestTwinDivergence:
         assert np.all(np.isfinite(rep.envelope))
 
     def test_guard_error_carries_step_index(self, monkeypatch):
-        # the NaN in theta reaches v during step 1 and is caught at step 2
-        from tcm2d import diagnostics
+        # a NaN in the initial theta is caught by step 1's guard, before
+        # step 0 is measured; one given to a member's step 3 by that step's
+        from tcm2d import diagnostics, model
 
-        make_initial = diagnostics.make_initial
-        monkeypatch.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+        make_initial, imex_step, calls = diagnostics.make_initial, model.imex_step, []
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+            m.setattr(diagnostics, "_separation", pytest.fail)
+            with pytest.raises(NonFiniteState) as info:
+                t.twin_divergence(twin_cfg(), 1e-8)
+        assert (info.value.step, info.value.field) == (1, "theta")
+
+        def faulty(s, dt, cfl_max):  # the members step in turn, so call 6 is step 3 of the second
+            calls.append(s)
+            return imex_step(with_nan(s, "theta") if len(calls) == 6 else s, dt, cfl_max)
+
+        monkeypatch.setattr(model, "imex_step", faulty)
         with pytest.raises(NonFiniteState) as info:
             t.twin_divergence(twin_cfg(), 1e-8)
-        assert info.value.step == 2
+        assert (info.value.step, info.value.field) == (3, "theta")
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
     def test_bad_delta(self, delta):
@@ -332,14 +344,24 @@ class TestEpsilonSweep:
 
     def test_member_guard_error_carries_its_step_index(self, monkeypatch):
         # only the members start from diagnostics.make_initial; the NaN in
-        # theta reaches v during step 1 and is caught at step 2
-        from tcm2d import diagnostics
+        # theta is caught by step 1's guard, before the step-0 distance
+        from tcm2d import diagnostics, model
 
-        make_initial = diagnostics.make_initial
-        monkeypatch.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+        make_initial, imex_step = diagnostics.make_initial, model.imex_step
+        cfg = twin_cfg(horizon=0.05, snap_stride=5)
+        with monkeypatch.context() as m:
+            m.setattr(diagnostics, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+            m.setattr(diagnostics, "norm", pytest.fail)
+            with pytest.raises(NonFiniteState) as info:
+                t.epsilon_sweep(cfg, [0.1, 0.0])
+        assert (info.value.step, info.value.field) == (1, "theta")
+        # a NaN given to the member's step 8, between two of the reference's
+        # snapshots, is caught by that step's guard
+        monkeypatch.setattr(model, "imex_step", lambda s, dt, cfl_max: imex_step(
+            with_nan(s, "theta") if s.eps == 0.1 and round(s.t / dt) == 7 else s, dt, cfl_max))
         with pytest.raises(NonFiniteState) as info:
-            t.epsilon_sweep(twin_cfg(horizon=0.05, snap_stride=5), [0.1, 0.0])
-        assert info.value.step == 2
+            t.epsilon_sweep(cfg, [0.1, 0.0])
+        assert (info.value.step, info.value.field) == (8, "theta")
 
     def test_sweep_memory_does_not_grow_with_horizon(self):
         # a snapshot every step, so that a held reference trajectory (45 KB

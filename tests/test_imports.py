@@ -2,8 +2,8 @@
 package, ``__init__.py`` aside, uses each name it imports (a stand-in for a
 linter's unused-import rule); every name the package root exports, and every
 public function, class, method and property a module defines, is used
-outside the tests; every package name a demo uses exists; and the record's
-formulas are written in one module."""
+outside the tests; every package name a demo uses exists; the record's
+formulas are written in one module; and one function steps a trajectory."""
 
 import ast
 import importlib
@@ -261,3 +261,28 @@ def test_run_dir_layout_is_stated_once():
                 naming.add(path.name)
     assert holding == {"storage.py"}
     assert naming <= {"storage.py"}
+
+
+def _callers(attr):
+    # (module, innermost enclosing function) of every call of a name or an
+    # attribute called attr in the package
+    found = set()
+
+    def visit(node, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if attr in (getattr(callee, "id", None), getattr(callee, "attr", None)):
+                    found.add((module, func))
+            visit(child, module, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_stepping_rule_is_stated_once():
+    # runs, twins and sweep members all step through model._trajectory, and
+    # the guard runs only there (on the initial state) and in each step
+    assert _callers("imex_step") == {("model", "_trajectory")}
+    assert _callers("guard") == {("model", "imex_step"), ("model", "_trajectory")}

@@ -346,12 +346,11 @@ class TestImexStep:
             assert info.value.t == 0.0 and info.value.field == field and info.value.step is None
 
     def test_nan_theta_raises_within_two_steps(self):
-        # the NaN reaches v through grad(theta) during the first step
+        # the guard transforms theta with u and v, so the first step sees it
         s = with_nan(band_state(n=32, seed=10), "theta")
         with pytest.raises(NonFiniteState) as info:
-            for _ in range(2):
-                s = t.imex_step(s, 1e-3)
-        assert info.value.t <= 1e-3
+            t.imex_step(s, 1e-3)
+        assert info.value.t == 0.0 and info.value.field == "theta"
 
     def test_multi_step_matches_public_operators(self):
         s = ref = band_state(n=32, seed=23, hi=10)
@@ -612,13 +611,21 @@ class TestSimulate:
         assert np.max(r.diagnostics.col("div_u_rel")) <= 1e-10
 
     def test_guard_errors_carry_step_index(self, monkeypatch):
-        # the NaN in theta reaches v during step 1 and is caught at step 2
-        make_initial = model.make_initial
-        monkeypatch.setattr(model, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+        # a NaN in the initial theta is caught by step 1's guard, before the
+        # step-0 record; one given to step 3 by step 3's
         cfg = t.SimConfig(n=32, dt=1e-3, horizon=5e-3, preset="random_band", eps=0.1, seed=35)
-        with pytest.raises(NonFiniteState) as info:
-            t.simulate(cfg)
-        assert info.value.step == 2 and info.value.t == cfg.dt
+        make_initial, imex_step = model.make_initial, model.imex_step
+        with monkeypatch.context() as m:
+            m.setattr(model, "make_initial", lambda cfg: with_nan(make_initial(cfg), "theta"))
+            with pytest.raises(NonFiniteState) as info:
+                t.simulate(cfg, on_record=pytest.fail)
+        assert (info.value.step, info.value.t, info.value.field) == (1, 0.0, "theta")
+        with monkeypatch.context() as m:
+            m.setattr(model, "imex_step", lambda s, dt, cfl_max: imex_step(
+                with_nan(s, "theta") if round(s.t / dt) == 2 else s, dt, cfl_max))
+            with pytest.raises(NonFiniteState) as info:
+                t.simulate(cfg)
+        assert (info.value.step, info.value.t, info.value.field) == (3, 2 * cfg.dt, "theta")
         with pytest.raises(CflViolation) as info:
             t.simulate(replace(cfg, dt=1.0, horizon=2.0))
         assert info.value.step == 1 and info.value.t == 0.0

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import tcm2d as t
+from tcm2d import model
 from tcm2d.errors import BadParams, NonZeroMean
-from tcm2d.spectral import multiply
+from tcm2d.spectral import N_MAX, multiply
 
 from conftest import band_state, coords, rel_l2
 
@@ -24,6 +27,26 @@ class TestGrid:
             t.Grid(6)
         with pytest.raises(BadParams):
             t.Grid(32, length=0.0)
+
+    def test_rejects_past_the_cap_before_it_allocates(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadParams, match=f"in \\[8, {N_MAX}\\]"):
+                t.Grid(N_MAX + 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_cap_holds_the_stated_bytes(self):
+        # a Grid and the step's buffers hold about 280 n^2 bytes, which the
+        # cap keeps to 1.2 GB; measured at n = 64, where they take 1.2 MB
+        g = t.Grid(64)
+        st = model._Stepper(g)
+        arrays = [*vars(g).values(), *(g.seminorm_weight(j) for j in range(4)), *vars(st).values(), st.weights]
+        held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
+        assert 270 < held / 64**2 < 290
+        assert held / 64**2 * N_MAX**2 < 1.2e9
 
     def test_zero_mode_wavenumber(self):
         g = t.Grid(16, length=3.5)

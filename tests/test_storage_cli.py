@@ -24,6 +24,7 @@ from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.diagnostics import PERTURBATION_SHAPES
 from tcm2d.errors import CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
 from tcm2d.model import PRESETS
+from tcm2d.spectral import N_MAX
 
 from conftest import band_state, with_nan
 
@@ -923,6 +924,14 @@ snap_stride = {snap_stride}
     return text
 
 
+def command_argv(command, cfg, out):
+    """The argument list of run, check --config, sweep-eps or twin on cfg,
+    writing into out."""
+    return {"run": ["run", "--config", cfg, "--out", out], "check": ["check", "--config", cfg, "--out", out],
+            "sweep-eps": ["sweep-eps", "--config", cfg, "--levels", "0.1,0", "--out", out],
+            "twin": ["twin", "--config", cfg, "--out", out]}[command]
+
+
 def run_cli(capsys, argv):
     """(exit code, stdout, error name or None) of one in-process command; a
     non-zero exit must print exactly one TCM-ERROR line, which names the
@@ -1002,15 +1011,34 @@ class TestGuardMatrix:
         # guard runs on it before anything is recorded or measured, and
         # stops every command with a finite ratio and no numpy warning
         cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = taylor_green\namplitude = 1e200"),)))
-        out = str(tmp_path / "o")
-        argv = {"run": ["run", "--config", cfg, "--out", out], "check": ["check", "--config", cfg, "--out", out],
-                "sweep-eps": ["sweep-eps", "--config", cfg, "--levels", "0.1,0", "--out", out],
-                "twin": ["twin", "--config", cfg, "--out", out]}[command]
-        assert main(argv) == 3
+        assert main(command_argv(command, cfg, str(tmp_path / "o"))) == 3
         [line] = capsys.readouterr().err.splitlines()
         payload = json.loads(line.split(" ", 1)[1])
         assert payload["error"] == "CflViolation" and payload["step"] == 1 and payload["t"] == 0.0
         assert 0.5 == payload["limit"] < payload["ratio"] < float("inf")
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-eps", "twin"])
+    @pytest.mark.parametrize("init", ["single_mode\namplitude = 1e200", "random_band\ntheta_amp = 1e200"],
+                             ids=["single_mode", "random_band"])
+    def test_huge_finite_theta_stops_at_the_guard(self, tmp_path, capsys, command, init):
+        # theta within the CFL bound but past FIELD_MAX, where a record's
+        # fourth powers overflow: step 1's guard stops every command before
+        # anything is recorded or measured, with no numpy warning
+        cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", f"preset = {init}"),)))
+        out = tmp_path / "o"
+        assert main(command_argv(command, cfg, str(out))) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload["error"] == "BadParams" and "sup norm of theta at t = 0.0" in payload["detail"]
+        assert "FIELD_MAX = 1e+30" in payload["detail"]
+        for csv in out.rglob("diagnostics.csv"):
+            assert csv.read_text().splitlines() == [",".join(t.COLUMNS)]
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-eps", "twin"])
+    def test_grid_past_the_cap_writes_nothing(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, guard_cfg(edit=(("n = 16", f"n = {N_MAX + 2}"),)))
+        assert run_cli(capsys, command_argv(command, cfg, str(tmp_path / "o")))[::2] == (2, "ConfigParseError")
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = random_band"),)))
