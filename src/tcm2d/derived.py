@@ -58,18 +58,18 @@ def _check_eps(eps: float) -> None:
         raise EpsOutOfRange(f"eps must lie in [0, 1), got {eps}")
 
 
-def temperature_potential(theta: SpectralField) -> VectorField:
+def temperature_potential(theta: SpectralField) -> SpectralField:
     """Phi with -lap(Phi_i) = d_i theta; requires mean-zero theta."""
     return grad_inv_neg_laplacian(theta)
 
 
-def pseudo_baroclinic(s) -> VectorField:
+def pseudo_baroclinic(s) -> SpectralField:
     """w = v + Phi/(1 - eps); affine in (v, theta)."""
     _check_eps(s.eps)
     return s.v + temperature_potential(s.theta) * (1.0 / (1.0 - s.eps))
 
 
-def commutator_f(u: VectorField, theta: SpectralField) -> VectorField:
+def commutator_f(u: SpectralField, theta: SpectralField) -> SpectralField:
     """Commutator of the double Riesz transform with multiplication by u:
 
         F_i = sum_j [ R_i R_j (u^j theta) - u^j R_i R_j theta ].
@@ -89,7 +89,7 @@ def commutator_f(u: VectorField, theta: SpectralField) -> VectorField:
     return VectorField(*comps)
 
 
-def commutator_f_gradform(u: VectorField, theta: SpectralField) -> VectorField:
+def commutator_f_gradform(u: SpectralField, theta: SpectralField) -> SpectralField:
     """Equivalent form grad((-lap)^{-1}(u.grad theta)) - (u.grad)Phi.
 
     Agrees with :func:`commutator_f` when div u = 0; computed independently
@@ -127,8 +127,8 @@ def _l2(f) -> float:
     return norm(f, "L2")
 
 
-def _hminus1(f) -> float:
-    if isinstance(f, VectorField):
+def _hminus1(f: SpectralField) -> float:
+    if f.spec.ndim == 3:
         return float(np.hypot(_hminus1(f.x), _hminus1(f.y)))
     # ||(I-lap)^{-1/2} f||_2 = sqrt(<f, (I-lap)^{-1} f>)
     return float(np.sqrt(max(inner(f, smoothing_inverse(f)), 0.0)))
@@ -200,10 +200,9 @@ def residual_flux_equation(snaps) -> ResidualNorms:
     f_mid = viscous_flux(b)
 
     cross = None
-    for i in "xy":
-        for uj, vj_name in zip(b.u, "xy"):
-            vi = b.v.x if i == "x" else b.v.y
-            term = multiply(derivative(uj, i), derivative(vi, vj_name))
+    for i, vi in zip("xy", b.v):
+        for uj, j in zip(b.u, "xy"):
+            term = multiply(derivative(uj, i), derivative(vi, j))
             cross = term if cross is None else cross + term
     cross = cross * 2.0
 

@@ -30,12 +30,16 @@ from .errors import BadParams, BadSeries, Infeasible
 DEFAULT_TOL = 1e-6
 #: lower clip of the fitted K
 K_MIN = 1e-6
+#: the smallest spacing of two samples: A' divides by products of two
+#: adjacent spacings, which below about 1.5e-154 underflow to zero
+MIN_SPACING = 1e-150
 
 
 @dataclass(frozen=True)
 class GronwallSeries:
     """Sampled (A, B, alpha, beta) with the constant K. A sample that is
-    not finite or breaks its rule raises BadSeries with its index, and so
+    not finite or breaks its rule raises BadSeries with its index (a time
+    must follow the one before it by at least :data:`MIN_SPACING`), and so
     does a K that is not finite and positive."""
 
     times: np.ndarray
@@ -57,6 +61,7 @@ class GronwallSeries:
         for name in ("times", "A", "B", "alpha", "beta"):
             self._first_bad(np.isfinite(getattr(self, name)), f"{name} not finite")
         self._first_bad(np.diff(self.times) > 0, "times not strictly increasing", offset=1)
+        self._first_bad(np.diff(self.times) >= MIN_SPACING, f"times closer than {MIN_SPACING:g}", offset=1)
         self._first_bad(self.A >= 1.0, "A < 1")
         self._first_bad(self.B > 0.0, "B <= 0")
         self._first_bad(self.alpha >= 0.0, "alpha < 0")

@@ -85,6 +85,7 @@ import numpy as np
 from . import records
 from .derived import _check_eps
 from .errors import BadParams, CflViolation, NonFiniteState
+from .gronwall import MIN_SPACING
 from .spectral import (
     Grid,
     _check_grid,
@@ -108,13 +109,22 @@ _GUARD_FIELDS = ("u", "v", "theta")
 #: the sums over the grid and the wavenumber weights
 FIELD_MAX = 1e30
 
+#: the most steps a run takes: its time is a running sum of dt, which stops
+#: advancing once t / dt reaches 2^53
+MAX_STEPS = 2**52
+
 
 @dataclass(frozen=True)
 class State:
-    """Solution triple at one instant: divergence-free u, v, temperature."""
+    """Solution triple at one instant: divergence-free u, v, temperature.
 
-    u: VectorField
-    v: VectorField
+    u and v are vector fields, theta a scalar one (``spectral``). A state
+    that a step or a snapshot read makes holds views of one (5, n, n//2 + 1)
+    array: u its rows 0 and 1, v rows 2 and 3, theta row 4.
+    """
+
+    u: SpectralField
+    v: SpectralField
     theta: SpectralField
     t: float
     eps: float
@@ -139,12 +149,17 @@ class SimConfig:
     Every rule is checked here, the grid's and the preset's mode or band
     included, so a config that constructs can run. A mode or band must lie
     within the modes the two-thirds mask keeps, |k1|, |k2| <= n // 3, so
-    every state a run makes lies on the block a step works on.
-    The size of the initial data is checked by step 1's guard instead
-    (:func:`imex_step`), before anything is recorded: a CFL ratio past
-    ``cfl_max`` raises CflViolation, and a sup norm of u, v or theta past
-    :data:`FIELD_MAX` raises BadParams. The sup norm of a ``random_band``
-    state is known only once it is drawn.
+    every state a run makes lies on the block a step works on. dt is at
+    least twice ``gronwall.MIN_SPACING``, so the records of a run, spaced
+    dt * diag_stride up to the rounding of the running time, can be
+    differentiated by the Gronwall check; a run takes at most
+    :data:`MAX_STEPS` steps.
+    The size of the initial data is checked once it is built instead:
+    :func:`make_initial` raises BadParams for data that overflow the float
+    range, and step 1's guard (:func:`imex_step`), before anything is
+    recorded, raises CflViolation for a CFL ratio past ``cfl_max`` and
+    BadParams for a sup norm of u, v or theta past :data:`FIELD_MAX`. The
+    sup norm of a ``random_band`` state is known only once it is drawn.
     """
 
     n: int
@@ -171,8 +186,9 @@ class SimConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise BadParams(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise BadParams(f"dt must be positive, got {self.dt}")
+        if not self.dt >= 2.0 * MIN_SPACING:
+            raise BadParams(f"dt must be at least {2.0 * MIN_SPACING:g}, twice the smallest spacing of records that "
+                            f"the Gronwall check differentiates, got {self.dt!r}")
         if self.cfl_max <= 0:
             raise BadParams(f"cfl_max must be positive, got {self.cfl_max}")
         if self.horizon < 0:
@@ -186,6 +202,8 @@ class SimConfig:
         if self.preset not in PRESETS:
             raise BadParams(f"unknown preset {self.preset!r}")
         _check_grid(int(self.n), self.length)
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise BadParams(f"horizon / dt must be at most {MAX_STEPS} steps, got {self.horizon / self.dt:g}")
         if abs(self.num_steps() * self.dt - self.horizon) > 1e-8 * max(self.dt, self.horizon, 1.0):
             raise BadParams(f"horizon {self.horizon} is not an integer number of steps of {self.dt}")
         if self.preset == "single_mode":
@@ -263,7 +281,7 @@ def _modes_field(grid: Grid, coeffs) -> SpectralField:
     return SpectralField(grid, spec)
 
 
-def _band_fields(grid: Grid, lo: int, hi: int, seed: int) -> tuple[VectorField, VectorField, SpectralField]:
+def _band_fields(grid: Grid, lo: int, hi: int, seed: int) -> tuple[SpectralField, SpectralField, SpectralField]:
     # (perp_grad(psi), v, theta), each of psi, v^x, v^y and theta drawn in
     # that order from the seeded generator, with a standard normal real and
     # imaginary part at every mode of the band
@@ -276,11 +294,10 @@ def _band_fields(grid: Grid, lo: int, hi: int, seed: int) -> tuple[VectorField, 
     return perp_grad(psi), VectorField(vx, vy), theta
 
 
-def _normalized(f, target: float):
+def _normalized(f: SpectralField, target: float) -> SpectralField:
     size = norm(f, "L2")
     if target == 0.0 or size == 0.0:
-        zero = SpectralField.zeros(f.grid if isinstance(f, SpectralField) else f.x.grid)
-        return zero if isinstance(f, SpectralField) else VectorField(zero, zero)
+        return SpectralField(f.grid, np.zeros_like(f.spec))
     return f * (target / size)
 
 
@@ -288,29 +305,39 @@ def make_initial(cfg: SimConfig) -> State:
     """Build the initial state of a preset; deterministic given cfg.seed.
 
     Every preset writes its Fourier coefficients straight into the half
-    plane, so no transform roundoff lies outside the step's mask.
+    plane, so no transform roundoff lies outside the step's mask. Initial
+    data whose coefficients or grid samples overflow the float range (an
+    amplitude near 1.8e308, or one that n and L scale past it) raise
+    BadParams naming the field; no amplitude bound at parse could, since
+    the coefficients scale with n and L as well.
     """
     grid = cfg.grid()
     zero = SpectralField.zeros(grid)
 
-    if cfg.preset == "taylor_green":
-        # u = perp_grad(psi) = A (sin(ax) cos(ay), -cos(ax) sin(ay)) for the
-        # stream function psi = -(A/a) sin(ax) sin(ay)
-        a = 2.0 * np.pi / grid.length
-        c = cfg.amplitude / (4.0 * a)
-        u = perp_grad(_modes_field(grid, [((1, 1), c), ((1, -1), -c)]))
-        v, theta = VectorField(zero, zero), zero
-    elif cfg.preset == "single_mode":
-        # theta = A sin(a (m_x x + m_y y))
-        theta = _modes_field(grid, [((cfg.mode_x, cfg.mode_y), -0.5j * cfg.amplitude)])
-        u = v = VectorField(zero, zero)
-    else:  # random_band
-        u, v, theta = _band_fields(grid, cfg.band_lo, cfg.band_hi, cfg.seed)
-        u = _normalized(u, cfg.u_amp)
-        v = _normalized(v, cfg.v_amp)
-        theta = _normalized(theta, cfg.theta_amp)
-
-    return State(u=leray_project(u), v=v, theta=theta, t=0.0, eps=cfg.eps)
+    # an overflow is found once, below, not warned of at each operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.preset == "taylor_green":
+            # u = perp_grad(psi) = A (sin(ax) cos(ay), -cos(ax) sin(ay)) for the
+            # stream function psi = -(A/a) sin(ax) sin(ay)
+            a = 2.0 * np.pi / grid.length
+            c = cfg.amplitude / (4.0 * a)
+            u = perp_grad(_modes_field(grid, [((1, 1), c), ((1, -1), -c)]))
+            v, theta = VectorField(zero, zero), zero
+        elif cfg.preset == "single_mode":
+            # theta = A sin(a (m_x x + m_y y))
+            theta = _modes_field(grid, [((cfg.mode_x, cfg.mode_y), -0.5j * cfg.amplitude)])
+            u = v = VectorField(zero, zero)
+        else:  # random_band
+            u, v, theta = _band_fields(grid, cfg.band_lo, cfg.band_hi, cfg.seed)
+            u = _normalized(u, cfg.u_amp)
+            v = _normalized(v, cfg.v_amp)
+            theta = _normalized(theta, cfg.theta_amp)
+        u = leray_project(u)
+        finite = [np.isfinite(f.phys).all() for f in (u, v, theta)]
+    if not all(finite):
+        raise BadParams(f"the initial {_GUARD_FIELDS[finite.index(False)]} of preset {cfg.preset} overflows the "
+                        f"float range at n={cfg.n}, L={cfg.length!r}: lower its amplitude")
+    return State(u=u, v=v, theta=theta, t=0.0, eps=cfg.eps)
 
 
 def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -406,8 +433,8 @@ class _Stepper:
     def load(self, s) -> np.ndarray:
         """y, with the block of s's five spectra gathered into it. A mode off
         the block is dropped, as the mask drops it from every product."""
-        for a, out in zip((s.u.x.spec, s.u.y.spec, s.v.x.spec, s.v.y.spec, s.theta.spec), self.y):
-            self.gather(a, out)
+        for a, out in ((s.u, self.y[:2]), (s.v, self.y[2:4]), (s.theta, self.y[4])):
+            self.gather(a.spec, out)
         return self.y
 
     @functools.cached_property
@@ -687,8 +714,7 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     _project(st, y[:2], st.c)  # corrector
     out = np.empty((5, *g.spec_shape), dtype=np.complex128)
     st.scatter(y, out)
-    f = [SpectralField(g, spec=c) for c in out]
-    return State(u=VectorField(f[0], f[1]), v=VectorField(f[2], f[3]), theta=f[4], t=s.t + dt, eps=s.eps)
+    return State(*(SpectralField(g, out[k]) for k in (slice(2), slice(2, 4), 4)), t=s.t + dt, eps=s.eps)
 
 
 def _trajectory(cfg: SimConfig, s: State) -> Iterator[tuple[int, State]]:

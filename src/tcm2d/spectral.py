@@ -1,11 +1,16 @@
 """Fourier operator algebra on the periodic square [0, L]^2.
 
-Scalar fields live on an n-by-n collocation grid. A field is its Fourier
-form, the ``rfft2`` half plane of shape (n, n//2 + 1); its grid samples are
-transformed from it on each read. In that half plane mode
-(k1, -k2 < 0) is the conjugate of the stored (-k1, k2), so Parseval sums
-weight each column by ``Grid.herm_weight`` (1 on columns 0 and n/2, which
-hold their own conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
+Fields live on an n-by-n collocation grid. A field is its Fourier form, the
+``rfft2`` half plane: of shape (n, n//2 + 1) for a scalar, and (2, n,
+n//2 + 1) for a vector, its x and y spectra stacked. Its grid samples are
+transformed from it on each read. Each operator is written once: its
+multipliers and transforms broadcast over the leading component axis, so
+applied to a vector it gives, bit for bit, the stack of its value on each
+component. Only the norms branch on the rank, to combine a vector's
+components in a fixed order. In that half plane mode (k1, -k2 < 0) is
+the conjugate of the stored (-k1, k2), so Parseval sums weight each column
+by ``Grid.herm_weight`` (1 on columns 0 and n/2, which hold their own
+conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
 or k2 = n/2) the sign of a wavenumber is ambiguous, so a multiplier odd in
 it has no grid-consistent value there. The solver carries no Nyquist modes
 (the usual even-n collocation convention): every quadratic product is
@@ -41,17 +46,30 @@ MEAN_ZERO_RTOL = 1e-10
 #: hold about 280 n^2 bytes (17 MB at n = 256), so 1.2 GB at n = 2048
 N_MAX = 2048
 
+#: the bounds of the domain length L. A record and a norm scale their sums
+#: by (L/n)^2, L/n^2 and L^2/n^4, Python floats that raise on overflow, and
+#: an L2 norm grows as L times the sup norm S: a record holds (L S)^2 and,
+#: for its L4 norms, L^2 S^4. S reaches about FIELD_MAX^2 = 1e60 in the
+#: record of the state a step makes from a guarded one (``model.FIELD_MAX``),
+#: and L <= LENGTH_MAX = 1e30 keeps L^2 S^4 near 1e300, inside the float
+#: range (1.8e308). Below, a record weights squared coefficients, whose sum is
+#: at most n^4 S^2, by |k|^6 up to the largest Parseval weight Grid builds,
+#: seminorm_weight(3) <= 16 (pi n / L)^6: WEIGHT_MAX = 1e100 keeps that near
+#: 1e233 at n = N_MAX, which makes L at least about 1.1e-16 n
+LENGTH_MAX = 1e30
+WEIGHT_MAX = 1e100
+
 
 def _check_grid(n: int, length: float) -> None:
-    # the grid rule: n even and in [8, N_MAX], length positive and finite,
-    # and every multiplier Grid builds finite: the largest, seminorm_weight(3),
-    # is at most 16 (pi n / L)^6, here in Python floats, which overflow
-    # silently
+    # the grid rule: n even and in [8, N_MAX], length at most LENGTH_MAX and
+    # 16 (pi n / L)^6 at most WEIGHT_MAX, here in Python floats, whose
+    # products overflow to inf silently
     if n % 2 != 0 or not 8 <= n <= N_MAX:
         raise BadParams(f"grid size must be even and in [8, {N_MAX}], got {n}")
     w = math.pi * n / length if length > 0 else math.inf
-    if not (math.isfinite(length) and math.isfinite(16.0 * (w * w) * (w * w) * (w * w))):
-        raise BadParams(f"domain length must be positive and finite, and 16 (pi n / L)^6 finite, got {length!r}")
+    if not (length <= LENGTH_MAX and 16.0 * (w * w) * (w * w) * (w * w) <= WEIGHT_MAX):
+        raise BadParams(f"domain length must be at most {LENGTH_MAX:g}, with 16 (pi n / L)^6 at most "
+                        f"{WEIGHT_MAX:g}, and positive and finite, got {length!r}")
 
 
 class Grid:
@@ -118,11 +136,16 @@ class Grid:
 
 
 class SpectralField:
-    """Real scalar field on a :class:`Grid`, held as its ``rfft2`` half plane.
+    """Real scalar or vector field on a :class:`Grid`, held as its ``rfft2``
+    half plane.
 
-    The spectrum ``spec`` is the field's value; ``phys``, the grid samples,
-    is transformed from it on each read. The mean is the (0,0) Fourier mode
-    divided by n^2.
+    The spectrum ``spec`` is the field's value: (n, n//2 + 1) for a scalar,
+    (2, n, n//2 + 1) for a vector (:func:`VectorField`), the x and y spectra
+    stacked. ``x``, ``y`` and iteration give a vector's components as views
+    of its spectrum; a scalar has none. ``phys``, the grid samples, is
+    transformed from it on each read. The mean of a scalar is the (0,0)
+    Fourier mode divided by n^2. A field adds only to a field of its own
+    grid and rank.
     """
 
     __slots__ = ("grid", "spec")
@@ -150,11 +173,25 @@ class SpectralField:
     def mean(self) -> float:
         return float(self.spec[0, 0].real) / self.grid.n**2
 
+    @property
+    def x(self) -> "SpectralField":
+        return SpectralField(self.grid, _components(self)[0])
+
+    @property
+    def y(self) -> "SpectralField":
+        return SpectralField(self.grid, _components(self)[1])
+
+    def __iter__(self):
+        yield self.x
+        yield self.y
+
     def _binary(self, other, op):
         if not isinstance(other, SpectralField):
             return NotImplemented
         if other.grid != self.grid:
             raise BadParams("fields live on different grids")
+        if other.spec.ndim != self.spec.ndim:
+            raise BadParams("a scalar and a vector field do not add")
         return SpectralField(self.grid, op(self.spec, other.spec))
 
     def __add__(self, other):
@@ -172,41 +209,22 @@ class SpectralField:
         return self * -1.0
 
     def __repr__(self):
-        return f"SpectralField(n={self.grid.n})"
+        return f"SpectralField(n={self.grid.n}, shape={self.spec.shape})"
 
 
-class VectorField:
-    """Pair of scalar fields (x, y components) on one shared grid."""
+def _components(a: SpectralField) -> np.ndarray:
+    # the stacked component spectra of a vector field
+    if a.spec.ndim != 3:
+        raise BadParams("a scalar field has no x and y components")
+    return a.spec
 
-    __slots__ = ("x", "y")
 
-    def __init__(self, x: SpectralField, y: SpectralField):
-        if x.grid != y.grid:
-            raise BadParams("vector components live on different grids")
-        self.x = x
-        self.y = y
-
-    @property
-    def grid(self) -> Grid:
-        return self.x.grid
-
-    def __add__(self, other):
-        return VectorField(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other):
-        return VectorField(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, scalar):
-        return VectorField(self.x * scalar, self.y * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
+def VectorField(x: SpectralField, y: SpectralField) -> SpectralField:
+    """The vector field with the scalar components x and y, which share a
+    grid: its spectrum stacks theirs, (2, n, n//2 + 1)."""
+    if x.grid != y.grid or x.spec.ndim != 2 or y.spec.ndim != 2:
+        raise BadParams("vector components must be scalar fields on one grid")
+    return SpectralField(x.grid, np.stack((x.spec, y.spec)))
 
 
 def derivative(f: SpectralField, axis: str) -> SpectralField:
@@ -216,22 +234,20 @@ def derivative(f: SpectralField, axis: str) -> SpectralField:
     return SpectralField(f.grid, spec=f.grid.ik["xy".index(axis)] * f.spec)
 
 
-def grad(f: SpectralField) -> VectorField:
-    return VectorField(derivative(f, "x"), derivative(f, "y"))
+def grad(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, spec=f.grid.ik * f.spec)
 
 
-def div(a: VectorField) -> SpectralField:
+def div(a: SpectralField) -> SpectralField:
     return derivative(a.x, "x") + derivative(a.y, "y")
 
 
-def perp_grad(f: SpectralField) -> VectorField:
+def perp_grad(f: SpectralField) -> SpectralField:
     """Rotated gradient (-d/dy f, d/dx f); always divergence-free."""
     return VectorField(-derivative(f, "y"), derivative(f, "x"))
 
 
-def laplacian(f):
-    if isinstance(f, VectorField):
-        return VectorField(laplacian(f.x), laplacian(f.y))
+def laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, spec=-f.grid.k2 * f.spec)
 
 
@@ -248,15 +264,14 @@ def inv_neg_laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, spec=f.grid.inv_k2 * f.spec)
 
 
-def grad_inv_neg_laplacian(theta: SpectralField) -> VectorField:
+def grad_inv_neg_laplacian(theta: SpectralField) -> SpectralField:
     """Gradient of the inverse negative Laplacian of a mean-zero scalar.
 
     Each component solves -lap(out_i) = d_i theta, so div(out) = -theta.
     """
     require_mean_zero(theta, "grad_inv_neg_laplacian input")
     g = theta.grid
-    out = g.ik * (g.inv_k2 * theta.spec)
-    return VectorField(SpectralField(g, spec=out[0]), SpectralField(g, spec=out[1]))
+    return SpectralField(g, spec=g.ik * (g.inv_k2 * theta.spec))
 
 
 def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:
@@ -297,29 +312,27 @@ def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
     a[1] -= t
 
 
-def leray_project(a: VectorField) -> VectorField:
-    """L2-orthogonal projection onto divergence-free fields without Nyquist
-    modes: the Nyquist lines of the output are zero.
+def leray_project(a: SpectralField) -> SpectralField:
+    """L2-orthogonal projection of a vector field onto divergence-free fields
+    without Nyquist modes: the Nyquist lines of the output are zero.
 
     Idempotent, self-adjoint, and mean-preserving on each component.
     """
     g = a.grid
-    out = np.stack((a.x.spec, a.y.spec))
-    out *= g.nyquist_free_mask
+    out = _components(a) * g.nyquist_free_mask
     _project(g, out, np.empty_like(out))
-    return VectorField(SpectralField(g, spec=out[0]), SpectralField(g, spec=out[1]))
+    return SpectralField(g, spec=out)
 
 
-def smoothing_inverse(f):
+def smoothing_inverse(f: SpectralField) -> SpectralField:
     """Inverse of (I - lap): multiplier 1/(1 + |k|^2); an L2 contraction."""
-    if isinstance(f, VectorField):
-        return VectorField(smoothing_inverse(f.x), smoothing_inverse(f.y))
     g = f.grid
     return SpectralField(g, spec=f.spec / (1.0 + g.k2))
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product in physical space.
+    """Pointwise product in physical space; a vector factor makes a vector
+    product.
 
     Both factors and the product are passed through ``Grid.dealias_mask``,
     the two-thirds rule, which makes quadratic products alias-free.
@@ -330,42 +343,38 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.where(mask, np.fft.rfft2(fx * gx), 0.0))
 
 
-def advect(vel: VectorField, f):
+def advect(vel: SpectralField, f: SpectralField) -> SpectralField:
     """Advective derivative vel.grad(f) for scalar or vector f.
 
     Quadratic products are formed pointwise in physical space by
     :func:`multiply`, on masked factors, and masked again.
     """
-    if isinstance(f, VectorField):
-        return VectorField(advect(vel, f.x), advect(vel, f.y))
     return multiply(vel.x, derivative(f, "x")) + multiply(vel.y, derivative(f, "y"))
 
 
-def seminorm(f, order: int) -> float:
+def seminorm(f: SpectralField, order: int) -> float:
     """L2 norm of the order-th derivative tensor, via |k|^(2*order) weights."""
-    if isinstance(f, VectorField):
+    if f.spec.ndim == 3:
         return float(np.sqrt(seminorm(f.x, order) ** 2 + seminorm(f.y, order) ** 2))
     g = f.grid
     total = np.sum(g.seminorm_weight(order) * np.abs(f.spec) ** 2)
     return float(g.length / g.n**2 * np.sqrt(total))
 
 
-def inner(f, g) -> float:
-    """L2 inner product; accepts scalar or vector fields."""
-    if isinstance(f, VectorField):
-        return inner(f.x, g.x) + inner(f.y, g.y)
+def inner(f: SpectralField, g: SpectralField) -> float:
+    """L2 inner product of two scalar or two vector fields."""
     gr = f.grid
-    s = np.sum(gr.herm_weight * (np.conj(f.spec) * g.spec).real)
-    return float(gr.length**2 / gr.n**4 * s)
+    s = np.sum(gr.herm_weight * (np.conj(f.spec) * g.spec).real, axis=(-2, -1))
+    return float(np.sum(gr.length**2 / gr.n**4 * s))
 
 
-def _pointwise_sq(f) -> np.ndarray:
-    if isinstance(f, VectorField):
+def _pointwise_sq(f: SpectralField) -> np.ndarray:
+    if f.spec.ndim == 3:
         return f.x.phys**2 + f.y.phys**2
     return f.phys**2
 
 
-def norm(f, kind: str = "L2") -> float:
+def norm(f: SpectralField, kind: str = "L2") -> float:
     """Norms of scalar or vector fields.
 
     L2 is evaluated by Parseval; L4 and Linf from physical samples (Linf is
@@ -374,7 +383,7 @@ def norm(f, kind: str = "L2") -> float:
     (pointwise, for L4/Linf).
     """
     if kind == "L2":
-        if isinstance(f, VectorField):
+        if f.spec.ndim == 3:
             return float(np.hypot(norm(f.x, "L2"), norm(f.y, "L2")))
         return seminorm(f, 0)
     if kind == "Linf":
@@ -388,10 +397,10 @@ def norm(f, kind: str = "L2") -> float:
     raise BadParams(f"unknown norm kind {kind!r}")
 
 
-def grad_linf(a: VectorField) -> float:
+def grad_linf(a: SpectralField) -> float:
     """Sup over grid points of |grad a^x| + |grad a^y| (Euclidean per component)."""
     g = a.grid
     # (d_x a^x, d_y a^x, d_x a^y, d_y a^y) from one batched transform
-    grads = (g.ik * np.stack((a.x.spec, a.y.spec))[:, None]).reshape(4, *g.spec_shape)
+    grads = (g.ik * _components(a)[:, None]).reshape(4, *g.spec_shape)
     sq = np.fft.irfft2(grads, s=(g.n, g.n)) ** 2
     return float(np.max(np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2] + sq[3])))

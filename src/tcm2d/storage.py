@@ -45,7 +45,7 @@ import numpy as np
 from .errors import BadParams, BadSeries, ChecksumMismatch, ConfigParseError
 from .model import State, _gather, _scatter, kept_block
 from .records import COLUMNS, DiagnosticsSeries
-from .spectral import Grid, SpectralField, VectorField
+from .spectral import Grid, SpectralField
 
 SNAPSHOT_MAGIC = "TCM3"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
@@ -77,7 +77,7 @@ def write_field_snapshot(path, state: State) -> str:
     holds it: the step's guard reports it (NonFiniteState), not this one."""
     g = state.grid
     lo, hi, cols = kept_block(g.n)
-    specs = [f.spec for f in (state.u.x, state.u.y, state.v.x, state.v.y, state.theta)]  # FIELD_NAMES order
+    specs = (*state.u.spec, *state.v.spec, state.theta.spec)  # FIELD_NAMES order
     for name, spec in zip(FIELD_NAMES, specs):
         if (spec[lo:hi, :cols].any() or spec[:, cols:].any()) and np.isfinite(spec).all():
             raise BadParams(f"{path}: {name} has a nonzero mode off the kept block |k| <= {lo - 1}")
@@ -127,9 +127,8 @@ def read_field_snapshot(path) -> State:
             raise ConfigParseError(f"{path}: truncated while reading")
     spectra = np.empty((len(FIELD_NAMES), *grid.spec_shape), dtype=np.complex128)
     _scatter(block, spectra, lo, hi, cols)
-    u_x, u_y, v_x, v_y, theta = (SpectralField(grid, spec) for spec in spectra)
     try:
-        return State(u=VectorField(u_x, u_y), v=VectorField(v_x, v_y), theta=theta, t=t, eps=eps)
+        return State(*(SpectralField(grid, spectra[k]) for k in (slice(2), slice(2, 4), 4)), t=t, eps=eps)
     except BadParams as exc:
         raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc}") from exc
 

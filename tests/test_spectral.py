@@ -1,3 +1,4 @@
+import operator
 import tracemalloc
 
 import numpy as np
@@ -260,6 +261,60 @@ class TestDealias:
         drop = sin_field(g, kx=22, ky=0)
         assert rel_l2(self.masked(keep), keep) < 1e-14
         assert t.norm(self.masked(drop), "L2") < 1e-13
+
+
+class TestVectorFields:
+    """A vector field is a SpectralField whose spectrum stacks its x and y
+    spectra, and an operator applied to it is, bit for bit, the stack of that
+    operator applied to each component."""
+
+    @pytest.mark.parametrize("op", ["derivative_x", "derivative_y", "laplacian", "smoothing_inverse", "advect",
+                                    "multiply"])
+    def test_operator_acts_on_each_component(self, op):
+        s = band_state(n=32, seed=21)
+        apply = {
+            "derivative_x": lambda f: t.derivative(f, "x"),
+            "derivative_y": lambda f: t.derivative(f, "y"),
+            "laplacian": t.laplacian,
+            "smoothing_inverse": t.smoothing_inverse,
+            "advect": lambda f: t.advect(s.u, f),
+            "multiply": lambda f: multiply(s.theta, f),  # scalar x vector
+        }[op]
+        got = apply(s.v).spec
+        assert got.shape == (2, 32, 17)
+        assert np.array_equal(got, np.stack([apply(c).spec for c in s.v]))
+
+    def test_grad_stacks_the_two_derivatives(self):
+        th = band_state(n=32, seed=22).theta
+        assert np.array_equal(t.grad(th).spec, np.stack([t.derivative(th, a).spec for a in "xy"]))
+
+    def test_components_are_views_of_the_stack(self):
+        s = band_state(n=32, seed=23)
+        v = t.VectorField(s.theta, s.v.y)
+        assert isinstance(v, t.SpectralField) and v.spec.shape == (2, 32, 17)
+        x, y = v
+        for c, i in ((v.x, 0), (v.y, 1), (x, 0), (y, 1)):
+            assert c.spec.base is v.spec and np.array_equal(c.spec, v.spec[i])
+        assert np.array_equal(x.spec, s.theta.spec)
+
+    @pytest.mark.parametrize("access", [lambda f: f.x, lambda f: f.y, list], ids=["x", "y", "iteration"])
+    def test_scalar_has_no_components(self, access):
+        with pytest.raises(BadParams, match="no x and y components"):
+            access(band_state(n=16, seed=24).theta)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub], ids=["add", "sub"])
+    def test_scalar_and_vector_do_not_add(self, op):
+        s = band_state(n=16, seed=25)
+        for a, b in ((s.theta, s.v), (s.v, s.theta)):
+            with pytest.raises(BadParams, match="do not add"):
+                op(a, b)
+
+    def test_components_must_be_scalars_on_one_grid(self):
+        s = band_state(n=16, seed=26)
+        other = t.SpectralField.zeros(t.Grid(16, length=1.0))
+        for x, y in ((s.v, s.theta), (s.theta, other)):
+            with pytest.raises(BadParams):
+                t.VectorField(x, y)
 
 
 class TestGridConsistency:

@@ -5,12 +5,14 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,8 @@ from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.diagnostics import PERTURBATION_SHAPES
 from tcm2d.errors import CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
 from tcm2d.model import PRESETS
-from tcm2d.spectral import N_MAX
+from tcm2d.gronwall import MIN_SPACING
+from tcm2d.spectral import LENGTH_MAX, N_MAX, WEIGHT_MAX
 
 from conftest import band_state, with_nan
 
@@ -1040,6 +1043,65 @@ class TestGuardMatrix:
         assert run_cli(capsys, command_argv(command, cfg, str(tmp_path / "o")))[::2] == (2, "ConfigParseError")
         assert os.listdir(tmp_path) == ["run.cfg"]
 
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-eps", "twin"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # past LENGTH_MAX a record's L2 norms and scales overflow: at the
+            # parent 1e300 raised OverflowError (exit 1) and 1e155 named the
+            # finite config a non-finite state
+            (("n = 16", "n = 16\nlength = 1.0000001e30"),),
+            (("n = 16", "n = 16\nlength = 1e155"),),
+            (("n = 16", "n = 16\nlength = 1e300"),),
+            # 16 (pi n / L)^6 past WEIGHT_MAX: a record's |k|^6 sums overflow
+            (("n = 16", "n = 16\nlength = 1e-40"),),
+            # records closer than the Gronwall check differentiates: at the
+            # parent check printed 26 warnings and failed a sound run
+            (("dt = 0.002", "dt = 1e-300"), ("horizon = 0.004", "horizon = 3e-300")),
+            (("dt = 0.002", "dt = 1e-151"), ("horizon = 0.004", "horizon = 3e-151")),
+            # more steps than a float time counts: at the parent an OverflowError
+            (("dt = 0.002", "dt = 1e-100"), ("horizon = 0.004", "horizon = 1e300")),
+        ],
+        ids=["length_1.0000001e30", "length_1e155", "length_1e300", "length_1e-40", "dt_1e-300", "dt_1e-151",
+             "steps_overflow"],
+    )
+    def test_config_past_a_rule_writes_nothing(self, tmp_path, capsys, command, edit):
+        cfg = write_cfg(tmp_path, guard_cfg(edit=edit))
+        assert run_cli(capsys, command_argv(command, cfg, str(tmp_path / "o")))[::2] == (2, "ConfigParseError")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-eps", "twin"])
+    @pytest.mark.parametrize(
+        "edit",
+        [(("n = 16", f"n = 16\nlength = {LENGTH_MAX!r}"),),
+         (("dt = 0.002", f"dt = {2.0 * MIN_SPACING!r}"), ("horizon = 0.004", f"horizon = {6.0 * MIN_SPACING!r}"))],
+        ids=["length_max", "dt_min"],
+    )
+    def test_config_at_a_rule_bound_runs(self, tmp_path, capsys, command, edit):
+        cfg = write_cfg(tmp_path, guard_cfg(edit=edit))
+        assert run_cli(capsys, command_argv(command, cfg, str(tmp_path / "o")))[0] == 0
+
+    @pytest.mark.parametrize("command", ["run", "check", "sweep-eps", "twin"])
+    @pytest.mark.parametrize("init, field", [("taylor_green\namplitude = 1e308", "u"),
+                                             ("single_mode\namplitude = 1e308", "theta"),
+                                             ("random_band\nu_amp = 1e307\nv_amp = 1e307\ntheta_amp = 1e307", "u")],
+                             ids=["taylor_green", "single_mode", "random_band"])
+    def test_initial_data_that_overflow(self, tmp_path, capsys, command, init, field):
+        # the initial coefficients or grid samples overflow: make_initial
+        # says so once, before any step, and no numpy warning is printed
+        cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", f"preset = {init}"),)))
+        assert main(command_argv(command, cfg, str(tmp_path / "o"))) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload["error"] == "BadParams" and f"the initial {field} of preset" in payload["detail"]
+
+    def test_gronwall_series_too_close_to_differentiate(self, tmp_path, capsys):
+        ts = np.arange(5) * 1e-300
+        path = tmp_path / "g.csv"
+        storage.write_gronwall_csv(path, ts, np.ones_like(ts), np.ones_like(ts), 0 * ts, np.ones_like(ts))
+        code, _, error = run_cli(capsys, ["gronwall", "--csv", str(path), "--k", "1"])
+        assert (code, error) == (2, "BadSeries")
+
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, guard_cfg(edit=(("preset = taylor_green", "preset = random_band"),)))
         argv = ["run", "--config", cfg, "--out", str(tmp_path / "o"), "--seed-override", "-1"]
@@ -1384,3 +1446,48 @@ class TestRandomConfigs:
             for step, state in states.items():
                 back = storage.read_state_snapshot(snap_dir, step)
                 assert same_spectra(back, state) and (back.t, back.eps) == (state.t, state.eps), (cfg, step)
+
+
+# Edge values of every rule at n = 16, steps <= 3: amplitudes up to 1e308,
+# lengths near both bounds of the grid rule, dt down to its bound and strides
+# up to num_steps + 1. The smallest length makes 16 (pi n / L)^6 equal
+# WEIGHT_MAX; a little above it the grid builds.
+_LENGTH_MIN = math.pi * 16 * (16.0 / WEIGHT_MAX) ** (1.0 / 6.0) * 1.001
+_DT_MIN = 2.0 * MIN_SPACING
+
+
+@st.composite
+def edge_configs(draw):
+    steps = draw(st.integers(0, 3))
+    dt = draw(st.one_of(st.just(_DT_MIN), st.floats(_DT_MIN, 1e3 * _DT_MIN), st.sampled_from([0.002, 0.1])))
+    amp = st.one_of(st.sampled_from([0.0, 1.0, 1e30, 1e200, 1e306, 1e307, 1e308]), st.floats(0.0, 1e308))
+    length = st.one_of(st.just(_LENGTH_MIN), st.floats(_LENGTH_MIN, 1e3 * _LENGTH_MIN), st.just(LENGTH_MAX),
+                       st.floats(1e-3 * LENGTH_MAX, LENGTH_MAX), st.just(2.0 * math.pi))
+    return t.SimConfig(
+        n=16, dt=dt, horizon=steps * dt, length=draw(length), eps=draw(st.sampled_from([0.0, 0.1, 0.49])),
+        preset=draw(st.sampled_from(PRESETS)), amplitude=draw(amp), u_amp=draw(amp), v_amp=draw(amp),
+        theta_amp=draw(amp), seed=draw(st.integers(0, 2**31)),
+        diag_stride=draw(st.integers(1, steps + 1)), snap_stride=draw(st.integers(1, steps + 1)))
+
+
+class TestEdgeConfigs:
+    """run, check --config, sweep-eps and twin on configs at the edges of
+    every rule end with a documented exit code, at most one TCM-ERROR line
+    and nothing else on stderr: no warning and no traceback."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=edge_configs())
+    def test_commands(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "edge.cfg")
+            with open(path, "w") as fh:
+                fh.write(render_config(cfg))
+            for command in ("run", "check", "sweep-eps", "twin"):
+                with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err,
+                      warnings.catch_warnings(record=True) as caught):
+                    warnings.simplefilter("always")
+                    code = main(command_argv(command, path, os.path.join(tmp, command)))
+                lines = err.getvalue().splitlines()
+                assert code in (0, 2, 3, 5), (cfg, command, code, lines)
+                assert [str(w.message) for w in caught] == [], (cfg, command)
+                assert len(lines) == (code != 0) and all(line.startswith("TCM-ERROR ") for line in lines), (cfg, command, lines)
