@@ -23,6 +23,7 @@ from .model import (
     _band_fields,
     _check_band,
     _modes_field,
+    _overflowing_field,
     _trajectory,
     make_initial,
     simulate,
@@ -255,7 +256,9 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
 
     With delta = 0 the two runs are the same computation and the
     separation is identically zero. An unknown shape, or a delta that is
-    not finite and nonnegative (NaN included), raises BadParams.
+    not finite and nonnegative (NaN included), raises BadParams, and so
+    does a delta whose perturbed initial data overflow the float range, as
+    ``make_initial`` does for the preset's.
     """
     if shape not in PERTURBATION_SHAPES:
         raise BadParams(f"shape must be one of {PERTURBATION_SHAPES}, got {shape!r}")
@@ -266,13 +269,21 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
         pert = base
     else:
         pu, pv, pth = _perturbation(cfg, shape)
-        pert = State(
-            u=leray_project(base.u + pu * delta),
-            v=base.v + pv * delta,
-            theta=base.theta + pth * delta,
-            t=0.0,
-            eps=cfg.eps,
-        )
+        # an overflow is found once, below, not warned of at each operation
+        with np.errstate(over="ignore", invalid="ignore"):
+            pert = State(
+                u=leray_project(base.u + pu * delta),
+                v=base.v + pv * delta,
+                theta=base.theta + pth * delta,
+                t=0.0,
+                eps=cfg.eps,
+            )
+            bad = _overflowing_field(pert.u, pert.v, pert.theta)
+            if bad and _overflowing_field(base.u, base.v, base.theta):
+                bad = None  # the base is not finite itself: step 1's guard names the field
+        if bad:
+            raise BadParams(f"the perturbed initial {bad} of the twin overflows the float range at delta={delta!r}: "
+                            f"lower delta")
 
     times, seps, coeffs = [], [], []
     runs = zip(_trajectory(cfg, base), _trajectory(cfg, pert))

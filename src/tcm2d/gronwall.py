@@ -103,8 +103,11 @@ def q_of_t(g: GronwallSeries) -> np.ndarray:
 
 def a_prime(g: GronwallSeries) -> np.ndarray:
     """dA/dt at every sample: second-order differences, or the first-order
-    one for a series of two samples, which has no second-order stencil."""
-    return np.gradient(g.A, g.times, edge_order=2 if len(g.A) > 2 else 1)
+    one for a series of two samples, which has no second-order stencil. A
+    difference past the float range is infinite, and one of two infinite
+    terms NaN, with no warning: the callers treat either."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.gradient(g.A, g.times, edge_order=2 if len(g.A) > 2 else 1)
 
 
 @dataclass(frozen=True)
@@ -118,18 +121,20 @@ def verify_hypothesis(g: GronwallSeries, tol: float = DEFAULT_TOL) -> Hypothesis
     """Per-sample margin of (H): K(alpha + log B)A + beta - (A' + B).
 
     The hypothesis holds where margin >= -tol * scale, with a scale built
-    from the magnitudes of every term so the tolerance is relative. A tol
+    from the magnitudes of every term so the tolerance is relative. It
+    fails at a sample whose A', margin or scale is not finite (a term past
+    the float range), since no finite tolerance is known there. A tol
     that is not finite and nonnegative raises BadParams.
     """
     if not 0.0 <= tol < np.inf:
         raise BadParams(f"tol must be finite and nonnegative, got {tol}")
     dA = a_prime(g)
     logB = np.log(g.B)
-    margins = g.K * (g.alpha + logB) * g.A + g.beta - (dA + g.B)
-    # a scale that overflows is infinite: every margin at that sample passes
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = g.K * (g.alpha + logB) * g.A + g.beta - (dA + g.B)
         scale = g.K * (1.0 + g.alpha) * (g.A + np.abs(logB) * g.A) + g.beta + np.abs(dA) + g.B
-    return HypothesisReport(margins=margins, scale=scale, holds=bool(np.all(margins >= -tol * scale)))
+        ok = np.isfinite(dA) & np.isfinite(margins) & np.isfinite(scale) & (margins >= -tol * scale)
+    return HypothesisReport(margins=margins, scale=scale, holds=bool(np.all(ok)))
 
 
 @dataclass(frozen=True)

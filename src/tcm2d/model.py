@@ -41,7 +41,7 @@ the block (``storage``). A step gathers that block of the five spectra
 (u^x, u^y, v^x, v^y, theta) once, into held contiguous (5, r, cols)
 arrays, and does all of its spectral arithmetic there: curls, tendency
 assembly, trapezoidal factors, Leray projection. Each inverse transform scatters a
-block into the held transform buffer with zeros at every other mode, and
+block into a held transform buffer with zeros at every other mode, and
 each forward transform gathers the block back, so no mask is multiplied.
 A mode off the block, which only a state built by hand can hold, is
 dropped by the gather, as the mask drops it from every product. The
@@ -61,7 +61,8 @@ small temporaries only.
 
 What a step reuses sits in two private caches. The buffers and the
 gathered multipliers depend on the grid and sit in a one-entry cache
-(about 14 MB of buffers at n = 256), the trapezoidal factors on (grid,
+(11.4 MB at n = 256: two grid-size transform buffers that take turns, and
+the block arrays), the trapezoidal factors on (grid,
 dt, eps) in a small cache of their own, so runs that differ only
 in eps, such as the members of an eps sweep stepped in lockstep, share
 one set of buffers. A record borrows the same buffers between steps
@@ -333,11 +334,21 @@ def make_initial(cfg: SimConfig) -> State:
             v = _normalized(v, cfg.v_amp)
             theta = _normalized(theta, cfg.theta_amp)
         u = leray_project(u)
-        finite = [np.isfinite(f.phys).all() for f in (u, v, theta)]
-    if not all(finite):
-        raise BadParams(f"the initial {_GUARD_FIELDS[finite.index(False)]} of preset {cfg.preset} overflows the "
-                        f"float range at n={cfg.n}, L={cfg.length!r}: lower its amplitude")
+        bad = _overflowing_field(u, v, theta)
+    if bad:
+        raise BadParams(f"the initial {bad} of preset {cfg.preset} overflows the float range at n={cfg.n}, "
+                        f"L={cfg.length!r}: lower its amplitude")
     return State(u=u, v=v, theta=theta, t=0.0, eps=cfg.eps)
+
+
+def _overflowing_field(u: SpectralField, v: SpectralField, theta: SpectralField) -> str | None:
+    # the name of the first of u, v and theta whose grid samples are not
+    # finite, or None; the samples of a finite spectrum may overflow, so the
+    # caller decides whether numpy warns
+    for name, f in zip(_GUARD_FIELDS, (u, v, theta)):
+        if not np.isfinite(f.phys).all():
+            return name
+    return None
 
 
 def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -389,19 +400,37 @@ def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
     np.fft.fftn(out[..., :cols], axes=(-2,), out=out[..., :cols])
 
 
+def _real_view(z: np.ndarray, n: int) -> np.ndarray:
+    # the (len(z), n, n) float64 array over the first len(z) n^2 floats of
+    # the complex half-plane stack z, which holds len(z) (n^2 + 2n)
+    return z.reshape(-1).view(np.float64)[: len(z) * n * n].reshape(len(z), n, n)
+
+
 class _Stepper:
     """What :func:`imex_step` reuses from step to step for one grid. The
     two-thirds mask keeps one block of the half plane, the rows
     [0, lo) and [hi, n) of its leading cols columns (``key`` = (lo, hi,
     cols)), and the stepper holds the multipliers gathered onto that block
-    and the arrays a step works in: on the block, contiguous (..., r, cols)
-    arrays with r = n - hi + lo, the gathered state y, the stage results y1
-    and the scratch c, (5, r, cols), (5, r, cols) and (2, r, cols) complex,
-    2.8 MB at n = 256; on the grid, the transform buffer z, the grid factors
-    f (u, v, theta, curl(u), curl(v)) and the grid products p, whose memory
-    q then holds the block of their spectra. A step writes each buffer
-    before reading it, so :meth:`record_norms` may work in them between
-    steps.
+    and the arrays a step works in. On the block, with r = n - hi + lo, it
+    holds the gathered state y and the stage results y1, (5, r, cols)
+    complex, 2.4 MB at n = 256. On the grid, it holds two (7, n, n//2 + 1)
+    complex buffers a and b, 7.4 MB at n = 256, each with the real
+    (7, n, n) view ``ra``, ``rb`` over its first 7 n^2 floats. They take
+    turns:
+
+    - an inverse transform reads spectra scattered into a and writes the
+      grid fields into rb;
+    - the grid products go into ra, whose spectra are read by then;
+    - the forward transform writes b, and the gather of its block goes to
+      q, a (7, r, cols) view of a, for the tendency to read.
+
+    The scratch c, (2, r, cols) complex, is a view of rb[5:], the grid
+    fields of the curls, which the guard's grid fields of u, v and theta
+    leave free: a stage computes each curl in c and scatters it into a
+    before its inverse transform overwrites c, so the next scatter into a
+    may overwrite q, and uses c again only once q holds the forward
+    transform's block. A step writes each buffer before reading it, so
+    :meth:`record_norms` may work in them between steps.
     """
 
     def __init__(self, g: Grid):
@@ -415,11 +444,15 @@ class _Stepper:
         self.minus_ik = -self.ik  # the tendency is minus the terms
         # what _project reads of a grid
         self.kx, self.ky, self.inv_k2 = (self.gather(a) for a in (g.kx, g.ky, g.inv_k2))
-        self.z = np.empty((7, *g.spec_shape), dtype=np.complex128)
-        self.f, self.p = np.empty((7, g.n, g.n)), np.empty((7, g.n, g.n))
+        self.a, self.b = (np.empty((7, *g.spec_shape), dtype=np.complex128) for _ in range(2))
+        self.ra, self.rb = _real_view(self.a, g.n), _real_view(self.b, g.n)
         # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
-        self.y, self.y1, self.c = (np.empty((k, *shape), dtype=np.complex128) for k in (5, 5, 2))
-        self.q = self.p.reshape(-1)[: 14 * shape[0] * shape[1]].view(np.complex128).reshape(7, *shape)
+        self.y, self.y1 = (np.empty((5, *shape), dtype=np.complex128) for _ in range(2))
+        # q over the first 7 r cols modes of a, and c over the first 4 r cols
+        # floats of rb[5:], which fit in its 2 n^2 for every n Grid allows
+        m = shape[0] * shape[1]
+        self.q = self.a.reshape(-1)[: 7 * m].reshape(7, *shape)
+        self.c = self.rb[5:].reshape(-1)[: 4 * m].view(np.complex128).reshape(2, *shape)
 
     def gather(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The modes of the half-plane array a on the block."""
@@ -441,17 +474,20 @@ class _Stepper:
     def weights(self) -> np.ndarray:
         """The Parseval weights of a record, as the rows of one (5, r cols)
         array: herm_weight |k|^(2j) for j = 0..3, then herm_weight on the
-        tail band, the top third of the kept band |k|_max <= n/3."""
+        tail band, the top third of the kept band |k|_max <= n/3. Built on
+        the block, elementwise as ``Grid.seminorm_weight`` builds them on the
+        half plane."""
         g = self.g
-        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-        rows = [g.seminorm_weight(j) for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * (g.n / 3.0))]
-        return self.gather(np.stack(rows)).reshape(5, -1)
+        k2, herm = self.gather(g.k2), self.gather(g.herm_weight)
+        band = np.maximum(np.abs(self.gather(g.kx_int)), np.abs(self.gather(g.ky_int)))
+        rows = [herm * k2**j for j in range(4)] + [herm * (band > 2.0 / 3.0 * (g.n / 3.0))]
+        return np.stack(rows).reshape(5, -1)
 
     def guard(self, s, dt: float, cfl_max: float) -> np.ndarray:
         """The guard of :func:`imex_step` from s, norms as norm(., "Linf")
         computes them; returns y, s loaded, with the grid fields of u, v and
-        theta in f[:5]."""
-        y, f, sq, z = self.load(s), self.f, self.p[:4], self.z[:5]
+        theta in rb[:5]."""
+        y, f, sq, z = self.load(s), self.rb, self.ra[:4], self.a[:5]
         self.scatter(y, z)
         _irfft2(z, f[:5], self.cols)
         with np.errstate(over="ignore"):  # the squares of a finite field past 1e154 overflow
@@ -477,19 +513,17 @@ class _Stepper:
     def _products(self, y: np.ndarray, on_grid: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
-        # u^y theta on the grid into p, from the spectra y, scattered with
-        # their curls into z, and, if on_grid, the grid fields of u, v and
-        # theta in f[:5]
-        ik, z, f, p, c, q = self.ik, self.z, self.f, self.p, self.c[0], self.q
-        np.multiply(ik[0], y[1], out=q[5])
-        np.multiply(ik[1], y[0], out=c)
-        q[5] -= c
-        np.multiply(ik[0], y[3], out=q[6])
-        np.multiply(ik[1], y[2], out=c)
-        q[6] -= c
+        # u^y theta on the grid into ra, from the spectra y, scattered with
+        # their curls into a, and, if on_grid, the grid fields of u, v and
+        # theta in rb[:5]
+        ik, z, f, p, c = self.ik, self.a, self.rb, self.ra, self.c
+        for k, (ax, ay) in ((5, y[0:2]), (6, y[2:4])):  # curl(u), curl(v): d_x a^y - d_y a^x
+            np.multiply(ik[0], ay, out=c[0])
+            np.multiply(ik[1], ax, out=c[1])
+            c[0] -= c[1]
+            self.scatter(c[0], z[k])
         k = 5 if on_grid else 0
         self.scatter(y[k:], z[k:5])
-        self.scatter(q[5:], z[5:])
         _irfft2(z[k:], f[k:], self.cols)
         ux, uy, vx, vy, th, cu, cv = f
         _mul_add(ux, ux, vx, vx, p[0], p[1])
@@ -519,14 +553,14 @@ class _Stepper:
         only: seven products in all. The u tendency is returned
         unprojected: the step projects each stage result. Factors and
         products are masked once each, by the block's scatter and gather.
-        With ``on_grid``, f[:5] already holds the grid fields u, v and theta
+        With ``on_grid``, rb[:5] already holds the grid fields u, v and theta
         of y (as :meth:`guard` leaves them). The result is written into
         ``out``, which may be ``y``.
         """
         self._products(y, on_grid)
         q, c = self.q, self.c[0]
-        _rfft2(self.p, self.z, self.cols)
-        self.gather(self.z, q)
+        _rfft2(self.ra, self.b, self.cols)
+        self.gather(self.b, q)
         q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
         q[2] += y[4]  # u.v + theta
         q[5] += y[2]  # u^x theta + v^x
@@ -544,6 +578,17 @@ class _Stepper:
         _mul_add(mik[0], q[5], mik[1], q[6], out[4], c)
         return out
 
+    def _inverse(self, *blocks: np.ndarray) -> np.ndarray:
+        # the grid fields of the (k, r, cols) block spectra, in order, as
+        # rb[:sum of k], which holds them until the next transform: the
+        # spectra are scattered into a and transformed from there
+        k = 0
+        for x in blocks:
+            self.scatter(x, self.a[k : k + len(x)])
+            k += len(x)
+        _irfft2(self.a[:k], self.rb[:k], self.cols)
+        return self.rb[:k]
+
     def record_norms(self, s) -> tuple[np.ndarray, dict]:
         """What ``records.make_record`` assembles the record of the state s
         from, in one batched pass through the buffers, which sit idle
@@ -555,15 +600,16 @@ class _Stepper:
           stack (re^2 + im^2) of the block's modes reduced by one matmul
           against :attr:`weights`;
         - the grid norms and means of the record, keyed by their column
-          names, from two seven-field inverse transforms pruned to the
-          block's columns, each reduced in place in the order of
-          operations of ``norm`` and ``grad_linf``.
+          names, from three inverse transforms pruned to the block's
+          columns, of u, v, theta and the flux, of grad u and of grad w,
+          6 + 4 + 4 fields, each reduced in place, in the order of
+          operations of ``norm`` and ``grad_linf``, before the next one
+          overwrites rb.
 
         Allocates no array of grid size.
         """
         eps = s.eps
-        g, ik, y, e, q = self.g, self.ik, self.load(s), self.y1, self.q
-        z, f, p = self.z, self.f, self.p
+        g, ik, y, e = self.g, self.ik, self.load(s), self.y1
         shape = y.shape[1:]
         m = y[0].size
         scale = 1.0 / (1.0 - eps)
@@ -578,41 +624,28 @@ class _Stepper:
         e[2] += e[3]
 
         # the power stack of (u^x, u^y, v^x, v^y, theta, w^x, w^y, div u)
-        # in p, the squared real and imaginary parts of five spectra at a
-        # time in f; 8 and 10 blocks of floats, which fit in 7 n^2 for
+        # in ra, the squared real and imaginary parts of five spectra at a
+        # time in rb; 8 and 10 blocks of floats, which fit in 7 n^2 for
         # every n >= 8 that Grid allows
-        power = p.reshape(-1)[: 8 * m].reshape(8, *shape)
+        power = self.ra.reshape(-1)[: 8 * m].reshape(8, *shape)
         for spec, pw in ((y, power[:5]), (e[:3], power[5:])):
-            sq = f.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
+            sq = self.rb.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
             np.square(spec.view(np.float64), out=sq)
             np.add(sq[..., 0::2], sq[..., 1::2], out=pw)
         raw = power.reshape(8, m) @ self.weights.T
         sums = np.array([raw[0] + raw[1], raw[2] + raw[3], raw[4], raw[5] + raw[6], raw[7]])
 
-        # the grid fields: f = (u^x, u^y, v^x, v^y, theta, flux, d_x u^x),
-        # with the flux div v - theta / (1 - eps) and d_x u^x in e[3:], and
-        # p = (d_y u^x, d_x u^y, d_y u^y, d_x w^x, d_y w^x, d_x w^y, d_y w^y)
-        # through q
+        # f = (u^x, u^y, v^x, v^y, theta, flux), with the flux
+        # div v - theta / (1 - eps) in e[3]
         np.multiply(ik[0], y[2], out=e[3])
         np.multiply(ik[1], y[3], out=e[4])
         e[3] += e[4]
         np.multiply(y[4], scale, out=e[4])
         e[3] -= e[4]
-        np.multiply(ik[0], y[0], out=e[4])
-        self.scatter(y, z[:5])
-        self.scatter(e[3:], z[5:])
-        _irfft2(z, f, self.cols)
-        np.multiply(ik[1], y[0], out=q[0])
-        np.multiply(ik, y[1], out=q[1:3])
-        np.multiply(ik, e[0], out=q[3:5])
-        np.multiply(ik, e[1], out=q[5:7])
-        self.scatter(q, z)
-        _irfft2(z, p, self.cols)
-
+        f = self._inverse(y, e[3:4])
         area = (g.length / g.n) ** 2
         grid = dict(mean_theta=f[4].mean(), mean_u_x=f[0].mean(), mean_u_y=f[1].mean())
         np.square(f, out=f)
-        np.square(p, out=p)
         grid.update(theta_linf=np.sqrt(np.max(f[4])), phi_linf=np.sqrt(np.max(f[5])))
         np.square(f[4], out=f[4])
         grid["theta_l4"] = (np.sum(f[4]) * area) ** 0.25
@@ -623,22 +656,37 @@ class _Stepper:
         f[0] += f[2]
         f[0] += f[3]
         grid["uv_linf"] = np.sqrt(np.max(f[0]))
-        # |grad u|^2 = ((a + b) + c) + d for a, b, c, d = f[6], p[0], p[1], p[2]
-        np.add(f[6], p[0], out=f[4])
-        np.add(f[4], p[1], out=f[6])
-        f[6] += p[2]
-        np.square(f[6], out=f[6])
-        grid["grad_u_l4"] = (np.sum(f[6]) * area) ** 0.25
+
+        # f[:4] = (d_x u^x, d_y u^x, d_x u^y, d_y u^y), with f[4:6] as
+        # scratch, then grad w the same way; their spectra sit in b, whose
+        # grid fields are reduced by then
+        d = self.b.reshape(-1)[: 4 * m].reshape(4, *shape)
+        np.multiply(ik, y[0], out=d[:2])
+        np.multiply(ik, y[1], out=d[2:])
+        self._inverse(d)
+        f = self.rb
+        np.square(f[:4], out=f[:4])
+        # |grad u|^2 = ((a + b) + c) + d for a, b, c, d = f[0], f[1], f[2], f[3]
+        np.add(f[0], f[1], out=f[4])
+        np.add(f[4], f[2], out=f[5])
+        f[5] += f[3]
+        np.square(f[5], out=f[5])
+        grid["grad_u_l4"] = (np.sum(f[5]) * area) ** 0.25
         np.sqrt(f[4], out=f[4])
-        np.add(p[1], p[2], out=p[0])
-        np.sqrt(p[0], out=p[0])
-        f[4] += p[0]
+        np.add(f[2], f[3], out=f[1])
+        np.sqrt(f[1], out=f[1])
+        f[4] += f[1]
         grid["grad_u_linf"] = np.max(f[4])
-        p[3] += p[4]
-        p[3] += p[5]
-        p[3] += p[6]
-        np.square(p[3], out=p[3])
-        grid["grad_w_l4"] = (np.sum(p[3]) * area) ** 0.25
+
+        np.multiply(ik, e[0], out=d[:2])
+        np.multiply(ik, e[1], out=d[2:])
+        f = self._inverse(d)
+        np.square(f, out=f)
+        f[0] += f[1]
+        f[0] += f[2]
+        f[0] += f[3]
+        np.square(f[0], out=f[0])
+        grid["grad_w_l4"] = (np.sum(f[0]) * area) ** 0.25
         return sums, grid
 
 

@@ -15,7 +15,7 @@ A record is one batched pass, taken by ``model._Stepper.record_norms`` in
 the stage buffers of the step for the same grid, which sit idle
 between steps: every L2 norm, seminorm and the tail fraction is a Parseval
 sum, read off one stack of spectral powers reduced against weights built
-once per grid, and every grid norm comes from two batched inverse
+once per grid, and every grid norm comes from three batched inverse
 transforms. This module assembles the row from those sums and norms.
 
 Energy, dissipation, A and B are defined once, in :func:`derived_columns`,
@@ -111,10 +111,10 @@ def make_record(state) -> np.ndarray:
     theta, the pseudo baroclinic velocity w and div u, and the tail
     fraction from one power stack of the spectra reduced against weights
     built once per grid; the 14 grid fields (u, v, theta, the effective
-    viscous flux, grad u, grad w) from two batched inverse transforms. So
-    a record allocates no array of grid size. Like ``imex_step``, whose
-    buffers it shares, it reads only the block of modes the two-thirds
-    mask keeps: a mode off it, which only a state built by hand can hold, is
+    viscous flux, grad u, grad w) from three batched inverse transforms of
+    6 + 4 + 4 fields. So a record allocates no array of grid size. Like
+    ``imex_step``, whose buffers it shares, it reads only the block of
+    modes the two-thirds mask keeps: a mode off it, which only a state built by hand can hold, is
     dropped, as the step drops it. It is not thread-safe. Requires
     mean-zero theta, as w does.
     """

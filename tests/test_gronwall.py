@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 import tcm2d as t
 from tcm2d.errors import BadSeries, Infeasible
-from tcm2d.gronwall import _cumtrapz
+from tcm2d.gronwall import _cumtrapz, a_prime
 
 
 def const_series(T=1.0, m=101, A=1.0, B=1.0, alpha=0.0, beta=0.0, K=1.0):
@@ -183,6 +183,21 @@ class TestConclusion:
         rep = t.conclusion_check(g)
         assert not rep.hypothesis.holds
         assert rep.outcome == "not-applicable"
+
+    def test_not_applicable_when_a_prime_overflows(self):
+        # the end-point stencils of A' pass the float range: the hypothesis
+        # fails there, with no warning, instead of passing on a margin and
+        # a scale that are both infinite and calling the envelope violated
+        ts = np.arange(5.0)
+        g = t.GronwallSeries(
+            times=ts, A=np.array([1.0, 1e308, 1.0, 1e308, 1.0]), B=np.ones_like(ts),
+            alpha=np.zeros_like(ts), beta=np.full_like(ts, 10.0), K=1.0,
+        )
+        rep = t.conclusion_check(g)
+        assert np.isinf(a_prime(g)[[0, -1]]).all()
+        assert not rep.hypothesis.holds
+        assert rep.outcome == "not-applicable"
+        assert not rep.satisfied.all()  # the envelope, unguarded, would read violated
 
     def test_envelope_nondecreasing(self):
         g = equality_ode_series(m=101)

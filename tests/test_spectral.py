@@ -39,15 +39,44 @@ class TestGrid:
             tracemalloc.stop()
         assert peak < 100_000
 
+    @staticmethod
+    def held_by_a_run(n):
+        """The bytes a run on an n-grid holds once it has stepped and
+        recorded, each array counted once through the array that owns its
+        memory: the Grid's arrays, and the step's stepper with its record
+        weights; and the stepper's arrays that span the grid."""
+        cfg = t.SimConfig(n=n, dt=1e-3, horizon=0.0, preset="random_band", eps=0.1, seed=3)
+        model._stepper.cache_clear()
+        s = t.make_initial(cfg)
+        t.make_record(t.imex_step(s, cfg.dt))
+        g, st = s.grid, model._stepper(s.grid)
+        assert st.g is g
+        # make_initial's L2 norms build seminorm_weight(0); the record's
+        # weights are built on the block and leave the others unbuilt
+        assert list(g._seminorm_weights) == [0]
+        owners = {}
+        for a in (*vars(g).values(), *g._seminorm_weights.values(), *vars(st).values()):
+            if isinstance(a, np.ndarray):
+                owner = a if a.base is None else a.base
+                owners[id(owner)] = owner
+        grid_sized = sorted(k for k, a in vars(st).items() if isinstance(a, np.ndarray) and a.base is None
+                            and n in a.shape[-2:])
+        return sum(a.nbytes for a in owners.values()), grid_sized
+
     def test_cap_holds_the_stated_bytes(self):
-        # a Grid and the step's buffers hold about 280 n^2 bytes, which the
-        # cap keeps to 1.2 GB; measured at n = 64, where they take 1.2 MB
-        g = t.Grid(64)
-        st = model._Stepper(g)
-        arrays = [*vars(g).values(), *(g.seminorm_weight(j) for j in range(4)), *vars(st).values(), st.weights]
-        held = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
-        assert 270 < held / 64**2 < 290
-        assert held / 64**2 * N_MAX**2 < 1.2e9
+        # a run holds about 209 n^2 bytes at n = 64 (0.86 MB), and about 203
+        # n^2 at larger n, which the cap keeps under 0.9 GB: of the stepper's
+        # arrays only its two transform buffers span the grid
+        held, grid_sized = self.held_by_a_run(64)
+        assert 200 < held / 64**2 <= 212
+        assert held / 64**2 * N_MAX**2 < 0.9e9
+        assert grid_sized == ["a", "b"]
+
+    def test_cap_holds_the_stated_bytes_at_n256(self):
+        # 203 n^2 bytes at n = 256 (13.3 MB)
+        held, grid_sized = self.held_by_a_run(256)
+        assert 200 < held / 256**2 <= 212
+        assert grid_sized == ["a", "b"]
 
     def test_zero_mode_wavenumber(self):
         g = t.Grid(16, length=3.5)

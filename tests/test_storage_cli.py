@@ -1095,6 +1095,36 @@ class TestGuardMatrix:
         payload = json.loads(line.split(" ", 1)[1])
         assert payload["error"] == "BadParams" and f"the initial {field} of preset" in payload["detail"]
 
+    @pytest.mark.parametrize("shape, field", [("mode", "u"), ("theta", "theta"), ("band", "u")])
+    def test_twin_delta_that_overflows(self, tmp_path, capsys, shape, field):
+        # the perturbed initial data pass the float range: the twin says so
+        # once, before any step, as make_initial does for a preset's data;
+        # at the parent it printed 12 numpy warnings and named u non-finite
+        cfg = write_cfg(tmp_path, guard_cfg())
+        argv = ["twin", "--config", cfg, "--delta", "1e308", "--shape", shape, "--out", str(tmp_path / "tw")]
+        assert main(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload["error"] == "BadParams" and f"the perturbed initial {field} of the twin" in payload["detail"]
+
+    def test_twin_huge_finite_delta_stops_at_the_cfl_guard(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, guard_cfg())
+        assert main(["twin", "--config", cfg, "--delta", "1e200", "--out", str(tmp_path / "tw")]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        payload = json.loads(line.split(" ", 1)[1])
+        assert payload["error"] == "CflViolation" and payload["step"] == 1 and payload["t"] == 0.0
+
+    def test_gronwall_series_whose_a_prime_overflows(self, tmp_path, capsys):
+        # at the parent: two numpy warnings, "hypothesis holds: True (min
+        # margin -inf)", and exit 5 on a conclusion called violated
+        ts = np.arange(5.0)
+        path = tmp_path / "g.csv"
+        storage.write_gronwall_csv(path, ts, np.array([1.0, 1e308, 1.0, 1e308, 1.0]), np.ones_like(ts), 0 * ts,
+                                   np.full_like(ts, 10.0))
+        code, out, _ = run_cli(capsys, ["gronwall", "--csv", str(path), "--k", "1"])
+        assert code == 0
+        assert out.splitlines()[:2] == ["hypothesis holds: False (min margin -inf)", "conclusion outcome: not-applicable"]
+
     def test_gronwall_series_too_close_to_differentiate(self, tmp_path, capsys):
         ts = np.arange(5) * 1e-300
         path = tmp_path / "g.csv"
