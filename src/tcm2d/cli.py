@@ -149,7 +149,8 @@ def _gather(args):
 def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
     """The run's snapshot of ``step``. Its header must hold the config's n, L
     and eps, and t = step * dt within SNAPSHOT_T_RTOL; else ConfigParseError
-    names the file and the key."""
+    names the file and the key. Every field must be finite, as a run's are;
+    else ConfigParseError names the file and the first field that is not."""
     s = storage.read_state_snapshot(snap_dir, step)
     path = storage.snapshot_path(snap_dir, step)
     for key, got, want in (("n", s.grid.n, cfg.n), ("L", s.grid.length, cfg.length), ("eps", s.eps, cfg.eps)):
@@ -157,6 +158,10 @@ def _read_snapshot(snap_dir, step: int, cfg: SimConfig):
             raise ConfigParseError(f"{path}: line 1: {key}={got!r} disagrees with config.cfg ({want!r})")
     if not abs(s.t - step * cfg.dt) <= SNAPSHOT_T_RTOL * step * cfg.dt:
         raise ConfigParseError(f"{path}: line 1: t={s.t!r} is not step {step} times dt={cfg.dt!r}")
+    finite = np.isfinite(s.spec).all(axis=(1, 2))
+    if not finite.all():
+        name = storage.FIELD_NAMES[int(np.argmin(finite))]
+        raise ConfigParseError(f"{path}: {name} is not finite, but every snapshot of a run is")
     return s
 
 
@@ -310,6 +315,7 @@ def _write_check_report(out_dir, report: str, times, curves):
 
 
 def cmd_check(args) -> int:
+    gronwall.check_tol(args.tol)  # before a run is made or read
     cfg, series, window, final, out = _gather(args)
     gated, info, curves = run_checks(cfg, series, window, final, tol=args.tol)
     report, overall = _render_report(gated, info)
@@ -385,6 +391,7 @@ def cmd_twin(args) -> int:
 
 
 def cmd_gronwall(args) -> int:
+    gronwall.check_tol(args.tol)
     times, A, B, alpha, beta = storage.read_gronwall_csv(args.csv)
     k = args.k
     if args.fit_k:

@@ -192,29 +192,22 @@ def _smoothed_h1(du: SpectralField, dv: SpectralField, dth: SpectralField) -> fl
     return float(np.sqrt(sum(p**2 for p in parts)))
 
 
-def _separation(s1: State, s2: State) -> float:
-    return _smoothed_h1(s1.u - s2.u, s1.v - s2.v, s1.theta - s2.theta)
+def _separation(f1, f2) -> float:
+    # of the fields (u, v, theta) of two members
+    return _smoothed_h1(*(a - b for a, b in zip(f1, f2)))
 
 
-def _growth_coefficient(base: State, pert: State) -> float:
+def _growth_coefficient(base, pert) -> float:
     """1 + ||th2||_inf^2 + ||grad u1||_inf + ||(u1,u2,v1,v2)||_2^2 *
     ||(grad u1, grad u2, grad v1, grad v2)||_2^2 + ||(grad u2, grad v1)||_2^4,
-    with run 1 the unperturbed member."""
-    th2_sup = norm(pert.theta, "Linf")
-    gu1_sup = grad_linf(base.u)
-    l2s = (
-        norm(base.u, "L2") ** 2
-        + norm(pert.u, "L2") ** 2
-        + norm(base.v, "L2") ** 2
-        + norm(pert.v, "L2") ** 2
-    )
-    g2s = (
-        seminorm(base.u, 1) ** 2
-        + seminorm(pert.u, 1) ** 2
-        + seminorm(base.v, 1) ** 2
-        + seminorm(pert.v, 1) ** 2
-    )
-    tail = (seminorm(pert.u, 1) ** 2 + seminorm(base.v, 1) ** 2) ** 2
+    with run 1 the unperturbed member; base and pert are the fields
+    (u, v, theta) of each."""
+    (u1, v1, _), (u2, v2, th2) = base, pert
+    th2_sup = norm(th2, "Linf")
+    gu1_sup = grad_linf(u1)
+    l2s = norm(u1, "L2") ** 2 + norm(u2, "L2") ** 2 + norm(v1, "L2") ** 2 + norm(v2, "L2") ** 2
+    g2s = seminorm(u1, 1) ** 2 + seminorm(u2, 1) ** 2 + seminorm(v1, 1) ** 2 + seminorm(v2, 1) ** 2
+    tail = (seminorm(u2, 1) ** 2 + seminorm(v1, 1) ** 2) ** 2
     return float(1.0 + th2_sup**2 + gu1_sup + l2s * g2s + tail)
 
 
@@ -249,6 +242,22 @@ def _perturbation(cfg: SimConfig, shape: str):
     return pu * (1.0 / size), pv * (1.0 / size), pth * (1.0 / size)
 
 
+def _perturbed(cfg: SimConfig, base: State, delta: float, shape: str) -> State:
+    # the twin's perturbed initial state (see twin_divergence)
+    pu, pv, pth = _perturbation(cfg, shape)
+    u, v, theta = base.u, base.v, base.theta
+    # an overflow is found once, below, not warned of at each operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = leray_project(u + pu * delta), v + pv * delta, theta + pth * delta
+        bad = _overflowing_field(*fields)
+        if bad and _overflowing_field(u, v, theta):
+            bad = None  # the base is not finite itself: step 1's guard names the field
+    if bad:
+        raise BadParams(f"the perturbed initial {bad} of the twin overflows the float range at delta={delta!r}: "
+                        f"lower delta")
+    return State.from_fields(*fields, t=0.0, eps=cfg.eps)
+
+
 def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinReport:
     """Run the configured simulation twice, the second from initial data
     perturbed by delta times a unit shape, and compare the smoothed-norm
@@ -265,34 +274,17 @@ def twin_divergence(cfg: SimConfig, delta: float, shape: str = "mode") -> TwinRe
     if not (np.isfinite(delta) and delta >= 0):
         raise BadParams(f"delta must be finite and nonnegative, got {delta}")
     base = make_initial(cfg)
-    if delta == 0.0:
-        pert = base
-    else:
-        pu, pv, pth = _perturbation(cfg, shape)
-        # an overflow is found once, below, not warned of at each operation
-        with np.errstate(over="ignore", invalid="ignore"):
-            pert = State(
-                u=leray_project(base.u + pu * delta),
-                v=base.v + pv * delta,
-                theta=base.theta + pth * delta,
-                t=0.0,
-                eps=cfg.eps,
-            )
-            bad = _overflowing_field(pert.u, pert.v, pert.theta)
-            if bad and _overflowing_field(base.u, base.v, base.theta):
-                bad = None  # the base is not finite itself: step 1's guard names the field
-        if bad:
-            raise BadParams(f"the perturbed initial {bad} of the twin overflows the float range at delta={delta!r}: "
-                            f"lower delta")
+    pert = base if delta == 0.0 else _perturbed(cfg, base, delta, shape)
 
     times, seps, coeffs = [], [], []
     runs = zip(_trajectory(cfg, base), _trajectory(cfg, pert))
     del base, pert  # so that each run holds its initial state only until its first step
     for (k, b), (_, p) in runs:
         if k % cfg.diag_stride == 0:
+            fb, fp = (b.u, b.v, b.theta), (p.u, p.v, p.theta)
             times.append(b.t)
-            seps.append(_separation(b, p))
-            coeffs.append(_growth_coefficient(b, p))
+            seps.append(_separation(fb, fp))
+            coeffs.append(_growth_coefficient(fb, fp))
 
     times = np.array(times)
     coeffs = np.array(coeffs)
@@ -368,10 +360,11 @@ def epsilon_sweep(base: SimConfig, levels) -> SweepReport:
     th_sq = {i: [] for i in members}
 
     def follow(step: int, r: State) -> None:
+        ru, rv, rth = r.u, r.v, r.theta
         for i, states in members.items():
             s = next(s for k, s in states if k == step)
-            vel_sq[i].append(norm(s.u - r.u, "H1") ** 2 + norm(s.v - r.v, "H1") ** 2)
-            th_sq[i].append(norm(s.theta - r.theta, "L2") ** 2)
+            vel_sq[i].append(norm(s.u - ru, "H1") ** 2 + norm(s.v - rv, "H1") ** 2)
+            th_sq[i].append(norm(s.theta - rth, "L2") ** 2)
         ts.append(r.t)
 
     simulate(cfg, on_snapshot=follow, record=False)

@@ -35,6 +35,14 @@ K_MIN = 1e-6
 MIN_SPACING = 1e-150
 
 
+def check_tol(tol: float) -> None:
+    """The tol rule: a tolerance is finite and nonnegative, else BadParams.
+    An infinite tol would pass every margin and envelope sample, and a NaN
+    or negative one fail every margin."""
+    if not 0.0 <= tol < np.inf:
+        raise BadParams(f"tol must be finite and nonnegative, got {tol}")
+
+
 @dataclass(frozen=True)
 class GronwallSeries:
     """Sampled (A, B, alpha, beta) with the constant K. A sample that is
@@ -124,10 +132,9 @@ def verify_hypothesis(g: GronwallSeries, tol: float = DEFAULT_TOL) -> Hypothesis
     from the magnitudes of every term so the tolerance is relative. It
     fails at a sample whose A', margin or scale is not finite (a term past
     the float range), since no finite tolerance is known there. A tol
-    that is not finite and nonnegative raises BadParams.
+    that breaks :func:`check_tol` raises BadParams.
     """
-    if not 0.0 <= tol < np.inf:
-        raise BadParams(f"tol must be finite and nonnegative, got {tol}")
+    check_tol(tol)
     dA = a_prime(g)
     logB = np.log(g.B)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,17 +36,17 @@ Layout. The mask keeps exactly one block of the half plane
 (:func:`kept_block`): the rows [0, lo) and [hi, n) of its leading cols
 columns (lo = 86, hi = 171, cols = 86 at n = 256, 44.5 % of the half
 plane). Every state the system makes lies on that block, since
-``SimConfig`` rejects a band or a mode past it, and a snapshot stores only
-the block (``storage``). A step gathers that block of the five spectra
-(u^x, u^y, v^x, v^y, theta) once, into held contiguous (5, r, cols)
-arrays, and does all of its spectral arithmetic there: curls, tendency
-assembly, trapezoidal factors, Leray projection. Each inverse transform scatters a
-block into a held transform buffer with zeros at every other mode, and
-each forward transform gathers the block back, so no mask is multiplied.
-A mode off the block, which only a state built by hand can hold, is
-dropped by the gather, as the mask drops it from every product. The
-result is a fresh (5, n, n//2 + 1) array with the block scattered in;
-the returned State holds views of it.
+``SimConfig`` rejects a band or a mode past it, so a :class:`State` is
+its block: one contiguous (5, r, cols) array of the five spectra (u^x,
+u^y, v^x, v^y, theta), which a step, a record and a snapshot (``storage``)
+all take as it is. Building a state from fields
+(:meth:`State.from_fields`) drops a mode off the block, as the mask drops
+it from every product. A step copies its state's block, does all of its
+spectral arithmetic on the copy (curls, tendency assembly, trapezoidal
+factors, Leray projection) and returns it as the result. Each inverse
+transform scatters a block into a held transform buffer with zeros at
+every other mode, and each forward transform gathers the block back, so
+no mask is multiplied.
 
 Each explicit stage is one batched inverse transform of seven fields (u,
 v, theta, curl(u), curl(v)), seven grid products, and one batched forward
@@ -56,12 +56,12 @@ the first stage reuses them: 28 real field-transforms per step (14
 forward, 14 inverse). The stage returns the unprojected u tendency, and
 the step projects the predictor and the corrector: one projection per
 stage result, the same operator in exact arithmetic. The corrector
-accumulates into the state block, so a warm step allocates its result and
+accumulates into the copied block, so a warm step allocates its result and
 small temporaries only.
 
 What a step reuses sits in two private caches. The buffers and the
 gathered multipliers depend on the grid and sit in a one-entry cache
-(11.4 MB at n = 256: two grid-size transform buffers that take turns, and
+(10.2 MB at n = 256: two grid-size transform buffers that take turns, and
 the block arrays), the trapezoidal factors on (grid,
 dt, eps) in a small cache of their own, so runs that differ only
 in eps, such as the members of an eps sweep stepped in lockstep, share
@@ -115,27 +115,43 @@ FIELD_MAX = 1e30
 MAX_STEPS = 2**52
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class State:
     """Solution triple at one instant: divergence-free u, v, temperature.
 
-    u and v are vector fields, theta a scalar one (``spectral``). A state
-    that a step or a snapshot read makes holds views of one (5, n, n//2 + 1)
-    array: u its rows 0 and 1, v rows 2 and 3, theta row 4.
+    A state is its kept block (see Layout above): ``spec``, one read-only
+    (5, r, cols) complex array of the spectra u^x, u^y, v^x, v^y and theta.
+    Each read of the fields ``u``, ``v`` and ``theta`` (``spectral``)
+    scatters it into a fresh half-plane spectrum.
     """
 
-    u: SpectralField
-    v: SpectralField
-    theta: SpectralField
+    grid: Grid
+    spec: np.ndarray
     t: float
     eps: float
 
     def __post_init__(self):
         _check_eps(self.eps)
+        self.spec.flags.writeable = False
 
-    @property
-    def grid(self) -> Grid:
-        return self.theta.grid
+    @classmethod
+    def from_fields(cls, u: SpectralField, v: SpectralField, theta: SpectralField, t: float, eps: float) -> "State":
+        g = theta.grid
+        lo, hi, cols = kept_block(g.n)
+        spec = np.empty((5, g.n - hi + lo, cols), dtype=np.complex128)
+        for a, out in ((u, spec[:2]), (v, spec[2:4]), (theta, spec[4])):
+            _gather(a.spec, lo, hi, cols, out)
+        return cls(g, spec, t, eps)
+
+    def _field(self, rows) -> SpectralField:
+        block = self.spec[rows]
+        out = np.empty((*block.shape[:-2], *self.grid.spec_shape), dtype=np.complex128)
+        _scatter(block, out, *kept_block(self.grid.n))
+        return SpectralField(self.grid, out)
+
+    u = property(lambda self: self._field(slice(2)))
+    v = property(lambda self: self._field(slice(2, 4)))
+    theta = property(lambda self: self._field(4))
 
 
 @dataclass(frozen=True)
@@ -338,7 +354,7 @@ def make_initial(cfg: SimConfig) -> State:
     if bad:
         raise BadParams(f"the initial {bad} of preset {cfg.preset} overflows the float range at n={cfg.n}, "
                         f"L={cfg.length!r}: lower its amplitude")
-    return State(u=u, v=v, theta=theta, t=0.0, eps=cfg.eps)
+    return State.from_fields(u, v, theta, 0.0, cfg.eps)
 
 
 def _overflowing_field(u: SpectralField, v: SpectralField, theta: SpectralField) -> str | None:
@@ -411,9 +427,9 @@ class _Stepper:
     two-thirds mask keeps one block of the half plane, the rows
     [0, lo) and [hi, n) of its leading cols columns (``key`` = (lo, hi,
     cols)), and the stepper holds the multipliers gathered onto that block
-    and the arrays a step works in. On the block, with r = n - hi + lo, it
-    holds the gathered state y and the stage results y1, (5, r, cols)
-    complex, 2.4 MB at n = 256. On the grid, it holds two (7, n, n//2 + 1)
+    and the arrays a step works in beside the state's block. On the block,
+    with r = n - hi + lo, it holds the stage results y1, (5, r, cols)
+    complex, 1.2 MB at n = 256. On the grid, it holds two (7, n, n//2 + 1)
     complex buffers a and b, 7.4 MB at n = 256, each with the real
     (7, n, n) view ``ra``, ``rb`` over its first 7 n^2 floats. They take
     turns:
@@ -447,7 +463,7 @@ class _Stepper:
         self.a, self.b = (np.empty((7, *g.spec_shape), dtype=np.complex128) for _ in range(2))
         self.ra, self.rb = _real_view(self.a, g.n), _real_view(self.b, g.n)
         # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
-        self.y, self.y1 = (np.empty((5, *shape), dtype=np.complex128) for _ in range(2))
+        self.y1 = np.empty((5, *shape), dtype=np.complex128)
         # q over the first 7 r cols modes of a, and c over the first 4 r cols
         # floats of rb[5:], which fit in its 2 n^2 for every n Grid allows
         m = shape[0] * shape[1]
@@ -463,13 +479,6 @@ class _Stepper:
         every mode off the block."""
         _scatter(a, out, *self.key)
 
-    def load(self, s) -> np.ndarray:
-        """y, with the block of s's five spectra gathered into it. A mode off
-        the block is dropped, as the mask drops it from every product."""
-        for a, out in ((s.u, self.y[:2]), (s.v, self.y[2:4]), (s.theta, self.y[4])):
-            self.gather(a.spec, out)
-        return self.y
-
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """The Parseval weights of a record, as the rows of one (5, r cols)
@@ -483,12 +492,11 @@ class _Stepper:
         rows = [herm * k2**j for j in range(4)] + [herm * (band > 2.0 / 3.0 * (g.n / 3.0))]
         return np.stack(rows).reshape(5, -1)
 
-    def guard(self, s, dt: float, cfl_max: float) -> np.ndarray:
+    def guard(self, s, dt: float, cfl_max: float) -> None:
         """The guard of :func:`imex_step` from s, norms as norm(., "Linf")
-        computes them; returns y, s loaded, with the grid fields of u, v and
-        theta in rb[:5]."""
-        y, f, sq, z = self.load(s), self.rb, self.ra[:4], self.a[:5]
-        self.scatter(y, z)
+        computes them; leaves the grid fields of u, v and theta in rb[:5]."""
+        f, sq, z = self.rb, self.ra[:4], self.a[:5]
+        self.scatter(s.spec, z)
         _irfft2(z, f[:5], self.cols)
         with np.errstate(over="ignore"):  # the squares of a finite field past 1e154 overflow
             np.square(f[0:4:2], out=sq[:2])
@@ -508,7 +516,6 @@ class _Stepper:
             i = int(np.argmax(linf))
             raise BadParams(f"the sup norm of {_GUARD_FIELDS[i]} at t = {s.t!r} is {linf[i]:.6g}, past FIELD_MAX = "
                             f"{FIELD_MAX:g}, beyond which the powers that a step and a record take overflow")
-        return y
 
     def _products(self, y: np.ndarray, on_grid: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
@@ -609,7 +616,7 @@ class _Stepper:
         Allocates no array of grid size.
         """
         eps = s.eps
-        g, ik, y, e = self.g, self.ik, self.load(s), self.y1
+        g, ik, y, e = self.g, self.ik, s.spec, self.y1
         shape = y.shape[1:]
         m = y[0].size
         scale = 1.0 / (1.0 - eps)
@@ -727,28 +734,26 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     and rotational form (see the module docstring). u is projected once per
     stage result, the predictor and the corrector.
 
-    The step gathers the block of modes the two-thirds mask keeps from the
-    spectra of ``s`` once and works on it in held arrays, with 28 real
-    field-transforms. Every state the system makes lies on that block; a
-    mode of ``s`` off it, which only a state built by hand can hold, is
-    dropped, as the mask drops it from every product. The block holds no
-    Nyquist mode, so the projection's precondition (see
-    ``spectral._project``) holds by construction.
+    The step works on a copy of the block of ``s`` (a state is the block of
+    modes the two-thirds mask keeps) and on held arrays, with 28 real
+    field-transforms. The block holds no Nyquist mode, so the projection's
+    precondition (see ``spectral._project``) holds by construction.
 
     Buffers and multipliers are built once per grid and held in a one-entry
     cache until a step on another grid replaces them; the trapezoidal
     factors once per (grid, dt, eps), in a small cache of their own.
     Steps share those buffers, and records borrow them between steps, so
-    this function is not thread-safe. The returned State owns its arrays, a
-    fresh half-plane stack with the block scattered in, which is all that a
-    warm step allocates beyond small temporaries.
+    this function is not thread-safe. The returned State owns its block, the
+    copy the step accumulated into, which is all that a warm step allocates
+    beyond small temporaries.
     """
     if dt <= 0:
         raise BadParams(f"dt must be positive, got {dt}")
     g = s.grid
     st = _stepper(g)
-    y = st.guard(s, dt, cfl_max)
+    st.guard(s, dt, cfl_max)
     a, half_b = _factors(g, dt, s.eps)
+    y = s.spec.copy()
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
     # y1 = a y0 + b n0 is y + b n0 / 2 midway; the first stage reuses the
@@ -760,9 +765,7 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     _project(st, y1[:2], st.c)  # predictor
     y += _scale(half_b, st.explicit(y1, False, y1))  # + b n1 / 2
     _project(st, y[:2], st.c)  # corrector
-    out = np.empty((5, *g.spec_shape), dtype=np.complex128)
-    st.scatter(y, out)
-    return State(*(SpectralField(g, out[k]) for k in (slice(2), slice(2, 4), 4)), t=s.t + dt, eps=s.eps)
+    return State(g, y, s.t + dt, s.eps)
 
 
 def _trajectory(cfg: SimConfig, s: State) -> Iterator[tuple[int, State]]:

@@ -11,12 +11,13 @@ the effective viscous flux, the H1-estimate functionals
 mean/divergence bookkeeping, and the fraction of temperature variance in
 the top third of the kept band |k|_max <= n/3 (an under-resolution flag).
 
-A record is one batched pass, taken by ``model._Stepper.record_norms`` in
-the stage buffers of the step for the same grid, which sit idle
-between steps: every L2 norm, seminorm and the tail fraction is a Parseval
-sum, read off one stack of spectral powers reduced against weights built
-once per grid, and every grid norm comes from three batched inverse
-transforms. This module assembles the row from those sums and norms.
+A record is one batched pass over the state's block, taken by
+``model._Stepper.record_norms`` in the stage buffers of the step for the
+same grid, which sit idle between steps: every L2 norm, seminorm and the
+tail fraction is a Parseval sum, read off one stack of spectral powers
+reduced against weights built once per grid, and every grid norm comes
+from three batched inverse transforms. This module assembles the row
+from those sums and norms.
 
 Energy, dissipation, A and B are defined once, in :func:`derived_columns`,
 which ``make_record`` and ``check`` share. A series is one read-only table.
@@ -113,22 +114,21 @@ def make_record(state) -> np.ndarray:
     built once per grid; the 14 grid fields (u, v, theta, the effective
     viscous flux, grad u, grad w) from three batched inverse transforms of
     6 + 4 + 4 fields. So a record allocates no array of grid size. Like
-    ``imex_step``, whose buffers it shares, it reads only the block of
-    modes the two-thirds mask keeps: a mode off it, which only a state built by hand can hold, is
-    dropped, as the step drops it. It is not thread-safe. Requires
-    mean-zero theta, as w does.
+    ``imex_step``, whose buffers it shares, it reads the state's block as
+    it is, theta's mean from its (0, 0) mode, and builds no half-plane
+    state. It is not thread-safe. Requires mean-zero theta, as w does.
     """
     from .model import _stepper  # model imports this module
 
-    th, t, eps = state.theta, state.t, state.eps
-    g = th.grid
+    g, t, eps = state.grid, state.t, state.eps
     sums, grid = _stepper(g).record_norms(state)
     # rows u, v, theta, w, div u; columns |k|^0, |k|^2, |k|^4, |k|^6, then
     # the tail band
     l2 = g.length / g.n**2 * np.sqrt(sums[:, :4])
     (u_l2, gu, lu, glu), (v_l2, gv), (th_l2, gth, lth), (gw, lw, glw) = l2[0], l2[1, :2], l2[2, :3], l2[3, 1:]
-    if abs(th.mean) > MEAN_ZERO_RTOL * th_l2:
-        raise NonZeroMean(f"theta must be mean-zero for w, |mean| = {abs(th.mean):.3e}")
+    mean = float(state.spec[4, 0, 0].real) / g.n**2  # theta's (0, 0) mode
+    if abs(mean) > MEAN_ZERO_RTOL * th_l2:
+        raise NonZeroMean(f"theta must be mean-zero for w, |mean| = {abs(mean):.3e}")
     u_h1 = np.hypot(u_l2, gu)
     div_u = g.length / g.n**2 * np.sqrt(sums[4, 0])
 

@@ -43,7 +43,7 @@ from .errors import BadParams, NonZeroMean
 MEAN_ZERO_RTOL = 1e-10
 
 #: the largest grid size: a Grid and the step's buffers (``model._Stepper``)
-#: hold about 203 n^2 bytes (13.3 MB at n = 256), so 0.85 GB at n = 2048
+#: hold about 185 n^2 bytes (12.1 MB at n = 256), so 0.78 GB at n = 2048
 N_MAX = 2048
 
 #: the bounds of the domain length L. A record and a norm scale their sums

@@ -10,12 +10,11 @@ followed by the block of each field's ``rfft2`` half-plane spectrum that
 the two-thirds mask keeps (``model.kept_block``), in the order the header
 names: with k = n // 3, the rows [0, k] and then [n - k, n) of the columns
 [0, k], (2k + 1) x (k + 1) little-endian complex128, row-major (43 x 22 at
-n = 64). Every state the system makes lies on that block, so the file
-holds the whole state: read back and scattered into the half plane with
-zeros at every other mode, it is the state that was stepped, bit for bit,
-and writing one takes no transform. A state with a nonzero mode off the
-block is refused, not truncated. Grid samples are
-``numpy.fft.irfft2(spec, s=(n, n))`` of the scattered spectrum.
+n = 64). That payload is the state itself (``model.State.spec``): it is
+written and read back as it is, bit for bit, with no transform and no
+change of layout. Grid samples are ``numpy.fft.irfft2(spec, s=(n, n))``
+of the block scattered into the half plane with zeros at every other
+mode.
 
 CSVs carry a fixed header row and 17-significant-digit decimal floats, so
 identical runs produce byte-identical files. Each writer returns the
@@ -43,9 +42,9 @@ import time
 import numpy as np
 
 from .errors import BadParams, BadSeries, ChecksumMismatch, ConfigParseError
-from .model import State, _gather, _scatter, kept_block
+from .model import State, kept_block
 from .records import COLUMNS, DiagnosticsSeries
-from .spectral import Grid, SpectralField
+from .spectral import Grid
 
 SNAPSHOT_MAGIC = "TCM3"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")
@@ -70,36 +69,27 @@ def _fmt(x: float) -> str:
 
 
 def write_field_snapshot(path, state: State) -> str:
-    """Write ``state`` to ``path`` as one TCM3 file, from the kept block of
-    its spectra alone; returns the SHA-256 of the bytes written. A finite
-    field with a nonzero mode off the block raises BadParams naming it,
-    before the file is opened. A non-finite field is written as its block
-    holds it: the step's guard reports it (NonFiniteState), not this one."""
+    """Write ``state`` to ``path`` as one TCM3 file, its header and then its
+    block as it is; returns the SHA-256 of the bytes written. A non-finite
+    field is written as the block holds it: the step's guard reports it
+    (NonFiniteState), not this one."""
     g = state.grid
-    lo, hi, cols = kept_block(g.n)
-    specs = (*state.u.spec, *state.v.spec, state.theta.spec)  # FIELD_NAMES order
-    for name, spec in zip(FIELD_NAMES, specs):
-        if (spec[lo:hi, :cols].any() or spec[:, cols:].any()) and np.isfinite(spec).all():
-            raise BadParams(f"{path}: {name} has a nonzero mode off the kept block |k| <= {lo - 1}")
     header = (
         f"{SNAPSHOT_MAGIC} n={g.n} L={g.length!r} t={state.t!r} "
         f"eps={state.eps!r} fields={','.join(FIELD_NAMES)}\n"
     ).encode("ascii")
+    block = np.ascontiguousarray(state.spec, dtype=_SPEC_DTYPE)
     digest = hashlib.sha256(header)
-    # one field's block at a time, never the whole state
-    block = np.empty((g.n - hi + lo, cols), dtype=_SPEC_DTYPE)
+    digest.update(block)
     with open(path, "wb") as fh:
         fh.write(header)
-        for spec in specs:
-            _gather(spec, lo, hi, cols, out=block)
-            digest.update(block)
-            fh.write(block)
+        fh.write(block)
     return digest.hexdigest()
 
 
 def read_field_snapshot(path) -> State:
-    """The state a TCM3 file holds, its fields views of one half-plane
-    spectrum array. A malformed file raises ConfigParseError naming it."""
+    """The state a TCM3 file holds, its block as read. A malformed file
+    raises ConfigParseError naming it."""
     with open(path, "rb") as fh:
         try:
             parts = fh.readline().decode("ascii").split()
@@ -125,10 +115,8 @@ def read_field_snapshot(path) -> State:
         block = np.empty(shape, dtype=_SPEC_DTYPE)
         if fh.readinto(block) != block.nbytes:
             raise ConfigParseError(f"{path}: truncated while reading")
-    spectra = np.empty((len(FIELD_NAMES), *grid.spec_shape), dtype=np.complex128)
-    _scatter(block, spectra, lo, hi, cols)
     try:
-        return State(*(SpectralField(grid, spectra[k]) for k in (slice(2), slice(2, 4), 4)), t=t, eps=eps)
+        return State(grid, block, t, eps)
     except BadParams as exc:
         raise ConfigParseError(f"{path}: line 1: bad {SNAPSHOT_MAGIC} header: {exc}") from exc
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -35,22 +33,25 @@ def with_nan(s, field):
     bad = {"u_x": s.u.x, "v_x": s.v.x, "theta": s.theta}[field].phys.copy()
     bad[3, 5] = np.nan
     f = t.SpectralField.from_phys(s.grid, bad)
+    u, v, theta = s.u, s.v, s.theta
     if field == "u_x":
-        return replace(s, u=t.VectorField(f, s.u.y))
-    if field == "v_x":
-        return replace(s, v=t.VectorField(f, s.v.y))
-    return replace(s, theta=f)
+        u = t.VectorField(f, u.y)
+    elif field == "v_x":
+        v = t.VectorField(f, v.y)
+    else:
+        theta = f
+    return t.State.from_fields(u, v, theta, s.t, s.eps)
 
 
-def with_off_block_modes(s, seed):
-    """Copy of state s given, by hand, a coefficient at every mode past n/3
-    of each spectrum, the Nyquist lines included: modes that a step and a
-    record drop."""
+def off_block_fields(s, seed):
+    """The fields (u, v, theta) of state s given, by hand, a coefficient at
+    every mode past n/3 of each spectrum, the Nyquist lines included: modes
+    that building a state from them drops."""
     off = ~s.grid.dealias_mask
     specs = np.stack([a.spec for a in (*s.u, *s.v, s.theta)])
     specs[:, off] = np.random.default_rng(seed).standard_normal((5, np.count_nonzero(off))) * (0.1 + 0.1j)
     f = [t.SpectralField(s.grid, a) for a in specs]
-    return replace(s, u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4])
+    return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
 
 def rel_l2(a, b):

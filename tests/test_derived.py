@@ -14,7 +14,7 @@ def state_from(u=None, v=None, theta=None, grid=None, eps=0.0, time=0.0):
     g = grid or t.Grid(32)
     zero = t.SpectralField.zeros(g)
     zv = t.VectorField(zero, zero)
-    return t.State(u=u or zv, v=v or zv, theta=theta or zero, t=time, eps=eps)
+    return t.State.from_fields(u=u or zv, v=v or zv, theta=theta or zero, t=time, eps=eps)
 
 
 class TestPseudoBaroclinic:
@@ -44,7 +44,7 @@ class TestPseudoBaroclinic:
         from types import SimpleNamespace
 
         s = band_state(n=32, seed=4)
-        near = t.State(u=s.u, v=s.v, theta=s.theta, t=0.0, eps=0.999999)
+        near = t.State.from_fields(u=s.u, v=s.v, theta=s.theta, t=0.0, eps=0.999999)
         t.pseudo_baroclinic(near)  # still < 1, fine
         bad = SimpleNamespace(u=s.u, v=s.v, theta=s.theta, t=0.0, eps=1.0)
         with pytest.raises(EpsOutOfRange):
@@ -54,7 +54,7 @@ class TestPseudoBaroclinic:
         # a State checks the same range, and the error is a BadParams (CLI exit 2)
         for eps in (1.0, -0.1, float("nan")):
             with pytest.raises(EpsOutOfRange):
-                t.State(u=s.u, v=s.v, theta=s.theta, t=0.0, eps=eps)
+                t.State.from_fields(u=s.u, v=s.v, theta=s.theta, t=0.0, eps=eps)
         assert issubclass(EpsOutOfRange, BadParams)
 
     def test_potential_invariants(self):
@@ -112,7 +112,7 @@ class TestViscousFlux:
         # v = -Phi has div v = +theta, so flux vanishes at eps = 0
         s = band_state(n=64, seed=10)
         phi = t.temperature_potential(s.theta)
-        cancel = t.State(u=s.u, v=-1.0 * phi, theta=s.theta, t=0.0, eps=0.0)
+        cancel = t.State.from_fields(u=s.u, v=-1.0 * phi, theta=s.theta, t=0.0, eps=0.0)
         flux = t.viscous_flux(cancel)
         assert t.norm(flux, "L2") <= 1e-12 * t.norm(s.theta, "L2")
 
@@ -158,7 +158,7 @@ class TestResiduals:
         g = t.Grid(16)
         zero = t.SpectralField.zeros(g)
         zv = t.VectorField(zero, zero)
-        snaps = [t.State(u=zv, v=zv, theta=zero, t=k * 0.1, eps=0.1) for k in range(3)]
+        snaps = [t.State.from_fields(u=zv, v=zv, theta=zero, t=k * 0.1, eps=0.1) for k in range(3)]
         for fn in (t.residual_w_equation, t.residual_phi_equation, t.residual_flux_equation):
             r = fn(snaps)
             assert r.l2 == 0.0 and r.smoothed == 0.0

@@ -8,7 +8,7 @@ import tcm2d as t
 from tcm2d.errors import BadParams, EmptyTrajectory, NonFiniteState
 from tcm2d.spectral import grad_linf
 
-from conftest import band_state, with_nan, with_off_block_modes
+from conftest import band_state, off_block_fields, with_nan
 
 
 def zero_run(eps=0.1, T=0.1):
@@ -86,16 +86,9 @@ def oracle_record(s):
     )
 
 
-def masked(s):
-    """Copy of state s with the two-thirds mask applied to each spectrum."""
-    mask = s.grid.dealias_mask
-    f = [t.SpectralField(s.grid, a.spec * mask) for a in (*s.u, *s.v, s.theta)]
-    return dataclasses.replace(s, u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4])
-
-
 RECORD_STATES = {
     "band": lambda: band_state(n=32, seed=3),
-    "beyond_mask": lambda: with_off_block_modes(band_state(n=32, seed=3, hi=10), 3),
+    "beyond_mask": lambda: t.State.from_fields(*off_block_fields(band_state(n=32, seed=3, hi=10), 3), 0.0, 0.1),
     "zero": lambda: band_state(n=32, u_amp=0.0, v_amp=0.0, theta_amp=0.0),
     "eps_at_t": lambda: dataclasses.replace(band_state(n=32, seed=5, eps=0.2), t=0.3),
 }
@@ -105,11 +98,11 @@ class TestRecordRow:
     @pytest.mark.parametrize("name", sorted(RECORD_STATES))
     def test_columns_match_public_operators(self, name):
         # the record's batched pass against a field-by-field evaluation of
-        # the block the mask keeps; each sum may take another order, so
-        # roundoff may differ
+        # the block the mask keeps, which the state's fields are; each sum
+        # may take another order, so roundoff may differ
         s = RECORD_STATES[name]()
         got = dict(zip(t.COLUMNS, t.make_record(s)))
-        want = oracle_record(masked(s))
+        want = oracle_record(s)
         assert set(want) == set(t.COLUMNS)
         for c in t.COLUMNS:
             tol = 1e-13 * abs(want[c]) if abs(want[c]) > 1e-10 else 1e-15

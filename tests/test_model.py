@@ -1,29 +1,29 @@
 import collections
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import tcm2d as t
-from tcm2d import model
+from tcm2d import model, storage
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.config import parse_config_text
 from tcm2d.errors import BadParams, CflViolation, ConfigParseError, NonFiniteState
 from tcm2d.model import _stepper
 from tcm2d.spectral import _project, multiply
 
-from conftest import band_state, coords, rel_l2, with_nan, with_off_block_modes
+from conftest import band_state, coords, off_block_fields, rel_l2, with_nan
 
 
 def explicit(s):
     """The fused explicit tendency of state s, as fields (nu, nv, ntheta),
     with nu projected as the step projects each stage result. It is written
-    over the gathered input, as the second stage does; dt does not enter
-    the stage."""
+    over a copy of the state's block, as the second stage writes over its
+    input; dt does not enter the stage."""
     st = _stepper(s.grid)
-    y = st.load(s)
+    y = s.spec.copy()
     y = st.explicit(y, False, y)
     _project(st, y[:2], st.c)
     out = np.empty((5, *s.grid.spec_shape), dtype=np.complex128)
@@ -59,7 +59,7 @@ def reference_step(s, dt):
         u = t.VectorField(*(trapezoid(a, b, -g.k2) for a, b in zip(s.u, n[0])))
         v = t.VectorField(*(trapezoid(a, b, -g.k2) for a, b in zip(s.v, n[1])))
         theta = trapezoid(s.theta, n[2], -s.eps * g.k2)
-        return t.State(u=t.leray_project(u), v=v, theta=theta, t=s.t + dt, eps=s.eps)
+        return t.State.from_fields(t.leray_project(u), v, theta, s.t + dt, s.eps)
 
     n0 = public_tendency(s)
     n1 = public_tendency(update(n0))
@@ -102,20 +102,24 @@ class TestMakeInitial:
         assert_allclose(s.theta.phys, 1.5 * np.sin(mode[0] * X + mode[1] * Y), atol=1e-13)
 
     @pytest.mark.parametrize("preset", ["taylor_green", "single_mode", "random_band"])
-    def test_presets_hold_no_modes_outside_the_mask(self, preset):
+    def test_presets_hold_no_modes_outside_the_mask(self, preset, monkeypatch):
         # built in the half plane, so no transform roundoff reaches the
         # modes the mask drops, up to the largest band or mode the config
-        # rule lets through, 32 // 3; nor does a step or a twin's
-        # perturbation put any there
+        # rule lets through, 32 // 3: the fields a preset builds its state
+        # from hold none, and nor do a twin's perturbed fields. (A state
+        # holds only the block, so a step cannot put any there.)
         cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, eps=0.1, mode_x=10, mode_y=-10, band_hi=10)
+        built, from_fields = [], t.State.from_fields
+        monkeypatch.setattr(t.State, "from_fields", lambda *f, **kw: built.append(f[:3]) or from_fields(*f, **kw))
         s = t.make_initial(cfg)
-        states = [s, t.imex_step(s, 1e-3)]
+        (fields,) = built
         for shape in PERTURBATION_SHAPES:
             pu, pv, pth = _perturbation(cfg, shape)
-            states.append(replace(s, u=t.leray_project(s.u + pu), v=s.v + pv, theta=s.theta + pth))
+            fields += (t.leray_project(s.u + pu), s.v + pv, s.theta + pth)
         mask = s.grid.dealias_mask
-        for state in states:
-            assert not any(np.any(a[~mask]) for a in spectra(state)), state.t
+        assert len(fields) == 3 + 3 * len(PERTURBATION_SHAPES)
+        for f in fields:
+            assert not np.any(f.spec[..., ~mask])
 
     def test_single_mode_rejects_unresolved(self):
         with pytest.raises(BadParams):
@@ -203,7 +207,7 @@ class TestRhs:
     def test_zero_state(self):
         g = t.Grid(16)
         zero = t.SpectralField.zeros(g)
-        s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=0.0, eps=0.1)
+        s = t.State.from_fields(t.VectorField(zero, zero), t.VectorField(zero, zero), zero, 0.0, 0.1)
         nu, nv, nth = explicit(s)
         assert t.norm(nu, "L2") == 0.0
         assert t.norm(nv, "L2") == 0.0
@@ -214,7 +218,7 @@ class TestRhs:
         X, _ = coords(g)
         zero = t.SpectralField.zeros(g)
         theta = t.SpectralField.from_phys(g, np.sin(X))
-        s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=theta, t=0.0, eps=0.3)
+        s = t.State.from_fields(t.VectorField(zero, zero), t.VectorField(zero, zero), theta, 0.0, 0.3)
         nu, nv, nth = explicit(s)
         assert_allclose(nv.x.phys, -np.cos(X), atol=1e-12)
         assert t.norm(nv.y, "L2") < 1e-13
@@ -295,7 +299,7 @@ class TestRhs:
         assert np.max(np.abs(got.phys - adv_uth)) < 1e-8
 
         # the fused stage: div(v (x) v) through the projected u tendency
-        s = t.State(u=u, v=v, theta=th, t=0.0, eps=0.1)
+        s = t.State.from_fields(u, v, th, 0.0, 0.1)
         nu, nv, nth = explicit(s)
         rhs_u = t.VectorField(*(t.SpectralField.from_phys(g, -adv_uu[:, :, i] - div_vv[:, :, i]) for i in (0, 1)))
         want = t.leray_project(rhs_u)
@@ -319,7 +323,7 @@ class TestImexStep:
     def test_zero_state_advances_time(self):
         g = t.Grid(16)
         zero = t.SpectralField.zeros(g)
-        s = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=1.0, eps=0.0)
+        s = t.State.from_fields(t.VectorField(zero, zero), t.VectorField(zero, zero), zero, 1.0, 0.0)
         out = t.imex_step(s, 0.25)
         assert out.t == 1.25
         assert t.norm(out.u, "L2") == 0.0 and t.norm(out.theta, "L2") == 0.0
@@ -385,20 +389,39 @@ def same_state(a, b):
 
 
 class TestLayout:
-    """A step works on the block the mask keeps: a mode of a hand-built state
-    off the block is dropped, as the mask drops it from every product."""
+    """A state is its kept block: building one from fields drops every mode
+    off the block, as the mask drops it from every product."""
 
     def test_off_block_modes_are_dropped(self):
-        s = with_off_block_modes(band_state(n=32, seed=25, hi=10), 25)
-        g = s.grid
-        specs = np.stack(spectra(s))
+        s = band_state(n=32, seed=25, hi=10)
+        off = t.State.from_fields(*off_block_fields(s, 25), s.t, s.eps)
+        assert np.array_equal(off.spec, s.spec)
+        assert same_state(off, s)
+        assert same_state(t.imex_step(off, 1e-3), t.imex_step(s, 1e-3))
 
-        def step(y):
-            f = [t.SpectralField(g, spec=c) for c in y]
-            state = t.State(u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4], t=0.0, eps=s.eps)
-            return np.stack(spectra(t.imex_step(state, 1e-3)))
+    def test_spec_is_read_only(self, tmp_path):
+        s = band_state(n=16, seed=26)
+        states = [s, t.imex_step(s, 1e-3), t.State.from_fields(s.u, s.v, s.theta, s.t, s.eps)]
+        storage.write_state_snapshot(str(tmp_path), s, 0)
+        states.append(storage.read_state_snapshot(str(tmp_path), 0))
+        for state in states:
+            assert not state.spec.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                state.spec[4, 1, 1] = 1.0
+            with pytest.raises(FrozenInstanceError):
+                state.spec = state.spec.copy()
+        # a field read is a fresh half plane, which the state does not see
+        before, u = s.u.spec.copy(), s.u
+        u.spec[:] = 0.0
+        assert np.array_equal(s.u.spec, before) and before.any()
 
-        assert np.array_equal(step(specs), step(specs * g.dealias_mask))
+    def test_fields_are_the_block_scattered(self):
+        s = band_state(n=32, seed=27, hi=10)
+        lo, hi, cols = model.kept_block(32)
+        for k, f in enumerate(spectra(s)):
+            assert f.shape == s.grid.spec_shape
+            assert np.array_equal(f[:lo, :cols], s.spec[k, :lo]) and np.array_equal(f[hi:, :cols], s.spec[k, lo:])
+            assert not f[lo:hi].any() and not f[:, cols:].any()
 
 
 class TestStepCache:
@@ -409,8 +432,10 @@ class TestStepCache:
         states = [band_state(n=32, seed=30)]
         for _ in range(3):
             states.append(t.imex_step(states[-1], 1e-3))
+        st = _stepper(states[0].grid)
         for a, b in zip(states, states[1:]):
-            assert not any(np.shares_memory(x, y) for x in spectra(a) for y in spectra(b))
+            assert not np.shares_memory(a.spec, b.spec)
+            assert not any(np.shares_memory(b.spec, x) for x in vars(st).values() if isinstance(x, np.ndarray))
 
     #: the stepper's arrays that a step and a record only read
     MULTIPLIERS = ("ik", "minus_ik", "kx", "ky", "inv_k2", "weights")
@@ -418,10 +443,10 @@ class TestStepCache:
     @classmethod
     def poison(cls, g):
         # NaN into every array the stepper of g works in: the two transform
-        # buffers and their views, y and y1
+        # buffers and their views, and y1
         st = _stepper(g)
         work = [k for k, a in vars(st).items() if isinstance(a, np.ndarray) and k not in cls.MULTIPLIERS]
-        assert {"a", "b", "y", "y1"} <= set(work)
+        assert {"a", "b", "y1"} <= set(work)
         for k in work:
             getattr(st, k).fill(np.nan)
 
@@ -491,15 +516,17 @@ class TestStepCache:
 
     def test_warm_step_allocates_little(self):
         # the stage buffers are reused and no stage array is fresh: a warm
-        # step allocates its result (0.17 MB at n = 64) and small
-        # temporaries (0.27 MB measured in all; 0.64 MB while each stage's
-        # grid fields were fresh)
-        assert self.warm_step_allocation(64) <= 0.3e6
+        # step allocates its result, the block (0.076 MB at n = 64), and
+        # small temporaries (0.138 MB measured in all; 0.27 MB while the
+        # result was a half plane, 0.64 MB while each stage's grid fields
+        # were fresh)
+        assert self.warm_step_allocation(64) <= 0.15e6
 
     def test_warm_step_allocates_little_at_n256(self):
-        # the result alone is 2.64 MB (2.78 MB measured in all; 10.0 MB
-        # while each stage's grid fields were fresh)
-        assert self.warm_step_allocation(256) <= 3.0e6
+        # the result, the block, is 1.18 MB (1.31 MB measured in all; 2.78
+        # MB while the result was a half plane, 10.0 MB while each stage's
+        # grid fields were fresh)
+        assert self.warm_step_allocation(256) <= 1.4e6
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
@@ -566,7 +593,7 @@ class TestSimulate:
 
     def test_streamed_run_memory_does_not_grow_with_horizon(self):
         # a snapshot every step and a record every 50, so that held
-        # snapshots (45 KB each at n = 32) dominate what a run allocates;
+        # snapshots (18.5 KB each at n = 32) dominate what a run allocates;
         # then a record every step too, into a sink that keeps nothing
         def peak(horizon, sink, on_record=None, diag_stride=50):
             cfg = t.SimConfig(n=32, dt=2e-3, horizon=horizon, preset="random_band", eps=0.1, seed=36,
@@ -580,12 +607,13 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
 
-        # measured: streamed 0.283 and 0.289 MB, listed 2.56 and 9.42 MB
+        # measured: streamed 0.134 and 0.133 MB, listed 1.01 and 3.83 MB,
+        # 150 more snapshots
         streamed = [peak(h, lambda step, s: None) for h in (0.1, 0.4)]
         listed = [peak(h, None) for h in (0.1, 0.4)]
         recorded = [peak(h, lambda step, s: None, lambda row: None, 1) for h in (0.1, 0.4)]
         assert streamed[1] - streamed[0] <= 0.025e6
-        assert listed[1] - listed[0] >= 5e6
+        assert listed[1] - listed[0] >= 2.5e6
         assert recorded[1] - recorded[0] <= 0.025e6, recorded
 
     def test_sinks_stop_a_run_of_any_length(self):
@@ -720,12 +748,13 @@ class TestTransformBudget:
 
     def test_step(self, monkeypatch):
         # the first stage reuses the CFL check's grid velocities, even for a
-        # hand-built state with content on a Nyquist line, which the step
-        # drops with every other mode off the block
+        # state built from fields with content on a Nyquist line, which
+        # building the state drops with every other mode off the block
         low = band_state(n=32, seed=24, hi=4)
-        spec = low.u.x.spec.copy()
-        spec[16, 3] = 1.0  # the row |k1| = n/2
-        nyquist = replace(low, u=t.VectorField(t.SpectralField(low.grid, spec), low.u.y))
+        u = low.u
+        u.spec[0, 16, 3] = 1.0  # the row |k1| = n/2
+        nyquist = t.State.from_fields(u, low.v, low.theta, low.t, low.eps)
+        assert np.array_equal(nyquist.spec, low.spec)
         # the step takes each inverse transform as ifftn along axis -2 and
         # then irfft along axis -1, and each forward one as rfft along axis
         # -1 and then fftn along axis -2, so each field counts once

@@ -64,18 +64,18 @@ class TestGrid:
         return sum(a.nbytes for a in owners.values()), grid_sized
 
     def test_cap_holds_the_stated_bytes(self):
-        # a run holds about 209 n^2 bytes at n = 64 (0.86 MB), and about 203
-        # n^2 at larger n, which the cap keeps under 0.9 GB: of the stepper's
+        # a run holds about 190 n^2 bytes at n = 64 (0.78 MB), and about 185
+        # n^2 at larger n, which the cap keeps under 0.8 GB: of the stepper's
         # arrays only its two transform buffers span the grid
         held, grid_sized = self.held_by_a_run(64)
-        assert 200 < held / 64**2 <= 212
-        assert held / 64**2 * N_MAX**2 < 0.9e9
+        assert 180 < held / 64**2 <= 191
+        assert held / 64**2 * N_MAX**2 < 0.8e9
         assert grid_sized == ["a", "b"]
 
     def test_cap_holds_the_stated_bytes_at_n256(self):
-        # 203 n^2 bytes at n = 256 (13.3 MB)
+        # 185 n^2 bytes at n = 256 (12.1 MB)
         held, grid_sized = self.held_by_a_run(256)
-        assert 200 < held / 256**2 <= 212
+        assert 180 < held / 256**2 <= 186
         assert grid_sized == ["a", "b"]
 
     def test_zero_mode_wavenumber(self):

@@ -226,17 +226,30 @@ class TestSnapshots:
         assert same_spectra(storage.read_field_snapshot(path), s)
 
     @pytest.mark.parametrize("index, name", list(enumerate(storage.FIELD_NAMES)))
-    def test_mode_off_the_block_is_refused(self, tmp_path, index, name):
-        # a hand-built state whose field has one mode just past n // 3 = 5
+    def test_mode_off_the_block_is_dropped(self, tmp_path, index, name):
+        # fields one of which has a mode just past n // 3 = 5: the state
+        # built from them drops it, and its snapshot reads back bit for bit
         s = band_state(n=16, seed=3, hi=3)
         specs = spectra(s)
         specs[index][6, 1] = 1e-3
         f = [t.SpectralField(s.grid, a) for a in specs]
-        bad = dataclasses.replace(s, u=t.VectorField(f[0], f[1]), v=t.VectorField(f[2], f[3]), theta=f[4])
+        built = t.State.from_fields(t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4], s.t, s.eps)
+        assert np.array_equal(built.spec, s.spec)
         path = tmp_path / "f.bin"
-        with pytest.raises(t.BadParams, match=f"{name} has a nonzero mode off the kept block"):
-            storage.write_field_snapshot(path, bad)
-        assert not path.exists()
+        storage.write_field_snapshot(path, built)
+        back = storage.read_field_snapshot(path)
+        assert np.array_equal(back.spec, built.spec) and same_spectra(back, s)
+
+    def test_run_reads_no_field_of_a_state(self, tmp_path, monkeypatch):
+        # step, record and snapshot pass each state's block through as it
+        # is: a run into a run directory scatters no state into a half plane
+        cfg = t.SimConfig(n=64, dt=2e-3, horizon=0.01, preset="random_band", eps=0.1, seed=5)
+        for name in ("u", "v", "theta"):
+            monkeypatch.setattr(t.State, name, property(lambda s, name=name: pytest.fail(f"read State.{name}")))
+        write_run(tmp_path / "run", cfg)
+        monkeypatch.undo()
+        assert storage.manifest_snapshot_steps(storage.verify_manifest(str(tmp_path / "run"))) == list(range(6))
+        assert same_spectra(storage.read_state_snapshot(str(tmp_path / "run" / "snapshots"), 5), t.simulate(cfg).snapshots[-1])
 
     def test_block_geometry_is_stated_once(self):
         # k = n // 3 is one expression of the package, in the function the
@@ -1153,14 +1166,25 @@ class TestGuardMatrix:
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_not_finite_and_nonnegative(self, tmp_path, capsys, tol):
         # an infinite tol would pass every margin and envelope sample, and a
-        # NaN or negative one fail every margin
+        # NaN or negative one fail every margin; it is refused before a run
+        # is made or read, so also for a run of one record, which makes no
+        # Gronwall check, and for files that do not exist
         path = tmp_path / "g.csv"
         ts = np.linspace(0, 1, 5)
         storage.write_gronwall_csv(path, ts, np.ones_like(ts), np.ones_like(ts), 0 * ts, np.ones_like(ts))
         cfg = write_cfg(tmp_path, guard_cfg())
+        zero = write_cfg(tmp_path, guard_cfg(steps=0), "zero.cfg")
         for argv in (["check", "--config", cfg, "--out", str(tmp_path / "c"), "--tol", tol],
-                     ["gronwall", "--csv", str(path), "--k", "1", "--tol", tol]):
-            assert run_cli(capsys, argv)[::2] == (2, "BadParams")
+                     ["check", "--config", zero, "--out", str(tmp_path / "z"), "--tol", tol],
+                     ["check", "--run-dir", str(tmp_path / "none"), "--tol", tol],
+                     ["gronwall", "--csv", str(path), "--k", "1", "--tol", tol],
+                     ["gronwall", "--csv", str(tmp_path / "none.csv"), "--fit-k", "--tol", tol]):
+            code = main(argv)
+            lines = capsys.readouterr().err.splitlines()
+            assert code == 2 and len(lines) == 1, (argv, lines)
+            error = json.loads(lines[0].split(" ", 1)[1])
+            assert error == {"error": "BadParams", "detail": f"tol must be finite and nonnegative, got {float(tol)}"}
+        assert sorted(os.listdir(tmp_path)) == ["g.csv", "run.cfg", "zero.cfg"]
 
     @pytest.mark.parametrize(
         "column, k", [(3, "1"), (1, "1"), (None, "inf")], ids=["alpha_inf", "A_inf", "k_inf"]
@@ -1352,7 +1376,7 @@ class TestMutatedRunDir:
         if key == "n":
             # a whole n = 8 snapshot in its place, so its payload fits its header
             zero = t.SpectralField.zeros(t.Grid(8))
-            state = t.State(u=t.VectorField(zero, zero), v=t.VectorField(zero, zero), theta=zero, t=0.008, eps=0.1)
+            state = t.State.from_fields(t.VectorField(zero, zero), t.VectorField(zero, zero), zero, 0.008, 0.1)
             storage.write_state_snapshot(os.path.join(run, storage.SNAPSHOT_DIR), state, index)
             edits = []
         _mutate_run_dir(run, edits)
@@ -1361,6 +1385,27 @@ class TestMutatedRunDir:
         error = json.loads(lines[0].split(" ", 1)[1])
         assert error["error"] == "ConfigParseError"
         assert f"step_{index:08d}.bin: line 1: {key}=" in error["detail"], error
+
+    @pytest.mark.parametrize("index", [2, 4])
+    @pytest.mark.parametrize("field", [0, 4], ids=storage.FIELD_NAMES[::4])
+    def test_snapshot_that_is_not_finite(self, mutation_base, tmp_path, index, field):
+        # one NaN coefficient in a snapshot that check reads, the window's
+        # middle (step 2) or the last (step 4), rewritten through the
+        # package and listed with its checksum: a run never writes one, so
+        # check refuses it instead of reporting NaN residuals
+        run = str(tmp_path / "run")
+        shutil.copytree(mutation_base, run)
+        snap_dir = os.path.join(run, storage.SNAPSHOT_DIR)
+        s = storage.read_state_snapshot(snap_dir, index)
+        spec = s.spec.copy()
+        spec[field, 1, 1] = np.nan
+        storage.write_state_snapshot(snap_dir, t.State(s.grid, spec, s.t, s.eps), index)
+        _mutate_run_dir(run, [])
+        code, lines = self.check(run)
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("TCM-ERROR "), lines
+        error = json.loads(lines[0].split(" ", 1)[1])
+        assert error["error"] == "ConfigParseError"
+        assert f"step_{index:08d}.bin: {storage.FIELD_NAMES[field]} is not finite" in error["detail"], error
 
     @pytest.mark.parametrize("index", [2, 4])
     def test_header_length_whose_grid_overflows(self, mutation_base, tmp_path, index):
