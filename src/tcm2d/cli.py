@@ -106,7 +106,7 @@ def cmd_run(args) -> int:
 # check
 
 
-def _gather(args):
+def _load_run(args):
     """Load a completed run directory, after running the config into one
     with ``--config``.
 
@@ -316,7 +316,7 @@ def _write_check_report(out_dir, report: str, times, curves):
 
 def cmd_check(args) -> int:
     gronwall.check_tol(args.tol)  # before a run is made or read
-    cfg, series, window, final, out = _gather(args)
+    cfg, series, window, final, out = _load_run(args)
     gated, info, curves = run_checks(cfg, series, window, final, tol=args.tol)
     report, overall = _render_report(gated, info)
     _write_check_report(out, report, series.times, curves)

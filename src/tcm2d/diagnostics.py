@@ -22,7 +22,6 @@ from .model import (
     State,
     _band_fields,
     _check_band,
-    _modes_field,
     _overflowing_field,
     _trajectory,
     make_initial,
@@ -32,6 +31,7 @@ from .records import DiagnosticsSeries
 from .spectral import (
     SpectralField,
     VectorField,
+    _modes_field,
     grad_linf,
     leray_project,
     norm,
@@ -222,8 +222,7 @@ def _perturbation(cfg: SimConfig, shape: str):
     """
     grid = cfg.grid()
     zero = SpectralField.zeros(grid)
-    # the trigonometric shapes are written into the half plane, so they
-    # leave no transform roundoff outside the step's mask; with a = 2 pi / L:
+    # the trigonometric shapes are written into the block; with a = 2 pi / L:
     if shape == "mode":
         # psi = cos(ax) cos(ay), v = (sin(ay), 0), theta = sin(a(x + y))
         pu = perp_grad(_modes_field(grid, [((1, 1), 0.25), ((1, -1), 0.25)]))

@@ -27,26 +27,24 @@ S = u (x) u + v (x) v,
 which needs the two products S_xx - S_yy and S_xy instead of three: the
 masked product of the trace is still a gradient.
 
-Every factor and product is masked by the two-thirds rule
-(``Grid.dealias_mask``). So no state carries Nyquist modes, u stays in
-the range of the Leray projection, and the products carry no aliasing
-error, so both forms give one discrete operator to roundoff.
+Every factor and product lies on the block of modes that the two-thirds
+rule keeps (``spectral.kept_block``: 44.5 % of the half plane at n =
+256), on which every field lives. So u stays in the range of the Leray
+projection, and the products carry no aliasing error, so both forms give
+one discrete operator to roundoff.
 
-Layout. The mask keeps exactly one block of the half plane
-(:func:`kept_block`): the rows [0, lo) and [hi, n) of its leading cols
-columns (lo = 86, hi = 171, cols = 86 at n = 256, 44.5 % of the half
-plane). Every state the system makes lies on that block, since
+Layout. Every state the system makes lies on that block, since
 ``SimConfig`` rejects a band or a mode past it, so a :class:`State` is
 its block: one contiguous (5, r, cols) array of the five spectra (u^x,
 u^y, v^x, v^y, theta), which a step, a record and a snapshot (``storage``)
-all take as it is. Building a state from fields
-(:meth:`State.from_fields`) drops a mode off the block, as the mask drops
-it from every product. A step copies its state's block, does all of its
-spectral arithmetic on the copy (curls, tendency assembly, trapezoidal
-factors, Leray projection) and returns it as the result. Each inverse
-transform scatters a block into a held transform buffer with zeros at
-every other mode, and each forward transform gathers the block back, so
-no mask is multiplied.
+all take as it is, and whose fields ``u``, ``v`` and ``theta`` are views.
+A step copies its state's block, does all of its spectral arithmetic on
+the copy (curls, tendency assembly, trapezoidal factors, Leray
+projection) with the Grid's multipliers and returns it as the result.
+Each inverse transform scatters blocks into a held transform buffer with
+zeros at every other mode, and each forward transform gathers the block
+back (``spectral._irfft2``, ``spectral._rfft2``), so no mask is
+multiplied.
 
 Each explicit stage is one batched inverse transform of seven fields (u,
 v, theta, curl(u), curl(v)), seven grid products, and one batched forward
@@ -59,15 +57,15 @@ stage result, the same operator in exact arithmetic. The corrector
 accumulates into the copied block, so a warm step allocates its result and
 small temporaries only.
 
-What a step reuses sits in two private caches. The buffers and the
-gathered multipliers depend on the grid and sit in a one-entry cache
-(10.2 MB at n = 256: two grid-size transform buffers that take turns, and
-the block arrays), the trapezoidal factors on (grid,
-dt, eps) in a small cache of their own, so runs that differ only
-in eps, such as the members of an eps sweep stepped in lockstep, share
-one set of buffers. A record borrows the same buffers between steps
-(``_Stepper.record_norms``, which ``records.make_record`` calls), so
-neither ``imex_step`` nor ``make_record`` is thread-safe.
+What a step reuses sits in two private caches. The buffers depend on
+the grid and sit in a one-entry cache (9.6 MB at n = 256: two grid-size
+transform buffers that take turns, and the block arrays), the
+trapezoidal factors on (grid, dt, eps) in a small cache of their own,
+so runs that differ only in eps, such as the members of an eps sweep
+stepped in lockstep, share one set of buffers. A record borrows the
+same buffers between steps (``_Stepper.record_norms``, which
+``records.make_record`` calls), so neither ``imex_step`` nor
+``make_record`` is thread-safe.
 
 A run's states come from one private generator, ``_trajectory``, which
 ``simulate``, the twin and the eps sweep consume: it yields the initial
@@ -92,7 +90,12 @@ from .spectral import (
     _check_grid,
     SpectralField,
     VectorField,
+    _irfft2,
+    _kept_max,
+    _modes_field,
     _project,
+    _rfft2,
+    kept_block,
     leray_project,
     norm,
     perp_grad,
@@ -120,9 +123,9 @@ class State:
     """Solution triple at one instant: divergence-free u, v, temperature.
 
     A state is its kept block (see Layout above): ``spec``, one read-only
-    (5, r, cols) complex array of the spectra u^x, u^y, v^x, v^y and theta.
-    Each read of the fields ``u``, ``v`` and ``theta`` (``spectral``)
-    scatters it into a fresh half-plane spectrum.
+    (5, r, cols) complex128 array of the spectra u^x, u^y, v^x, v^y and
+    theta, of the shape ``spectral.kept_block`` gives; any other raises
+    BadParams. The fields ``u``, ``v`` and ``theta`` are views of it.
     """
 
     grid: Grid
@@ -132,26 +135,20 @@ class State:
 
     def __post_init__(self):
         _check_eps(self.eps)
+        n = self.grid.n
+        lo, hi, cols = kept_block(n)
+        if self.spec.shape != (5, n - hi + lo, cols) or self.spec.dtype != np.complex128:
+            raise BadParams(f"a state's spectra must be a (5, {n - hi + lo}, {cols}) complex128 block for n={n}, "
+                            f"got {self.spec.shape} {self.spec.dtype}")
         self.spec.flags.writeable = False
 
     @classmethod
     def from_fields(cls, u: SpectralField, v: SpectralField, theta: SpectralField, t: float, eps: float) -> "State":
-        g = theta.grid
-        lo, hi, cols = kept_block(g.n)
-        spec = np.empty((5, g.n - hi + lo, cols), dtype=np.complex128)
-        for a, out in ((u, spec[:2]), (v, spec[2:4]), (theta, spec[4])):
-            _gather(a.spec, lo, hi, cols, out)
-        return cls(g, spec, t, eps)
+        return cls(theta.grid, np.concatenate((u.spec, v.spec, theta.spec[None])), t, eps)
 
-    def _field(self, rows) -> SpectralField:
-        block = self.spec[rows]
-        out = np.empty((*block.shape[:-2], *self.grid.spec_shape), dtype=np.complex128)
-        _scatter(block, out, *kept_block(self.grid.n))
-        return SpectralField(self.grid, out)
-
-    u = property(lambda self: self._field(slice(2)))
-    v = property(lambda self: self._field(slice(2, 4)))
-    theta = property(lambda self: self._field(4))
+    u = property(lambda self: SpectralField(self.grid, self.spec[:2]))
+    v = property(lambda self: SpectralField(self.grid, self.spec[2:4]))
+    theta = property(lambda self: SpectralField(self.grid, self.spec[4]))
 
 
 @dataclass(frozen=True)
@@ -249,21 +246,6 @@ class SimResult:
     diagnostics: "records.DiagnosticsSeries" = None
 
 
-def _kept_max(n: int) -> int:
-    # the largest |k1|, |k2| that Grid.dealias_mask keeps: |k| <= n/3
-    return n // 3
-
-
-def kept_block(n: int) -> tuple[int, int, int]:
-    """(lo, hi, cols) of the block of the n-point rfft2 half plane that the
-    two-thirds mask keeps: the rows [0, lo) and [hi, n) of the columns
-    [0, cols), with k = n // 3 the rows [0, k] and [n - k, n) of the columns
-    [0, k]. It holds (2k + 1)(k + 1) modes, 171 x 86 at n = 256. The step
-    and the snapshot format both read the block from here."""
-    k = _kept_max(n)
-    return k + 1, n - k, k + 1
-
-
 def _check_band(lo: int, hi: int, n: int) -> None:
     # the band rule: 1 <= lo <= hi <= _kept_max, so a band state lies on the
     # block that the two-thirds mask keeps
@@ -281,21 +263,6 @@ def _band_modes(lo: int, hi: int) -> list[tuple[int, int]]:
             if lo**2 <= k1**2 + k2**2 <= hi**2:
                 out.append((k1, k2))
     return out
-
-
-def _modes_field(grid: Grid, coeffs) -> SpectralField:
-    # the real field with Fourier coefficient z at mode (k1, k2) and conj(z)
-    # at (-k1, -k2) for each ((k1, k2), z) of coeffs, written into the
-    # half-plane slots of both with rfft2's scaling n^2; no mode may be
-    # another's conjugate
-    spec = np.zeros(grid.spec_shape, dtype=np.complex128)
-    for (k1, k2), z in coeffs:
-        z = z * grid.n**2
-        if k2 >= 0:
-            spec[k1 % grid.n, k2] = z
-        if k2 <= 0:
-            spec[-k1 % grid.n, -k2] = np.conj(z)
-    return SpectralField(grid, spec)
 
 
 def _band_fields(grid: Grid, lo: int, hi: int, seed: int) -> tuple[SpectralField, SpectralField, SpectralField]:
@@ -321,12 +288,11 @@ def _normalized(f: SpectralField, target: float) -> SpectralField:
 def make_initial(cfg: SimConfig) -> State:
     """Build the initial state of a preset; deterministic given cfg.seed.
 
-    Every preset writes its Fourier coefficients straight into the half
-    plane, so no transform roundoff lies outside the step's mask. Initial
-    data whose coefficients or grid samples overflow the float range (an
-    amplitude near 1.8e308, or one that n and L scale past it) raise
-    BadParams naming the field; no amplitude bound at parse could, since
-    the coefficients scale with n and L as well.
+    Every preset writes its Fourier coefficients straight into the block.
+    Initial data whose coefficients or grid samples overflow the float
+    range (an amplitude near 1.8e308, or one that n and L scale past it)
+    raise BadParams naming the field; no amplitude bound at parse could,
+    since the coefficients scale with n and L as well.
     """
     grid = cfg.grid()
     zero = SpectralField.zeros(grid)
@@ -367,22 +333,6 @@ def _overflowing_field(u: SpectralField, v: SpectralField, theta: SpectralField)
     return None
 
 
-def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
-    # the rows [0, lo) and [hi, n) of a's leading cols columns, as one
-    # contiguous array (into out if given); an axis of length 1, as in a
-    # broadcast multiplier, is kept as it is
-    return np.concatenate((a[..., :lo, :cols], a[..., hi:, :cols]), axis=-2, out=out)
-
-
-def _scatter(a: np.ndarray, out: np.ndarray, lo: int, hi: int, cols: int) -> None:
-    # the inverse of _gather: the block array a into the half-plane array
-    # out, with zeros at every mode off the block
-    out[..., :lo, :cols] = a[..., :lo, :]
-    out[..., hi:, :cols] = a[..., lo:, :]
-    out[..., lo:hi, :cols] = 0
-    out[..., cols:] = 0
-
-
 def _scale(c: np.ndarray, y: np.ndarray) -> np.ndarray:
     # y *= c in place, for c with the rows (u and v, theta)
     y[:4] *= c[0]
@@ -397,25 +347,6 @@ def _mul_add(a, b, c, d, out: np.ndarray, tmp: np.ndarray) -> None:
     out += tmp
 
 
-def _irfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
-    # np.fft.irfft2(a, s=out.shape[-2:]) into out, for a zero beyond its
-    # first cols columns, overwriting a: irfft2 is a complex inverse along
-    # axis -2 and a real one along axis -1, but drops out=, so both passes
-    # are taken here with it, the first in place over those cols columns
-    # only. Equal to irfft2 (zeros may differ in sign).
-    np.fft.ifftn(a[..., :cols], axes=(-2,), out=a[..., :cols])
-    np.fft.irfft(a, out.shape[-1], axis=-1, out=out)
-
-
-def _rfft2(a: np.ndarray, out: np.ndarray, cols: int) -> None:
-    # np.fft.rfft2(a) into out's first cols columns; the later ones take
-    # only the real pass along axis -1, for the caller's gather or mask to
-    # drop. (fftn along one axis is fft, under the n-d name that
-    # bench/trace_child.py and the transform-count tests wrap)
-    np.fft.rfft(a, axis=-1, out=out)
-    np.fft.fftn(out[..., :cols], axes=(-2,), out=out[..., :cols])
-
-
 def _real_view(z: np.ndarray, n: int) -> np.ndarray:
     # the (len(z), n, n) float64 array over the first len(z) n^2 floats of
     # the complex half-plane stack z, which holds len(z) (n^2 + 2n)
@@ -423,16 +354,13 @@ def _real_view(z: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Stepper:
-    """What :func:`imex_step` reuses from step to step for one grid. The
-    two-thirds mask keeps one block of the half plane, the rows
-    [0, lo) and [hi, n) of its leading cols columns (``key`` = (lo, hi,
-    cols)), and the stepper holds the multipliers gathered onto that block
-    and the arrays a step works in beside the state's block. On the block,
-    with r = n - hi + lo, it holds the stage results y1, (5, r, cols)
-    complex, 1.2 MB at n = 256. On the grid, it holds two (7, n, n//2 + 1)
-    complex buffers a and b, 7.4 MB at n = 256, each with the real
-    (7, n, n) view ``ra``, ``rb`` over its first 7 n^2 floats. They take
-    turns:
+    """What :func:`imex_step` reuses from step to step for one grid g: the
+    arrays a step works in beside the state's block, whose multipliers are
+    the Grid's. On the block, (r, cols), it holds the stage results y1,
+    (5, r, cols) complex, 1.2 MB at n = 256. On the grid, it holds two
+    (7, n, n//2 + 1) complex buffers a and b, 7.4 MB at n = 256, each with
+    the real (7, n, n) view ``ra``, ``rb`` over its first 7 n^2 floats.
+    They take turns:
 
     - an inverse transform reads spectra scattered into a and writes the
       grid fields into rb;
@@ -442,62 +370,44 @@ class _Stepper:
 
     The scratch c, (2, r, cols) complex, is a view of rb[5:], the grid
     fields of the curls, which the guard's grid fields of u, v and theta
-    leave free: a stage computes each curl in c and scatters it into a
-    before its inverse transform overwrites c, so the next scatter into a
-    may overwrite q, and uses c again only once q holds the forward
-    transform's block. A step writes each buffer before reading it, so
-    :meth:`record_norms` may work in them between steps.
+    leave free: a stage computes the curls in c, with q as scratch, and its
+    inverse transform scatters them into a before it overwrites c; the
+    stage uses c again only once q holds the forward transform's block,
+    so the scatter into a may overwrite q. A step writes each buffer
+    before reading it, so :meth:`record_norms` may work in them between
+    steps.
     """
 
     def __init__(self, g: Grid):
         self.g = g
-        # the columns of the block are the only ones a stage transform's
-        # complex pass takes (86 of 129 at n = 256)
-        self.key = kept_block(g.n)
-        lo, hi, self.cols = self.key
-        shape = (g.n - hi + lo, self.cols)
-        self.ik = self.gather(g.ik)
-        self.minus_ik = -self.ik  # the tendency is minus the terms
-        # what _project reads of a grid
-        self.kx, self.ky, self.inv_k2 = (self.gather(a) for a in (g.kx, g.ky, g.inv_k2))
-        self.a, self.b = (np.empty((7, *g.spec_shape), dtype=np.complex128) for _ in range(2))
+        self.minus_ik = -g.ik  # the tendency is minus the terms
+        self.a, self.b = (np.empty((7, g.n, g.n // 2 + 1), dtype=np.complex128) for _ in range(2))
         self.ra, self.rb = _real_view(self.a, g.n), _real_view(self.b, g.n)
         # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
+        shape = g.k2.shape
         self.y1 = np.empty((5, *shape), dtype=np.complex128)
         # q over the first 7 r cols modes of a, and c over the first 4 r cols
         # floats of rb[5:], which fit in its 2 n^2 for every n Grid allows
-        m = shape[0] * shape[1]
+        m = g.k2.size
         self.q = self.a.reshape(-1)[: 7 * m].reshape(7, *shape)
         self.c = self.rb[5:].reshape(-1)[: 4 * m].view(np.complex128).reshape(2, *shape)
-
-    def gather(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The modes of the half-plane array a on the block."""
-        return _gather(a, *self.key, out)
-
-    def scatter(self, a: np.ndarray, out: np.ndarray) -> None:
-        """The block array a into the half-plane array out, with zeros at
-        every mode off the block."""
-        _scatter(a, out, *self.key)
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
         """The Parseval weights of a record, as the rows of one (5, r cols)
         array: herm_weight |k|^(2j) for j = 0..3, then herm_weight on the
-        tail band, the top third of the kept band |k|_max <= n/3. Built on
-        the block, elementwise as ``Grid.seminorm_weight`` builds them on the
-        half plane."""
+        tail band, the top third of the kept band |k|_max <= n/3; the
+        first four elementwise as ``Grid.seminorm_weight`` builds them, so a
+        run leaves those of order 1 to 3 unbuilt."""
         g = self.g
-        k2, herm = self.gather(g.k2), self.gather(g.herm_weight)
-        band = np.maximum(np.abs(self.gather(g.kx_int)), np.abs(self.gather(g.ky_int)))
-        rows = [herm * k2**j for j in range(4)] + [herm * (band > 2.0 / 3.0 * (g.n / 3.0))]
+        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
+        rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * (g.n / 3.0))]
         return np.stack(rows).reshape(5, -1)
 
     def guard(self, s, dt: float, cfl_max: float) -> None:
         """The guard of :func:`imex_step` from s, norms as norm(., "Linf")
         computes them; leaves the grid fields of u, v and theta in rb[:5]."""
-        f, sq, z = self.rb, self.ra[:4], self.a[:5]
-        self.scatter(s.spec, z)
-        _irfft2(z, f[:5], self.cols)
+        f, sq = _irfft2((s.spec,), self.a, self.rb), self.ra[:4]
         with np.errstate(over="ignore"):  # the squares of a finite field past 1e154 overflow
             np.square(f[0:4:2], out=sq[:2])
             np.square(f[1:4:2], out=sq[2:])
@@ -520,18 +430,15 @@ class _Stepper:
     def _products(self, y: np.ndarray, on_grid: bool) -> None:
         # S_xx - S_yy, S_xy (S = u (x) u + v (x) v), u.v,
         # u^y curl(v) + v^y curl(u), u^x curl(v) + v^x curl(u), u^x theta and
-        # u^y theta on the grid into ra, from the spectra y, scattered with
-        # their curls into a, and, if on_grid, the grid fields of u, v and
-        # theta in rb[:5]
-        ik, z, f, p, c = self.ik, self.a, self.rb, self.ra, self.c
-        for k, (ax, ay) in ((5, y[0:2]), (6, y[2:4])):  # curl(u), curl(v): d_x a^y - d_y a^x
-            np.multiply(ik[0], ay, out=c[0])
-            np.multiply(ik[1], ax, out=c[1])
-            c[0] -= c[1]
-            self.scatter(c[0], z[k])
+        # u^y theta on the grid into ra, from the spectra y and their curls,
+        # and, if on_grid, the grid fields of u, v and theta in rb[:5]
+        ik, f, p, c, tmp = self.g.ik, self.rb, self.ra, self.c, self.q[0]
+        for k, (ax, ay) in enumerate((y[0:2], y[2:4])):  # curl(u), curl(v): d_x a^y - d_y a^x
+            np.multiply(ik[0], ay, out=c[k])
+            np.multiply(ik[1], ax, out=tmp)
+            c[k] -= tmp
         k = 5 if on_grid else 0
-        self.scatter(y[k:], z[k:5])
-        _irfft2(z[k:], f[k:], self.cols)
+        _irfft2((y[k:], c), self.a[k:], f[k:])
         ux, uy, vx, vy, th, cu, cv = f
         _mul_add(ux, ux, vx, vx, p[0], p[1])
         _mul_add(uy, uy, vy, vy, p[1], p[2])
@@ -566,8 +473,7 @@ class _Stepper:
         """
         self._products(y, on_grid)
         q, c = self.q, self.c[0]
-        _rfft2(self.ra, self.b, self.cols)
-        self.gather(self.b, q)
+        _rfft2(self.ra, self.b, q)
         q[0] *= 0.5  # (S_xx - S_yy) / 2, the trace-free stress (q[0], q[1]; q[1], -q[0])
         q[2] += y[4]  # u.v + theta
         q[5] += y[2]  # u^x theta + v^x
@@ -584,17 +490,6 @@ class _Stepper:
         out[3] -= q[4]
         _mul_add(mik[0], q[5], mik[1], q[6], out[4], c)
         return out
-
-    def _inverse(self, *blocks: np.ndarray) -> np.ndarray:
-        # the grid fields of the (k, r, cols) block spectra, in order, as
-        # rb[:sum of k], which holds them until the next transform: the
-        # spectra are scattered into a and transformed from there
-        k = 0
-        for x in blocks:
-            self.scatter(x, self.a[k : k + len(x)])
-            k += len(x)
-        _irfft2(self.a[:k], self.rb[:k], self.cols)
-        return self.rb[:k]
 
     def record_norms(self, s) -> tuple[np.ndarray, dict]:
         """What ``records.make_record`` assembles the record of the state s
@@ -616,13 +511,14 @@ class _Stepper:
         Allocates no array of grid size.
         """
         eps = s.eps
-        g, ik, y, e = self.g, self.ik, s.spec, self.y1
+        g, y, e = self.g, s.spec, self.y1
+        ik = g.ik
         shape = y.shape[1:]
         m = y[0].size
         scale = 1.0 / (1.0 - eps)
 
         # w = v + grad((-lap)^-1 theta) / (1 - eps) and div u into e[:3]
-        np.multiply(self.inv_k2, y[4], out=e[2])
+        np.multiply(g.inv_k2, y[4], out=e[2])
         np.multiply(ik, e[2], out=e[:2])
         e[:2] *= scale
         e[:2] += y[2:4]
@@ -649,7 +545,7 @@ class _Stepper:
         e[3] += e[4]
         np.multiply(y[4], scale, out=e[4])
         e[3] -= e[4]
-        f = self._inverse(y, e[3:4])
+        f = _irfft2((y, e[3:4]), self.a, self.rb)
         area = (g.length / g.n) ** 2
         grid = dict(mean_theta=f[4].mean(), mean_u_x=f[0].mean(), mean_u_y=f[1].mean())
         np.square(f, out=f)
@@ -670,7 +566,7 @@ class _Stepper:
         d = self.b.reshape(-1)[: 4 * m].reshape(4, *shape)
         np.multiply(ik, y[0], out=d[:2])
         np.multiply(ik, y[1], out=d[2:])
-        self._inverse(d)
+        _irfft2((d,), self.a, self.rb)
         f = self.rb
         np.square(f[:4], out=f[:4])
         # |grad u|^2 = ((a + b) + c) + d for a, b, c, d = f[0], f[1], f[2], f[3]
@@ -687,7 +583,7 @@ class _Stepper:
 
         np.multiply(ik, e[0], out=d[:2])
         np.multiply(ik, e[1], out=d[2:])
-        f = self._inverse(d)
+        f = _irfft2((d,), self.a, self.rb)
         np.square(f, out=f)
         f[0] += f[1]
         f[0] += f[2]
@@ -713,8 +609,7 @@ def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # 4 r cols float64 together, 0.47 MB at n = 256; eight entries let the
     # members of a sweep of up to eight eps levels, stepped in lockstep, keep
     # theirs instead of evicting one another at every step
-    k2 = _gather(g.k2, *kept_block(g.n))
-    h = 0.5 * dt * np.stack((-k2, -eps * k2))
+    h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
     return (1.0 + h) / (1.0 - h), 0.5 * dt / (1.0 - h)
 
 
@@ -735,11 +630,10 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     stage result, the predictor and the corrector.
 
     The step works on a copy of the block of ``s`` (a state is the block of
-    modes the two-thirds mask keeps) and on held arrays, with 28 real
-    field-transforms. The block holds no Nyquist mode, so the projection's
-    precondition (see ``spectral._project``) holds by construction.
+    modes the two-thirds rule keeps) and on held arrays, with 28 real
+    field-transforms.
 
-    Buffers and multipliers are built once per grid and held in a one-entry
+    Buffers are built once per grid and held in a one-entry
     cache until a step on another grid replaces them; the trapezoidal
     factors once per (grid, dt, eps), in a small cache of their own.
     Steps share those buffers, and records borrow them between steps, so
@@ -762,9 +656,9 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     _scale(a, y)
     y += y1
     y1 += y
-    _project(st, y1[:2], st.c)  # predictor
+    _project(g, y1[:2], st.c)  # predictor
     y += _scale(half_b, st.explicit(y1, False, y1))  # + b n1 / 2
-    _project(st, y[:2], st.c)  # corrector
+    _project(g, y[:2], st.c)  # corrector
     return State(g, y, s.t + dt, s.eps)
 
 

@@ -115,8 +115,8 @@ def make_record(state) -> np.ndarray:
     viscous flux, grad u, grad w) from three batched inverse transforms of
     6 + 4 + 4 fields. So a record allocates no array of grid size. Like
     ``imex_step``, whose buffers it shares, it reads the state's block as
-    it is, theta's mean from its (0, 0) mode, and builds no half-plane
-    state. It is not thread-safe. Requires mean-zero theta, as w does.
+    it is, and theta's mean from its (0, 0) mode. It is not thread-safe.
+    Requires mean-zero theta, as w does.
     """
     from .model import _stepper  # model imports this module
 

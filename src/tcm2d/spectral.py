@@ -1,34 +1,36 @@
 """Fourier operator algebra on the periodic square [0, L]^2.
 
-Fields live on an n-by-n collocation grid. A field is its Fourier form, the
-``rfft2`` half plane: of shape (n, n//2 + 1) for a scalar, and (2, n,
-n//2 + 1) for a vector, its x and y spectra stacked. Its grid samples are
-transformed from it on each read. Each operator is written once: its
-multipliers and transforms broadcast over the leading component axis, so
-applied to a vector it gives, bit for bit, the stack of its value on each
-component. Only the norms branch on the rank, to combine a vector's
-components in a fixed order. In that half plane mode (k1, -k2 < 0) is
-the conjugate of the stored (-k1, k2), so Parseval sums weight each column
-by ``Grid.herm_weight`` (1 on columns 0 and n/2, which hold their own
-conjugates, 2 elsewhere). On the Nyquist lines (|k1| = n/2
-or k2 = n/2) the sign of a wavenumber is ambiguous, so a multiplier odd in
-it has no grid-consistent value there. The solver carries no Nyquist modes
-(the usual even-n collocation convention): every quadratic product is
-masked by the two-thirds rule, and the operators with a multiplier odd on
-those lines (derivatives, ``riesz_double``, ``leray_project``) zero them.
-Differential and singular-integral operators are exact Fourier
-multipliers:
+Fields live on an n-by-n collocation grid. A field is its Fourier form on
+the block of the ``rfft2`` half plane that the two-thirds rule keeps
+(:func:`kept_block`): with k = n // 3, the rows [0, k] and [n - k, n) of
+the columns [0, k], an (r, cols) array with r = 2k + 1 and cols = k + 1,
+whose rows are in ``fftfreq`` order (row i holds k1 = i up to k, and
+i - r past it). A scalar's spectrum has shape (r, cols); a vector's is
+(2, r, cols), its x and y spectra stacked. Each operator is written once:
+its multipliers and transforms broadcast over the leading component axis,
+so applied to a vector it gives, bit for bit, the stack of its value on
+each component. Only the norms branch on the rank, to combine a vector's
+components in a fixed order. Mode (k1, -k2 < 0) is the conjugate of the
+stored (-k1, k2), so Parseval sums weight each column by
+``Grid.herm_weight`` (1 on column 0, which holds its own conjugates, 2
+elsewhere). The block holds no Nyquist mode (|k1| = n/2 or k2 = n/2), so
+every multiplier has one grid-consistent value on it. Differential and
+singular-integral operators are exact Fourier multipliers:
 
-    derivative               i * 2*pi*k/L          (Nyquist lines zeroed)
+    derivative               i * 2*pi*k/L
     inv_neg_laplacian        1 / |2*pi*k/L|^2      (zero at k = 0)
-    riesz_double(i, j)       -k_i k_j / |k|^2      (zero at k = 0, Nyquist lines zeroed)
+    riesz_double(i, j)       -k_i k_j / |k|^2      (zero at k = 0)
     smoothing_inverse        1 / (1 + |2*pi*k/L|^2)
 
-The (0,0) mode is annihilated wherever the inverse Laplacian is undefined;
-``Grid.dealias_mask`` is the two-thirds rule on the max-norm of the integer
-wavevector. So the output of every operator here is unchanged by a round
-trip through the grid. All functions are pure, and a field is an immutable
-(grid, spectrum) value.
+The (0,0) mode is annihilated wherever the inverse Laplacian is undefined.
+Grid samples are transformed from the block on each read: it is scattered
+into a half-plane work array with zeros at every other mode, whose complex
+pass runs over the block's columns only (a pruned transform). A product is
+formed on the grid, and its spectrum is the block of a pruned forward
+transform, which drops every mode off it: the two-thirds rule, which makes
+quadratic products alias-free. So the output of every operator here is
+unchanged by a round trip through the grid. All functions are pure, and a
+field is an immutable (grid, spectrum) value.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import BadParams, NonZeroMean
 MEAN_ZERO_RTOL = 1e-10
 
 #: the largest grid size: a Grid and the step's buffers (``model._Stepper``)
-#: hold about 185 n^2 bytes (12.1 MB at n = 256), so 0.78 GB at n = 2048
+#: hold about 160 n^2 bytes (10.5 MB at n = 256), so 0.67 GB at n = 2048
 N_MAX = 2048
 
 #: the bounds of the domain length L. A record and a norm scale their sums
@@ -72,8 +74,70 @@ def _check_grid(n: int, length: float) -> None:
                         f"{WEIGHT_MAX:g}, and positive and finite, got {length!r}")
 
 
+def _kept_max(n: int) -> int:
+    # the largest |k1|, |k2| that the two-thirds rule keeps: |k| <= n/3
+    return n // 3
+
+
+def kept_block(n: int) -> tuple[int, int, int]:
+    """(lo, hi, cols) of the block of the n-point rfft2 half plane that the
+    two-thirds rule keeps: the rows [0, lo) and [hi, n) of the columns
+    [0, cols), with k = n // 3 the rows [0, k] and [n - k, n) of the columns
+    [0, k]. It holds (2k + 1)(k + 1) modes, 171 x 86 at n = 256. Fields,
+    states and the snapshot format all read the block from here."""
+    k = _kept_max(n)
+    return k + 1, n - k, k + 1
+
+
+def _gather(a: np.ndarray, lo: int, hi: int, cols: int, out: np.ndarray | None = None) -> np.ndarray:
+    # the rows [0, lo) and [hi, n) of a's leading cols columns, as one
+    # contiguous array (into out if given); an axis of length 1, as in a
+    # broadcast multiplier, is kept as it is
+    return np.concatenate((a[..., :lo, :cols], a[..., hi:, :cols]), axis=-2, out=out)
+
+
+def _scatter(a: np.ndarray, out: np.ndarray, lo: int, hi: int, cols: int) -> None:
+    # the inverse of _gather: the block array a into the half-plane array
+    # out, with zeros at every mode off the block
+    out[..., :lo, :cols] = a[..., :lo, :]
+    out[..., hi:, :cols] = a[..., lo:, :]
+    out[..., lo:hi, :cols] = 0
+    out[..., cols:] = 0
+
+
+def _irfft2(blocks, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The grid samples of the (m, r, cols) block spectra ``blocks``, in
+    order, into the first fields of out, (.., n, n), which it returns: each
+    is scattered into the next fields of the half-plane array work, (.., n,
+    n//2 + 1), whose complex pass along axis -2 runs in place over the
+    block's columns only, before the real pass along axis -1 (irfft2 drops
+    out=). Equal to irfft2 of the scattered spectra (zeros may differ in
+    sign); a block may be a view of out."""
+    lo, hi, cols = kept_block(work.shape[-2])
+    k = 0
+    for a in blocks:
+        _scatter(a, work[k : k + len(a)], lo, hi, cols)
+        k += len(a)
+    np.fft.ifftn(work[:k, :, :cols], axes=(-2,), out=work[:k, :, :cols])
+    return np.fft.irfft(work[:k], out.shape[-1], axis=-1, out=out[:k])
+
+
+def _rfft2(x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The block spectra of the grid samples x, (.., n, n), into out, (..,
+    r, cols), which it returns: the real pass along axis -1 into the
+    half-plane array work, the complex pass along axis -2 over the block's
+    columns only, then the gather of the block, which drops every other
+    mode. (fftn along one axis is fft, under the n-d name that the
+    benchmark's tracer and the transform-count tests wrap)"""
+    lo, hi, cols = kept_block(work.shape[-2])
+    np.fft.rfft(x, axis=-1, out=work)
+    np.fft.fftn(work[..., :cols], axes=(-2,), out=work[..., :cols])
+    return _gather(work, lo, hi, cols, out)
+
+
 class Grid:
-    """Uniform n x n collocation grid on the torus [0, length]^2.
+    """Uniform n x n collocation grid on the torus [0, length]^2, with the
+    wavenumbers and multipliers of the kept block.
 
     n must be even and in [8, N_MAX]. Mode (0,0) carries wavenumber exactly
     zero; physical wavenumbers are 2*pi*k/length for integer k.
@@ -85,9 +149,10 @@ class Grid:
         self.n = n
         self.length = float(length)
 
-        # integer mode indices of the rfft2 half plane
-        self.kx_int = np.fft.fftfreq(n, 1.0 / n)[:, None]
-        self.ky_int = np.fft.rfftfreq(n, 1.0 / n)[None, :]
+        # integer mode indices of the block's rows and columns
+        lo, hi, cols = kept_block(n)
+        self.kx_int = _gather(np.fft.fftfreq(n, 1.0 / n)[:, None], lo, hi, cols)
+        self.ky_int = np.fft.rfftfreq(n, 1.0 / n)[None, :cols]
         scale = 2.0 * np.pi / self.length
         self.kx = scale * self.kx_int
         self.ky = scale * self.ky_int
@@ -96,19 +161,11 @@ class Grid:
         nonzero = self.k2 > 0.0
         inv[nonzero] = 1.0 / self.k2[nonzero]
         self.inv_k2 = inv
-        # (i d_x, i d_y) multipliers stacked on a leading axis; the Nyquist
-        # column/row has no usable phase for odd-order derivatives
-        half = n // 2
-        dx = np.where(np.abs(self.kx_int) == half, 0.0, self.kx)
-        dy = np.where(np.abs(self.ky_int) == half, 0.0, self.ky)
-        self.ik = 1j * np.stack(np.broadcast_arrays(dx, dy))
-        cutoff = n / 3.0
-        self.dealias_mask = (np.abs(self.kx_int) <= cutoff) & (np.abs(self.ky_int) <= cutoff)
-        # the modes riesz_double and leray_project keep: all off the Nyquist lines
-        self.nyquist_free_mask = (np.abs(self.kx_int) < half) & (self.ky_int < half)
+        # (i d_x, i d_y) multipliers stacked on a leading axis
+        self.ik = 1j * np.stack(np.broadcast_arrays(self.kx, self.ky))
         # Parseval weight of each stored column (see the module docstring)
-        self.herm_weight = np.where((self.ky_int == 0) | (self.ky_int == half), 1.0, 2.0)
-        self.spec_shape = (n, half + 1)
+        self.herm_weight = np.where(self.ky_int == 0, 1.0, 2.0)
+        self.spec_shape = self.k2.shape
         self._seminorm_weights = {}
 
     def seminorm_weight(self, order: int) -> np.ndarray:
@@ -135,12 +192,27 @@ class Grid:
         return f"Grid(n={self.n}, length={self.length!r})"
 
 
-class SpectralField:
-    """Real scalar or vector field on a :class:`Grid`, held as its ``rfft2``
-    half plane.
+def _samples(grid: Grid, spec: np.ndarray) -> np.ndarray:
+    # the grid samples, (.., n, n), of the block spectra spec, (.., r, cols)
+    n, lead = grid.n, spec.shape[:-2]
+    a = spec.reshape(-1, *spec.shape[-2:])
+    out = np.empty((len(a), n, n))
+    _irfft2((a,), np.empty((len(a), n, n // 2 + 1), dtype=np.complex128), out)
+    return out.reshape(*lead, n, n)
 
-    The spectrum ``spec`` is the field's value: (n, n//2 + 1) for a scalar,
-    (2, n, n//2 + 1) for a vector (:func:`VectorField`), the x and y spectra
+
+def _spectrum(grid: Grid, x: np.ndarray) -> np.ndarray:
+    # the block spectra, (.., r, cols), of the grid samples x, (.., n, n)
+    work = np.empty((*x.shape[:-1], grid.n // 2 + 1), dtype=np.complex128)
+    return _rfft2(x, work, np.empty((*x.shape[:-2], *grid.spec_shape), dtype=np.complex128))
+
+
+class SpectralField:
+    """Real scalar or vector field on a :class:`Grid`, held as its spectrum
+    on the kept block.
+
+    The spectrum ``spec`` is the field's value: (r, cols) for a scalar,
+    (2, r, cols) for a vector (:func:`VectorField`), the x and y spectra
     stacked. ``x``, ``y`` and iteration give a vector's components as views
     of its spectrum; a scalar has none. ``phys``, the grid samples, is
     transformed from it on each read. The mean of a scalar is the (0,0)
@@ -156,10 +228,12 @@ class SpectralField:
 
     @classmethod
     def from_phys(cls, grid: Grid, values) -> "SpectralField":
+        """The field of the grid samples ``values``, (n, n), on the kept
+        block: every mode off the block is dropped, as from a product."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape != (grid.n, grid.n):
             raise BadParams(f"expected shape {(grid.n, grid.n)}, got {arr.shape}")
-        return cls(grid, np.fft.rfft2(arr))
+        return cls(grid, _spectrum(grid, arr))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "SpectralField":
@@ -167,7 +241,7 @@ class SpectralField:
 
     @property
     def phys(self) -> np.ndarray:
-        return np.fft.irfft2(self.spec, s=(self.grid.n, self.grid.n))
+        return _samples(self.grid, self.spec)
 
     @property
     def mean(self) -> float:
@@ -221,10 +295,26 @@ def _components(a: SpectralField) -> np.ndarray:
 
 def VectorField(x: SpectralField, y: SpectralField) -> SpectralField:
     """The vector field with the scalar components x and y, which share a
-    grid: its spectrum stacks theirs, (2, n, n//2 + 1)."""
+    grid: its spectrum stacks theirs, (2, r, cols)."""
     if x.grid != y.grid or x.spec.ndim != 2 or y.spec.ndim != 2:
         raise BadParams("vector components must be scalar fields on one grid")
     return SpectralField(x.grid, np.stack((x.spec, y.spec)))
+
+
+def _modes_field(grid: Grid, coeffs) -> SpectralField:
+    # the real field with Fourier coefficient z at mode (k1, k2) and conj(z)
+    # at (-k1, -k2) for each ((k1, k2), z) of coeffs, all on the block,
+    # written into the stored slots of both with rfft2's scaling n^2; no
+    # mode may be another's conjugate
+    spec = np.zeros(grid.spec_shape, dtype=np.complex128)
+    r = len(spec)
+    for (k1, k2), z in coeffs:
+        z = z * grid.n**2
+        if k2 >= 0:
+            spec[k1 % r, k2] = z
+        if k2 <= 0:
+            spec[-k1 % r, -k2] = np.conj(z)
+    return SpectralField(grid, spec)
 
 
 def derivative(f: SpectralField, axis: str) -> SpectralField:
@@ -277,30 +367,21 @@ def grad_inv_neg_laplacian(theta: SpectralField) -> SpectralField:
 def riesz_double(i: str, j: str, f: SpectralField) -> SpectralField:
     """Composition of two Riesz transforms: multiplier -k_i k_j / |k|^2.
 
-    Symmetric in (i, j); annihilates the (0,0) mode by convention and the
-    Nyquist lines, where k_i k_j has no grid-consistent sign; the trace over
-    i equals minus the identity on mean-zero fields without Nyquist modes.
+    Symmetric in (i, j); annihilates the (0,0) mode by convention; the
+    trace over i equals minus the identity on mean-zero fields.
     """
     g = f.grid
     ki = g.kx if i == "x" else g.ky if i == "y" else None
     kj = g.kx if j == "x" else g.ky if j == "y" else None
     if ki is None or kj is None:
         raise BadParams(f"axes must be 'x' or 'y', got {i!r}, {j!r}")
-    return SpectralField(g, spec=-ki * kj * g.inv_k2 * f.spec * g.nyquist_free_mask)
+    return SpectralField(g, spec=-ki * kj * g.inv_k2 * f.spec)
 
 
 def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
-    """Leray projection, in place, of the stacked spectra a = (a_x, a_y),
-    with ``work`` (a's shape and dtype) as scratch. g supplies the
-    multipliers kx, ky and inv_k2 on a's modes: a Grid for half-plane
-    spectra, or a step's stepper (``model._Stepper``) for the block of
-    modes the two-thirds mask keeps.
-
-    Requires a to hold no Nyquist modes: there the multiplier k k^T / |k|^2
-    takes the stored sign of -n/2, and its output would not survive a round
-    trip through the grid. A step meets this by construction, since the
-    block holds no Nyquist mode.
-    """
+    """Leray projection, in place, of the stacked block spectra a = (a_x,
+    a_y), with ``work`` (a's shape and dtype) as scratch and the
+    multipliers kx, ky and inv_k2 of the grid g."""
     q, t = work
     np.multiply(g.kx, a[0], out=q)
     np.multiply(g.ky, a[1], out=t)
@@ -313,15 +394,13 @@ def _project(g: Grid, a: np.ndarray, work: np.ndarray) -> None:
 
 
 def leray_project(a: SpectralField) -> SpectralField:
-    """L2-orthogonal projection of a vector field onto divergence-free fields
-    without Nyquist modes: the Nyquist lines of the output are zero.
+    """L2-orthogonal projection of a vector field onto divergence-free fields.
 
     Idempotent, self-adjoint, and mean-preserving on each component.
     """
-    g = a.grid
-    out = _components(a) * g.nyquist_free_mask
-    _project(g, out, np.empty_like(out))
-    return SpectralField(g, spec=out)
+    out = 1.0 * _components(a)  # a new array, formed by a complex product as every multiplier forms its output
+    _project(a.grid, out, np.empty_like(out))
+    return SpectralField(a.grid, spec=out)
 
 
 def smoothing_inverse(f: SpectralField) -> SpectralField:
@@ -334,20 +413,18 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product in physical space; a vector factor makes a vector
     product.
 
-    Both factors and the product are passed through ``Grid.dealias_mask``,
-    the two-thirds rule, which makes quadratic products alias-free.
+    Its spectrum is the kept block of the product of the grid samples: the
+    two-thirds rule, which makes quadratic products alias-free.
     """
-    n = f.grid.n
-    mask = f.grid.dealias_mask
-    fx, gx = (np.fft.irfft2(np.where(mask, h.spec, 0.0), s=(n, n)) for h in (f, g))
-    return SpectralField(f.grid, np.where(mask, np.fft.rfft2(fx * gx), 0.0))
+    grid = f.grid
+    return SpectralField(grid, _spectrum(grid, _samples(grid, f.spec) * _samples(grid, g.spec)))
 
 
 def advect(vel: SpectralField, f: SpectralField) -> SpectralField:
     """Advective derivative vel.grad(f) for scalar or vector f.
 
     Quadratic products are formed pointwise in physical space by
-    :func:`multiply`, on masked factors, and masked again.
+    :func:`multiply`, and kept on the block.
     """
     return multiply(vel.x, derivative(f, "x")) + multiply(vel.y, derivative(f, "y"))
 
@@ -401,6 +478,5 @@ def grad_linf(a: SpectralField) -> float:
     """Sup over grid points of |grad a^x| + |grad a^y| (Euclidean per component)."""
     g = a.grid
     # (d_x a^x, d_y a^x, d_x a^y, d_y a^y) from one batched transform
-    grads = (g.ik * _components(a)[:, None]).reshape(4, *g.spec_shape)
-    sq = np.fft.irfft2(grads, s=(g.n, g.n)) ** 2
+    sq = _samples(g, (g.ik * _components(a)[:, None]).reshape(4, *g.spec_shape)) ** 2
     return float(np.max(np.sqrt(sq[0] + sq[1]) + np.sqrt(sq[2] + sq[3])))

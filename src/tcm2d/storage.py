@@ -6,13 +6,13 @@ header
 
     TCM3 n=<n> L=<length> t=<time> eps=<eps> fields=u_x,u_y,v_x,v_y,theta
 
-followed by the block of each field's ``rfft2`` half-plane spectrum that
-the two-thirds mask keeps (``model.kept_block``), in the order the header
-names: with k = n // 3, the rows [0, k] and then [n - k, n) of the columns
-[0, k], (2k + 1) x (k + 1) little-endian complex128, row-major (43 x 22 at
-n = 64). That payload is the state itself (``model.State.spec``): it is
-written and read back as it is, bit for bit, with no transform and no
-change of layout. Grid samples are ``numpy.fft.irfft2(spec, s=(n, n))``
+followed by each field's spectrum, the block of its ``rfft2`` half plane
+that the two-thirds rule keeps (``spectral.kept_block``), in the order the
+header names: with k = n // 3, the rows [0, k] and then [n - k, n) of the
+columns [0, k], (2k + 1) x (k + 1) little-endian complex128, row-major (43
+x 22 at n = 64). That payload is the state itself (``model.State.spec``):
+it is written and read back as it is, bit for bit, with no transform and
+no change of layout. Grid samples are ``numpy.fft.irfft2(spec, s=(n, n))``
 of the block scattered into the half plane with zeros at every other
 mode.
 
@@ -42,9 +42,9 @@ import time
 import numpy as np
 
 from .errors import BadParams, BadSeries, ChecksumMismatch, ConfigParseError
-from .model import State, kept_block
+from .model import State
 from .records import COLUMNS, DiagnosticsSeries
-from .spectral import Grid
+from .spectral import Grid, kept_block
 
 SNAPSHOT_MAGIC = "TCM3"
 FIELD_NAMES = ("u_x", "u_y", "v_x", "v_y", "theta")

@@ -44,13 +44,16 @@ def with_nan(s, field):
 
 
 def off_block_fields(s, seed):
-    """The fields (u, v, theta) of state s given, by hand, a coefficient at
-    every mode past n/3 of each spectrum, the Nyquist lines included: modes
-    that building a state from them drops."""
-    off = ~s.grid.dealias_mask
-    specs = np.stack([a.spec for a in (*s.u, *s.v, s.theta)])
-    specs[:, off] = np.random.default_rng(seed).standard_normal((5, np.count_nonzero(off))) * (0.1 + 0.1j)
-    f = [t.SpectralField(s.grid, a) for a in specs]
+    """The fields (u, v, theta) of state s rebuilt from their grid samples
+    plus, by hand, content at every mode past n/3 of each spectrum, the
+    Nyquist lines included: modes that ``SpectralField.from_phys`` drops, so
+    the fields are those of s to transform roundoff."""
+    g = s.grid
+    noise = np.fft.rfft2(np.random.default_rng(seed).standard_normal((5, g.n, g.n)))
+    lo, hi, cols = t.spectral.kept_block(g.n)
+    noise[:, :lo, :cols] = noise[:, hi:, :cols] = 0.0
+    samples = np.fft.irfft2(noise, s=(g.n, g.n)) + [a.phys for a in (*s.u, *s.v, s.theta)]
+    f = [t.SpectralField.from_phys(g, x) for x in samples]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
 

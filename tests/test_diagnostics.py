@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import tcm2d as t
+from tcm2d import model, spectral
 from tcm2d.errors import BadParams, EmptyTrajectory, NonFiniteState
 from tcm2d.spectral import grad_linf
 
@@ -302,6 +304,50 @@ class TestTwinDivergence:
 
         pu, pv, pth = _perturbation(twin_cfg(), shape)
         assert abs(_smoothed_h1(pu, pv, pth) - 1.0) < 1e-12
+
+
+class TestNoScatter:
+    """A state's fields are views of its block, and the distances and L2
+    and H1 norms that the twin and the sweep take of them are sums over the
+    block: neither ever scatters a block into a half plane, except into the
+    work array of a pruned inverse transform when it reads the grid (each
+    step's guard and stages, make_initial's overflow check, and the sup
+    norms of the twin's growth coefficient)."""
+
+    @staticmethod
+    def scatters(monkeypatch, fn):
+        # (scatters outside a pruned inverse transform, scatters inside one)
+        calls, depth = collections.Counter(), [0]
+        scatter, irfft2 = spectral._scatter, spectral._irfft2
+
+        def counted_scatter(*args):
+            calls[depth[0] > 0] += 1
+            return scatter(*args)
+
+        def counted_irfft2(*args):
+            depth[0] += 1
+            try:
+                return irfft2(*args)
+            finally:
+                depth[0] -= 1
+
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_scatter", counted_scatter)
+            for module in (spectral, model):
+                m.setattr(module, "_irfft2", counted_irfft2)
+            fn()
+        return calls[False], calls[True]
+
+    def test_twin_and_sweep_never_scatter(self, monkeypatch):
+        cfg = t.SimConfig(n=16, dt=1e-3, horizon=4e-3, preset="random_band", eps=0.1, seed=3, snap_stride=2)
+        for fn in (lambda: t.twin_divergence(cfg, 1e-3), lambda: t.epsilon_sweep(cfg, (0.1, 0.05, 0.0))):
+            outside, inside = self.scatters(monkeypatch, fn)
+            assert outside == 0 and inside > 0
+        # the sweep's distances, taken at each of the reference's snapshots,
+        # add no scatter at all: only its steps and initial states do
+        counts = [self.scatters(monkeypatch, lambda: t.epsilon_sweep(dataclasses.replace(cfg, snap_stride=k),
+                                                                      (0.1, 0.05, 0.0))) for k in (1, 4)]
+        assert counts[0] == counts[1]
 
 
 class TestEpsilonSweep:

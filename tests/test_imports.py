@@ -286,3 +286,39 @@ def test_stepping_rule_is_stated_once():
     # the guard runs only there (on the initial state) and in each step
     assert _callers("imex_step") == {("model", "_trajectory")}
     assert _callers("guard") == {("model", "imex_step"), ("model", "_trajectory")}
+
+
+#: the names of the block layout that only ``spectral`` may use
+LAYOUT_NAMES = ("_gather", "_scatter", "spec_shape")
+
+
+def layout_uses(source: str) -> list[str]:
+    """The lines of a module that define, import or read the gather or the
+    scatter of the kept block, or read a Grid's ``spec_shape``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names] + [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found.update((node.lineno, name) for name in names if name in LAYOUT_NAMES)
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "spectral.py"], ids=lambda p: p.name)
+def test_block_layout_stays_in_spectral(path):
+    # fields, states, the step and the snapshot format share one layout,
+    # decided in spectral: the others take block spectra, and transform them
+    # through spectral._irfft2 and spectral._rfft2
+    assert layout_uses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_layout_use():
+    source = (
+        "from . import spectral\nfrom .spectral import Grid, _scatter as pad\n\n\ndef _gather(a):\n    return a\n\n\n"
+        "shape = Grid(8).spec_shape\nspectral._scatter(pad, shape)\n"
+    )
+    assert layout_uses(source) == ["line 2: _scatter", "line 5: _gather", "line 9: spec_shape", "line 10: _scatter"]
+    assert layout_uses((SRC / "spectral.py").read_text(encoding="utf-8"))

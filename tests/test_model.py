@@ -12,7 +12,7 @@ from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
 from tcm2d.config import parse_config_text
 from tcm2d.errors import BadParams, CflViolation, ConfigParseError, NonFiniteState
 from tcm2d.model import _stepper
-from tcm2d.spectral import _project, multiply
+from tcm2d.spectral import _irfft2, _project, _rfft2, kept_block, multiply
 
 from conftest import band_state, coords, off_block_fields, rel_l2, with_nan
 
@@ -25,10 +25,8 @@ def explicit(s):
     st = _stepper(s.grid)
     y = s.spec.copy()
     y = st.explicit(y, False, y)
-    _project(st, y[:2], st.c)
-    out = np.empty((5, *s.grid.spec_shape), dtype=np.complex128)
-    st.scatter(y, out)
-    f = [t.SpectralField(s.grid, spec=c) for c in out]
+    _project(s.grid, y[:2], st.c)
+    f = [t.SpectralField(s.grid, spec=c) for c in y]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
 
 
@@ -103,11 +101,10 @@ class TestMakeInitial:
 
     @pytest.mark.parametrize("preset", ["taylor_green", "single_mode", "random_band"])
     def test_presets_hold_no_modes_outside_the_mask(self, preset, monkeypatch):
-        # built in the half plane, so no transform roundoff reaches the
-        # modes the mask drops, up to the largest band or mode the config
-        # rule lets through, 32 // 3: the fields a preset builds its state
-        # from hold none, and nor do a twin's perturbed fields. (A state
-        # holds only the block, so a step cannot put any there.)
+        # written straight into the block, up to the largest band or mode
+        # the config rule lets through, 32 // 3: the fields a preset builds
+        # its state from are block spectra, and so are a twin's perturbed
+        # fields, with their content where the preset put it
         cfg = t.SimConfig(n=32, dt=1e-3, horizon=0.0, preset=preset, eps=0.1, mode_x=10, mode_y=-10, band_hi=10)
         built, from_fields = [], t.State.from_fields
         monkeypatch.setattr(t.State, "from_fields", lambda *f, **kw: built.append(f[:3]) or from_fields(*f, **kw))
@@ -116,10 +113,13 @@ class TestMakeInitial:
         for shape in PERTURBATION_SHAPES:
             pu, pv, pth = _perturbation(cfg, shape)
             fields += (t.leray_project(s.u + pu), s.v + pv, s.theta + pth)
-        mask = s.grid.dealias_mask
         assert len(fields) == 3 + 3 * len(PERTURBATION_SHAPES)
         for f in fields:
-            assert not np.any(f.spec[..., ~mask])
+            assert f.spec.shape[-2:] == s.grid.spec_shape
+            # the spectrum of a real field: a round trip through the grid moves
+            # it by roundoff only (a column 0 not its own conjugate would move)
+            back = np.stack([t.SpectralField.from_phys(s.grid, x).spec for x in f.phys.reshape(-1, 32, 32)])
+            assert np.max(np.abs(back - f.spec.reshape(back.shape))) <= 1e-12 * max(np.max(np.abs(f.spec)), 1.0)
 
     def test_single_mode_rejects_unresolved(self):
         with pytest.raises(BadParams):
@@ -157,10 +157,11 @@ class TestMakeInitial:
         b = band_state(n=64, seed=7)
 
         def coeff(s, k1, k2):
-            # the half plane holds mode (k1, k2 < 0) as the conjugate of (-k1, -k2)
-            n = s.grid.n
-            c = s.theta.spec[k1 % n, k2] if k2 >= 0 else np.conj(s.theta.spec[-k1 % n, -k2])
-            return c / n**2
+            # the block holds mode (k1, k2 < 0) as the conjugate of (-k1, -k2),
+            # with its r rows in fftfreq order
+            r = len(s.theta.spec)
+            c = s.theta.spec[k1 % r, k2] if k2 >= 0 else np.conj(s.theta.spec[-k1 % r, -k2])
+            return c / s.grid.n**2
 
         for k1, k2 in ((1, 2), (3, 0), (2, -3)):
             ca, cb = coeff(a, k1, k2), coeff(b, k1, k2)
@@ -388,16 +389,27 @@ def same_state(a, b):
     return a.t == b.t and all(np.array_equal(x, y) for x, y in zip(spectra(a), spectra(b)))
 
 
+def half_plane(block, n):
+    """The block spectra scattered by hand into the rfft2 half plane, with
+    zeros at every other mode."""
+    lo, hi, cols = kept_block(n)
+    out = np.zeros((*block.shape[:-2], n, n // 2 + 1), dtype=np.complex128)
+    out[..., :lo, :cols], out[..., hi:, :cols] = block[..., :lo, :], block[..., lo:, :]
+    return out
+
+
 class TestLayout:
-    """A state is its kept block: building one from fields drops every mode
-    off the block, as the mask drops it from every product."""
+    """A state is its kept block, and its fields are views of it: a field
+    built from grid samples drops every mode off the block, as the rule
+    drops it from every product."""
 
     def test_off_block_modes_are_dropped(self):
         s = band_state(n=32, seed=25, hi=10)
         off = t.State.from_fields(*off_block_fields(s, 25), s.t, s.eps)
-        assert np.array_equal(off.spec, s.spec)
-        assert same_state(off, s)
-        assert same_state(t.imex_step(off, 1e-3), t.imex_step(s, 1e-3))
+        scale = np.max(np.abs(s.spec))
+        assert np.max(np.abs(off.spec - s.spec)) <= 1e-13 * scale
+        stepped = t.imex_step(off, 1e-3).spec - t.imex_step(s, 1e-3).spec
+        assert np.max(np.abs(stepped)) <= 1e-13 * scale
 
     def test_spec_is_read_only(self, tmp_path):
         s = band_state(n=16, seed=26)
@@ -410,18 +422,31 @@ class TestLayout:
                 state.spec[4, 1, 1] = 1.0
             with pytest.raises(FrozenInstanceError):
                 state.spec = state.spec.copy()
-        # a field read is a fresh half plane, which the state does not see
-        before, u = s.u.spec.copy(), s.u
-        u.spec[:] = 0.0
-        assert np.array_equal(s.u.spec, before) and before.any()
+        # a field read is a view of the block, read-only as it is
+        for f in (s.u, s.v, s.theta):
+            assert f.spec.base is s.spec and not f.spec.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                f.spec[..., 1, 1] = 1.0
 
     def test_fields_are_the_block_scattered(self):
+        # the fields are the rows of the block, and their grid samples are
+        # those of the block scattered into the half plane
         s = band_state(n=32, seed=27, hi=10)
-        lo, hi, cols = model.kept_block(32)
         for k, f in enumerate(spectra(s)):
-            assert f.shape == s.grid.spec_shape
-            assert np.array_equal(f[:lo, :cols], s.spec[k, :lo]) and np.array_equal(f[hi:, :cols], s.spec[k, lo:])
-            assert not f[lo:hi].any() and not f[:, cols:].any()
+            assert f.shape == s.grid.spec_shape and np.shares_memory(f, s.spec)
+            assert np.array_equal(f, s.spec[k])
+        grid = np.stack([c.phys for c in (*s.u, *s.v, s.theta)])
+        assert np.array_equal(grid, np.fft.irfft2(half_plane(s.spec, 32), s=(32, 32)))
+
+    def test_state_refuses_a_block_that_is_not_one(self):
+        g = t.Grid(16)
+        with pytest.raises(BadParams, match=r"\(5, 11, 6\) complex128 block"):
+            t.State(g, np.zeros((5, 3, 3), complex), 0.0, 0.0)
+        for spec in (np.zeros((5, 16, 9), complex), np.zeros((4, 11, 6), complex), np.zeros((5, 11, 6)),
+                     np.zeros((5, 11, 6), np.complex64)):
+            with pytest.raises(BadParams):
+                t.State(g, spec, 0.0, 0.0)
+        assert not t.State(g, np.zeros((5, 11, 6), complex), 0.0, 0.0).spec.flags.writeable
 
 
 class TestStepCache:
@@ -438,7 +463,7 @@ class TestStepCache:
             assert not any(np.shares_memory(b.spec, x) for x in vars(st).values() if isinstance(x, np.ndarray))
 
     #: the stepper's arrays that a step and a record only read
-    MULTIPLIERS = ("ik", "minus_ik", "kx", "ky", "inv_k2", "weights")
+    MULTIPLIERS = ("minus_ik", "weights")
 
     @classmethod
     def poison(cls, g):
@@ -528,43 +553,47 @@ class TestStepCache:
         # grid fields were fresh)
         assert self.warm_step_allocation(256) <= 1.4e6
 
+    @staticmethod
+    def blocks(n, fields, seed):
+        g = t.Grid(n)
+        return np.stack([t.SpectralField.from_phys(g, x).spec for x in np.random.default_rng(seed).standard_normal((fields, n, n))])
+
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
     def test_held_inverse_equals_irfft2(self, n, fields):
-        # the step's batches: theta and the curls, u and v, all seven; over
-        # every column and on any spectrum (Nyquist lines and content beyond
-        # the mask included), in place
-        rng = np.random.default_rng(n + fields)
-        a = np.fft.rfft2(rng.standard_normal((fields, n, n)))
-        want = np.fft.irfft2(a, s=(n, n))
-        out = np.empty((fields, n, n))
-        model._irfft2(a, out, a.shape[-1])
-        assert np.array_equal(out, want)
+        # the step's batches: theta and the curls, u and v, all seven, in
+        # blocks that are scattered in order into a held work array whatever
+        # it held before: irfft2 of the block scattered into the half plane
+        a = self.blocks(n, fields, n + fields)
+        want = np.fft.irfft2(half_plane(a, n), s=(n, n))
+        work = np.full((7, n, n // 2 + 1), np.nan, dtype=np.complex128)
+        out = np.empty((7, n, n))
+        got = _irfft2((a[:1], a[1:]), work, out)
+        assert got.base is out and np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
     def test_pruned_inverse_equals_irfft2(self, n, fields):
-        # the complex pass pruned to the columns the mask keeps, on masked
-        # spectra, in place, as the stages and the CFL check take it
-        rng = np.random.default_rng(n + fields)
-        st = _stepper(t.Grid(n))
-        a = np.fft.rfft2(rng.standard_normal((fields, n, n))) * st.g.dealias_mask
-        want = np.fft.irfft2(a, s=(n, n))
+        # a block may be a view of the output, as the stage's curls are
+        a = self.blocks(n, fields, n + fields)
+        want = np.fft.irfft2(half_plane(a, n), s=(n, n))
         out = np.empty((fields, n, n))
-        model._irfft2(a, out, st.cols)
+        view = out.reshape(-1)[: 2 * a.size].view(np.complex128).reshape(a.shape)
+        view[:] = a
+        _irfft2((view,), np.empty((fields, n, n // 2 + 1), dtype=np.complex128), out)
         assert np.array_equal(out, want)
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("fields", [3, 4, 7])
     def test_pruned_forward_equals_masked_rfft2(self, n, fields):
-        rng = np.random.default_rng(n + fields)
-        x = rng.standard_normal((fields, n, n))
-        st = _stepper(t.Grid(n))
-        mask = st.g.dealias_mask
-        q = np.empty((fields, *st.g.spec_shape), dtype=np.complex128)
-        model._rfft2(x, q, st.cols)
-        q *= mask
-        assert np.array_equal(q, np.fft.rfft2(x) * mask)
+        # the block of rfft2, whatever the grid samples hold past it
+        x = np.random.default_rng(n + fields).standard_normal((fields, n, n))
+        lo, hi, cols = kept_block(n)
+        full = np.fft.rfft2(x)
+        q = np.empty((fields, *t.Grid(n).spec_shape), dtype=np.complex128)
+        got = _rfft2(x, np.empty_like(full), q)
+        assert got is q
+        assert np.array_equal(q, np.concatenate((full[:, :lo, :cols], full[:, hi:, :cols]), axis=1))
 
 
 class TestSimulate:
@@ -748,13 +777,13 @@ class TestTransformBudget:
 
     def test_step(self, monkeypatch):
         # the first stage reuses the CFL check's grid velocities, even for a
-        # state built from fields with content on a Nyquist line, which
-        # building the state drops with every other mode off the block
+        # state built from grid samples with content on a Nyquist line,
+        # which from_phys drops with every other mode off the block
         low = band_state(n=32, seed=24, hi=4)
-        u = low.u
-        u.spec[0, 16, 3] = 1.0  # the row |k1| = n/2
-        nyquist = t.State.from_fields(u, low.v, low.theta, low.t, low.eps)
-        assert np.array_equal(nyquist.spec, low.spec)
+        row = (-1.0) ** np.arange(32)[:, None] * np.cos(3 * coords(low.grid)[1])  # the row |k1| = n/2
+        ux = t.SpectralField.from_phys(low.grid, low.u.x.phys + row)
+        nyquist = t.State.from_fields(t.VectorField(ux, low.u.y), low.v, low.theta, low.t, low.eps)
+        assert np.max(np.abs(nyquist.spec - low.spec)) <= 1e-12 * np.max(np.abs(low.spec))
         # the step takes each inverse transform as ifftn along axis -2 and
         # then irfft along axis -1, and each forward one as rfft along axis
         # -1 and then fftn along axis -2, so each field counts once

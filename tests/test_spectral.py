@@ -54,6 +54,10 @@ class TestGrid:
         # make_initial's L2 norms build seminorm_weight(0); the record's
         # weights are built on the block and leave the others unbuilt
         assert list(g._seminorm_weights) == [0]
+        # every array of the Grid lies on the block, (r, cols) or an axis of it
+        for a in (*vars(g).values(), *g._seminorm_weights.values()):
+            if isinstance(a, np.ndarray):
+                assert np.broadcast_shapes(a.shape[-2:], g.spec_shape) == g.spec_shape
         owners = {}
         for a in (*vars(g).values(), *g._seminorm_weights.values(), *vars(st).values()):
             if isinstance(a, np.ndarray):
@@ -64,18 +68,19 @@ class TestGrid:
         return sum(a.nbytes for a in owners.values()), grid_sized
 
     def test_cap_holds_the_stated_bytes(self):
-        # a run holds about 190 n^2 bytes at n = 64 (0.78 MB), and about 185
-        # n^2 at larger n, which the cap keeps under 0.8 GB: of the stepper's
-        # arrays only its two transform buffers span the grid
+        # a run holds about 164 n^2 bytes at n = 64 (0.67 MB), and about 160
+        # n^2 at larger n, which the cap keeps under 0.7 GB: of the stepper's
+        # arrays only its two transform buffers span the grid, and the Grid
+        # holds no array of the half plane
         held, grid_sized = self.held_by_a_run(64)
-        assert 180 < held / 64**2 <= 191
-        assert held / 64**2 * N_MAX**2 < 0.8e9
+        assert 160 < held / 64**2 <= 165
+        assert held / 64**2 * N_MAX**2 < 0.7e9
         assert grid_sized == ["a", "b"]
 
     def test_cap_holds_the_stated_bytes_at_n256(self):
-        # 185 n^2 bytes at n = 256 (12.1 MB)
+        # 160 n^2 bytes at n = 256 (10.5 MB)
         held, grid_sized = self.held_by_a_run(256)
-        assert 180 < held / 256**2 <= 186
+        assert 155 < held / 256**2 <= 160
         assert grid_sized == ["a", "b"]
 
     def test_zero_mode_wavenumber(self):
@@ -96,9 +101,11 @@ class TestFieldRepresentations:
         assert rel_l2(t.SpectralField.from_phys(f.grid, back), f) < 1e-12
 
     def test_conjugate_symmetry(self):
-        # columns 0 and n/2 of the half plane hold their own conjugates
+        # column 0 of the block holds its own conjugates: row i holds k1 and
+        # row -i mod r holds -k1, the rows being in fftfreq order
         f = band_state(n=32, seed=2).theta
-        c = f.spec[:, [0, -1]]
+        c = f.spec[:, 0]
+        assert c.any()
         assert np.max(np.abs(c - np.conj(np.flip(np.roll(c, -1, 0), 0)))) < 1e-9 * np.max(
             np.abs(c)
         )
@@ -209,9 +216,13 @@ class TestRieszDouble:
         assert np.array_equal(a, b)
 
     def test_trace_identity(self):
-        f = band_state(n=64, seed=8).theta
-        total = t.riesz_double("x", "x", f) + t.riesz_double("y", "y", f)
-        assert rel_l2(total, -1.0 * f) < 1e-12
+        # on every mean-zero field: the block holds no Nyquist mode, so
+        # also on one built from grid samples with content at every mode
+        g = t.Grid(64)
+        x = np.random.default_rng(8).standard_normal((64, 64))
+        for f in (band_state(n=64, seed=8).theta, t.SpectralField.from_phys(g, x - x.mean())):
+            total = t.riesz_double("x", "x", f) + t.riesz_double("y", "y", f)
+            assert rel_l2(total, -1.0 * f) < 1e-12
 
     def test_annihilates_mean(self):
         g = t.Grid(16)
@@ -261,35 +272,39 @@ class TestLerayProjection:
 
 
 class TestDealias:
-    """The two-thirds rule of ``Grid.dealias_mask``: every mode with
-    max(|k1|, |k2|) > n/3 is zeroed."""
-
-    @staticmethod
-    def masked(f):
-        return t.SpectralField(f.grid, spec=f.spec * f.grid.dealias_mask)
+    """The two-thirds rule: a field lives on the block of modes with
+    max(|k1|, |k2|) <= n/3, so a field built from grid samples keeps every
+    mode of the block and drops every other, as a product does."""
 
     def test_low_mode_unchanged(self):
         g = t.Grid(64)
         f = sin_field(g, kx=1, ky=0)
-        assert rel_l2(self.masked(f), f) < 1e-14
+        assert f.spec.shape == g.spec_shape
+        assert_allclose(f.phys, np.sin(coords(g)[0]), atol=1e-14)
 
     def test_high_mode_zeroed(self):
         g = t.Grid(64)
         f = sin_field(g, kx=30, ky=0)  # 30 > 64/3
-        assert t.norm(self.masked(f), "L2") < 1e-13
+        assert t.norm(f, "L2") < 1e-13
+        # sin^2 = (1 - cos(2 k x)) / 2: the product keeps its mean and drops (30, 0)
+        assert_allclose(multiply(sin_field(g, kx=15), sin_field(g, kx=15)).phys, 0.5, atol=1e-14)
 
     def test_idempotent_bit_exact(self):
+        # the block's grid samples hold nothing past it: a round trip moves
+        # no mode by more than roundoff, and a second one moves nothing more
         f = band_state(n=32, seed=15).theta
-        once = self.masked(f)
-        twice = self.masked(once)
-        assert np.array_equal(once.spec, twice.spec)
+        once = t.SpectralField.from_phys(f.grid, f.phys)
+        twice = t.SpectralField.from_phys(f.grid, once.phys)
+        assert rel_l2(once, f) < 1e-14
+        assert np.max(np.abs(twice.spec - once.spec)) <= 1e-14 * np.max(np.abs(once.spec))
 
     def test_cutoff_boundary(self):
         g = t.Grid(64)  # cutoff keeps max |k| <= 21
         keep = sin_field(g, kx=21, ky=0)
         drop = sin_field(g, kx=22, ky=0)
-        assert rel_l2(self.masked(keep), keep) < 1e-14
-        assert t.norm(self.masked(drop), "L2") < 1e-13
+        assert abs(t.norm(keep, "L2") - np.sqrt(2.0) * np.pi) < 1e-12
+        assert t.norm(drop, "L2") < 1e-13
+        assert np.max(np.abs(g.kx_int)) == np.max(g.ky_int) == 21
 
 
 class TestVectorFields:
@@ -310,7 +325,7 @@ class TestVectorFields:
             "multiply": lambda f: multiply(s.theta, f),  # scalar x vector
         }[op]
         got = apply(s.v).spec
-        assert got.shape == (2, 32, 17)
+        assert got.shape == (2, 21, 11)
         assert np.array_equal(got, np.stack([apply(c).spec for c in s.v]))
 
     def test_grad_stacks_the_two_derivatives(self):
@@ -320,7 +335,7 @@ class TestVectorFields:
     def test_components_are_views_of_the_stack(self):
         s = band_state(n=32, seed=23)
         v = t.VectorField(s.theta, s.v.y)
-        assert isinstance(v, t.SpectralField) and v.spec.shape == (2, 32, 17)
+        assert isinstance(v, t.SpectralField) and v.spec.shape == (2, 21, 11)
         x, y = v
         for c, i in ((v.x, 0), (v.y, 1), (x, 0), (y, 1)):
             assert c.spec.base is v.spec and np.array_equal(c.spec, v.spec[i])
@@ -347,9 +362,10 @@ class TestVectorFields:
 
 
 class TestGridConsistency:
-    """The output of every public operator is the spectrum of a real grid
-    field, so a round trip through the grid leaves it unchanged, also for
-    input with content on the Nyquist lines."""
+    """The output of every public operator is the block spectrum of a real
+    grid field, so a round trip through the grid leaves it unchanged, also
+    for input built from grid samples with content at every mode, the
+    Nyquist lines included, which building it drops off the block."""
 
     @staticmethod
     def moved(f, by):
@@ -376,7 +392,8 @@ class TestGridConsistency:
             multiply(a, b),
         ]
         for i, f in enumerate(outputs):
-            assert self.moved(f, np.fft.rfft2(np.fft.irfft2(f.spec, s=(n, n)))) < 1e-12, i
+            assert f.spec.shape[-2:] == g.spec_shape
+            assert self.moved(f, t.SpectralField.from_phys(g, f.phys).spec) < 1e-12, i
 
         # the projection stays idempotent through the grid
         p = t.leray_project(t.VectorField(a, b))

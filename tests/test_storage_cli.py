@@ -227,18 +227,22 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("index, name", list(enumerate(storage.FIELD_NAMES)))
     def test_mode_off_the_block_is_dropped(self, tmp_path, index, name):
-        # fields one of which has a mode just past n // 3 = 5: the state
-        # built from them drops it, and its snapshot reads back bit for bit
+        # grid samples one of which has a mode just past n // 3 = 5: the
+        # field built from them drops it, so the state is the one without
+        # it, and its snapshot reads back bit for bit
         s = band_state(n=16, seed=3, hi=3)
-        specs = spectra(s)
-        specs[index][6, 1] = 1e-3
-        f = [t.SpectralField(s.grid, a) for a in specs]
+        samples = [f.phys for f in (*s.u, *s.v, s.theta)]
+        f = [t.SpectralField.from_phys(s.grid, x) for x in samples]
+        without = t.State.from_fields(t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4], s.t, s.eps)
+        samples[index] = samples[index] + 1e-3 * np.cos(6 * np.arange(16) * s.grid.spacing)[:, None]
+        f = [t.SpectralField.from_phys(s.grid, x) for x in samples]
         built = t.State.from_fields(t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4], s.t, s.eps)
-        assert np.array_equal(built.spec, s.spec)
+        assert np.max(np.abs(built.spec - without.spec)) <= 1e-15 * np.max(np.abs(without.spec))
+        assert np.max(np.abs(built.spec - s.spec)) <= 1e-13 * np.max(np.abs(s.spec))
         path = tmp_path / "f.bin"
         storage.write_field_snapshot(path, built)
         back = storage.read_field_snapshot(path)
-        assert np.array_equal(back.spec, built.spec) and same_spectra(back, s)
+        assert np.array_equal(back.spec, built.spec) and same_spectra(back, built)
 
     def test_run_reads_no_field_of_a_state(self, tmp_path, monkeypatch):
         # step, record and snapshot pass each state's block through as it
@@ -252,8 +256,8 @@ class TestSnapshots:
         assert same_spectra(storage.read_state_snapshot(str(tmp_path / "run" / "snapshots"), 5), t.simulate(cfg).snapshots[-1])
 
     def test_block_geometry_is_stated_once(self):
-        # k = n // 3 is one expression of the package, in the function the
-        # step and the snapshot format both read the block from
+        # k = n // 3 is one expression of the package, in the module that
+        # fields, states and the snapshot format all read the block from
         src = os.path.dirname(t.__file__)
         thirds = []
         for name in sorted(os.listdir(src)):
@@ -265,14 +269,15 @@ class TestSnapshots:
                     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
                     and isinstance(node.right, ast.Constant) and node.right.value == 3
                 ]
-        assert [name for name, _ in thirds] == ["model.py"]
+        assert [name for name, _ in thirds] == ["spectral.py"]
         for n in (8, 16, 64, 256):
-            g, key = t.Grid(n), model.kept_block(n)
-            assert model._stepper(g).key == key
-            # the block is exactly what the two-thirds mask keeps
-            kept = np.zeros(g.spec_shape, dtype=bool)
-            model._scatter(np.ones_like(model._gather(kept, *key)), kept, *key)
-            assert np.array_equal(kept, g.dealias_mask)
+            g = t.Grid(n)
+            # the block is exactly the half-plane modes the two-thirds rule
+            # keeps, each once
+            half = np.broadcast_arrays(np.fft.fftfreq(n, 1.0 / n)[:, None], np.fft.rfftfreq(n, 1.0 / n)[None, :])
+            want = {(int(a), int(b)) for a, b in zip(*(h.ravel() for h in half)) if max(abs(a), b) <= n / 3}
+            block = [(int(a), int(b)) for a, b in zip(*(h.ravel() for h in np.broadcast_arrays(g.kx_int, g.ky_int)))]
+            assert len(block) == len(set(block)) == math.prod(g.spec_shape) and set(block) == want
 
 
 def write_run(run_dir, cfg: t.SimConfig):
