@@ -51,21 +51,20 @@ v, theta, curl(u), curl(v)), seven grid products, and one batched forward
 transform of seven fields, whose complex passes run only over the leading
 cols columns (a pruned FFT). The guard transforms u, v and theta once, and
 the first stage reuses them: 28 real field-transforms per step (14
-forward, 14 inverse). The stage returns the unprojected u tendency, and
-the step projects the predictor and the corrector: one projection per
-stage result, the same operator in exact arithmetic. The corrector
-accumulates into the copied block, so a warm step allocates its result and
-small temporaries only.
+forward, 14 inverse). The stage returns the terms, minus the tendency,
+with u's unprojected, and the step projects the predictor and the
+corrector: one projection per stage result, the same operator in exact
+arithmetic. The corrector accumulates into the copied block, so a warm
+step allocates its result and small temporaries only.
 
-What a step reuses sits in two private caches. The buffers depend on
-the grid and sit in a one-entry cache (9.6 MB at n = 256: two grid-size
-transform buffers that take turns, and the block arrays), the
-trapezoidal factors on (grid, dt, eps) in a small cache of their own,
-so runs that differ only in eps, such as the members of an eps sweep
-stepped in lockstep, share one set of buffers. A record borrows the
-same buffers between steps (``_Stepper.record_norms``, which
-``records.make_record`` calls), so neither ``imex_step`` nor
-``make_record`` is thread-safe.
+The Grid owns every constant table, read-only. The step's work buffers
+depend on the grid and sit in a one-entry cache (8.6 MB at n = 256: two
+grid-size transform buffers that take turns, and the stage results), the
+trapezoidal factors on (grid, dt, eps) in a small cache of their own, so
+runs that differ only in eps, such as the members of an eps sweep stepped
+in lockstep, share one set of buffers. A record borrows the same buffers
+between steps (``_Stepper.record_norms``, which ``records.make_record``
+calls), so neither ``imex_step`` nor ``make_record`` is thread-safe.
 
 A run's states come from one private generator, ``_trajectory``, which
 ``simulate``, the twin and the eps sweep consume: it yields the initial
@@ -76,6 +75,7 @@ and a guard error carries the index of the step it rejected.
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -161,7 +161,8 @@ class SimConfig:
     eps = 0, whose limit eps -> 0 the harness studies, and below 1/2 that
     factor stays under 2.
     Every rule is checked here, the grid's and the preset's mode or band
-    included, so a config that constructs can run. A mode or band must lie
+    included, so a config that constructs can run; an integer field takes
+    an integer (numpy's too), not a bool. A mode or band must lie
     within the modes the two-thirds mask keeps, |k1|, |k2| <= n // 3, so
     every state a run makes lies on the block a step works on. dt is at
     least twice ``gronwall.MIN_SPACING``, so the records of a run, spaced
@@ -197,6 +198,10 @@ class SimConfig:
     outdir: str | None = None
 
     def __post_init__(self):
+        for name in ("n", "mode_x", "mode_y", "band_lo", "band_hi", "seed", "diag_stride", "snap_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise BadParams(f"{name} must be finite, got {value}")
@@ -215,7 +220,7 @@ class SimConfig:
             raise BadParams(f"seed must be nonnegative, got {self.seed}")
         if self.preset not in PRESETS:
             raise BadParams(f"unknown preset {self.preset!r}")
-        _check_grid(int(self.n), self.length)
+        _check_grid(self.n, self.length)
         if not self.horizon / self.dt <= MAX_STEPS:
             raise BadParams(f"horizon / dt must be at most {MAX_STEPS} steps, got {self.horizon / self.dt:g}")
         if abs(self.num_steps() * self.dt - self.horizon) > 1e-8 * max(self.dt, self.horizon, 1.0):
@@ -355,11 +360,12 @@ def _real_view(z: np.ndarray, n: int) -> np.ndarray:
 
 class _Stepper:
     """What :func:`imex_step` reuses from step to step for one grid g: the
-    arrays a step works in beside the state's block, whose multipliers are
-    the Grid's. On the block, (r, cols), it holds the stage results y1,
-    (5, r, cols) complex, 1.2 MB at n = 256. On the grid, it holds two
-    (7, n, n//2 + 1) complex buffers a and b, 7.4 MB at n = 256, each with
-    the real (7, n, n) view ``ra``, ``rb`` over its first 7 n^2 floats.
+    grid and the buffers a step works in beside the state's block; every
+    constant table is the Grid's. On the block, (r, cols), it holds the
+    stage results y1, (5, r, cols) complex, 1.2 MB at n = 256. On the grid,
+    it holds two (7, n, n//2 + 1) complex buffers a and b, 7.4 MB at n =
+    256, each with the real (7, n, n) view ``ra``, ``rb`` over its first 7
+    n^2 floats.
     They take turns:
 
     - an inverse transform reads spectra scattered into a and writes the
@@ -380,7 +386,6 @@ class _Stepper:
 
     def __init__(self, g: Grid):
         self.g = g
-        self.minus_ik = -g.ik  # the tendency is minus the terms
         self.a, self.b = (np.empty((7, g.n, g.n // 2 + 1), dtype=np.complex128) for _ in range(2))
         self.ra, self.rb = _real_view(self.a, g.n), _real_view(self.b, g.n)
         # y1: b n0 / 2, then the predictor, then b n1 / 2 over it
@@ -391,18 +396,6 @@ class _Stepper:
         m = g.k2.size
         self.q = self.a.reshape(-1)[: 7 * m].reshape(7, *shape)
         self.c = self.rb[5:].reshape(-1)[: 4 * m].view(np.complex128).reshape(2, *shape)
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """The Parseval weights of a record, as the rows of one (5, r cols)
-        array: herm_weight |k|^(2j) for j = 0..3, then herm_weight on the
-        tail band, the top third of the kept band |k|_max <= n/3; the
-        first four elementwise as ``Grid.seminorm_weight`` builds them, so a
-        run leaves those of order 1 to 3 unbuilt."""
-        g = self.g
-        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
-        rows = [g.herm_weight * g.k2**j for j in range(4)] + [g.herm_weight * (band > 2.0 / 3.0 * (g.n / 3.0))]
-        return np.stack(rows).reshape(5, -1)
 
     def guard(self, s, dt: float, cfl_max: float) -> None:
         """The guard of :func:`imex_step` from s, norms as norm(., "Linf")
@@ -450,22 +443,18 @@ class _Stepper:
         np.multiply(uy, th, out=p[6])
 
     def explicit(self, y: np.ndarray, on_grid: bool, out: np.ndarray) -> np.ndarray:
-        """Everything except the implicit Laplacians, for the spectra
-        y = (u^x, u^y, v^x, v^y, theta) on the block, with P the Leray
-        projection and curl(a) = d_x a^y - d_y a^x:
+        """The explicit terms, everything but the implicit Laplacians, for
+        the spectra y = (u^x, u^y, v^x, v^y, theta) on the block, in the
+        divergence and rotational forms of the module docstring, with
+        curl(a) = d_x a^y - d_y a^x and S = u (x) u + v (x) v:
 
-            -div(S - tr(S) I / 2),  whose projection -P div S the step keeps,
-            -[grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u)))],
-            -[div(u theta) + div v].
+            div(S - tr(S) I / 2),  whose Leray projection P div S the step keeps,
+            grad(u.v + theta) - (u^y curl(v) + v^y curl(u), -(u^x curl(v) + v^x curl(u))),
+            div(u theta) + div v.
 
-        These are the divergence and rotational forms of the advective terms
-        (u.grad)u + div(v (x) v), (u.grad)v + (v.grad)u and u.grad(theta):
-        equal for div u = 0, and to roundoff under the two-thirds mask, whose
-        products carry no aliasing error. P kills gradients, so the u
-        tendency takes the trace-free part of the stress S = u (x) u + v (x) v,
-        P div S = P div(S - tr(S) I / 2), which needs S_xx - S_yy and S_xy
-        only: seven products in all. The u tendency is returned
-        unprojected: the step projects each stage result. Factors and
+        The tendency is minus these: the step's trapezoidal weight -b/2
+        (:func:`_factors`) carries the sign, and the step projects each
+        stage result, so the u terms are returned unprojected. Factors and
         products are masked once each, by the block's scatter and gather.
         With ``on_grid``, rb[:5] already holds the grid fields u, v and theta
         of y (as :meth:`guard` leaves them). The result is written into
@@ -479,16 +468,16 @@ class _Stepper:
         q[5] += y[2]  # u^x theta + v^x
         q[6] += y[3]  # u^y theta + v^y
         # y is not read below this line, so out may be y
-        mik = self.minus_ik
-        _mul_add(mik[0], q[0], mik[1], q[1], out[0], c)
-        np.multiply(mik[0], q[1], out=out[1])
-        np.multiply(mik[1], q[0], out=c)
+        ik = self.g.ik
+        _mul_add(ik[0], q[0], ik[1], q[1], out[0], c)
+        np.multiply(ik[0], q[1], out=out[1])
+        np.multiply(ik[1], q[0], out=c)
         out[1] -= c
-        np.multiply(mik[0], q[2], out=out[2])
-        out[2] += q[3]
-        np.multiply(mik[1], q[2], out=out[3])
-        out[3] -= q[4]
-        _mul_add(mik[0], q[5], mik[1], q[6], out[4], c)
+        np.multiply(ik[0], q[2], out=out[2])
+        out[2] -= q[3]
+        np.multiply(ik[1], q[2], out=out[3])
+        out[3] += q[4]
+        _mul_add(ik[0], q[5], ik[1], q[6], out[4], c)
         return out
 
     def record_norms(self, s) -> tuple[np.ndarray, dict]:
@@ -500,7 +489,7 @@ class _Stepper:
           j = 0..3 and over the tail band (columns), of u, v, theta, the
           pseudo baroclinic velocity w and div u (rows), from one power
           stack (re^2 + im^2) of the block's modes reduced by one matmul
-          against :attr:`weights`;
+          against the Grid's table ``spectral.Grid.weights``;
         - the grid norms and means of the record, keyed by their column
           names, from three inverse transforms pruned to the block's
           columns, of u, v, theta and the flux, of grad u and of grad w,
@@ -535,7 +524,7 @@ class _Stepper:
             sq = self.rb.reshape(-1)[: 2 * spec.size].reshape(*spec.shape[:-1], -1)
             np.square(spec.view(np.float64), out=sq)
             np.add(sq[..., 0::2], sq[..., 1::2], out=pw)
-        raw = power.reshape(8, m) @ self.weights.T
+        raw = power.reshape(8, m) @ g.weights.reshape(5, m).T
         sums = np.array([raw[0] + raw[1], raw[2] + raw[3], raw[4], raw[5] + raw[6], raw[7]])
 
         # f = (u^x, u^y, v^x, v^y, theta, flux), with the flux
@@ -604,13 +593,16 @@ def _stepper(g: Grid) -> _Stepper:
 def _factors(g: Grid, dt: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
     # the trapezoidal rule (1 - h) y = (1 + h) y0 + dt*rhs with h = dt*lam/2,
     # lam = -|k|^2 for u and v and -eps*|k|^2 for theta, solved as
-    # y = a y0 + b rhs; returns a and b/2, the weight of each stage's rhs,
-    # in rows (u and v, theta), on the modes of the kept block. They take
-    # 4 r cols float64 together, 0.47 MB at n = 256; eight entries let the
-    # members of a sweep of up to eight eps levels, stepped in lockstep, keep
-    # theirs instead of evicting one another at every step
+    # y = a y0 + b rhs; returns a and -b/2, the weight of each stage's terms
+    # (minus its rhs), read-only, in rows (u and v, theta), on the modes of
+    # the kept block. They take 4 r cols float64 together, 0.47 MB at n =
+    # 256; eight entries let the members of a sweep of up to eight eps
+    # levels, stepped in lockstep, keep theirs instead of evicting one
+    # another at every step
     h = 0.5 * dt * np.stack((-g.k2, -eps * g.k2))
-    return (1.0 + h) / (1.0 - h), 0.5 * dt / (1.0 - h)
+    a, minus_half_b = (1.0 + h) / (1.0 - h), -0.5 * dt / (1.0 - h)
+    a.flags.writeable = minus_half_b.flags.writeable = False
+    return a, minus_half_b
 
 
 def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
@@ -646,18 +638,18 @@ def imex_step(s: State, dt: float, cfl_max: float = 0.5) -> State:
     g = s.grid
     st = _stepper(g)
     st.guard(s, dt, cfl_max)
-    a, half_b = _factors(g, dt, s.eps)
+    a, minus_half_b = _factors(g, dt, s.eps)
     y = s.spec.copy()
 
     # y2 = a y0 + (b n0 + b n1) / 2 accumulates in y, and the predictor
-    # y1 = a y0 + b n0 is y + b n0 / 2 midway; the first stage reuses the
-    # grid fields of u, v and theta that the guard transformed from the block
-    y1 = _scale(half_b, st.explicit(y, True, st.y1))  # b n0 / 2
+    # y1 = a y0 + b n0 is y + b n0 / 2 midway, each n minus a stage's terms;
+    # the first stage reuses the grid fields that the guard transformed
+    y1 = _scale(minus_half_b, st.explicit(y, True, st.y1))  # b n0 / 2
     _scale(a, y)
     y += y1
     y1 += y
     _project(g, y1[:2], st.c)  # predictor
-    y += _scale(half_b, st.explicit(y1, False, y1))  # + b n1 / 2
+    y += _scale(minus_half_b, st.explicit(y1, False, y1))  # + b n1 / 2
     _project(g, y[:2], st.c)  # corrector
     return State(g, y, s.t + dt, s.eps)
 

@@ -9,15 +9,15 @@ the effective viscous flux, the H1-estimate functionals
     B(t) = A(t) + t ||(grad lap u, grad lap w)||_2^2 + eps ||lap theta||_2^2 + e,
 
 mean/divergence bookkeeping, and the fraction of temperature variance in
-the top third of the kept band |k|_max <= n/3 (an under-resolution flag).
+the tail band of ``spectral.Grid.weights`` (an under-resolution flag).
 
 A record is one batched pass over the state's block, taken by
 ``model._Stepper.record_norms`` in the stage buffers of the step for the
 same grid, which sit idle between steps: every L2 norm, seminorm and the
 tail fraction is a Parseval sum, read off one stack of spectral powers
-reduced against weights built once per grid, and every grid norm comes
-from three batched inverse transforms. This module assembles the row
-from those sums and norms.
+reduced against the Grid's weights, built once per grid, and every grid
+norm comes from three batched inverse transforms. This module assembles
+the row from those sums and norms.
 
 Energy, dissipation, A and B are defined once, in :func:`derived_columns`,
 which ``make_record`` and ``check`` share. A series is one read-only table.
@@ -110,8 +110,8 @@ def make_record(state) -> np.ndarray:
     step for the state's grid, which sit idle between steps
     (``model._Stepper.record_norms``): every L2 norm and seminorm, of u, v,
     theta, the pseudo baroclinic velocity w and div u, and the tail
-    fraction from one power stack of the spectra reduced against weights
-    built once per grid; the 14 grid fields (u, v, theta, the effective
+    fraction from one power stack of the spectra reduced against
+    ``Grid.weights``; the 14 grid fields (u, v, theta, the effective
     viscous flux, grad u, grad w) from three batched inverse transforms of
     6 + 4 + 4 fields. So a record allocates no array of grid size. Like
     ``imex_step``, whose buffers it shares, it reads the state's block as

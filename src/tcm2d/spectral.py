@@ -35,6 +35,7 @@ field is an immutable (grid, spectrum) value.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ from .errors import BadParams, NonZeroMean
 MEAN_ZERO_RTOL = 1e-10
 
 #: the largest grid size: a Grid and the step's buffers (``model._Stepper``)
-#: hold about 160 n^2 bytes (10.5 MB at n = 256), so 0.67 GB at n = 2048
+#: hold about 150 n^2 bytes (9.9 MB at n = 256), so 0.63 GB at n = 2048
 N_MAX = 2048
 
 #: the bounds of the domain length L. A record and a norm scale their sums
@@ -56,7 +57,7 @@ N_MAX = 2048
 #: and L <= LENGTH_MAX = 1e30 keeps L^2 S^4 near 1e300, inside the float
 #: range (1.8e308). Below, a record weights squared coefficients, whose sum is
 #: at most n^4 S^2, by |k|^6 up to the largest Parseval weight Grid builds,
-#: seminorm_weight(3) <= 16 (pi n / L)^6: WEIGHT_MAX = 1e100 keeps that near
+#: weights[3] <= 16 (pi n / L)^6: WEIGHT_MAX = 1e100 keeps that near
 #: 1e233 at n = N_MAX, which makes L at least about 1.1e-16 n
 LENGTH_MAX = 1e30
 WEIGHT_MAX = 1e100
@@ -136,8 +137,9 @@ def _rfft2(x: np.ndarray, work: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class Grid:
-    """Uniform n x n collocation grid on the torus [0, length]^2, with the
-    wavenumbers and multipliers of the kept block.
+    """Uniform n x n collocation grid on the torus [0, length]^2, and the one
+    owner of the kept block's tables, all read-only: the exact integer
+    wavenumbers of its rows and columns, the multipliers and the weights.
 
     n must be even and in [8, N_MAX]. Mode (0,0) carries wavenumber exactly
     zero; physical wavenumbers are 2*pi*k/length for integer k.
@@ -149,31 +151,34 @@ class Grid:
         self.n = n
         self.length = float(length)
 
-        # integer mode indices of the block's rows and columns
-        lo, hi, cols = kept_block(n)
-        self.kx_int = _gather(np.fft.fftfreq(n, 1.0 / n)[:, None], lo, hi, cols)
-        self.ky_int = np.fft.rfftfreq(n, 1.0 / n)[None, :cols]
+        # integer mode indices of the block's rows (0..k, -k..-1) and columns
+        k = _kept_max(n)
+        self.kx_int = np.concatenate((np.arange(k + 1), np.arange(-k, 0)))[:, None]
+        self.ky_int = np.arange(k + 1)[None, :]
         scale = 2.0 * np.pi / self.length
         self.kx = scale * self.kx_int
         self.ky = scale * self.ky_int
         self.k2 = self.kx**2 + self.ky**2
-        inv = np.zeros_like(self.k2)
-        nonzero = self.k2 > 0.0
-        inv[nonzero] = 1.0 / self.k2[nonzero]
-        self.inv_k2 = inv
+        self.inv_k2 = np.divide(1.0, self.k2, out=np.zeros_like(self.k2), where=self.k2 > 0.0)
         # (i d_x, i d_y) multipliers stacked on a leading axis
         self.ik = 1j * np.stack(np.broadcast_arrays(self.kx, self.ky))
         # Parseval weight of each stored column (see the module docstring)
         self.herm_weight = np.where(self.ky_int == 0, 1.0, 2.0)
         self.spec_shape = self.k2.shape
-        self._seminorm_weights = {}
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
-    def seminorm_weight(self, order: int) -> np.ndarray:
-        """herm_weight * |k|^(2*order), the Parseval weight of the order-th
-        derivative tensor; built once per order and shared, so read only."""
-        w = self._seminorm_weights.get(order)
-        if w is None:
-            w = self._seminorm_weights[order] = self.herm_weight * self.k2**order
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The record's Parseval weights, one (5, r, cols) stack built on first
+        use: herm_weight |k|^(2j) for j = 0..3, then herm_weight on the tail
+        band, the top third of the kept band: max(|k1|, |k2|) > 2/3 of n/3,
+        which selects the modes of the exact 9 max(|k1|, |k2|) > 2n."""
+        band = np.maximum(np.abs(self.kx_int), np.abs(self.ky_int))
+        rows = [self.herm_weight * self.k2**j for j in range(4)]
+        w = np.stack(rows + [self.herm_weight * (band > 2.0 / 3.0 * (self.n / 3.0))])
+        w.flags.writeable = False
         return w
 
     @property
@@ -434,7 +439,7 @@ def seminorm(f: SpectralField, order: int) -> float:
     if f.spec.ndim == 3:
         return float(np.sqrt(seminorm(f.x, order) ** 2 + seminorm(f.y, order) ** 2))
     g = f.grid
-    total = np.sum(g.seminorm_weight(order) * np.abs(f.spec) ** 2)
+    total = np.sum(g.herm_weight * g.k2**order * np.abs(f.spec) ** 2)
     return float(g.length / g.n**2 * np.sqrt(total))
 
 

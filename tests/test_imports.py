@@ -322,3 +322,43 @@ def test_the_check_finds_a_layout_use():
     )
     assert layout_uses(source) == ["line 2: _scatter", "line 5: _gather", "line 9: spec_shape", "line 10: _scatter"]
     assert layout_uses((SRC / "spectral.py").read_text(encoding="utf-8"))
+
+
+#: the names of the block's constant tables that only ``spectral`` reads, and
+#: the wavenumber helpers that no module uses
+TABLE_NAMES = ("herm_weight", "kx_int", "ky_int")
+FREQ_NAMES = ("fftfreq", "rfftfreq")
+
+
+def table_uses(source: str, module: str) -> list[str]:
+    """The lines of a module that import or read ``fftfreq`` or
+    ``rfftfreq``, or, unless the module is ``spectral``, a Grid's
+    ``herm_weight``, ``kx_int`` or ``ky_int``."""
+    banned = FREQ_NAMES if module == "spectral" else TABLE_NAMES + FREQ_NAMES
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found.update((node.lineno, name) for name in names if name in banned)
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_block_tables_are_built_in_spectral(path):
+    # the Grid owns the block's wavenumbers and Parseval weights, built from
+    # exact integers (fftfreq(n, 1 / n) is one ulp off an integer at some n):
+    # the other modules read its multipliers and its weights
+    assert table_uses(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_the_check_finds_a_table_use():
+    source = (
+        "import numpy as np\nfrom numpy.fft import rfftfreq\n\n\n"
+        "def weights(g):\n    band = np.maximum(abs(g.kx_int), abs(g.ky_int))\n"
+        "    return g.herm_weight * band, np.fft.fftfreq(g.n, 1.0 / g.n), rfftfreq(g.n)\n"
+    )
+    assert table_uses(source, "model") == ["line 2: rfftfreq", "line 6: kx_int", "line 6: ky_int",
+                                           "line 7: fftfreq", "line 7: herm_weight", "line 7: rfftfreq"]
+    assert table_uses(source, "spectral") == ["line 2: rfftfreq", "line 7: fftfreq", "line 7: rfftfreq"]

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 import tcm2d as t
 from tcm2d import model, storage
 from tcm2d.diagnostics import PERTURBATION_SHAPES, _perturbation
-from tcm2d.config import parse_config_text
+from tcm2d.config import parse_config_text, render_config
 from tcm2d.errors import BadParams, CflViolation, ConfigParseError, NonFiniteState
 from tcm2d.model import _stepper
 from tcm2d.spectral import _irfft2, _project, _rfft2, kept_block, multiply
@@ -19,12 +19,12 @@ from conftest import band_state, coords, off_block_fields, rel_l2, with_nan
 
 def explicit(s):
     """The fused explicit tendency of state s, as fields (nu, nv, ntheta),
-    with nu projected as the step projects each stage result. It is written
-    over a copy of the state's block, as the second stage writes over its
-    input; dt does not enter the stage."""
+    with nu projected as the step projects each stage result: minus the
+    terms that the stage writes over a copy of the state's block, as the
+    second stage writes over its input; dt does not enter the stage."""
     st = _stepper(s.grid)
     y = s.spec.copy()
-    y = st.explicit(y, False, y)
+    y = -st.explicit(y, False, y)
     _project(s.grid, y[:2], st.c)
     f = [t.SpectralField(s.grid, spec=c) for c in y]
     return t.VectorField(f[0], f[1]), t.VectorField(f[2], f[3]), f[4]
@@ -193,6 +193,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigParseError, match="dealias = False: products are always two-thirds dealiased"):
             parse_config_text(text.format("false"))
         assert "dealias" not in {f.name for f in fields(t.SimConfig)}
+
+    @pytest.mark.parametrize("field, value", [("diag_stride", 2.5), ("mode_x", 1.0), ("seed", 1.5), ("n", 16.0),
+                                              ("snap_stride", True), ("band_hi", np.float64(4.0)), ("mode_y", "0")])
+    def test_integer_fields_take_integers(self, field, value):
+        # unrefused, a float runs with a wrong record count or fails in
+        # make_initial with a bare IndexError or TypeError, a bool runs as 1,
+        # and neither renders as a config that parses
+        preset = {"mode_x": "single_mode", "mode_y": "single_mode", "seed": "random_band",
+                  "band_hi": "random_band"}.get(field, "taylor_green")
+        with pytest.raises(BadParams, match=f"{field} must be an integer"):
+            t.SimConfig(**{"n": 16, "dt": 0.01, "horizon": 0.1, "preset": preset, field: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = t.SimConfig(n=np.int64(16), dt=0.01, horizon=0.1, preset="random_band", seed=np.uint32(7),
+                          diag_stride=np.int32(2), band_hi=np.int16(4))
+        assert cfg == t.SimConfig(n=16, dt=0.01, horizon=0.1, preset="random_band", seed=7, diag_stride=2, band_hi=4)
+        assert parse_config_text(render_config(cfg)) == cfg
 
     @pytest.mark.parametrize("field", ["horizon", "u_amp", "dt"])
     def test_non_finite_values(self, field):
@@ -462,16 +479,15 @@ class TestStepCache:
             assert not np.shares_memory(a.spec, b.spec)
             assert not any(np.shares_memory(b.spec, x) for x in vars(st).values() if isinstance(x, np.ndarray))
 
-    #: the stepper's arrays that a step and a record only read
-    MULTIPLIERS = ("minus_ik", "weights")
-
-    @classmethod
-    def poison(cls, g):
-        # NaN into every array the stepper of g works in: the two transform
-        # buffers and their views, and y1
+    @staticmethod
+    def poison(g):
+        # NaN into every array the stepper of g holds: the two transform
+        # buffers and their views, and y1; the constant tables belong to the
+        # Grid, and the stepper holds no other array
         st = _stepper(g)
-        work = [k for k, a in vars(st).items() if isinstance(a, np.ndarray) and k not in cls.MULTIPLIERS]
-        assert {"a", "b", "y1"} <= set(work)
+        work = [k for k, a in vars(st).items() if isinstance(a, np.ndarray)]
+        assert sorted(work) == ["a", "b", "c", "q", "ra", "rb", "y1"]
+        assert set(vars(st)) == {"g", *work}
         for k in work:
             getattr(st, k).fill(np.nan)
 

@@ -43,23 +43,21 @@ class TestGrid:
     def held_by_a_run(n):
         """The bytes a run on an n-grid holds once it has stepped and
         recorded, each array counted once through the array that owns its
-        memory: the Grid's arrays, and the step's stepper with its record
-        weights; and the stepper's arrays that span the grid."""
+        memory: the Grid's arrays, its record weights among them, and the
+        step's stepper; and the stepper's arrays that span the grid."""
         cfg = t.SimConfig(n=n, dt=1e-3, horizon=0.0, preset="random_band", eps=0.1, seed=3)
         model._stepper.cache_clear()
         s = t.make_initial(cfg)
         t.make_record(t.imex_step(s, cfg.dt))
         g, st = s.grid, model._stepper(s.grid)
         assert st.g is g
-        # make_initial's L2 norms build seminorm_weight(0); the record's
-        # weights are built on the block and leave the others unbuilt
-        assert list(g._seminorm_weights) == [0]
+        assert "weights" in vars(g)  # the record built them
         # every array of the Grid lies on the block, (r, cols) or an axis of it
-        for a in (*vars(g).values(), *g._seminorm_weights.values()):
+        for a in vars(g).values():
             if isinstance(a, np.ndarray):
                 assert np.broadcast_shapes(a.shape[-2:], g.spec_shape) == g.spec_shape
         owners = {}
-        for a in (*vars(g).values(), *g._seminorm_weights.values(), *vars(st).values()):
+        for a in (*vars(g).values(), *vars(st).values()):
             if isinstance(a, np.ndarray):
                 owner = a if a.base is None else a.base
                 owners[id(owner)] = owner
@@ -68,20 +66,42 @@ class TestGrid:
         return sum(a.nbytes for a in owners.values()), grid_sized
 
     def test_cap_holds_the_stated_bytes(self):
-        # a run holds about 164 n^2 bytes at n = 64 (0.67 MB), and about 160
+        # a run holds about 155 n^2 bytes at n = 64 (0.63 MB), and about 151
         # n^2 at larger n, which the cap keeps under 0.7 GB: of the stepper's
         # arrays only its two transform buffers span the grid, and the Grid
         # holds no array of the half plane
         held, grid_sized = self.held_by_a_run(64)
-        assert 160 < held / 64**2 <= 165
+        assert 154 < held / 64**2 <= 155
         assert held / 64**2 * N_MAX**2 < 0.7e9
         assert grid_sized == ["a", "b"]
 
     def test_cap_holds_the_stated_bytes_at_n256(self):
-        # 160 n^2 bytes at n = 256 (10.5 MB)
+        # 151 n^2 bytes at n = 256 (9.9 MB)
         held, grid_sized = self.held_by_a_run(256)
-        assert 155 < held / 256**2 <= 160
+        assert 150 < held / 256**2 <= 151
         assert grid_sized == ["a", "b"]
+
+    @pytest.mark.parametrize("n", [98, 196, 206])
+    def test_wavenumbers_are_exact_integers(self, n):
+        # the first sizes at which n * (1 / n) is not 1, so that fftfreq(n,
+        # 1 / n) is one ulp off an integer; each kept mode appears once
+        g = t.Grid(n)
+        k = n // 3
+        assert np.issubdtype(g.kx_int.dtype, np.integer) and np.issubdtype(g.ky_int.dtype, np.integer)
+        assert g.kx_int.ravel().tolist() == [*range(k + 1), *range(-k, 0)]
+        assert g.ky_int.ravel().tolist() == list(range(k + 1))
+        modes = list(zip(*(a.ravel().tolist() for a in np.broadcast_arrays(g.kx_int, g.ky_int))))
+        assert len(set(modes)) == len(modes) == (2 * k + 1) * (k + 1)
+        assert set(modes) == {(a, b) for a in range(-k, k + 1) for b in range(k + 1)}
+        assert np.array_equal(g.kx, 2.0 * np.pi / g.length * np.array([*range(k + 1), *range(-k, 0)], float)[:, None])
+
+    def test_tables_are_read_only(self):
+        g = t.Grid(16)
+        tables = [a for a in vars(g).values() if isinstance(a, np.ndarray)]
+        assert len(tables) == 8
+        for a in (*tables, g.weights, *model._factors(g, 1e-3, 0.1)):
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
 
     def test_zero_mode_wavenumber(self):
         g = t.Grid(16, length=3.5)
@@ -451,14 +471,42 @@ class TestNorms:
                 t.norm(t.SpectralField.zeros(g), kind)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_seminorm_weight_built_once(self, order):
+    def test_seminorm_is_its_parseval_sum(self, order):
+        # the reference the record's tests compare against, written out by
+        # hand; it builds its own weights and does not read Grid.weights
         f = band_state(n=32, seed=20).theta
         g = f.grid
         w = g.herm_weight * g.k2**order
         want = float(g.length / g.n**2 * np.sqrt(np.sum(w * np.abs(f.spec) ** 2)))
         assert t.seminorm(f, order) == want
-        assert g.seminorm_weight(order) is g.seminorm_weight(order)
-        assert np.array_equal(g.seminorm_weight(order), w)
+        assert "weights" not in vars(g)
+
+    def test_record_weights_built_once(self):
+        s = band_state(n=32, seed=20)
+        g = s.grid
+        model._stepper.cache_clear()  # a record reads the weights of its stepper's grid
+        t.make_record(s)
+        w = vars(g)["weights"]
+        for _ in range(2):
+            s = t.imex_step(s, 1e-3)
+            t.make_record(s)
+        assert g.weights is w
+        assert w.shape == (5, *g.spec_shape)
+        for j in range(4):
+            assert np.array_equal(w[j], g.herm_weight * g.k2**j)
+        band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
+        assert np.array_equal(w[4], g.herm_weight * (9 * band > 2 * g.n))
+
+    def test_tail_band_threshold_is_exact(self):
+        # the float threshold of Grid.weights selects the modes of the exact
+        # integer rule 9 max(|k1|, |k2|) > 2 n at every size the grid allows
+        for n in range(8, N_MAX + 1, 2):
+            band = np.arange(n // 3 + 1)
+            assert np.array_equal(band > 2.0 / 3.0 * (n / 3.0), 9 * band > 2 * n), n
+        for n in (8, 16, 98, 206):
+            g = t.Grid(n)
+            band = np.maximum(np.abs(g.kx_int), np.abs(g.ky_int))
+            assert np.array_equal(g.weights[4] > 0, np.broadcast_to(9 * band > 2 * n, g.spec_shape)), n
 
 
 class TestSmoothingInverse:

@@ -1528,23 +1528,29 @@ class TestRandomConfigs:
                 assert same_spectra(back, state) and (back.t, back.eps) == (state.t, state.eps), (cfg, step)
 
 
-# Edge values of every rule at n = 16, steps <= 3: amplitudes up to 1e308,
-# lengths near both bounds of the grid rule, dt down to its bound and strides
-# up to num_steps + 1. The smallest length makes 16 (pi n / L)^6 equal
+# Edge values of every rule at n = 16, 32 and 98 (where fftfreq(n, 1 / n) is
+# one ulp off an integer), steps <= 3: amplitudes up to 1e308, lengths near
+# both bounds of the grid rule, dt down to its bound and strides up to
+# num_steps + 1. The smallest length at n makes 16 (pi n / L)^6 equal
 # WEIGHT_MAX; a little above it the grid builds.
-_LENGTH_MIN = math.pi * 16 * (16.0 / WEIGHT_MAX) ** (1.0 / 6.0) * 1.001
 _DT_MIN = 2.0 * MIN_SPACING
+
+
+def _length_min(n):
+    return math.pi * n * (16.0 / WEIGHT_MAX) ** (1.0 / 6.0) * 1.001
 
 
 @st.composite
 def edge_configs(draw):
+    n = draw(st.sampled_from([16, 32, 98]))
     steps = draw(st.integers(0, 3))
     dt = draw(st.one_of(st.just(_DT_MIN), st.floats(_DT_MIN, 1e3 * _DT_MIN), st.sampled_from([0.002, 0.1])))
     amp = st.one_of(st.sampled_from([0.0, 1.0, 1e30, 1e200, 1e306, 1e307, 1e308]), st.floats(0.0, 1e308))
-    length = st.one_of(st.just(_LENGTH_MIN), st.floats(_LENGTH_MIN, 1e3 * _LENGTH_MIN), st.just(LENGTH_MAX),
+    lo = _length_min(n)
+    length = st.one_of(st.just(lo), st.floats(lo, 1e3 * lo), st.just(LENGTH_MAX),
                        st.floats(1e-3 * LENGTH_MAX, LENGTH_MAX), st.just(2.0 * math.pi))
     return t.SimConfig(
-        n=16, dt=dt, horizon=steps * dt, length=draw(length), eps=draw(st.sampled_from([0.0, 0.1, 0.49])),
+        n=n, dt=dt, horizon=steps * dt, length=draw(length), eps=draw(st.sampled_from([0.0, 0.1, 0.49])),
         preset=draw(st.sampled_from(PRESETS)), amplitude=draw(amp), u_amp=draw(amp), v_amp=draw(amp),
         theta_amp=draw(amp), seed=draw(st.integers(0, 2**31)),
         diag_stride=draw(st.integers(1, steps + 1)), snap_stride=draw(st.integers(1, steps + 1)))
