@@ -13,6 +13,9 @@ such as TCM2 or TCM1), 5 check failure. A package error's code is its class's
 ``exit_code`` (see ``errors``); a usage error (a missing or malformed
 argument) is a ``ConfigParseError``. Failures print a single
 machine-readable line ``TCM-ERROR {...}`` to stderr.
+
+Each command imports the modules only it uses (``diagnostics``,
+``derived``, ``gronwall``) when it runs, so ``run`` loads none of them.
 """
 
 from __future__ import annotations
@@ -26,9 +29,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, config as config_mod, diagnostics, gronwall, storage
+from . import __version__, config as config_mod, storage
 from .errors import ConfigParseError, TcmError
-from .derived import residual_flux_equation, residual_phi_equation, residual_w_equation
 from .model import SimConfig, simulate
 from .records import COLUMNS, DiagnosticsSeries, derived_columns
 
@@ -198,17 +200,19 @@ def _mid_window(snaps):
     return snaps[m - 1 : m + 2]
 
 
-def run_checks(
-    cfg: SimConfig, series: DiagnosticsSeries, window, final, tol=gronwall.DEFAULT_TOL
-) -> tuple[list, list, tuple]:
+def run_checks(cfg: SimConfig, series: DiagnosticsSeries, window, final, tol: float) -> tuple[list, list, tuple]:
     """Returns (gated, observational) rows: (name, passed/None, value, detail),
     and the curves they are read from, each one value per record: the
     energy-identity residual, the max-principle margin and the Lipschitz
     budget.
 
     ``window`` holds three consecutive snapshots for the equation residuals
-    (or is None), ``final`` the last snapshot (or None).
+    (or is None), ``final`` the last snapshot (or None); ``tol`` is the
+    Gronwall envelope's tolerance.
     """
+    from . import diagnostics
+    from .derived import residual_flux_equation, residual_phi_equation, residual_w_equation
+
     gated, info = [], []
     t = series.times
 
@@ -314,10 +318,20 @@ def _write_check_report(out_dir, report: str, times, curves):
     return summary, series_path
 
 
+def _tol(args) -> float:
+    """``--tol``, else ``gronwall.DEFAULT_TOL``; one that breaks
+    ``gronwall.check_tol`` raises BadParams."""
+    from . import gronwall
+
+    tol = gronwall.DEFAULT_TOL if args.tol is None else args.tol
+    gronwall.check_tol(tol)
+    return tol
+
+
 def cmd_check(args) -> int:
-    gronwall.check_tol(args.tol)  # before a run is made or read
+    tol = _tol(args)  # before a run is made or read
     cfg, series, window, final, out = _load_run(args)
-    gated, info, curves = run_checks(cfg, series, window, final, tol=args.tol)
+    gated, info, curves = run_checks(cfg, series, window, final, tol)
     report, overall = _render_report(gated, info)
     _write_check_report(out, report, series.times, curves)
     print(report, end="")
@@ -332,6 +346,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep_eps(args) -> int:
+    from . import diagnostics
+
     cfg, _ = _load_config(args)
     try:
         levels = [float(x) for x in args.levels.split(",") if x.strip() != ""]
@@ -363,6 +379,8 @@ def cmd_sweep_eps(args) -> int:
 
 
 def cmd_twin(args) -> int:
+    from . import diagnostics
+
     cfg, _ = _load_config(args)
     report = diagnostics.twin_divergence(cfg, args.delta, shape=args.shape)
     out = _resolve_outdir(args, cfg, "twin_out")
@@ -391,7 +409,9 @@ def cmd_twin(args) -> int:
 
 
 def cmd_gronwall(args) -> int:
-    gronwall.check_tol(args.tol)
+    from . import gronwall
+
+    tol = _tol(args)
     times, A, B, alpha, beta = storage.read_gronwall_csv(args.csv)
     k = args.k
     if args.fit_k:
@@ -399,7 +419,7 @@ def cmd_gronwall(args) -> int:
         k = fit.K
         print(f"fitted K = {k!r} (binding sample {fit.argmax})")
     g = gronwall.GronwallSeries(times=times, A=A, B=B, alpha=alpha, beta=beta, K=k)
-    rep = gronwall.conclusion_check(g, tol=args.tol)
+    rep = gronwall.conclusion_check(g, tol=tol)
     hyp = rep.hypothesis
     print(f"hypothesis holds: {hyp.holds} (min margin {_fmt(np.min(hyp.margins))})")
     print(f"conclusion outcome: {rep.outcome}")
@@ -443,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--run-dir")
     chk.add_argument("--out", default=None)
     chk.add_argument("--seed-override", type=int, default=None)
-    chk.add_argument("--tol", type=float, default=gronwall.DEFAULT_TOL)
+    chk.add_argument("--tol", type=float)
     chk.set_defaults(fn=cmd_check)
 
     sw = sub.add_parser("sweep-eps", help="convergence sweep in the temperature diffusivity")
@@ -466,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     k = gw.add_mutually_exclusive_group(required=True)
     k.add_argument("--fit-k", action="store_true")
     k.add_argument("--k", type=float)
-    gw.add_argument("--tol", type=float, default=gronwall.DEFAULT_TOL)
+    gw.add_argument("--tol", type=float)
     gw.set_defaults(fn=cmd_gronwall)
     return p
 

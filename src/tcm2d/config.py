@@ -31,7 +31,6 @@ import dataclasses
 
 from .errors import BadParams, ConfigParseError
 from .model import SimConfig
-from .storage import _read_text
 
 # (section, key, SimConfig field, kind), in the order render_config writes them
 _TABLE = (
@@ -107,6 +106,19 @@ def parse_config_text(text: str) -> SimConfig:
         return SimConfig(**values)
     except BadParams as exc:
         raise ConfigParseError(str(exc)) from exc
+
+
+def _read_text(path, encoding: str) -> str:
+    """The text of the file ``path`` in ``encoding``; a byte that does not
+    decode raises ConfigParseError naming its line and column."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        column = exc.start - raw.rfind(b"\n", 0, exc.start)
+        raise ConfigParseError(f"{path}: line {line}: byte not {encoding} at column {column}") from exc
 
 
 def parse_config_file(path) -> tuple[SimConfig, str]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import BadWindow, EpsOutOfRange
+from .errors import BadWindow
+from .model import _check_eps
 from .spectral import (
     SpectralField,
     VectorField,
@@ -48,14 +49,6 @@ class ResidualNorms:
 
     l2: float
     smoothed: float
-
-
-def _check_eps(eps: float) -> None:
-    """The one admissible range of eps, [0, 1), for a State and for the
-    formulas here: a nonnegative diffusivity with 1/(1 - eps) defined.
-    Raises :class:`EpsOutOfRange` otherwise, also for NaN."""
-    if not 0.0 <= eps < 1.0:
-        raise EpsOutOfRange(f"eps must lie in [0, 1), got {eps}")
 
 
 def temperature_potential(theta: SpectralField) -> SpectralField:

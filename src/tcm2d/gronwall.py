@@ -25,14 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, BadSeries, Infeasible
+from .model import MIN_SPACING
 
 #: default relative tolerance for hypothesis margins and the conclusion
 DEFAULT_TOL = 1e-6
 #: lower clip of the fitted K
 K_MIN = 1e-6
-#: the smallest spacing of two samples: A' divides by products of two
-#: adjacent spacings, which below about 1.5e-154 underflow to zero
-MIN_SPACING = 1e-150
 
 
 def check_tol(tol: float) -> None:

@@ -75,19 +75,17 @@ and a guard error carries the index of the step it rejected.
 from __future__ import annotations
 
 import functools
-import numbers
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import records
-from .derived import _check_eps
-from .errors import BadParams, CflViolation, NonFiniteState
-from .gronwall import MIN_SPACING
+from .errors import BadParams, CflViolation, EpsOutOfRange, NonFiniteState
 from .spectral import (
     Grid,
     _check_grid,
+    _check_integer,
     SpectralField,
     VectorField,
     _irfft2,
@@ -116,6 +114,19 @@ FIELD_MAX = 1e30
 #: the most steps a run takes: its time is a running sum of dt, which stops
 #: advancing once t / dt reaches 2^53
 MAX_STEPS = 2**52
+
+#: the smallest spacing of two samples of a series that the Gronwall check
+#: (``gronwall``) differentiates: A' divides by products of two adjacent
+#: spacings, which below about 1.5e-154 underflow to zero
+MIN_SPACING = 1e-150
+
+
+def _check_eps(eps: float) -> None:
+    """The one admissible range of eps, [0, 1), for a State and for the
+    formulas of ``derived``: a nonnegative diffusivity with 1/(1 - eps)
+    defined. Raises :class:`EpsOutOfRange` otherwise, also for NaN."""
+    if not 0.0 <= eps < 1.0:
+        raise EpsOutOfRange(f"eps must lie in [0, 1), got {eps}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,19 +166,18 @@ class State:
 class SimConfig:
     """Run description: grid, stepping, regularization, initial data, output.
 
-    eps lies in [0, 1/2), inside the [0, 1) of a :class:`State` and of
-    ``derived._check_eps``, where the factor 1/(1 - eps) of w and the flux
-    is defined: eps > 0 is the regularized variant of the target system
-    eps = 0, whose limit eps -> 0 the harness studies, and below 1/2 that
-    factor stays under 2.
+    eps lies in [0, 1/2), inside the [0, 1) of :func:`_check_eps`, where
+    the factor 1/(1 - eps) of w and the flux is defined: eps > 0 is the
+    regularized variant of the target system eps = 0, whose limit
+    eps -> 0 the harness studies, and below 1/2 that factor stays under 2.
     Every rule is checked here, the grid's and the preset's mode or band
     included, so a config that constructs can run; an integer field takes
-    an integer (numpy's too), not a bool. A mode or band must lie
-    within the modes the two-thirds mask keeps, |k1|, |k2| <= n // 3, so
-    every state a run makes lies on the block a step works on. dt is at
-    least twice ``gronwall.MIN_SPACING``, so the records of a run, spaced
-    dt * diag_stride up to the rounding of the running time, can be
-    differentiated by the Gronwall check; a run takes at most
+    an integer (numpy's too), not a bool, as a Grid's n does. A mode or
+    band must lie within the modes the two-thirds mask keeps, |k1|, |k2|
+    <= n // 3, so every state a run makes lies on the block a step works
+    on. dt is at least twice :data:`MIN_SPACING`, so the records of a
+    run, spaced dt * diag_stride up to the rounding of the running time,
+    can be differentiated by the Gronwall check; a run takes at most
     :data:`MAX_STEPS` steps.
     The size of the initial data is checked once it is built instead:
     :func:`make_initial` raises BadParams for data that overflow the float
@@ -199,9 +209,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("n", "mode_x", "mode_y", "band_lo", "band_hi", "seed", "diag_stride", "snap_stride"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise BadParams(f"{name} must be an integer, got {value!r}")
+            _check_integer(name, getattr(self, name))
         for name, value in vars(self).items():
             if isinstance(value, float) and not np.isfinite(value):
                 raise BadParams(f"{name} must be finite, got {value}")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -61,6 +62,12 @@ N_MAX = 2048
 #: 1e233 at n = N_MAX, which makes L at least about 1.1e-16 n
 LENGTH_MAX = 1e30
 WEIGHT_MAX = 1e100
+
+
+def _check_integer(name: str, value) -> None:
+    # the integer rule: an int or a numpy integer, not a bool
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParams(f"{name} must be an integer, got {value!r}")
 
 
 def _check_grid(n: int, length: float) -> None:
@@ -141,11 +148,13 @@ class Grid:
     owner of the kept block's tables, all read-only: the exact integer
     wavenumbers of its rows and columns, the multipliers and the weights.
 
-    n must be even and in [8, N_MAX]. Mode (0,0) carries wavenumber exactly
-    zero; physical wavenumbers are 2*pi*k/length for integer k.
+    n must be an integer (numpy's too, not a bool), even and in [8, N_MAX].
+    Mode (0,0) carries wavenumber exactly zero; physical wavenumbers are
+    2*pi*k/length for integer k.
     """
 
     def __init__(self, n: int, length: float = 2.0 * np.pi):
+        _check_integer("n", n)
         n = int(n)
         _check_grid(n, length)
         self.n = n

@@ -41,6 +41,7 @@ import time
 
 import numpy as np
 
+from .config import _read_text
 from .errors import BadParams, BadSeries, ChecksumMismatch, ConfigParseError
 from .model import State
 from .records import COLUMNS, DiagnosticsSeries
@@ -180,19 +181,6 @@ def write_diagnostics_csv(path):
     fh, digest = open(path, "wb"), hashlib.sha256()
     _write_line(fh, digest, COLUMNS)
     return fh, digest
-
-
-def _read_text(path, encoding: str) -> str:
-    """The text of the file ``path`` in ``encoding``; a byte that does not
-    decode raises ConfigParseError naming its line and column."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode(encoding)
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        column = exc.start - raw.rfind(b"\n", 0, exc.start)
-        raise ConfigParseError(f"{path}: line {line}: byte not {encoding} at column {column}") from exc
 
 
 def _read_table(path, columns) -> np.ndarray:

@@ -3,11 +3,17 @@ package, ``__init__.py`` aside, uses each name it imports (a stand-in for a
 linter's unused-import rule); every name the package root exports, and every
 public function, class, method and property a module defines, is used
 outside the tests; every package name a demo uses exists; the record's
-formulas are written in one module; and one function steps a trajectory."""
+formulas are written in one module; one function steps a trajectory; and
+the modules every command loads import no module that only some commands
+use. Then checks, each in a fresh interpreter, of the modules that
+``import tcm2d`` and each command load."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -64,12 +70,12 @@ UNUSED_EXPORTS_ALLOWED = {
 
 
 def exported_names(init_source: str) -> set[str]:
-    return {
-        alias.asname or alias.name
-        for node in ast.walk(ast.parse(init_source))
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    """The names of the package root's ``_EXPORTS`` table (module -> the
+    names it exports), read without importing the package."""
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]:
+            return {name for names in ast.literal_eval(node.value).values() for name in names}
+    raise AssertionError("the package root has no _EXPORTS table")
 
 
 def _module_aliases(tree) -> set[str]:
@@ -180,7 +186,7 @@ def test_the_check_finds_an_unused_method():
 
 
 def test_the_check_finds_a_test_only_export():
-    init = "from .ops import Grid, helper, planted\n"
+    init = '_EXPORTS = {"ops": ("Grid", "helper", "planted")}\n'
     module = (
         "class Grid:\n    def copy(self) -> 'Grid':\n        return Grid()\n"
         "def helper(g: Grid):\n    return g\n"
@@ -362,3 +368,130 @@ def test_the_check_finds_a_table_use():
     assert table_uses(source, "model") == ["line 2: rfftfreq", "line 6: kx_int", "line 6: ky_int",
                                            "line 7: fftfreq", "line 7: herm_weight", "line 7: rfftfreq"]
     assert table_uses(source, "spectral") == ["line 2: rfftfreq", "line 7: fftfreq", "line 7: rfftfreq"]
+
+
+#: the modules that every command loads (the set-up of a run: parse a config,
+#: build the initial state), and the modules that only some commands use,
+#: which the first may not import at module level
+CORE_MODULES = ("config", "errors", "model", "records", "spectral")
+COMMAND_MODULES = ("cli", "derived", "diagnostics", "gronwall", "storage")
+
+
+def _package_modules(node) -> list[str]:
+    # the package modules an import statement names
+    if isinstance(node, ast.Import):
+        return [a.name.split(".")[1] for a in node.names if a.name.startswith("tcm2d.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if node.level == 0:
+        if module != "tcm2d" and not module.startswith("tcm2d."):
+            return []
+        module = module.partition(".")[2]
+    return [module.split(".")[0]] if module else [a.name for a in node.names]
+
+
+def layering_breaches(source: str) -> list[str]:
+    """The lines of a module that import one of ``COMMAND_MODULES`` at
+    module level (a class body included), outside every function."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            found.extend((child.lineno, m) for m in _package_modules(child) if m in COMMAND_MODULES)
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"line {line}: {module}" for line, module in sorted(found)]
+
+
+@pytest.mark.parametrize("module", CORE_MODULES)
+def test_core_modules_import_no_command_module(module):
+    # what a run's set-up imports, every command pays for: the rules these
+    # modules share with the others live here or below
+    assert layering_breaches((SRC / f"{module}.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_planted_edge():
+    source = (
+        "from __future__ import annotations\nfrom . import errors, storage\nfrom .derived import _check_eps\n"
+        "import tcm2d.gronwall\nfrom tcm2d import diagnostics\nimport numpy\n\n\n"
+        "class Config:\n    from .cli import main\n\n    def later(self):\n        from . import diagnostics\n\n\n"
+        "def later():\n    from .storage import RunWriter\n"
+    )
+    assert layering_breaches(source) == ["line 2: storage", "line 3: derived", "line 4: gronwall",
+                                         "line 5: diagnostics", "line 10: cli"]
+
+
+def test_every_export_resolves():
+    import tcm2d
+
+    for module, names in tcm2d._EXPORTS.items():
+        home = importlib.import_module(f"tcm2d.{module}")
+        for name in names:
+            assert getattr(tcm2d, name) is getattr(home, name)
+    assert set(tcm2d._MODULE_OF) <= set(dir(tcm2d))
+    assert not hasattr(tcm2d, "no_such_name")
+
+
+# Which modules each entry point loads, each in a fresh interpreter.
+SMALL_CONFIG = """\
+[grid]
+n = 16
+
+[time]
+dt = 0.01
+horizon = 0.04
+
+[model]
+eps = 0.1
+
+[init]
+preset = random_band
+seed = 3
+"""
+GRONWALL_CSV = "time,A,B,alpha,beta\n0,1.0,1.0,0.5,0.1\n0.1,1.05,1.1,0.5,0.1\n0.2,1.1,1.2,0.5,0.1\n"
+
+
+def loaded_modules(code: str, cwd) -> set[str]:
+    """The package modules a fresh interpreter has loaded once ``code`` ran;
+    ``code`` sets ``exit_code``, else 0, which must be 0."""
+    script = (f"import sys\nexit_code = 0\n{code}\n"
+              "print('loaded', *sorted(m for m in sys.modules if m.startswith('tcm2d.')))\nsys.exit(exit_code)\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return {name.removeprefix("tcm2d.") for name in proc.stdout.splitlines()[-1].split()[1:]}
+
+
+def test_package_root_loads_no_module(tmp_path):
+    assert loaded_modules("import tcm2d", tmp_path) <= {"errors"}
+
+
+def test_set_up_loads_the_core_modules(tmp_path):
+    # what a command does before its first step: parse its config and build
+    # the initial state
+    (tmp_path / "run.cfg").write_text(SMALL_CONFIG)
+    code = ("import tcm2d\nfrom tcm2d import config, model\n"
+            "cfg, _ = config.parse_config_file('run.cfg')\nmodel.make_initial(cfg)")
+    assert loaded_modules(code, tmp_path) == set(CORE_MODULES)
+
+
+RUN_MODULES = {*CORE_MODULES, "cli", "storage"}
+HARNESS_MODULES = RUN_MODULES | {"derived", "diagnostics", "gronwall"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["run", "--config", "run.cfg", "--out", "run"], RUN_MODULES),
+    (["check", "--config", "run.cfg", "--out", "check"], HARNESS_MODULES),
+    (["sweep-eps", "--config", "run.cfg", "--levels", "0.1,0", "--out", "sweep"], HARNESS_MODULES),
+    (["twin", "--config", "run.cfg", "--out", "twin"], HARNESS_MODULES),
+    (["gronwall", "--csv", "series.csv", "--fit-k"], RUN_MODULES | {"gronwall"}),
+], ids=["run", "check", "sweep-eps", "twin", "gronwall"])
+def test_each_command_loads_what_it_runs(tmp_path, argv, modules):
+    (tmp_path / "run.cfg").write_text(SMALL_CONFIG)
+    (tmp_path / "series.csv").write_text(GRONWALL_CSV)
+    code = f"from tcm2d.cli import main\nexit_code = main({argv!r})"
+    assert loaded_modules(code, tmp_path) == modules

@@ -29,6 +29,17 @@ class TestGrid:
         with pytest.raises(BadParams):
             t.Grid(32, length=0.0)
 
+    @pytest.mark.parametrize("n", [16.9, 16.0, "16", True, np.float64(16.0)])
+    def test_n_takes_an_integer(self, n):
+        # the integer rule of SimConfig: int(n) once made Grid(16.9) and
+        # Grid("16") a Grid(n=16)
+        with pytest.raises(BadParams, match="n must be an integer"):
+            t.Grid(n)
+
+    def test_n_takes_a_numpy_integer(self):
+        g = t.Grid(np.int32(16))
+        assert g == t.Grid(16) and type(g.n) is int
+
     def test_rejects_past_the_cap_before_it_allocates(self):
         tracemalloc.start()
         try:

@@ -25,8 +25,7 @@ from tcm2d.cli import main
 from tcm2d.config import parse_config_file, parse_config_text, render_config
 from tcm2d.diagnostics import PERTURBATION_SHAPES
 from tcm2d.errors import CflViolation, ChecksumMismatch, ConfigParseError, NonFiniteState, TcmError
-from tcm2d.model import PRESETS
-from tcm2d.gronwall import MIN_SPACING
+from tcm2d.model import MIN_SPACING, PRESETS
 from tcm2d.spectral import LENGTH_MAX, N_MAX, WEIGHT_MAX
 
 from conftest import band_state, with_nan
